@@ -40,7 +40,6 @@ from .embedding import (
     AugmentedClass,
     GoodFunctionSpec,
     agnostic_learner,
-    bounded_label_patterns,
     erm_augmented,
     good_patterns,
     realizable_enumeration_erm,

@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from . import embedding, gallery, nfl, psi, witnesses
 from .core import (
+    DomainError,
     Hypothesis,
     HypothesisClass,
     PreconditionError,
@@ -33,6 +33,7 @@ from .core import (
 from .dimensions import (
     KINDS,
     ShatterCertificate,
+    _default_window,
     exact_dimension,
     sauer_natarajan_check,
 )
@@ -115,7 +116,7 @@ def class_from_file(doc: dict):
             raise SchemaError(f"field 'gallery': {err}") from err
         return entry.cls, entry
     labels = doc.get("labels")
-    if not isinstance(labels, int) or labels < 1:
+    if not _is_int(labels) or labels < 1:
         raise SchemaError("field 'labels': expected a positive integer")
     domain = doc.get("domain")
     rows = doc.get("hypotheses")
@@ -130,26 +131,26 @@ def class_from_file(doc: dict):
             if not isinstance(sup, dict):
                 raise SchemaError(f"hypotheses[{i}].support: expected an object")
             try:
-                pairs = tuple((int(k), int(v)) for k, v in sup.items())
+                pairs = tuple((int(k), v) for k, v in sup.items())
             except ValueError as err:
                 raise SchemaError(f"hypotheses[{i}].support: {err}") from err
             for x, y in pairs:
-                if not 1 <= y < labels:
+                if not _is_int(y) or not 1 <= y < labels:
                     raise SchemaError(
-                        f"hypotheses[{i}].support[{x}]: label {y} outside 1..{labels - 1}"
+                        f"hypotheses[{i}].support[{x}]: label {y!r} outside 1..{labels - 1}"
                     )
             supports.append(pairs)
         _reject_duplicates([tuple(sorted(s)) for s in supports])
         cls = class_from_supports(supports, num_labels=labels)
         return cls, None
-    if not isinstance(domain, int) or domain < 1:
+    if not _is_int(domain) or domain < 1:
         raise SchemaError("field 'domain': expected a positive integer or 'nat'")
     tables = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != domain:
             raise SchemaError(f"hypotheses[{i}]: expected a row of length {domain}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < labels:
+            if not _is_int(v) or not 0 <= v < labels:
                 raise SchemaError(
                     f"hypotheses[{i}][{j}]: label {v} outside 0..{labels - 1}"
                 )
@@ -171,31 +172,40 @@ def _reject_duplicates(keys):
         raise SchemaError(f"duplicate hypotheses at indices {dupes}")
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: ``true``/``false`` are not labels or sizes."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_json(path: str, build):
+    """Parse the JSON file at ``path`` and build from it; every error names
+    the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise SchemaError(f"{path}: {err.strerror}") from err
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"{path}:{err.lineno}: invalid JSON ({err.msg})") from err
+    try:
+        return build(doc)
+    except (RepresentationError, SchemaError) as err:
+        raise SchemaError(f"{path}: {err}") from err
+
+
 def parse_class_file(path: str) -> HypothesisClass:
     return _load_class(path)[0]
 
 
 def _load_class(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as err:
-        raise SchemaError(f"{path}: {err.strerror}") from err
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}:{err.lineno}: invalid JSON ({err.msg})") from err
-    try:
-        return class_from_file(doc)
-    except RepresentationError as err:
-        raise SchemaError(f"{path}: {err}") from err
-    except SchemaError as err:
-        raise SchemaError(f"{path}: {err}") from err
+    return _read_json(path, class_from_file)
 
 
 def family_from_file(doc: dict) -> PsiFamily:
     if not isinstance(doc, dict):
         raise SchemaError("family file must be a JSON object")
     labels = doc.get("labels")
-    if not isinstance(labels, int) or labels < 2:
+    if not _is_int(labels) or labels < 2:
         raise SchemaError("field 'labels': expected an integer >= 2")
     if "builtin" in doc:
         which = doc["builtin"]
@@ -215,7 +225,7 @@ def family_from_file(doc: dict) -> PsiFamily:
         for j, s in enumerate(row):
             if s == "*":
                 table.append(STAR)
-            elif s in ("0", "1", 0, 1):
+            elif s in ("0", "1", 0, 1) and not isinstance(s, bool):
                 table.append(int(s))
             else:
                 raise SchemaError(f"family[{i}][{j}]: expected '0', '1' or '*'")
@@ -224,17 +234,7 @@ def family_from_file(doc: dict) -> PsiFamily:
 
 
 def parse_psi_file(path: str) -> PsiFamily:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as err:
-        raise SchemaError(f"{path}: {err.strerror}") from err
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}:{err.lineno}: invalid JSON ({err.msg})") from err
-    try:
-        return family_from_file(doc)
-    except SchemaError as err:
-        raise SchemaError(f"{path}: {err}") from err
+    return _read_json(path, family_from_file)
 
 
 def _parse_ints(text: str, field: str) -> tuple[int, ...]:
@@ -261,17 +261,25 @@ def _parse_sample(text: str):
 
 def _parse_learner(spec: str, *, num_labels: int, window: int):
     head, _, rest = spec.partition(":")
+
+    def integer(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise SchemaError(f"--learner {spec!r}: expected an integer, got {text!r}") from None
+
     if head == "const":
-        return nfl.constant_learner(int(rest), num_labels, window)
+        return nfl.constant_learner(integer(rest), num_labels, window)
     if head == "memorize":
-        return nfl.memorizing_learner(int(rest), num_labels, window)
+        return nfl.memorizing_learner(integer(rest), num_labels, window)
     if head == "erm":
         cls = parse_class_file(rest)
         return nfl.erm_learner(cls)
     if head == "embed":
         path, _, order = rest.rpartition(":")
+        order = integer(order)
         cls = parse_class_file(path)
-        w = witnesses.canonical_witness(cls, "natarajan", int(order))
+        w = witnesses.canonical_witness(cls, "natarajan", order)
         spec_obj = embedding.GoodFunctionSpec(witness=w, num_labels=cls.num_labels)
         return embedding.agnostic_learner(spec_obj)
     raise SchemaError(
@@ -339,17 +347,6 @@ def _validation_result(report) -> dict:
     }
 
 
-def _default_window(args, cls) -> int:
-    if args.window is not None:
-        return args.window
-    if cls.domain_size is not None:
-        return cls.domain_size - 1
-    bound = cls.support_bound()
-    if bound is None:
-        raise SchemaError("--window required for classes over the naturals")
-    return bound
-
-
 def _cmd_witness_make(args) -> Outcome:
     cls, entry = _load_class(args.class_file)
     w, family = _witness_for(args, cls, entry)
@@ -362,7 +359,7 @@ def _cmd_witness_make(args) -> Outcome:
 def _cmd_witness_check(args) -> Outcome:
     cls, entry = _load_class(args.class_file)
     w, family = _witness_for(args, cls, entry)
-    window = _default_window(args, cls)
+    window = _default_window(cls) if args.window is None else args.window
     report = witnesses.validate_witness(w, cls, window)
     result = {"witness": _witness_meta(w), "window": window}
     result.update(_validation_result(report))
@@ -375,7 +372,7 @@ def _cmd_witness_from_learner(args) -> Outcome:
     check_cls = parse_class_file(args.check_class) if args.check_class else None
     window = args.window
     if window is None and check_cls is not None:
-        window = _default_window(args, check_cls)
+        window = _default_window(check_cls)
     if window is None:
         raise SchemaError("--window required without --check-class")
     num_labels = args.labels or (check_cls.num_labels if check_cls else None)
@@ -447,13 +444,11 @@ def _cmd_embed(args) -> Outcome:
                   "patterns": [list(p) for p in behaviors.patterns]}
         return Outcome(0, result, [], inputs)
     if not args.sample:
-        raise SchemaError(f"embed {args.mode} requires --sample")
+        raise SchemaError("embed erm requires --sample")
     sample = _parse_sample(args.sample)
     inputs["sample"] = [list(p) for p in sample]
     h, risk = embedding.erm_augmented(spec, sample)
-    result = {"hypothesis": jsonable(h)}
-    if args.mode == "erm":
-        result["empirical_risk"] = jsonable(risk)
+    result = {"hypothesis": jsonable(h), "empirical_risk": jsonable(risk)}
     return Outcome(0, result, [], inputs)
 
 
@@ -498,18 +493,15 @@ def _cmd_gallery(args) -> Outcome | int:
     if args.action == "list":
         result = {"entries": list(gallery.GALLERY_NAMES)}
         return Outcome(0, result, [], {"action": "list"})
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"--params: invalid JSON ({err.msg})") from err
+    if not isinstance(params, dict):
+        raise SchemaError("--params: expected a JSON object")
     entry = gallery.build(args.name, params)
     sys.stdout.write(canonical_json(class_to_file(entry.cls)) + "\n")
     return 0
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("DIMKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dimkit",
         description="Exact multiclass dimensions, witnesses, and learners.",
     )
-    parser.add_argument("--threads", type=int, default=_env_threads(),
-                        help="internal search parallelism (results never depend on it)")
     parser.add_argument("--timing", action="store_true",
                         help="add runtime_ms to the report (breaks byte-stability)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -556,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", required=True)
     p.set_defaults(handler=_cmd_nfl)
 
-    p = sub.add_parser("embed", help="augmented class: behaviors, ERM, learning")
-    p.add_argument("mode", choices=("behaviors", "erm", "learn"))
+    p = sub.add_parser("embed", help="augmented class: behaviors, ERM")
+    p.add_argument("mode", choices=("behaviors", "erm"))
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--witness", required=True, help="FLAVOR:ORDER, e.g. natarajan:1")
     p.add_argument("--psi")
@@ -597,10 +587,7 @@ def dispatch(argv) -> int:
     started = time.monotonic()
     try:
         outcome = args.handler(args)
-    except SchemaError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except (PreconditionError, RepresentationError) as err:
+    except (SchemaError, DomainError, PreconditionError, RepresentationError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     if isinstance(outcome, int):

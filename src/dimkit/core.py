@@ -320,16 +320,6 @@ def mix_labelings(index_set: Iterable[int], y1: Pattern, y2: Pattern) -> Pattern
     return tuple(y1[i] if i in chosen else y2[i] for i in range(len(y1)))
 
 
-def index_sets(arity: int) -> Iterator[frozenset]:
-    """All subsets of range(arity), ordered by characteristic vector."""
-    for bits in itertools.product((0, 1), repeat=arity):
-        yield frozenset(i for i, b in enumerate(bits) if b)
-
-
-def all_patterns(arity: int, num_labels: int) -> Iterator[Pattern]:
-    return itertools.product(range(num_labels), repeat=arity)
-
-
 def distinct_pairs(arity: int, num_labels: int) -> Iterator[tuple[Pattern, Pattern]]:
     """All ordered labeling pairs (y, y') that differ at every coordinate."""
     labels = range(num_labels)

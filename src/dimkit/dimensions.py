@@ -2,8 +2,12 @@
 
 Five flavors are supported: vc (binary alphabets only), natarajan, graph,
 ds, and psi (parameterized by a family of {0,1,*}-valued label encoders).
-Every positive answer comes with a certificate that re-verifies against the
-class; every search is deterministic (lexicographic orders throughout).
+vc, natarajan and graph shattering are psi-shattering for the identity,
+pair-selector and indicator encoders, so those four flavors share one
+coverage search, which also re-checks their certificates; ds uses the
+pseudo-cube core.  Every positive answer comes with a certificate that
+re-verifies against the class; every search is deterministic (lexicographic
+orders throughout).
 """
 
 from __future__ import annotations
@@ -57,18 +61,31 @@ def _coverage_search(patterns, coord_choices):
     def rec(depth, alive):
         if depth == n:
             return True
-        want = (1 << (1 << (depth + 1))) - 1
+        # Group the alive (prefix code, pattern) pairs by their label here,
+        # with the set of codes per label as a bitmask.  The prefixes cover
+        # all 2^depth codes, so a table extends them to every code of length
+        # depth + 1 iff the labels it sends to 0, and those it sends to 1,
+        # each carry every prefix code.
+        groups, masks = {}, {}
+        for code, pat in alive:
+            v = pat[depth]
+            if v in groups:
+                groups[v].append((code, pat))
+                masks[v] |= 1 << code
+            else:
+                groups[v] = [(code, pat)]
+                masks[v] = 1 << code
+        full = (1 << (1 << depth)) - 1
         for table, meta in coord_choices[depth]:
-            nxt = []
-            seen = 0
-            for code, pat in alive:
-                b = table.get(pat[depth])
-                if b is not None:
-                    c = (code << 1) | b
-                    seen |= 1 << c
-                    nxt.append((c, pat))
-            if seen == want:
+            halves = [0, 0]
+            for v, b in table.items():
+                if v in masks:
+                    halves[b] |= masks[v]
+            if halves[0] == full and halves[1] == full:
                 chosen.append(meta)
+                nxt = [((code << 1) | b, pat)
+                       for v, b in table.items() if v in groups
+                       for code, pat in groups[v]]
                 if rec(depth + 1, nxt):
                     return True
                 chosen.pop()
@@ -88,76 +105,55 @@ def _check_points(points):
     return points
 
 
+def _encoded_search(cls, points, kind, encoders, payload) -> Optional[ShatterCertificate]:
+    """Certificate that ``points`` (already checked) is shattered, from the
+    coverage search over the (table, meta) pairs ``encoders(vals)`` builds
+    from the sorted labels ``vals`` realized at each coordinate.
+    ``payload(metas)`` turns the chosen metas into the certificate payload."""
+    patterns = restrict(cls, points).patterns
+    choices = [encoders(sorted({p[i] for p in patterns})) for i in range(len(points))]
+    got = _coverage_search(patterns, choices) if all(choices) else None
+    if got is None:
+        return None
+    return ShatterCertificate(kind=kind, points=points, payload=payload(got))
+
+
 def is_vc_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
     if cls.num_labels != 2:
         raise PreconditionError("vc shattering requires a binary alphabet")
-    points = _check_points(points)
-    pats = restrict(cls, points).pattern_set
-    if all(p in pats for p in itertools.product((0, 1), repeat=len(points))):
-        return ShatterCertificate(kind="vc", points=points, payload=())
-    return None
+    return _encoded_search(cls, _check_points(points), "vc",
+                           lambda vals: [({0: 0, 1: 1}, None)], lambda got: ())
 
 
 def is_n_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
     """Search for componentwise-distinct labelings (g1, g2), drawn from the
-    values realized at each coordinate, whose 2^n mixtures are all realized."""
-    points = _check_points(points)
-    patterns = restrict(cls, points).patterns
-    choices = []
-    for i in range(len(points)):
-        vals = sorted({p[i] for p in patterns})
-        pairs = [({a: 1, b: 0}, (a, b)) for a, b in itertools.combinations(vals, 2)]
-        if not pairs:
-            return None
-        choices.append(pairs)
-    got = _coverage_search(patterns, choices)
-    if got is None:
-        return None
-    g1 = tuple(m[0] for m in got)
-    g2 = tuple(m[1] for m in got)
-    return ShatterCertificate(kind="natarajan", points=points, payload=(g1, g2))
+    values realized at each coordinate, whose 2^n mixtures are all realized.
+    Each pair is tried once, as the canonical half {a: 1, b: 0} with a < b of
+    the Ψ_N encoders, so (g1, g2) is the lexicographically first answer."""
+    return _encoded_search(
+        cls, _check_points(points), "natarajan",
+        lambda vals: [({a: 1, b: 0}, (a, b)) for a, b in itertools.combinations(vals, 2)],
+        lambda got: tuple(zip(*got)))
 
 
 def is_g_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
     """Search for a labeling f whose exact agreement sets against the class
-    exhaust the powerset of coordinates.  Any witness labeling must itself
-    be realized (take the full agreement set), so candidates are patterns."""
-    points = _check_points(points)
-    patterns = restrict(cls, points).patterns
-    n = len(points)
-    full = (1 << (1 << n)) - 1
-    for f in patterns:
-        seen = 0
-        for p in patterns:
-            mask = 0
-            for i in range(n):
-                if p[i] == f[i]:
-                    mask |= 1 << i
-            seen |= 1 << mask
-        if seen == full:
-            return ShatterCertificate(kind="graph", points=points, payload=(f,))
-    return None
+    exhaust the powerset of coordinates, via the Ψ_G indicator encoders of
+    the realized labels.  Any working f is itself realized (take the full
+    agreement set), so the first f found is the first working pattern."""
+    return _encoded_search(
+        cls, _check_points(points), "graph",
+        lambda vals: [({v: int(v == k) for v in vals}, k) for k in vals],
+        lambda got: (got,))
 
 
 def is_pseudo_cube(patterns) -> bool:
     """True iff every pattern has, at every coordinate, a neighbor in the set
     differing there and only there."""
-    pats = list(patterns)
-    if not pats:
-        return False
-    n = len(pats[0])
-    for p in pats:
-        if len(p) != n:
-            raise PreconditionError("mixed arities in pattern set")
-    pset = set(pats)
-    for p in pset:
-        for i in range(n):
-            if not any(
-                q[i] != p[i] and all(q[j] == p[j] for j in range(n) if j != i)
-                for q in pset
-            ):
-                return False
-    return True
+    pats = set(patterns)
+    if len({len(p) for p in pats}) > 1:
+        raise PreconditionError("mixed arities in pattern set")
+    return bool(pats) and _pseudo_cube_core(pats) == pats
 
 
 def _pseudo_cube_core(patterns) -> frozenset:
@@ -200,23 +196,16 @@ def is_psi_shattered(cls: HypothesisClass, points, family: PsiFamily) -> Optiona
     points = _check_points(points)
     if family.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
-    patterns = restrict(cls, points).patterns
-    choices = []
-    for i in range(len(points)):
-        vals = {p[i] for p in patterns}
+
+    def encoders(vals):
         cands = []
         for psi in family.members:
-            imgs = {psi.table[v] for v in vals}
-            if 0 in imgs and 1 in imgs:
-                table = {v: psi.table[v] for v in vals if psi.table[v] != STAR}
+            table = {v: psi.table[v] for v in vals if psi.table[v] != STAR}
+            if 0 in table.values() and 1 in table.values():
                 cands.append((table, psi))
-        if not cands:
-            return None
-        choices.append(cands)
-    got = _coverage_search(patterns, choices)
-    if got is None:
-        return None
-    return ShatterCertificate(kind="psi", points=points, payload=(got,))
+        return cands
+
+    return _encoded_search(cls, points, "psi", encoders, lambda got: (got,))
 
 
 def _shatter(cls, points, kind, family):
@@ -236,6 +225,9 @@ def _shatter(cls, points, kind, family):
 
 
 def _default_window(cls: HypothesisClass) -> int:
+    """Top of the default search window: the last point of a finite domain,
+    or the largest support point (0 for the all-zero class) over the
+    naturals."""
     if cls.domain_size is not None:
         return cls.domain_size - 1
     if cls.hypotheses is not None:
@@ -256,6 +248,8 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown dimension kind {kind!r}")
+    if window is not None and window < 0:
+        raise PreconditionError("window must be a natural")
     warning = None
     if window is None:
         window = _default_window(cls)
@@ -282,39 +276,31 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
 
 
 def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
-    """Re-check a certificate against the class it allegedly shatters."""
+    """Re-check a certificate against the class it allegedly shatters.  A DS
+    cube must be a pseudo-cube of realized patterns; every other kind names
+    one binary encoder per point, and their image of the class must cover
+    {0,1}^n."""
     points = cert.points
-    pats = restrict(cls, points).pattern_set
-    n = len(points)
-    if cert.kind == "vc":
-        return all(p in pats for p in itertools.product((0, 1), repeat=n))
-    if cert.kind == "natarajan":
-        g1, g2 = cert.payload
-        if any(a == b for a, b in zip(g1, g2)):
-            return False
-        return all(
-            tuple(g1[i] if i in I else g2[i] for i in range(n)) in pats
-            for I in (frozenset(c) for r in range(n + 1)
-                      for c in itertools.combinations(range(n), r))
-        )
-    if cert.kind == "graph":
-        (f,) = cert.payload
-        masks = set()
-        for p in pats:
-            masks.add(sum(1 << i for i in range(n) if p[i] == f[i]))
-        return len(masks) == 1 << n
+    behaviors = restrict(cls, points)
     if cert.kind == "ds":
         (cube,) = cert.payload
-        return set(cube) <= pats and is_pseudo_cube(cube)
-    if cert.kind == "psi":
-        (psibar,) = cert.payload
-        covered = set()
-        for p in pats:
-            img = tuple(psi.table[v] for psi, v in zip(psibar, p))
-            if STAR not in img:
-                covered.add(img)
-        return len(covered) == 1 << n
-    raise PreconditionError(f"unknown certificate kind {cert.kind!r}")
+        return set(cube) <= behaviors.pattern_set and is_pseudo_cube(cube)
+    if cert.kind == "vc":
+        tables = [{0: 0, 1: 1}] * len(points)
+    elif cert.kind == "natarajan":
+        g1, g2 = cert.payload
+        tables = [{a: 1, b: 0} for a, b in zip(g1, g2)] if len(g1) == len(g2) else []
+    elif cert.kind == "graph":
+        labels = {v for p in behaviors.patterns for v in p}
+        tables = [{v: int(v == k) for v in labels} for k in cert.payload[0]]
+    elif cert.kind == "psi":
+        tables = [{v: b for v, b in enumerate(psi.table) if b != STAR}
+                  for psi in cert.payload[0]]
+    else:
+        raise PreconditionError(f"unknown certificate kind {cert.kind!r}")
+    if len(tables) != len(points):
+        return False
+    return _coverage_search(behaviors.patterns, [[(t, None)] for t in tables]) is not None
 
 
 @dataclass(frozen=True)
@@ -328,6 +314,8 @@ def sauer_natarajan_check(cls: HypothesisClass, points, d: int) -> SauerReport:
     """Check |H|_T| <= |T|^d * q^(2d), the growth bound for classes whose
     Natarajan dimension is at most d.  Exact integers."""
     points = _check_points(points)
+    if d < 0:
+        raise PreconditionError("d must be a natural")
     count = len(restrict(cls, points))
     bound = len(points) ** d * cls.num_labels ** (2 * d)
     return SauerReport(count=count, bound=bound, holds=count <= bound)

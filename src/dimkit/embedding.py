@@ -153,14 +153,6 @@ def good_patterns(spec: GoodFunctionSpec, points) -> BehaviorSet:
     return BehaviorSet(points=points, patterns=tuple(sorted(projected)))
 
 
-def bounded_label_patterns(spec: GoodFunctionSpec, points) -> BehaviorSet:
-    """Variant of ``good_patterns`` for label alphabets capped per window by
-    the bound table carried in ``spec``."""
-    if spec.label_bound is None:
-        raise PreconditionError("spec carries no label bound table")
-    return good_patterns(spec, points)
-
-
 @dataclass(frozen=True)
 class AugmentedClass:
     """A base class together with the good functions of its witness.

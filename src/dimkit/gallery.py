@@ -116,29 +116,38 @@ def failing_psi_gallery(family: PsiFamily, window: int) -> GalleryEntry:
 
 
 def build(name: str, params: dict) -> GalleryEntry:
-    """Gallery constructor registry used by the CLI and class files."""
+    """Gallery constructor registry used by the CLI and class files.  Bad
+    parameter values raise PreconditionError."""
     if name == "full":
-        n = int(params.get("n", 2))
-        q = int(params.get("labels", params.get("q", 2)))
+        n = _int(params.get("n", 2), "n")
+        q = _int(params.get("labels", params.get("q", 2)), "labels")
         cls = full_class(n, q)
         return GalleryEntry(name="full", cls=cls, params={"n": n, "labels": q})
     if name == "gap":
-        return gap_class(int(params.get("m", 3)))
+        return gap_class(_int(params.get("m", 3), "m"))
     if name == "six_cycle":
         return six_cycle_class()
     if name == "failing_psi":
         from .psi import PsiFunction
 
         rows = params.get("family")
-        q = int(params.get("labels", 0))
-        if not rows or q < 2:
+        q = _int(params.get("labels", 0), "labels")
+        if (q < 2 or not rows or not isinstance(rows, list)
+                or not all(isinstance(row, list) for row in rows)):
             raise PreconditionError("failing_psi needs 'family' rows and 'labels'")
         members = tuple(
             PsiFunction(table=tuple(_parse_symbol(s) for s in row)) for row in rows
         )
         family = PsiFamily(members=members, num_labels=q)
-        return failing_psi_gallery(family, int(params.get("window", 1)))
+        return failing_psi_gallery(family, _int(params.get("window", 1), "window"))
     raise PreconditionError(f"unknown gallery entry {name!r}")
+
+
+def _int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"parameter {key!r}: expected an integer, got {value!r}") from None
 
 
 def _parse_symbol(s) -> int:
@@ -146,7 +155,7 @@ def _parse_symbol(s) -> int:
 
     if s in ("*", STAR):
         return STAR
-    return int(s)
+    return _int(s, "family")
 
 
 GALLERY_NAMES = ("full", "gap", "six_cycle", "failing_psi")

@@ -48,9 +48,6 @@ class PsiFunction:
     def __call__(self, y: int) -> int:
         return self.table[y]
 
-    def apply(self, pattern) -> tuple[int, ...]:
-        return tuple(self.table[v] for v in pattern)
-
 
 @dataclass(frozen=True)
 class PsiFamily:

@@ -109,6 +109,8 @@ class WitnessReport:
 def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> WitnessReport:
     """Exhaustively re-check the exclusion property on every valid input
     whose points lie in [0, window]."""
+    if window < 0:
+        raise PreconditionError("window must be a natural")
     arity = witness.arity
     q = cls.num_labels
     checked = 0

@@ -79,6 +79,36 @@ def psi_shattered(cls, points, family):
     return False
 
 
+def first_certificate(cls, points, kind, family=None):
+    """Payload of the first certificate in product order of per-coordinate
+    choices (label pairs a < b, labels, or family members), or None.  Every
+    choice tuple is checked in full, without pruning."""
+    pats = restrict(cls, points).pattern_set
+    q = cls.num_labels
+    n = len(points)
+    binaries = set(itertools.product((0, 1), repeat=n))
+    if kind == "vc":
+        return () if binaries <= pats else None
+    if kind == "natarajan":
+        pairs = list(itertools.combinations(range(q), 2))
+        for combo in itertools.product(pairs, repeat=n):
+            g1 = tuple(a for a, _ in combo)
+            g2 = tuple(b for _, b in combo)
+            if all(mix_labelings(I, g1, g2) in pats for I in _subsets(n)):
+                return (g1, g2)
+        return None
+    if kind == "graph":
+        for f in itertools.product(range(q), repeat=n):
+            masks = {sum(1 << i for i in range(n) if p[i] == f[i]) for p in pats}
+            if len(masks) == 1 << n:
+                return (f,)
+        return None
+    for psibar in itertools.product(family.members, repeat=n):
+        if binaries <= {apply_encoders(psibar, p) for p in pats}:
+            return (psibar,)
+    return None
+
+
 def dimension(cls, kind, window, family=None):
     def shattered(points):
         if kind == "vc":

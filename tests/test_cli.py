@@ -45,6 +45,17 @@ def run(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
+def assert_usage_error(capsys, *argv):
+    """Exit 2 with one 'error:' line on stderr and no report.  A traceback
+    would propagate out of dispatch and fail the test."""
+    code = dispatch(list(argv))
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2, argv
+    assert captured.out == "", argv
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
 # ------------------------------------------------------------- file formats
 
 def test_parse_explicit_class(three_file):
@@ -77,11 +88,23 @@ def test_row_length_mismatch_is_schema_error(tmp_path):
         parse_class_file(str(path))
 
 
-def test_label_overflow_is_schema_error(tmp_path):
+def test_label_overflow_is_schema_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"labels": 2, "domain": 1, "hypotheses": [[5]]}))
     with pytest.raises(SchemaError, match="label 5"):
         parse_class_file(str(path))
+    # JSON booleans are not integers here, although Python's bool is an int
+    for doc, field in (
+        ({"labels": True, "domain": 1, "hypotheses": [[0]]}, "labels"),
+        ({"labels": 2, "domain": True, "hypotheses": [[True], [False]]}, "domain"),
+        ({"labels": 2, "domain": 1, "hypotheses": [[True], [False]]}, r"hypotheses\[0\]\[0\]"),
+        ({"labels": 2, "domain": "nat", "hypotheses": [{"support": {"0": True}}]},
+         r"support\[0\]"),
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=field):
+            parse_class_file(str(path))
+        assert_usage_error(capsys, "dim", "--class", str(path), "--kind", "natarajan")
 
 
 def test_duplicate_hypotheses_listed_by_index(tmp_path):
@@ -100,11 +123,19 @@ def test_psi_file_inline_rows(tmp_path):
     assert len(fam) == 2 and fam.members[1].table == (dk.STAR, 1)
 
 
-def test_psi_file_bad_symbol(tmp_path):
+def test_psi_file_bad_symbol(capsys, tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"labels": 2, "family": [["0", "2"]]}))
     with pytest.raises(SchemaError, match=r"family\[0\]\[1\]"):
         parse_psi_file(str(path))
+    for doc, field in (
+        ({"labels": True, "builtin": "psi_N"}, "labels"),
+        ({"labels": 2, "family": [[True, "*"]]}, r"family\[0\]\[0\]"),
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=field):
+            parse_psi_file(str(path))
+        assert_usage_error(capsys, "distinguisher", "--psi", str(path))
 
 
 # ---------------------------------------------------------------- commands
@@ -217,10 +248,11 @@ def test_embed_commands(capsys, tmp_path):
     assert code == 0
     assert report["result"]["hypothesis"] == {"support": {"0": 2, "1": 2}}
     assert report["result"]["empirical_risk"] == {"num": 0, "den": 1}
-    code, report = run(capsys, "embed", "learn", "--class", str(path),
+    code, report = run(capsys, "embed", "erm", "--class", str(path),
                        "--witness", "natarajan:1", "--sample", "0:0,1:0")
     assert code == 0
     assert report["result"]["hypothesis"] == {"support": {}}
+    assert report["result"]["empirical_risk"] == {"num": 0, "den": 1}
 
 
 def test_sauer_command(capsys, three_file):
@@ -246,6 +278,50 @@ def test_gallery_emit_round_trip(capsys, tmp_path):
     assert canonical_json(class_to_file(cls)) + "\n" == first
 
 
+def test_dim_negative_window_exits_two(capsys, c6_file):
+    assert_usage_error(capsys, "dim", "--class", c6_file, "--kind", "natarajan",
+                       "--window", "-5")
+
+
+def test_witness_check_negative_window_exits_two(capsys, c6_file):
+    assert_usage_error(capsys, "witness", "check", "--class", c6_file,
+                       "--flavor", "natarajan", "--order", "1", "--window", "-1")
+
+
+def test_sauer_negative_degree_exits_two(capsys, three_file):
+    assert_usage_error(capsys, "sauer", "--class", three_file, "--points", "0,1",
+                       "--d", "-1")
+
+
+def test_all_zero_class_checks_window_zero(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"labels": 2, "domain": "nat",
+                                "hypotheses": [{"support": {}}]}))
+    code, report = run(capsys, "witness", "check", "--class", str(path),
+                       "--flavor", "natarajan", "--order", "0")
+    assert code == 0
+    assert report["result"]["window"] == 0 and report["result"]["valid"] is True
+
+
+def test_bad_argv_values_exit_two(capsys, tmp_path, c6_file):
+    bad_full = tmp_path / "full.json"
+    bad_full.write_text(json.dumps({"gallery": "full", "params": {"n": "x"}}))
+    cases = [
+        ["gallery", "emit", "gap", "--params", "{bad"],
+        ["gallery", "emit", "gap", "--params", "[1]"],
+        ["gallery", "emit", "full", "--params", '{"n":"x"}'],
+        ["gallery", "emit", "failing_psi", "--params", '{"labels": 2, "family": [["x", "1"]]}'],
+        ["dim", "--class", str(bad_full), "--kind", "natarajan"],
+    ]
+    for learner in ("memorize:x", "const:x", f"embed:{c6_file}:x", f"embed:{c6_file}"):
+        cases.append(["nfl", "--learner", learner, "--points", "0,1",
+                      "--g1", "1,1", "--g2", "2,2"])
+    cases.append(["sauer", "--class", c6_file, "--points", "0,5", "--d", "1"])
+    cases.append(["dim", "--class", str(tmp_path), "--kind", "ds"])
+    for argv in cases:
+        assert_usage_error(capsys, *argv)
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert dispatch(["frobnicate"]) == 2
     capsys.readouterr()
@@ -264,9 +340,6 @@ def test_report_byte_stability(capsys, c6_file):
     dispatch(["dim", "--class", c6_file, "--kind", "natarajan"])
     second = capsys.readouterr().out
     assert first == second
-    dispatch(["--threads", "4", "dim", "--class", c6_file, "--kind", "natarajan"])
-    third = capsys.readouterr().out
-    assert first == third
 
 
 def test_report_has_no_float_tokens(capsys, c6_file, psin3_file):

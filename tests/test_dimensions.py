@@ -239,6 +239,71 @@ def test_certificates_reverify_and_avoid_constant_points():
                 assert len(dk.restrict(cls, (x,))) >= 2
 
 
+def test_certificates_equal_first_bruteforce_certificate():
+    rng = random.Random(1995)
+    searches = {"vc": dk.is_vc_shattered, "natarajan": dk.is_n_shattered,
+                "graph": dk.is_g_shattered}
+    for _ in range(40):
+        cls = random_table_class(rng, rng.randint(1, 3), rng.choice((2, 3, 4)), 16)
+        q = cls.num_labels
+        families = (dk.natarajan_family(q), dk.graph_family(q))
+        for r in range(1, cls.domain_size + 1):
+            for pts in itertools.combinations(range(cls.domain_size), r):
+                for kind, search in searches.items():
+                    if kind == "vc" and q != 2:
+                        continue
+                    cert = search(cls, pts)
+                    got = None if cert is None else cert.payload
+                    assert got == oracles.first_certificate(cls, pts, kind), (kind, pts)
+                for fam in families:
+                    cert = dk.is_psi_shattered(cls, pts, fam)
+                    got = None if cert is None else cert.payload
+                    assert got == oracles.first_certificate(cls, pts, "psi", fam)
+
+
+def test_corrupted_certificates_fail_verification():
+    c6_cls = c6()
+    cert = dk.is_n_shattered(dk.full_class(2, 3), (0, 1))
+    (g1, g2) = cert.payload
+    assert dk.verify_certificate(cert, dk.full_class(2, 3))
+    bad = dk.ShatterCertificate("natarajan", (0, 1), ((g2[0], g1[1]), g2))
+    assert not dk.verify_certificate(bad, dk.full_class(2, 3))
+    short = dk.ShatterCertificate("natarajan", (0, 1), (g1[:1], g2[:1]))
+    assert not dk.verify_certificate(short, dk.full_class(2, 3))
+
+    cert = dk.is_g_shattered(c6_cls, (0, 1))
+    assert dk.verify_certificate(cert, c6_cls)
+    (f,) = cert.payload
+    bad = dk.ShatterCertificate("graph", (0, 1), ((1, f[1]),))  # label 1 unrealized at 0
+    assert not dk.verify_certificate(bad, c6_cls)
+
+    fam = dk.natarajan_family(3)
+    cert = dk.is_psi_shattered(dk.full_class(2, 3), (0, 1), fam)
+    assert dk.verify_certificate(cert, dk.full_class(2, 3))
+    (psibar,) = cert.payload
+    stars = dk.PsiFunction(table=(dk.STAR,) * 3)
+    bad = dk.ShatterCertificate("psi", (0, 1), ((psibar[0], stars),))
+    assert not dk.verify_certificate(bad, dk.full_class(2, 3))
+
+    three = three_hyp()
+    cube = ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert dk.is_pseudo_cube(cube)
+    assert not dk.verify_certificate(dk.ShatterCertificate("ds", (0, 1), (cube,)), three)
+    not_cube = ((0, 1), (1, 0))
+    assert set(not_cube) <= dk.restrict(three, (0, 1)).pattern_set
+    assert not dk.verify_certificate(dk.ShatterCertificate("ds", (0, 1), (not_cube,)), three)
+
+    binary = dk.class_from_tables([(0, 0), (0, 1), (1, 0)], num_labels=2)
+    assert dk.verify_certificate(dk.ShatterCertificate("vc", (1,), ()), binary)
+    assert not oracles.vc_shattered(binary, (0, 1))
+    assert not dk.verify_certificate(dk.ShatterCertificate("vc", (0, 1), ()), binary)
+
+
+def test_negative_window_is_rejected():
+    with pytest.raises(dk.PreconditionError):
+        dk.exact_dimension(c6(), "natarajan", window=-5)
+
+
 # ------------------------------------------------------------ growth bound
 
 def test_sauer_check_three_hypotheses():
@@ -255,3 +320,8 @@ def test_sauer_check_singleton_dimension_zero():
 def test_sauer_check_full_binary_cube():
     rep = dk.sauer_natarajan_check(dk.full_class(3, 2), (0, 1, 2), 3)
     assert rep.count == 8 and rep.bound == 27 * 2 ** 6 and rep.holds
+
+
+def test_sauer_check_rejects_negative_degree():
+    with pytest.raises(dk.PreconditionError):
+        dk.sauer_natarajan_check(three_hyp(), (0, 1), -1)

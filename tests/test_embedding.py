@@ -230,12 +230,6 @@ def test_enumeration_erm_budget_error():
 
 # ----------------------------------------------------------- bounded labels
 
-def test_bounded_variant_requires_table():
-    _, spec = three_hyp_spec()
-    with pytest.raises(dk.PreconditionError):
-        dk.bounded_label_patterns(spec, (0, 1))
-
-
 def test_constant_bound_degenerates_to_plain_enumeration():
     cls, spec = three_hyp_spec()
     bounded = dk.GoodFunctionSpec(
@@ -243,7 +237,7 @@ def test_constant_bound_degenerates_to_plain_enumeration():
     )
     for points in ((0, 1), (0, 2), (1, 3)):
         assert (
-            dk.bounded_label_patterns(bounded, points).patterns
+            dk.good_patterns(bounded, points).patterns
             == dk.good_patterns(spec, points).patterns
         )
 
@@ -253,7 +247,7 @@ def test_unit_bound_keeps_binary_patterns():
     bounded = dk.GoodFunctionSpec(
         witness=spec.witness, num_labels=3, label_bound=(1, 1, 1)
     )
-    got = dk.bounded_label_patterns(bounded, (0, 1))
+    got = dk.good_patterns(bounded, (0, 1))
     assert all(set(p) <= {0, 1} for p in got.patterns)
 
 
@@ -275,7 +269,7 @@ def test_bounded_variant_matches_full_enumeration():
     )
     for points in ((0, 1), (0, 1, 2), (1, 3)):
         assert (
-            dk.bounded_label_patterns(bounded, points).patterns
+            dk.good_patterns(bounded, points).patterns
             == oracles.good_patterns_bruteforce(bounded, points)
         )
 

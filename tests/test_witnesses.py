@@ -82,6 +82,13 @@ def test_validate_surfaces_shattered_inputs():
     assert any(v.reason == "shattered" for v in report.violations)
 
 
+def test_validate_rejects_negative_window():
+    cls = three_hyp()
+    w = dk.canonical_witness(cls, "natarajan", 1)
+    with pytest.raises(dk.PreconditionError):
+        dk.validate_witness(w, cls, -1)
+
+
 def test_graph_witness_validates():
     cls = three_hyp()
     w = dk.canonical_witness(cls, "graph", 1)

@@ -14,6 +14,7 @@ schema errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -27,6 +28,7 @@ from .core import (
     HypothesisClass,
     PreconditionError,
     RepresentationError,
+    ShatteredError,
     class_from_supports,
     class_from_tables,
 )
@@ -400,7 +402,8 @@ def _cmd_nfl(args) -> Outcome:
     num_labels = max((*g1, *g2, 0)) + 1
     window = max(points)
     learner = _parse_learner(args.learner, num_labels=num_labels, window=window)
-    report = nfl.nfl_adversary(learner, points, g1, g2)
+    with _witness_order(f"--learner {args.learner}"):
+        report = nfl.nfl_adversary(learner, points, g1, g2)
     result = {
         "learner": learner.name,
         "points": list(points),
@@ -414,6 +417,21 @@ def _cmd_nfl(args) -> Outcome:
     inputs = {"learner": args.learner, "points": list(points),
               "g1": list(g1), "g2": list(g2)}
     return Outcome(0, result, [], inputs)
+
+
+@contextlib.contextmanager
+def _witness_order(option: str):
+    """A canonical witness raises ShatteredError on an input the class
+    shatters, i.e. when its order is below the class's dimension; report
+    that against ``option`` as a usage error naming the input."""
+    try:
+        yield
+    except ShatteredError as err:
+        points, *payload = err.witness_input
+        raise PreconditionError(
+            f"{option}: the class shatters points {list(points)} on witness input "
+            f"{canonical_json(jsonable(payload))}, so no witness of that order exists"
+        ) from None
 
 
 def _embed_spec(args, cls):
@@ -437,7 +455,8 @@ def _cmd_embed(args) -> Outcome:
         if not args.points:
             raise SchemaError("embed behaviors requires --points")
         points = _parse_ints(args.points, "--points")
-        behaviors = embedding.good_patterns(spec, points)
+        with _witness_order(f"--witness {args.witness}"):
+            behaviors = embedding.good_patterns(spec, points)
         inputs["points"] = list(behaviors.points)
         result = {"points": list(behaviors.points),
                   "count": len(behaviors),
@@ -447,7 +466,8 @@ def _cmd_embed(args) -> Outcome:
         raise SchemaError("embed erm requires --sample")
     sample = _parse_sample(args.sample)
     inputs["sample"] = [list(p) for p in sample]
-    h, risk = embedding.erm_augmented(spec, sample)
+    with _witness_order(f"--witness {args.witness}"):
+        h, risk = embedding.erm_augmented(spec, sample)
     result = {"hypothesis": jsonable(h), "empirical_risk": jsonable(risk)}
     return Outcome(0, result, [], inputs)
 

@@ -105,12 +105,30 @@ def _check_points(points):
     return points
 
 
+class _Columns:
+    """Stand-in for an explicit class during one dimension search: its value
+    columns over [0, window], built once, so the behaviors on a point tuple
+    are a zip of columns instead of a fresh ``restrict``."""
+
+    def __init__(self, cls: HypothesisClass, window: int):
+        self.num_labels = cls.num_labels
+        self.columns = tuple(zip(*{h.values_on(range(window + 1)) for h in cls.hypotheses}))
+
+
+def _patterns(cls, points) -> tuple:
+    """The behaviors on ``points``, sorted and duplicate-free as ``restrict``
+    returns them."""
+    if isinstance(cls, _Columns):
+        return tuple(sorted(set(zip(*[cls.columns[x] for x in points]))))
+    return restrict(cls, points).patterns
+
+
 def _encoded_search(cls, points, kind, encoders, payload) -> Optional[ShatterCertificate]:
     """Certificate that ``points`` (already checked) is shattered, from the
     coverage search over the (table, meta) pairs ``encoders(vals)`` builds
     from the sorted labels ``vals`` realized at each coordinate.
     ``payload(metas)`` turns the chosen metas into the certificate payload."""
-    patterns = restrict(cls, points).patterns
+    patterns = _patterns(cls, points)
     choices = [encoders(sorted({p[i] for p in patterns})) for i in range(len(points))]
     got = _coverage_search(patterns, choices) if all(choices) else None
     if got is None:
@@ -157,34 +175,36 @@ def is_pseudo_cube(patterns) -> bool:
 
 
 def _pseudo_cube_core(patterns) -> frozenset:
-    """Iteratively delete patterns lacking some coordinate neighbor.  The
-    neighbor property is closed under unions, so the nonempty fixpoint is the
-    union of all pseudo-cubes inside the set (itself a pseudo-cube), and the
-    fixpoint is empty iff no pseudo-cube exists."""
+    """Peel off patterns lacking some coordinate neighbor until none is left.
+    A pattern's line at coordinate i is the set of patterns equal to it off
+    i; it has a neighbor there iff that line has two members.  Deleting a
+    pattern can leave only its line-mates short, so only they are rechecked
+    (k-core style peeling, linear in |P|·n).  The neighbor property is closed
+    under unions, so what remains is the union of all pseudo-cubes inside the
+    set (itself a pseudo-cube), empty iff no pseudo-cube exists."""
     alive = set(patterns)
     n = len(next(iter(alive))) if alive else 0
-    changed = True
-    while changed and alive:
-        changed = False
-        for p in sorted(alive):
-            ok = True
-            for i in range(n):
-                if not any(
-                    q[i] != p[i] and all(q[j] == p[j] for j in range(n) if j != i)
-                    for q in alive
-                ):
-                    ok = False
-                    break
-            if not ok:
-                alive.remove(p)
-                changed = True
+    lines = {}
+    for p in alive:
+        for i in range(n):
+            lines.setdefault((i, p[:i] + p[i + 1:]), set()).add(p)
+    dead = [line.pop() for line in lines.values() if len(line) == 1]
+    while dead:
+        p = dead.pop()
+        if p not in alive:
+            continue
+        alive.remove(p)
+        for i in range(n):
+            line = lines[(i, p[:i] + p[i + 1:])]
+            line.discard(p)
+            if len(line) == 1:
+                dead.append(line.pop())
     return frozenset(alive)
 
 
 def is_ds_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
     points = _check_points(points)
-    patterns = restrict(cls, points).patterns
-    core = _pseudo_cube_core(patterns)
+    core = _pseudo_cube_core(_patterns(cls, points))
     if not core:
         return None
     return ShatterCertificate(kind="ds", points=points, payload=(tuple(sorted(core)),))
@@ -244,7 +264,11 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     all supports: beyond it every hypothesis is 0, so no larger point can
     join a shattered set and the search is exact.  Sizes increase until the
     first size with no shattered subset (all five flavors are downward
-    monotone).  Ties go to the lexicographically first subset.
+    monotone).  Ties go to the lexicographically first subset.  Explicit
+    classes are projected from value columns built once per search, and a
+    candidate with a face (a subset one point smaller) known not to be
+    shattered is skipped without a test, which by monotonicity never skips
+    a shattered one.
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown dimension kind {kind!r}")
@@ -260,15 +284,21 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
             warning = "window contains no support point of the class"
     if cls.domain_size is not None:
         window = min(window, cls.domain_size - 1)
+    source = _Columns(cls, window) if cls.hypotheses is not None else cls
     pts = range(window + 1)
     best = DimensionResult(value=0, certificate=None, warning=warning)
+    failed = set()  # subsets of the previous size known not to be shattered
     for size in range(1, window + 2):
         found = None
+        below, failed = failed, set()
         for points in itertools.combinations(pts, size):
-            cert = _shatter(cls, points, kind, psi)
-            if cert is not None:
-                found = cert
+            if below and any(points[:i] + points[i + 1:] in below for i in range(size)):
+                failed.add(points)
+                continue
+            found = _shatter(source, points, kind, psi)
+            if found is not None:
                 break
+            failed.add(points)
         if found is None:
             break
         best = DimensionResult(value=size, certificate=found, warning=warning)

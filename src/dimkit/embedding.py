@@ -40,7 +40,7 @@ class GoodFunctionSpec:
     """Witness plus alphabet data driving the good-pattern enumeration.
 
     ``label_bound`` optionally caps candidate labels per window: with a
-    nondecreasing table c, patterns over [0, M] draw labels from
+    nondecreasing table c of labels, patterns over [0, M] draw labels from
     {0, ..., c[M]} instead of the full alphabet.
     """
 
@@ -54,8 +54,9 @@ class GoodFunctionSpec:
             raise PreconditionError("good functions need a natarajan or psi witness")
         if self.label_bound is not None:
             bound = tuple(int(v) for v in self.label_bound)
-            if any(b < 0 for b in bound):
-                raise PreconditionError("label bounds must be naturals")
+            if any(not 0 <= b < self.num_labels for b in bound):
+                raise PreconditionError(
+                    f"label bounds must be labels of the alphabet of size {self.num_labels}")
             if any(a > b for a, b in zip(bound, bound[1:])):
                 raise PreconditionError("label bound table must be nondecreasing")
             object.__setattr__(self, "label_bound", bound)

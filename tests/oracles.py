@@ -59,6 +59,18 @@ def pseudo_cube(patterns):
     return True
 
 
+def pseudo_cube_union(patterns):
+    """Union of every nonempty subset of ``patterns`` that is a pseudo-cube
+    by the direct definition (exponential; small sets only)."""
+    pats = sorted(set(patterns))
+    union = set()
+    for r in range(1, len(pats) + 1):
+        for sub in itertools.combinations(pats, r):
+            if not union.issuperset(sub) and pseudo_cube(sub):
+                union.update(sub)
+    return frozenset(union)
+
+
 def ds_shattered(cls, points):
     pats = restrict(cls, points).patterns
     for r in range(1, len(pats) + 1):
@@ -109,28 +121,38 @@ def first_certificate(cls, points, kind, family=None):
     return None
 
 
-def dimension(cls, kind, window, family=None):
-    def shattered(points):
-        if kind == "vc":
-            return vc_shattered(cls, points)
-        if kind == "natarajan":
-            return n_shattered(cls, points)
-        if kind == "graph":
-            return g_shattered(cls, points)
-        if kind == "ds":
-            return ds_shattered(cls, points)
-        return psi_shattered(cls, points, family)
+def shattered(cls, points, kind, family=None):
+    if kind == "vc":
+        return vc_shattered(cls, points)
+    if kind == "natarajan":
+        return n_shattered(cls, points)
+    if kind == "graph":
+        return g_shattered(cls, points)
+    if kind == "ds":
+        return ds_shattered(cls, points)
+    return psi_shattered(cls, points, family)
 
+
+def dimension(cls, kind, window, family=None):
     best = 0
     for size in range(1, window + 2):
         hits = [
             pts for pts in itertools.combinations(range(window + 1), size)
-            if shattered(pts)
+            if shattered(cls, pts, kind, family)
         ]
         if not hits:
             break
         best = size
     return best
+
+
+def first_shattered(cls, kind, window, size, family=None):
+    """Lexicographically first shattered ``size``-subset of [0, window], or
+    None; every subset before it is tested in full."""
+    for pts in itertools.combinations(range(window + 1), size):
+        if shattered(cls, pts, kind, family):
+            return pts
+    return None
 
 
 def good_patterns_bruteforce(spec, points):

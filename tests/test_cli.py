@@ -255,6 +255,30 @@ def test_embed_commands(capsys, tmp_path):
     assert report["result"]["empirical_risk"] == {"num": 0, "den": 1}
 
 
+def test_embed_below_dimension_exits_two(capsys, three_file):
+    # single points of this class are Natarajan-shattered, so the canonical
+    # witness of order 0 has no answer on them; that is a usage error, not a
+    # crash that would exit 1 like a verified negative
+    cases = [
+        ("embed", "behaviors", "--class", three_file, "--witness", "natarajan:0",
+         "--points", "0,1"),
+        ("embed", "erm", "--class", three_file, "--witness", "natarajan:0",
+         "--sample", "0:1"),
+        ("nfl", "--learner", f"embed:{three_file}:0", "--points", "0,1",
+         "--g1", "1,1", "--g2", "2,2"),
+    ]
+    for argv in cases:
+        assert_usage_error(capsys, *argv)
+    dispatch(list(cases[0]))
+    err = capsys.readouterr().err
+    assert "natarajan:0" in err and "points [0]" in err
+    proc = subprocess.run([sys.executable, "-m", "dimkit", *cases[0]],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
 def test_sauer_command(capsys, three_file):
     code, report = run(capsys, "sauer", "--class", three_file,
                        "--points", "0,1", "--d", "1")
@@ -385,18 +409,29 @@ def test_console_entry_point(tmp_path):
 
 
 def test_cross_process_byte_stability(tmp_path):
-    # separate processes get fresh hash seeds, so set iteration leaks would
-    # show up here; DIMKIT_THREADS must not affect the bytes either
+    # separate processes with different hash seeds, so set and dict order
+    # leaking into a report (e.g. from the DS core's peeling) would show here
     import os
 
-    path = tmp_path / "c6.json"
-    path.write_text(json.dumps({"gallery": "six_cycle"}))
-    argv = [sys.executable, "-m", "dimkit", "witness", "check", "--class",
-            str(path), "--flavor", "natarajan", "--order", "1"]
-    outs = []
-    for threads in ("1", "7"):
-        env = dict(os.environ, DIMKIT_THREADS=threads)
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    c6 = tmp_path / "c6.json"
+    c6.write_text(json.dumps({"gallery": "six_cycle"}))
+    # the six-cycle plus a chain (3,0) -> (1,0) -> (1,1) that peels away one
+    # pattern after another, so the DS core is a proper nonempty subset
+    rows = [[0, 1], [2, 1], [2, 3], [4, 3], [4, 5], [0, 5], [1, 1], [1, 0], [3, 0]]
+    tail = tmp_path / "tail.json"
+    tail.write_text(json.dumps({"labels": 6, "domain": 2, "hypotheses": rows}))
+    commands = [
+        ["witness", "check", "--class", str(c6), "--flavor", "natarajan", "--order", "1"],
+        ["dim", "--class", str(tail), "--kind", "ds"],
+    ]
+    for command in commands:
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "dimkit", *command],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+    cert = json.loads(outs[0])["certificates"][0]
+    assert cert["payload"] == [sorted(rows[:6])]

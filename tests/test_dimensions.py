@@ -6,6 +6,8 @@ import pytest
 import dimkit as dk
 import oracles
 from corpus import random_table_class
+from dimkit import dimensions
+from dimkit.dimensions import _pseudo_cube_core
 
 C6_ROWS = [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (0, 5)]
 
@@ -36,6 +38,29 @@ def test_six_cycle_is_pseudo_cube():
 def test_pseudo_cube_rejects_mixed_arity():
     with pytest.raises(dk.PreconditionError):
         dk.is_pseudo_cube({(0, 0), (0,)})
+
+
+def test_peeled_core_is_union_of_pseudo_cubes():
+    rng = random.Random(2003)
+    for _ in range(150):
+        n = rng.randint(2, 3)
+        q = rng.randint(2, 3)
+        universe = list(itertools.product(range(q), repeat=n))
+        pats = rng.sample(universe, rng.randint(1, min(10, len(universe))))
+        union = oracles.pseudo_cube_union(pats)
+        assert _pseudo_cube_core(pats) == union, pats
+        assert dk.is_pseudo_cube(pats) == oracles.pseudo_cube(pats), pats
+        if union:
+            assert dk.is_pseudo_cube(union)
+
+
+def test_six_cycle_minus_one_peels_to_nothing():
+    # each removal leaves a neighbor alone on its line, all the way round
+    for k in range(len(C6_ROWS)):
+        rest = C6_ROWS[:k] + C6_ROWS[k + 1:]
+        assert _pseudo_cube_core(rest) == frozenset()
+        assert not dk.is_pseudo_cube(rest)
+        assert not oracles.pseudo_cube(rest)
 
 
 # ------------------------------------------------------ shattering checks
@@ -176,6 +201,86 @@ def test_exact_dimension_agrees_with_bruteforce():
         window = cls.domain_size - 1
         for kind in ("natarajan", "graph", "ds"):
             assert dk.exact_dimension(cls, kind).value == oracles.dimension(cls, kind, window)
+
+
+def _sparse_class(rng, window, q, count):
+    """Explicit class over the naturals; each hypothesis is nonzero on at
+    most two points of [0, window]."""
+    supports = set()
+    while len(supports) < count:
+        xs = rng.sample(range(window + 1), rng.randint(0, 2))
+        supports.add(tuple(sorted((x, rng.randint(1, q - 1)) for x in xs)))
+    return dk.class_from_supports(sorted(supports), num_labels=q)
+
+
+def _oracle_class(rows, q):
+    """The same behaviors as the table class of ``rows``, through an oracle."""
+    return dk.HypothesisClass(
+        num_labels=q, behavior_fn=lambda pts: {tuple(r[x] for x in pts) for r in rows})
+
+
+def test_exact_dimension_matches_bruteforce_on_wide_windows(monkeypatch):
+    calls = []
+    shatter = dimensions._shatter
+    monkeypatch.setattr(dimensions, "_shatter",
+                        lambda *a: calls.append(a[1]) or shatter(*a))
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(4):
+        cls = random_table_class(rng, rng.randint(5, 6), rng.choice((2, 3)), 9)
+        cases.append((cls, None))
+        cases.append((_sparse_class(rng, rng.randint(4, 5), rng.choice((2, 3)), 9), None))
+    # point 0 is constant here, so every candidate containing it is pruned
+    rows = [(0,) + r for r in itertools.product((0, 1), repeat=2)] + [(0, 2, 2)]
+    cases.append((dk.class_from_tables([r + (0, 1) for r in rows], num_labels=3), None))
+    # a six-cycle on points 1 and 2: DS dimension 2, Natarajan dimension 1
+    cycle = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)]
+    cases.append((dk.class_from_tables([(0, x, y, (x + y) % 3, 1) for x, y in cycle],
+                                       num_labels=3), None))
+    oracle_rows = [r + (1, 0) for r in rows] + [(0, 1, 1, 2, 2)]
+    cases.append((_oracle_class(oracle_rows, 3), 4))
+    pruned = 0
+    for cls, window in cases:
+        q = cls.num_labels
+        kinds = [(kind, None) for kind in ("natarajan", "graph", "ds")]
+        kinds += [("psi", dk.natarajan_family(q)), ("psi", dk.graph_family(q))]
+        if q == 2:
+            kinds.append(("vc", None))
+        top = window if window is not None else dimensions._default_window(cls)
+        for kind, fam in kinds:
+            del calls[:]
+            res = dk.exact_dimension(cls, kind, psi=fam, window=window)
+            tests_without_pruning = 0
+            value = 0
+            for size in range(1, top + 2):
+                first = oracles.first_shattered(cls, kind, top, size, fam)
+                combos = list(itertools.combinations(range(top + 1), size))
+                tests_without_pruning += len(combos) if first is None else combos.index(first) + 1
+                if first is None:
+                    break
+                value = size
+                if size == res.value:
+                    assert res.certificate.points == first, (kind, first)
+            assert res.value == value, (kind, cls)
+            assert (res.certificate is None) == (value == 0)
+            assert calls == sorted(set(calls), key=lambda p: (len(p), p))
+            assert len(calls) <= tests_without_pruning
+            pruned += tests_without_pruning - len(calls)
+    assert pruned > 0
+
+
+def test_face_pruning_skips_subsets_with_an_unshattered_face(monkeypatch):
+    # point 0 is constant, so every pair containing it has an unshattered
+    # face (0,) and is skipped; the certificate is still the first pair
+    calls = []
+    shatter = dimensions._shatter
+    monkeypatch.setattr(dimensions, "_shatter",
+                        lambda *a: calls.append(a[1]) or shatter(*a))
+    cls = dk.class_from_tables([(0, a, b) for a in (0, 1) for b in (0, 1)], num_labels=2)
+    res = dk.exact_dimension(cls, "natarajan")
+    assert res.value == 2 and res.certificate.points == (1, 2)
+    assert calls == [(0,), (1,), (1, 2)]  # (0, 1, 2) has the skipped face (0, 1)
+    assert not oracles.n_shattered(cls, (0, 1))
 
 
 def test_monotonicity_of_shattering():

@@ -280,6 +280,17 @@ def test_bound_table_must_be_nondecreasing():
         dk.GoodFunctionSpec(witness=spec.witness, num_labels=3, label_bound=(2, 1))
 
 
+def test_bound_table_stays_inside_the_alphabet():
+    # a bound of 5 with q = 3 used to make good patterns with label 5, which
+    # erm_augmented then rejected with a RepresentationError
+    _, spec = three_hyp_spec()
+    for bound in ((5, 5, 5), (0, 1, 3), (-1, 0)):
+        with pytest.raises(dk.PreconditionError):
+            dk.GoodFunctionSpec(witness=spec.witness, num_labels=3, label_bound=bound)
+    top = dk.GoodFunctionSpec(witness=spec.witness, num_labels=3, label_bound=(2, 2, 2))
+    assert all(v < 3 for p in dk.good_patterns(top, (0, 1, 2)).patterns for v in p)
+
+
 # --------------------------------------------------------- sample size rule
 
 def test_uc_sample_size_matches_formula():

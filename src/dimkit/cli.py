@@ -189,6 +189,10 @@ def _read_json(path: str, build):
         raise SchemaError(f"{path}: {err.strerror}") from err
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path}:{err.lineno}: invalid JSON ({err.msg})") from err
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text ({err.reason})") from err
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
     try:
         return build(doc)
     except (RepresentationError, SchemaError) as err:
@@ -400,7 +404,7 @@ def _cmd_nfl(args) -> Outcome:
     g1 = _parse_ints(args.g1, "--g1")
     g2 = _parse_ints(args.g2, "--g2")
     num_labels = max((*g1, *g2, 0)) + 1
-    window = max(points)
+    window = max(points, default=0)
     learner = _parse_learner(args.learner, num_labels=num_labels, window=window)
     with _witness_order(f"--learner {args.learner}"):
         report = nfl.nfl_adversary(learner, points, g1, g2)

@@ -17,6 +17,7 @@ the full pattern sweep (the test suite cross-checks both routes).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -86,12 +87,12 @@ def _excluded_on(spec: GoodFunctionSpec, subset, labels) -> frozenset:
         for combo in itertools.product(per_coord, repeat=arity):
             y1 = tuple(c[0] for c in combo)
             y2 = tuple(c[1] for c in combo)
-            index_set = w.evaluate(subset, y1, y2)
+            index_set = w._evaluate_canonical(subset, (y1, y2))
             excluded.add(mix_labelings(index_set, y1, y2))
     else:
         q = w.psi.num_labels
         for psibar in itertools.product(w.psi.members, repeat=arity):
-            target = tuple(w.evaluate(subset, psibar))
+            target = w._evaluate_canonical(subset, (psibar,))
             preimages = [
                 [v for v in labels if v < q and psi.table[v] == b]
                 for psi, b in zip(psibar, target)
@@ -241,9 +242,43 @@ def uc_sample_size(num_hypotheses: int, eps: Fraction, delta: Fraction) -> int:
     """Standard finite-class agnostic sample size (Hoeffding plus a union
     bound): with m >= 2 ln(2N/delta) / eps^2 samples, ERM over N hypotheses
     is eps-competitive with probability 1 - delta.  Imported background, not
-    a decision procedure."""
-    import math
+    a decision procedure.
 
+    Exact: the smallest integer m with m eps^2 / 2 >= ln(2N/delta).  The
+    logarithm of a rational above 1 is irrational, so 2 ln(2N/delta)/eps^2
+    is never an integer, and rational bounds on it are refined until they
+    leave no integer between them."""
     if num_hypotheses < 1 or not 0 < eps < 1 or not 0 < delta < 1:
         raise PreconditionError("need N >= 1 and eps, delta in (0, 1)")
-    return math.ceil(2 * math.log(2 * num_hypotheses / delta) / (eps * eps))
+    eps, delta = Fraction(eps), Fraction(delta)
+    scale = 2 / (eps * eps)
+    terms = 8
+    while True:
+        lo, hi = _ln_bounds(2 * num_hypotheses / delta, terms)
+        if math.floor(lo * scale) == math.floor(hi * scale):
+            return math.floor(lo * scale) + 1
+        terms *= 2
+
+
+def _atanh_bounds(t: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """lo <= atanh(t) <= hi for rational 0 <= t < 1, from the first ``terms``
+    terms of sum t^(2j+1)/(2j+1); the tail is below the next term times
+    1/(1 - t^2).  Both inequalities are strict for t > 0."""
+    total = Fraction(0)
+    power = t
+    for j in range(terms):
+        total += power / (2 * j + 1)
+        power *= t * t
+    return total, total + power / ((2 * terms + 1) * (1 - t * t))
+
+
+def _ln_bounds(r: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Rational bounds on ln(r) for rational r >= 1: r = 2^k s with
+    1 <= s < 2, and ln r = 2k atanh(1/3) + 2 atanh((s-1)/(s+1))."""
+    k = r.numerator.bit_length() - r.denominator.bit_length()
+    if r < Fraction(2) ** k:
+        k -= 1
+    s = r / Fraction(2) ** k
+    lo2, hi2 = _atanh_bounds(Fraction(1, 3), terms)
+    lo_s, hi_s = _atanh_bounds((s - 1) / (s + 1), terms)
+    return 2 * (k * lo2 + lo_s), 2 * (k * hi2 + hi_s)

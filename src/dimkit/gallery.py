@@ -146,7 +146,7 @@ def build(name: str, params: dict) -> GalleryEntry:
 def _int(value, key: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise PreconditionError(f"parameter {key!r}: expected an integer, got {value!r}") from None
 
 

@@ -23,7 +23,7 @@ from .core import (
     Pattern,
     PreconditionError,
     Sample,
-    empirical_risk,
+    empirical_risk,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     mix_labelings,
 )
 
@@ -62,8 +62,21 @@ def erm_learner(cls: HypothesisClass) -> Learner:
     if not cls.is_explicit:
         raise PreconditionError("erm_learner needs an explicit class")
 
+    memo: dict = {}
+
     def fn(sample: Sample) -> Hypothesis:
-        return min(cls.hypotheses, key=lambda h: (empirical_risk(h, sample), h.sort_key()))
+        # empirical risk ignores sample order and shares the denominator
+        # len(sample), so the minimiser depends only on the sorted sample and
+        # integer mistake counts compare like the risks; the hypotheses are
+        # in canonical order, so min keeps the first of tied ones
+        key = tuple(sorted(sample))
+        h = memo.get(key)
+        if h is None:
+            if not key:
+                raise PreconditionError("empirical risk of an empty sample")
+            h = memo[key] = min(
+                cls.hypotheses, key=lambda g: sum(1 for x, y in key if g(x) != y))
+        return h
 
     return Learner(name="erm", fn=fn)
 
@@ -90,16 +103,16 @@ def exact_expected_risk(learner: Learner, points, f_values: Pattern, m: int):
     if len(points) != 2 * m:
         raise PreconditionError(f"need exactly {2 * m} points, got {len(points)}")
     f = dict(zip(points, f_values, strict=True))
+    risks = [Fraction(wrong, len(points)) for wrong in range(len(points) + 1)]
     table = []
-    total = Fraction(0)
+    total = 0
     for seq in itertools.product(points, repeat=m):
         sample = tuple((x, f[x]) for x in seq)
         h = learner(sample)
-        risk = Fraction(sum(1 for x in points if h(x) != f[x]), len(points))
-        table.append((seq, risk))
-        total += risk
-    n = len(points) ** m
-    return total / n, tuple(table)
+        wrong = sum(1 for x in points if h(x) != f[x])
+        table.append((seq, risks[wrong]))
+        total += wrong
+    return Fraction(total, len(points) ** (m + 1)), tuple(table)
 
 
 def nfl_adversary(learner: Learner, points, g1: Pattern, g2: Pattern) -> AdversaryReport:

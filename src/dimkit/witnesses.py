@@ -14,19 +14,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .core import (
     ConsistencyError,
     HypothesisClass,
     PreconditionError,
+    RepresentationError,
     ShatteredError,
-    mix_labelings,
+    mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     restrict,
 )
 from .psi import PsiFamily, apply_encoders
 
 FLAVORS = ("natarajan", "graph", "psi")
+_BITS = frozenset((0, 1))
 
 
 class ExclusionFailure(RuntimeError):
@@ -44,6 +47,8 @@ class Witness:
       natarajan: (points, g1, g2) -> frozenset index set
       graph:     (points, f)      -> frozenset index set
       psi:       (points, psibar) -> binary pattern
+    An index set must lie inside range(arity) and a pattern must be a 0/1
+    tuple of length arity; any other answer raises PreconditionError.
     """
 
     flavor: str
@@ -64,6 +69,10 @@ class Witness:
     def arity(self) -> int:
         return self.order + 1
 
+    @cached_property
+    def _positions(self) -> frozenset:
+        return frozenset(range(self.arity))
+
     def evaluate(self, points, *payload):
         points = tuple(points)
         if len(points) != self.arity:
@@ -77,15 +86,34 @@ class Witness:
             g1, g2 = payload
             if any(a == b for a, b in zip(g1, g2)):
                 raise PreconditionError("labelings must differ at every coordinate")
-            return self.evaluator(pts, g1, g2)
-        if self.flavor == "graph":
-            (f,) = payload
-            return self.evaluator(pts, f)
-        (psibar,) = payload
-        for psi in psibar:
-            if psi.num_labels != self.psi.num_labels:
-                raise PreconditionError("encoder alphabet mismatch")
-        return self.evaluator(pts, psibar)
+        elif self.flavor == "psi":
+            (psibar,) = payload
+            for psi in psibar:
+                if psi.num_labels != self.psi.num_labels:
+                    raise PreconditionError("encoder alphabet mismatch")
+        return self._evaluate_canonical(pts, payload)
+
+    def _evaluate_canonical(self, points, payload):
+        """Run the evaluator on a canonical input (strictly increasing points,
+        payload aligned with them) and check the shape of its answer: an
+        index set inside range(arity), or a 0/1 pattern of length arity.
+        Returns the answer as a frozenset or a tuple."""
+        out = self.evaluator(points, *payload)
+        try:
+            if self.flavor == "psi":
+                out = tuple(out)
+                ok = len(out) == self.arity and _BITS.issuperset(out)
+            else:
+                out = frozenset(out)
+                ok = out <= self._positions
+        except TypeError:
+            ok = False
+        if not ok:
+            expected = (f"a 0/1 pattern of length {self.arity}" if self.flavor == "psi"
+                        else f"an index set inside 0..{self.order}")
+            raise PreconditionError(
+                f"{self.flavor} witness answered {out!r} on points {points}; expected {expected}")
+        return out
 
 
 @dataclass(frozen=True)
@@ -108,31 +136,41 @@ class WitnessReport:
 
 def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> WitnessReport:
     """Exhaustively re-check the exclusion property on every valid input
-    whose points lie in [0, window]."""
+    whose points lie in [0, window].  Inputs are generated canonical, so they
+    go to the evaluator without re-sorting."""
     if window < 0:
         raise PreconditionError("window must be a natural")
     arity = witness.arity
     q = cls.num_labels
+    evaluate = witness._evaluate_canonical
     checked = 0
     violations = []
     per_coord_pairs = [(a, b) for a in range(q) for b in range(q) if a != b]
     for points in itertools.combinations(range(window + 1), arity):
-        behaviors = restrict(cls, points)
-        pats = behaviors.pattern_set
+        pats = restrict(cls, points).pattern_set
+        if witness.flavor != "natarajan":
+            # bit j of holders[i][v] is set when the j-th behavior, in the
+            # iteration order of pats, has label v at coordinate i
+            listed = tuple(pats)
+            holders = [{} for _ in range(arity)]
+            for j, p in enumerate(listed):
+                for column, v in zip(holders, p):
+                    column[v] = column.get(v, 0) | 1 << j
         if witness.flavor == "natarajan":
             for combo in itertools.product(per_coord_pairs, repeat=arity):
                 g1 = tuple(c[0] for c in combo)
                 g2 = tuple(c[1] for c in combo)
                 checked += 1
                 try:
-                    index_set = witness.evaluate(points, g1, g2)
+                    index_set = evaluate(points, (g1, g2))
                 except (ShatteredError, ExclusionFailure) as err:
                     violations.append(WitnessViolation(
                         points=points, payload=(g1, g2),
                         reason="shattered" if isinstance(err, ShatteredError)
                         else "exclusion_failure"))
                     continue
-                excluded = mix_labelings(index_set, g1, g2)
+                excluded = tuple(c[0] if i in index_set else c[1]
+                                 for i, c in enumerate(combo))
                 if excluded in pats:
                     violations.append(WitnessViolation(
                         points=points, payload=(g1, g2),
@@ -141,36 +179,51 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
             for f in itertools.product(range(q), repeat=arity):
                 checked += 1
                 try:
-                    index_set = witness.evaluate(points, f)
+                    index_set = evaluate(points, (f,))
                 except ShatteredError:
                     violations.append(WitnessViolation(
                         points=points, payload=(f,), reason="shattered"))
                     continue
-                mask = sum(1 << i for i in index_set)
-                hit = next(
-                    (p for p in pats
-                     if sum(1 << i for i in range(arity) if p[i] == f[i]) == mask),
-                    None,
-                )
-                if hit is not None:
+                # behaviors agreeing with f exactly on index_set
+                live = -1
+                for i, (column, v) in enumerate(zip(holders, f)):
+                    agree = column.get(v, 0)
+                    live &= agree if i in index_set else ~agree
+                if live & ((1 << len(listed)) - 1):
                     violations.append(WitnessViolation(
-                        points=points, payload=(f,),
-                        reason="excluded_pattern_realized", detail=hit))
+                        points=points, payload=(f,), reason="excluded_pattern_realized",
+                        detail=listed[(live & -live).bit_length() - 1]))
         else:
             for psibar in itertools.product(witness.psi.members, repeat=arity):
                 checked += 1
                 try:
-                    pattern = witness.evaluate(points, psibar)
+                    pattern = evaluate(points, (psibar,))
                 except ShatteredError:
                     violations.append(WitnessViolation(
                         points=points, payload=(psibar,), reason="shattered"))
                     continue
-                images = {apply_encoders(psibar, p) for p in pats}
-                if tuple(pattern) in images:
+                # behaviors whose encoding is pattern
+                live = -1
+                for column, psi, b in zip(holders, psibar, pattern):
+                    live &= sum(m for v, m in column.items() if psi.table[v] == b)
+                if live:
                     violations.append(WitnessViolation(
                         points=points, payload=(psibar,),
-                        reason="excluded_pattern_realized", detail=tuple(pattern)))
+                        reason="excluded_pattern_realized", detail=pattern))
     return WitnessReport(checked_inputs=checked, violations=tuple(violations))
+
+
+def _behaviors_by_points(cls: HypothesisClass):
+    """Memoised ``restrict(cls, points).pattern_set`` per point tuple."""
+    cache: dict = {}
+
+    def behaviors_at(points):
+        pats = cache.get(points)
+        if pats is None:
+            pats = cache[points] = restrict(cls, points).pattern_set
+        return pats
+
+    return behaviors_at
 
 
 def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
@@ -180,27 +233,17 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
     the class does not realize.  Raises ShatteredError at evaluation time on
     inputs where every candidate is realized."""
     arity = order + 1
-    behavior_cache: dict = {}
-
-    def behaviors_at(points):
-        pats = behavior_cache.get(points)
-        if pats is None:
-            pats = restrict(cls, points).pattern_set
-            behavior_cache[points] = pats
-        return pats
+    behaviors_at = _behaviors_by_points(cls)
 
     if flavor == "natarajan":
         def evaluator(points, g1, g2):
+            # g1[i] != g2[i], so each mixture fixes its index set and the
+            # product of the sorted coordinate pairs lists the mixtures in
+            # lexicographic order
             pats = behaviors_at(points)
-            candidates = sorted(
-                (mix_labelings(I, g1, g2), I)
-                for I in (frozenset(c)
-                          for r in range(arity + 1)
-                          for c in itertools.combinations(range(arity), r))
-            )
-            for mixture, index_set in candidates:
+            for mixture in itertools.product(*(sorted(c) for c in zip(g1, g2))):
                 if mixture not in pats:
-                    return index_set
+                    return frozenset(i for i in range(arity) if mixture[i] == g1[i])
             raise ShatteredError("every mixture realized", (points, g1, g2))
 
     elif flavor == "graph":
@@ -218,6 +261,8 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
     elif flavor == "psi":
         if psi is None:
             raise PreconditionError("psi flavor needs a family")
+        if psi.num_labels != cls.num_labels:
+            raise RepresentationError("family alphabet differs from class alphabet")
 
         def evaluator(points, psibar):
             pats = behaviors_at(points)
@@ -248,14 +293,15 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
     if m < 1:
         raise PreconditionError("sample size must be positive")
     order = 2 * m - 1
+    behaviors_at = None if h_check is None else _behaviors_by_points(h_check)
 
     def evaluator(points, g1, g2):
         report = nfl_adversary(learner, points, g1, g2)
         index_set = frozenset(
             i for i in range(len(points)) if report.f_values[i] == g1[i]
         )
-        if h_check is not None:
-            if report.f_values in restrict(h_check, points).pattern_set:
+        if behaviors_at is not None:
+            if report.f_values in behaviors_at(points):
                 raise ExclusionFailure(
                     f"class realizes the hard labeling {report.f_values} on {points}"
                 )

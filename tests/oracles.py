@@ -3,9 +3,11 @@ search strategies (no candidate pruning, no prefix extension, no coverage
 DFS).  Expected values in the tests are computed or cross-checked here."""
 
 import itertools
+from fractions import Fraction
 
-from dimkit import mix_labelings, restrict
+from dimkit import PreconditionError, ShatteredError, empirical_risk, mix_labelings, restrict
 from dimkit.psi import apply_encoders
+from dimkit.witnesses import ExclusionFailure, WitnessReport, WitnessViolation
 
 
 def _subsets(n):
@@ -188,3 +190,99 @@ def good_patterns_bruteforce(spec, points):
         if good:
             survivors.append(p)
     return tuple(sorted({tuple(p[x] for x in points) for p in survivors}))
+
+
+def validate_witness_reference(witness, cls, window):
+    """The validation loop through the public ``Witness.evaluate``, which
+    re-canonicalizes every input, with unsorted mixtures and one pass over
+    the behaviors per graph input."""
+    if window < 0:
+        raise PreconditionError("window must be a natural")
+    arity = witness.arity
+    q = cls.num_labels
+    checked = 0
+    violations = []
+    per_coord_pairs = [(a, b) for a in range(q) for b in range(q) if a != b]
+    for points in itertools.combinations(range(window + 1), arity):
+        behaviors = restrict(cls, points)
+        pats = behaviors.pattern_set
+        if witness.flavor == "natarajan":
+            for combo in itertools.product(per_coord_pairs, repeat=arity):
+                g1 = tuple(c[0] for c in combo)
+                g2 = tuple(c[1] for c in combo)
+                checked += 1
+                try:
+                    index_set = witness.evaluate(points, g1, g2)
+                except (ShatteredError, ExclusionFailure) as err:
+                    violations.append(WitnessViolation(
+                        points=points, payload=(g1, g2),
+                        reason="shattered" if isinstance(err, ShatteredError)
+                        else "exclusion_failure"))
+                    continue
+                excluded = mix_labelings(index_set, g1, g2)
+                if excluded in pats:
+                    violations.append(WitnessViolation(
+                        points=points, payload=(g1, g2),
+                        reason="excluded_pattern_realized", detail=excluded))
+        elif witness.flavor == "graph":
+            for f in itertools.product(range(q), repeat=arity):
+                checked += 1
+                try:
+                    index_set = witness.evaluate(points, f)
+                except ShatteredError:
+                    violations.append(WitnessViolation(
+                        points=points, payload=(f,), reason="shattered"))
+                    continue
+                mask = sum(1 << i for i in index_set)
+                hit = next(
+                    (p for p in pats
+                     if sum(1 << i for i in range(arity) if p[i] == f[i]) == mask),
+                    None,
+                )
+                if hit is not None:
+                    violations.append(WitnessViolation(
+                        points=points, payload=(f,),
+                        reason="excluded_pattern_realized", detail=hit))
+        else:
+            for psibar in itertools.product(witness.psi.members, repeat=arity):
+                checked += 1
+                try:
+                    pattern = witness.evaluate(points, psibar)
+                except ShatteredError:
+                    violations.append(WitnessViolation(
+                        points=points, payload=(psibar,), reason="shattered"))
+                    continue
+                images = {apply_encoders(psibar, p) for p in pats}
+                if tuple(pattern) in images:
+                    violations.append(WitnessViolation(
+                        points=points, payload=(psibar,),
+                        reason="excluded_pattern_realized", detail=tuple(pattern)))
+    return WitnessReport(checked_inputs=checked, violations=tuple(violations))
+
+
+def first_missing_mixture(pats, g1, g2):
+    """Index set of the first mixture of (g1, g2) outside ``pats``, with
+    every mixture built and sorted; None if all are realized."""
+    candidates = sorted(
+        (mix_labelings(index_set, g1, g2), index_set) for index_set in _subsets(len(g1))
+    )
+    return next((index_set for mixture, index_set in candidates if mixture not in pats), None)
+
+
+def exact_expected_risk(learner, points, f_values, m):
+    """Fraction-summing average risk over all (2m)^m training sequences."""
+    points = tuple(points)
+    f = dict(zip(points, f_values, strict=True))
+    table = []
+    total = Fraction(0)
+    for seq in itertools.product(points, repeat=m):
+        h = learner(tuple((x, f[x]) for x in seq))
+        risk = Fraction(sum(1 for x in points if h(x) != f[x]), len(points))
+        table.append((seq, risk))
+        total += risk
+    return total / len(points) ** m, tuple(table)
+
+
+def erm(cls, sample):
+    """Unmemoised minimum empirical risk, ties to the canonical order."""
+    return min(cls.hypotheses, key=lambda h: (empirical_risk(h, sample), h.sort_key()))

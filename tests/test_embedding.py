@@ -300,3 +300,52 @@ def test_uc_sample_size_matches_formula():
     assert m == math.ceil(2 * math.log(300) * 16)
     with pytest.raises(dk.PreconditionError):
         dk.uc_sample_size(0, Fraction(1, 4), Fraction(1, 5))
+
+
+def _decimal_sample_size(n, eps, delta, digits):
+    from decimal import ROUND_CEILING, Context, Decimal
+
+    ctx = Context(prec=digits)
+    ratio = ctx.divide(Decimal(2 * n * delta.denominator), Decimal(delta.numerator))
+    scale = ctx.divide(Decimal(2 * eps.denominator ** 2), Decimal(eps.numerator ** 2))
+    x = ctx.multiply(ctx.ln(ratio), scale)
+    return int(x.to_integral_value(rounding=ROUND_CEILING))
+
+
+def test_uc_sample_size_tiny_eps_and_delta_are_exact():
+    # float logarithms divide by zero and overflow on these
+    m = dk.uc_sample_size(3, Fraction(1, 10 ** 170), Fraction(1, 5))
+    assert m == _decimal_sample_size(3, Fraction(1, 10 ** 170), Fraction(1, 5), 420)
+    m = dk.uc_sample_size(3, Fraction(1, 4), Fraction(1, 10 ** 400))
+    assert m == _decimal_sample_size(3, Fraction(1, 4), Fraction(1, 10 ** 400), 60)
+    assert m == 29531
+
+
+def test_uc_sample_size_sweep_matches_decimal():
+    import random
+
+    rng = random.Random(2023)
+    for _ in range(300):
+        n = rng.choice((1, 2, 3, 7, 30, 1000, rng.randint(1, 10 ** 9)))
+        eps = Fraction(rng.randint(1, 99), 100) if rng.random() < 0.7 \
+            else Fraction(1, rng.randint(2, 10 ** 6))
+        delta = Fraction(rng.randint(1, 999), 1000) if rng.random() < 0.7 \
+            else Fraction(1, 10 ** rng.randint(1, 30))
+        got = dk.uc_sample_size(n, eps, delta)
+        assert got == _decimal_sample_size(n, eps, delta, 60), (n, eps, delta)
+
+
+def test_ln_bounds_bracket_the_logarithm():
+    from decimal import Context, Decimal
+
+    from dimkit.embedding import _ln_bounds
+
+    ctx = Context(prec=80)
+    for r in (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(5, 3), Fraction(9, 7),
+              Fraction(7, 6), Fraction(2 ** 40 + 1, 3),
+              Fraction(10 ** 30, 7), Fraction(1023, 512), Fraction(1025, 512)):
+        exact = ctx.ln(ctx.divide(Decimal(r.numerator), Decimal(r.denominator)))
+        for terms in (1, 4, 16):
+            lo, hi = _ln_bounds(r, terms)
+            assert ctx.divide(Decimal(lo.numerator), Decimal(lo.denominator)) < exact
+            assert exact < ctx.divide(Decimal(hi.numerator), Decimal(hi.denominator))

@@ -145,3 +145,62 @@ def test_adversary_is_deterministic():
     a = dk.nfl_adversary(learner, (0, 1, 2, 3), (1, 2, 1, 2), (2, 1, 2, 1))
     b = dk.nfl_adversary(learner, (0, 1, 2, 3), (1, 2, 1, 2), (2, 1, 2, 1))
     assert a == b
+
+
+# ------------------------------------------ integer risk sums and ERM memo
+
+def test_expected_risk_matches_fraction_sums():
+    import random
+
+    from oracles import exact_expected_risk as reference
+
+    rng = random.Random(4242)
+    for m in (1, 2, 3):
+        points = tuple(sorted(rng.sample(range(8), 2 * m)))
+        for learner in _built_in_learners(3, 7):
+            for _ in range(10):
+                f = tuple(rng.randrange(3) for _ in points)
+                got = dk.exact_expected_risk(learner, points, f, m)
+                assert got == reference(learner, points, f, m)
+                assert all(isinstance(risk, Fraction) for _, risk in got[1])
+
+
+def test_erm_memo_matches_unmemoised_min():
+    import random
+
+    from corpus import random_table_class
+    from oracles import erm
+
+    rng = random.Random(5150)
+    for _ in range(20):
+        cls = random_table_class(rng, 4, rng.choice((2, 3)), 12)
+        learner = dk.erm_learner(cls)
+        samples = []
+        for _ in range(15):
+            sample = [(rng.randrange(4), rng.randrange(cls.num_labels))
+                      for _ in range(rng.randint(1, 5))]
+            samples.append(tuple(sample))
+            rng.shuffle(sample)
+            samples.append(tuple(sample))  # the same sample, permuted
+            samples.append(tuple(sample + sample[:1]))  # a pair repeated
+        for sample in samples + samples[::-1]:
+            assert learner(sample) == erm(cls, sample)
+
+
+def test_erm_ties_go_to_the_first_hypothesis_in_canonical_order():
+    cls = dk.class_from_tables([(2, 1), (0, 1), (1, 1), (1, 0)], num_labels=3)
+    learner = dk.erm_learner(cls)
+    # (0, 1), (1, 0) and (1, 1) err once on this sample, (2, 1) twice
+    sample = ((0, 1), (0, 0))
+    assert learner(sample).table == (0, 1)
+    assert learner(sample[::-1]).table == (0, 1)
+    # no error for (1, 0) or (1, 1) at point 0 with label 1; (1, 0) sorts first
+    assert learner(((0, 1),)).table == (1, 0)
+
+
+def test_erm_rejects_empty_and_out_of_domain_samples():
+    learner = dk.erm_learner(dk.class_from_tables([(0, 1), (1, 0)], num_labels=2))
+    with pytest.raises(dk.PreconditionError):
+        learner(())
+    with pytest.raises(dk.DomainError):
+        learner(((5, 1),))

@@ -195,3 +195,161 @@ def test_psi_witness_flavor_guard():
     w = dk.canonical_witness(cls, "graph", 0)
     with pytest.raises(dk.PreconditionError):
         dk.psi_witness_from_natarajan(w, dk.graph_family(2), cls)
+
+
+# ------------------------------------------- fast validation vs reference
+
+def _witness_cases():
+    """(label, witness factory, class, window): each factory builds a fresh
+    witness, so the two validations share no evaluator caches."""
+    rng = random.Random(2718)
+    cases = []
+    fams = {}
+    for t in range(6):
+        cls = random_table_class(rng, rng.choice((3, 4)), rng.choice((2, 3)), 10)
+        q = cls.num_labels
+        window = cls.domain_size - 1
+        for flavor, kind, fam in (
+            ("natarajan", "natarajan", None),
+            ("graph", "graph", None),
+            ("psi", "psi", fams.setdefault(("N", q), dk.natarajan_family(q))),
+            ("psi", "psi", fams.setdefault(("G", q), dk.graph_family(q))),
+        ):
+            dim = dk.exact_dimension(cls, kind, psi=fam).value
+            for order in {max(dim - 1, 0), dim}:
+                cases.append((
+                    f"{t}.{flavor}.{order}",
+                    lambda cls=cls, flavor=flavor, order=order, fam=fam:
+                        dk.canonical_witness(cls, flavor, order, psi=fam),
+                    cls, window))
+    for m in (2, 3):
+        entry = dk.gap_class(m)
+        cases.append((f"gap{m}", lambda entry=entry: entry.witness, entry.cls, m - 1))
+    for t in range(2):
+        cls = random_table_class(rng, 3, 3, 8)
+        learners = {
+            "erm": lambda cls=cls: dk.erm_learner(cls),
+            "memorize": lambda: dk.memorizing_learner(1, num_labels=3, window=2),
+            "const": lambda: dk.constant_learner(2, num_labels=3, window=2),
+        }
+        for name, make in learners.items():
+            for check in (None, cls):
+                cases.append((
+                    f"learner{t}.{name}.{check is not None}",
+                    lambda make=make, check=check: dk.witness_from_learner(make(), 1, h_check=check),
+                    cls, 2))
+
+    def user_evaluator(points, g1, g2):
+        # odd first point: keep g1 on the first coordinate, else on none
+        return frozenset({0}) if points[0] % 2 else frozenset()
+
+    cls = random_table_class(rng, 4, 3, 12)
+    cases.append(("user", lambda: dk.Witness(flavor="natarajan", order=1,
+                                             evaluator=user_evaluator), cls, 3))
+    # wrong answers, so that graph and psi inputs report realized patterns
+    # (several behaviors can match one graph input; the first is reported)
+    fam = dk.graph_family(3)
+    for order in (0, 1, 2):
+        cases.append((f"user.graph.none.{order}", lambda order=order: dk.Witness(
+            flavor="graph", order=order, evaluator=lambda pts, f: frozenset()), cls, 3))
+        cases.append((f"user.graph.zeros.{order}", lambda order=order: dk.Witness(
+            flavor="graph", order=order,
+            evaluator=lambda pts, f: {i for i, v in enumerate(f) if v == 0}), cls, 3))
+        cases.append((f"user.psi.{order}", lambda order=order: dk.Witness(
+            flavor="psi", order=order, psi=fam,
+            evaluator=lambda pts, psibar: [psi.table[1] for psi in psibar]), cls, 3))
+    return cases
+
+
+@pytest.mark.parametrize("case", _witness_cases(), ids=lambda c: c[0])
+def test_validation_matches_reference_loop(case):
+    from oracles import validate_witness_reference
+
+    _, make, cls, window = case
+    fast = dk.validate_witness(make(), cls, window)
+    slow = validate_witness_reference(make(), cls, window)
+    assert fast.checked_inputs == slow.checked_inputs
+    assert [(v.points, v.payload, v.reason, v.detail) for v in fast.violations] == \
+        [(v.points, v.payload, v.reason, v.detail) for v in slow.violations]
+    assert fast == slow
+
+
+def test_reference_cases_cover_every_verdict():
+    seen = set()
+    for _, make, cls, window in _witness_cases():
+        w = make()
+        report = dk.validate_witness(w, cls, window)
+        seen.add((w.flavor, report.valid))
+        seen.update((w.flavor, v.reason) for v in report.violations)
+    for flavor in ("natarajan", "graph", "psi"):
+        assert {(flavor, True), (flavor, "excluded_pattern_realized")} <= seen
+    assert {("natarajan", "shattered"), ("graph", "shattered"), ("psi", "shattered"),
+            ("natarajan", "exclusion_failure")} <= seen
+
+
+def test_natarajan_candidates_follow_sorted_mixtures():
+    import itertools
+
+    from oracles import first_missing_mixture
+
+    rng = random.Random(1618)
+    for _ in range(8):
+        cls = random_table_class(rng, 3, rng.choice((2, 3, 4)), 20)
+        q = cls.num_labels
+        for order in (0, 1, 2):
+            w = dk.canonical_witness(cls, "natarajan", order)
+            for points in itertools.combinations(range(3), order + 1):
+                pats = dk.restrict(cls, points).pattern_set
+                for g1, g2 in dk.core.distinct_pairs(order + 1, q):
+                    expected = first_missing_mixture(pats, g1, g2)
+                    if expected is None:
+                        with pytest.raises(dk.ShatteredError):
+                            w.evaluate(points, g1, g2)
+                    else:
+                        assert w.evaluate(points, g1, g2) == expected
+
+
+# ------------------------------------------------- malformed witness output
+
+def test_graph_index_outside_arity_is_rejected():
+    w = dk.Witness(flavor="graph", order=1,
+                   evaluator=lambda pts, f: frozenset({7}))
+    with pytest.raises(dk.PreconditionError):
+        dk.validate_witness(w, dk.full_class(2, 3), 1)
+
+
+def test_psi_pattern_with_non_binary_entries_is_rejected():
+    w = dk.Witness(flavor="psi", order=1, psi=dk.graph_family(3),
+                   evaluator=lambda pts, psibar: (5, 5))
+    with pytest.raises(dk.PreconditionError):
+        dk.validate_witness(w, dk.full_class(2, 3), 1)
+
+
+def test_short_psi_pattern_is_rejected():
+    w = dk.Witness(flavor="psi", order=1, psi=dk.graph_family(3),
+                   evaluator=lambda pts, psibar: (0,))
+    with pytest.raises(dk.PreconditionError):
+        dk.validate_witness(w, dk.full_class(2, 3), 1)
+    with pytest.raises(dk.PreconditionError):
+        w.evaluate((1, 0), (dk.graph_family(3).members[0],) * 2)
+
+
+def test_good_patterns_reject_malformed_witness_output():
+    # the good-pattern enumeration goes through the same output check
+    short = dk.Witness(flavor="psi", order=1, psi=dk.graph_family(2),
+                       evaluator=lambda pts, psibar: (0,))
+    with pytest.raises(dk.PreconditionError):
+        dk.good_patterns(dk.GoodFunctionSpec(witness=short, num_labels=2), (0, 1))
+    wide = dk.Witness(flavor="natarajan", order=1,
+                      evaluator=lambda pts, g1, g2: frozenset({2}))
+    with pytest.raises(dk.PreconditionError):
+        dk.good_patterns(dk.GoodFunctionSpec(witness=wide, num_labels=2), (0, 1))
+
+
+def test_well_formed_outputs_are_normalized():
+    w = dk.Witness(flavor="natarajan", order=1,
+                   evaluator=lambda pts, g1, g2: [1, 1])
+    assert w.evaluate((0, 1), (0, 0), (1, 1)) == frozenset({1})
+    p = dk.Witness(flavor="psi", order=1, psi=dk.graph_family(2),
+                   evaluator=lambda pts, psibar: [1, 0])
+    assert p.evaluate((0, 1), dk.graph_family(2).members[:2]) == (1, 0)

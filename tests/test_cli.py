@@ -1,19 +1,25 @@
+import copy
 import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import dimkit as dk
+from dimkit import cli
 from dimkit.cli import (
     SchemaError,
     canonical_json,
     class_to_file,
+    digest,
     dispatch,
+    jsonable,
     parse_class_file,
     parse_psi_file,
 )
+from oracles import refute_ds_reference
 
 
 @pytest.fixture
@@ -388,6 +394,67 @@ def test_report_has_no_float_tokens(capsys, c6_file, psin3_file):
                     walk(v)
 
         walk(json.loads(out))
+
+
+def test_refute_report_equals_per_entry_conversion(capsys, tmp_path):
+    # the report as it was built before entries shared their parts: the
+    # table-pair reference, each entry converted on its own, then the whole
+    grid = dk.class_from_tables([(0, 1), (0, 2), (3, 1), (3, 2), (1, 1), (2, 0)],
+                                num_labels=4)
+    codes = []
+    for cls in (dk.six_cycle_class().cls, grid):
+        path = tmp_path / "cls.json"
+        path.write_text(canonical_json(class_to_file(cls)))
+        ref = refute_ds_reference(cls)
+        result = {
+            "verdict": ref.verdict,
+            "pairs_examined": ref.pairs_examined,
+            "shattering_pairs": len(ref.entries),
+            "entries": [
+                {"psi1": jsonable(e.psi1), "psi2": jsonable(e.psi2),
+                 "subclasses": [[list(p) for p in s] for s in e.subclasses]}
+                for e in ref.entries
+            ],
+        }
+        expected = canonical_json({
+            "command": "refute-ds",
+            "inputs_digest": digest({"class": class_to_file(cls)}),
+            "result": jsonable(result),
+            "certificates": [],
+        }) + "\n"
+        codes.append(dispatch(["refute-ds", "--class", str(path)]))
+        assert capsys.readouterr().out == expected
+    assert codes == [0, 1]  # refuted, not_refuted
+
+
+def test_float_in_shared_container_is_rejected():
+    shared = [1, Fraction(1, 2), 0.5]
+    for payload in ({"a": shared, "b": shared}, [shared, [shared]], (shared, shared)):
+        with pytest.raises(SchemaError, match="floats"):
+            jsonable(payload)
+
+
+def test_shared_container_serializes_like_fresh_copies():
+    part = (dk.PsiFunction(table=(0, 1, dk.STAR)), ((0, 1), (1, 0)), Fraction(2, 3),
+            frozenset({3, 1}), {4: "x", "y": [True, None]})
+    shared = [part, {"k": part, 7: [part]}, part]
+    fresh = [copy.deepcopy(part), {"k": copy.deepcopy(part), 7: [copy.deepcopy(part)]},
+             copy.deepcopy(part)]
+    assert canonical_json(jsonable(shared)) == canonical_json(jsonable(fresh))
+    assert jsonable(shared)[1]["7"] == [jsonable(part)]
+
+
+@pytest.mark.parametrize("error", [dk.ConsistencyError, dk.NflFailureError])
+def test_broken_invariant_exits_three(capsys, monkeypatch, c6_file, error):
+    def broken(args):
+        raise error("adversary found no mixture")
+
+    monkeypatch.setattr(cli, "_cmd_refute_ds", broken)
+    code = dispatch(["refute-ds", "--class", c6_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal invariant failed: adversary found no mixture\n"
 
 
 def test_timing_is_opt_in(capsys, c6_file):

@@ -3,7 +3,9 @@ import random
 import pytest
 
 import dimkit as dk
+from corpus import ds2_pair_corpus
 from dimkit.psi import STAR, all_encoders
+from oracles import refute_ds_reference
 
 
 def indicator_of_zero(q):
@@ -123,6 +125,28 @@ def test_boolean_cube_is_not_refuted():
     assert report.pairs_examined == 3 ** 2 * 3 ** 2
     assert report.verdict == "not_refuted"
     assert report.entries and all(not e.subclasses for e in report.entries)
+
+
+def test_refutation_by_image_pairs_matches_table_pair_reference():
+    classes = [dk.six_cycle_class().cls, dk.full_class(2, 2)] + ds2_pair_corpus(5, 30)
+    collapsed = one_sided = 0
+    verdicts = set()
+    for cls in classes:
+        got = dk.refute_ds_expressibility(cls)
+        want = refute_ds_reference(cls)
+        assert got.verdict == want.verdict
+        verdicts.add(got.verdict)
+        assert got.pairs_examined == want.pairs_examined == 9 ** cls.num_labels
+        assert [(e.psi1, e.psi2, e.subclasses) for e in got.entries] == \
+            [(e.psi1, e.psi2, e.subclasses) for e in want.entries]
+        pats = dk.restrict(cls, (0, 1)).patterns
+        at = [{p[i] for p in pats} for i in (0, 1)]
+        collapsed += any(len(labels) < cls.num_labels for labels in at)
+        one_sided += bool(at[0] ^ at[1])
+    # images collapse (a label unrealized at a point) in most classes but not
+    # all, and in many some label is realized at one point only
+    assert 0 < collapsed < len(classes) and one_sided >= 10
+    assert verdicts == {"refuted", "not_refuted"}
 
 
 def test_encoder_enumeration_is_complete_and_ordered():

@@ -246,23 +246,7 @@ def family_from_file(doc: dict) -> PsiFamily:
         if which == "psi_G":
             return psi.graph_family(labels)
         raise SchemaError(f"field 'builtin': unknown family {which!r}")
-    rows = doc.get("family")
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError("field 'family': expected a nonempty array")
-    members = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != labels:
-            raise SchemaError(f"family[{i}]: expected a row of length {labels}")
-        table = []
-        for j, s in enumerate(row):
-            if s == "*":
-                table.append(STAR)
-            elif s in ("0", "1", 0, 1) and not isinstance(s, bool):
-                table.append(int(s))
-            else:
-                raise SchemaError(f"family[{i}][{j}]: expected '0', '1' or '*'")
-        members.append(PsiFunction(table=tuple(table)))
-    return PsiFamily(members=tuple(members), num_labels=labels)
+    return psi.family_from_rows(doc.get("family"), labels)
 
 
 def parse_psi_file(path: str) -> PsiFamily:

@@ -238,6 +238,17 @@ class BehaviorSet:
     def pattern_set(self) -> frozenset:
         return frozenset(self.patterns)
 
+    @cached_property
+    def index(self) -> tuple[dict[int, int], ...]:
+        """Per coordinate, each label mapped to the bitmask of the behaviors
+        with that label there; bit j stands for the j-th behavior in the
+        iteration order of ``pattern_set``."""
+        index = tuple({} for _ in self.points)
+        for j, p in enumerate(self.pattern_set):
+            for column, v in zip(index, p):
+                column[v] = column.get(v, 0) | 1 << j
+        return index
+
     def __len__(self) -> int:
         return len(self.patterns)
 
@@ -325,4 +336,4 @@ def distinct_pairs(arity: int, num_labels: int) -> Iterator[tuple[Pattern, Patte
     labels = range(num_labels)
     per_coord = [(a, b) for a in labels for b in labels if a != b]
     for combo in itertools.product(per_coord, repeat=arity):
-        yield tuple(c[0] for c in combo), tuple(c[1] for c in combo)
+        yield tuple(zip(*combo))

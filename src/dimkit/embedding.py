@@ -33,7 +33,7 @@ from .core import (
     empirical_risk,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
-from .witnesses import Witness
+from .witnesses import Witness, witness_inputs
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ class GoodFunctionSpec:
     def __post_init__(self):
         if self.witness.flavor not in ("natarajan", "psi"):
             raise PreconditionError("good functions need a natarajan or psi witness")
+        if self.witness.psi is not None and self.witness.psi.num_labels != self.num_labels:
+            raise PreconditionError("witness family alphabet differs from num_labels")
         if self.label_bound is not None:
             bound = tuple(int(v) for v in self.label_bound)
             if any(not 0 <= b < self.num_labels for b in bound):
@@ -80,25 +82,16 @@ def _excluded_on(spec: GoodFunctionSpec, subset, labels) -> frozenset:
     if cached is not None:
         return cached
     w = spec.witness
-    arity = len(subset)
     excluded = set()
-    if w.flavor == "natarajan":
-        per_coord = [(a, b) for a in labels for b in labels if a != b]
-        for combo in itertools.product(per_coord, repeat=arity):
-            y1 = tuple(c[0] for c in combo)
-            y2 = tuple(c[1] for c in combo)
-            index_set = w._evaluate_canonical(subset, (y1, y2))
+    for payload in witness_inputs(w, labels.stop):
+        answer = w._evaluate_canonical(subset, payload)
+        if w.flavor == "natarajan":
             # _evaluate_canonical has checked the index set against arity
-            excluded.add(tuple(y1[i] if i in index_set else y2[i]
-                               for i in range(arity)))
-    else:
-        q = w.psi.num_labels
-        for psibar in itertools.product(w.psi.members, repeat=arity):
-            target = w._evaluate_canonical(subset, (psibar,))
-            preimages = [
-                [v for v in labels if v < q and psi.table[v] == b]
-                for psi, b in zip(psibar, target)
-            ]
+            excluded.add(tuple(a if i in answer else b
+                               for i, (a, b) in enumerate(zip(*payload))))
+        else:
+            preimages = [[v for v in labels if psi.table[v] == b]
+                         for psi, b in zip(payload[0], answer)]
             excluded.update(itertools.product(*preimages))
     result = frozenset(excluded)
     spec._cache[key] = result

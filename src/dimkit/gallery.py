@@ -11,7 +11,7 @@ from .core import (
     PreconditionError,
     class_from_tables,
 )
-from .psi import PsiFamily
+from .psi import PsiFamily, family_from_rows
 from .witnesses import Witness
 
 
@@ -117,7 +117,8 @@ def failing_psi_gallery(family: PsiFamily, window: int) -> GalleryEntry:
 
 def build(name: str, params: dict) -> GalleryEntry:
     """Gallery constructor registry used by the CLI and class files.  Bad
-    parameter values raise PreconditionError."""
+    parameter values raise PreconditionError, bad family rows
+    RepresentationError."""
     if name == "full":
         n = _int(params.get("n", 2), "n")
         q = _int(params.get("labels", params.get("q", 2)), "labels")
@@ -128,34 +129,20 @@ def build(name: str, params: dict) -> GalleryEntry:
     if name == "six_cycle":
         return six_cycle_class()
     if name == "failing_psi":
-        from .psi import PsiFunction
-
-        rows = params.get("family")
         q = _int(params.get("labels", 0), "labels")
-        if (q < 2 or not rows or not isinstance(rows, list)
-                or not all(isinstance(row, list) for row in rows)):
-            raise PreconditionError("failing_psi needs 'family' rows and 'labels'")
-        members = tuple(
-            PsiFunction(table=tuple(_parse_symbol(s) for s in row)) for row in rows
-        )
-        family = PsiFamily(members=members, num_labels=q)
+        if q < 2:
+            raise PreconditionError("failing_psi needs 'labels' of at least 2")
+        family = family_from_rows(params.get("family"), q)
         return failing_psi_gallery(family, _int(params.get("window", 1), "window"))
     raise PreconditionError(f"unknown gallery entry {name!r}")
 
 
 def _int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise PreconditionError(f"parameter {key!r}: expected an integer, got {value!r}") from None
-
-
-def _parse_symbol(s) -> int:
-    from .psi import STAR
-
-    if s in ("*", STAR):
-        return STAR
-    return _int(s, "family")
+    """JSON integers only, as in class files: ``true``, ``2.9`` and ``"3"``
+    are rejected."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PreconditionError(f"parameter {key!r}: expected an integer, got {value!r}")
+    return value
 
 
 GALLERY_NAMES = ("full", "gap", "six_cycle", "failing_psi")

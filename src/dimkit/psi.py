@@ -74,6 +74,27 @@ class PsiFamily:
         return len(self.members)
 
 
+def family_from_rows(rows, num_labels: int) -> PsiFamily:
+    """Family from JSON rows of '0', '1' or '*' symbols (0 and 1 may also be
+    JSON integers), one row of ``num_labels`` symbols per encoder."""
+    if not isinstance(rows, list) or not rows:
+        raise RepresentationError("field 'family': expected a nonempty array")
+    members = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != num_labels:
+            raise RepresentationError(f"family[{i}]: expected a row of length {num_labels}")
+        table = []
+        for j, s in enumerate(row):
+            if s == "*":
+                table.append(STAR)
+            elif s in ("0", "1", 0, 1) and not isinstance(s, bool):
+                table.append(int(s))
+            else:
+                raise RepresentationError(f"family[{i}][{j}]: expected '0', '1' or '*'")
+        members.append(PsiFunction(table=tuple(table)))
+    return PsiFamily(members=tuple(members), num_labels=num_labels)
+
+
 def apply_encoders(psibar, pattern) -> tuple[int, ...]:
     """Componentwise application of an encoder tuple to a label tuple."""
     return tuple(psi.table[v] for psi, v in zip(psibar, pattern, strict=True))

@@ -14,19 +14,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from .core import (
+    BehaviorSet,
     ConsistencyError,
     HypothesisClass,
     PreconditionError,
     RepresentationError,
     ShatteredError,
+    distinct_pairs,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     restrict,
 )
-from .psi import PsiFamily, apply_encoders
+from .psi import PsiFamily
+from .psi import apply_encoders  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 
 FLAVORS = ("natarajan", "graph", "psi")
 _BITS = frozenset((0, 1))
@@ -134,96 +137,98 @@ class WitnessReport:
         return not self.violations
 
 
+def witness_inputs(witness: Witness, num_labels: int):
+    """Every canonical payload of the witness's flavor over labels
+    0..num_labels-1, in product order: (g1, g2) pairs that differ at every
+    coordinate, (f,) labelings, or (psibar,) encoder tuples."""
+    arity = witness.arity
+    if witness.flavor == "natarajan":
+        return distinct_pairs(arity, num_labels)
+    if witness.flavor == "graph":
+        return ((f,) for f in itertools.product(range(num_labels), repeat=arity))
+    return ((psibar,) for psibar in itertools.product(witness.psi.members, repeat=arity))
+
+
+def _cells(behaviors: BehaviorSet, flavor: str, row) -> list[tuple[int, int]]:
+    """Per coordinate, the bitmasks (over ``behaviors.index``) of the
+    behaviors coded 0 and coded 1 there.  For a graph labeling f, code 1
+    means agreeing with f; for an encoder tuple, it is the encoder's value,
+    and a star puts the behavior in neither cell."""
+    if flavor == "graph":
+        full = (1 << len(behaviors)) - 1
+        agree = [column.get(v, 0) for column, v in zip(behaviors.index, row)]
+        return [(full & ~a, a) for a in agree]
+    return [(sum(m for v, m in column.items() if psi.table[v] == 0),
+             sum(m for v, m in column.items() if psi.table[v] == 1))
+            for column, psi in zip(behaviors.index, row)]
+
+
+def _first_missing_code(cells, live: int = -1, prefix: tuple = ()) -> Optional[tuple]:
+    """The lexicographically first 0/1 code, extending ``prefix``, that no
+    behavior in ``live`` (a bitmask, -1 for all) has, where a behavior has
+    code c when it lies in cells[i][c[i]] at every coordinate i; None when
+    every code is had."""
+    i = len(prefix)
+    if i == len(cells):
+        return None
+    for b in (0, 1):
+        rest = live & cells[i][b]
+        if not rest:
+            return prefix + (b,) + (0,) * (len(cells) - i - 1)
+        found = _first_missing_code(cells, rest, prefix + (b,))
+        if found is not None:
+            return found
+    return None
+
+
+def _realized(behaviors: BehaviorSet, flavor: str, payload, answer):
+    """The violation detail when some behavior realizes what the witness
+    answer on ``payload`` excludes: the excluded mixture, the first behavior
+    in ``pattern_set`` order with the excluded agreement set, or the excluded
+    pattern.  None when the exclusion holds."""
+    if flavor == "natarajan":
+        excluded = tuple(a if i in answer else b for i, (a, b) in enumerate(zip(*payload)))
+        return excluded if excluded in behaviors.pattern_set else None
+    code = answer if flavor == "psi" else [int(i in answer) for i in range(len(behaviors.points))]
+    live = -1
+    for cell, b in zip(_cells(behaviors, flavor, payload[0]), code):
+        live &= cell[b]
+    if not live:
+        return None
+    if flavor == "psi":
+        return answer
+    return next(itertools.islice(behaviors.pattern_set, (live & -live).bit_length() - 1, None))
+
+
 def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> WitnessReport:
     """Exhaustively re-check the exclusion property on every valid input
     whose points lie in [0, window].  Inputs are generated canonical, so they
     go to the evaluator without re-sorting."""
     if window < 0:
         raise PreconditionError("window must be a natural")
-    arity = witness.arity
-    q = cls.num_labels
+    if witness.flavor == "psi" and witness.psi.num_labels != cls.num_labels:
+        raise RepresentationError("family alphabet differs from class alphabet")
     evaluate = witness._evaluate_canonical
     checked = 0
     violations = []
-    per_coord_pairs = [(a, b) for a in range(q) for b in range(q) if a != b]
-    for points in itertools.combinations(range(window + 1), arity):
-        pats = restrict(cls, points).pattern_set
-        if witness.flavor != "natarajan":
-            # bit j of holders[i][v] is set when the j-th behavior, in the
-            # iteration order of pats, has label v at coordinate i
-            listed = tuple(pats)
-            holders = [{} for _ in range(arity)]
-            for j, p in enumerate(listed):
-                for column, v in zip(holders, p):
-                    column[v] = column.get(v, 0) | 1 << j
-        if witness.flavor == "natarajan":
-            for combo in itertools.product(per_coord_pairs, repeat=arity):
-                g1 = tuple(c[0] for c in combo)
-                g2 = tuple(c[1] for c in combo)
-                checked += 1
-                try:
-                    index_set = evaluate(points, (g1, g2))
-                except (ShatteredError, ExclusionFailure) as err:
-                    violations.append(WitnessViolation(
-                        points=points, payload=(g1, g2),
-                        reason="shattered" if isinstance(err, ShatteredError)
-                        else "exclusion_failure"))
-                    continue
-                excluded = tuple(c[0] if i in index_set else c[1]
-                                 for i, c in enumerate(combo))
-                if excluded in pats:
-                    violations.append(WitnessViolation(
-                        points=points, payload=(g1, g2),
-                        reason="excluded_pattern_realized", detail=excluded))
-        elif witness.flavor == "graph":
-            for f in itertools.product(range(q), repeat=arity):
-                checked += 1
-                try:
-                    index_set = evaluate(points, (f,))
-                except ShatteredError:
-                    violations.append(WitnessViolation(
-                        points=points, payload=(f,), reason="shattered"))
-                    continue
-                # behaviors agreeing with f exactly on index_set
-                live = -1
-                for i, (column, v) in enumerate(zip(holders, f)):
-                    agree = column.get(v, 0)
-                    live &= agree if i in index_set else ~agree
-                if live & ((1 << len(listed)) - 1):
-                    violations.append(WitnessViolation(
-                        points=points, payload=(f,), reason="excluded_pattern_realized",
-                        detail=listed[(live & -live).bit_length() - 1]))
-        else:
-            for psibar in itertools.product(witness.psi.members, repeat=arity):
-                checked += 1
-                try:
-                    pattern = evaluate(points, (psibar,))
-                except ShatteredError:
-                    violations.append(WitnessViolation(
-                        points=points, payload=(psibar,), reason="shattered"))
-                    continue
-                # behaviors whose encoding is pattern
-                live = -1
-                for column, psi, b in zip(holders, psibar, pattern):
-                    live &= sum(m for v, m in column.items() if psi.table[v] == b)
-                if live:
-                    violations.append(WitnessViolation(
-                        points=points, payload=(psibar,),
-                        reason="excluded_pattern_realized", detail=pattern))
+    for points in itertools.combinations(range(window + 1), witness.arity):
+        behaviors = restrict(cls, points)
+        for payload in witness_inputs(witness, cls.num_labels):
+            checked += 1
+            try:
+                answer = evaluate(points, payload)
+            except (ShatteredError, ExclusionFailure) as err:
+                violations.append(WitnessViolation(
+                    points=points, payload=payload,
+                    reason="shattered" if isinstance(err, ShatteredError)
+                    else "exclusion_failure"))
+                continue
+            hit = _realized(behaviors, witness.flavor, payload, answer)
+            if hit is not None:
+                violations.append(WitnessViolation(
+                    points=points, payload=payload,
+                    reason="excluded_pattern_realized", detail=hit))
     return WitnessReport(checked_inputs=checked, violations=tuple(violations))
-
-
-def _behaviors_by_points(cls: HypothesisClass):
-    """Memoised ``restrict(cls, points).pattern_set`` per point tuple."""
-    cache: dict = {}
-
-    def behaviors_at(points):
-        pats = cache.get(points)
-        if pats is None:
-            pats = cache[points] = restrict(cls, points).pattern_set
-        return pats
-
-    return behaviors_at
 
 
 def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
@@ -232,31 +237,25 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
     first candidate output (ordered by the labeling/pattern it induces) that
     the class does not realize.  Raises ShatteredError at evaluation time on
     inputs where every candidate is realized."""
-    arity = order + 1
-    behaviors_at = _behaviors_by_points(cls)
+    behaviors_at = cache(lambda points: restrict(cls, points))
 
     if flavor == "natarajan":
         def evaluator(points, g1, g2):
             # g1[i] != g2[i], so each mixture fixes its index set and the
             # product of the sorted coordinate pairs lists the mixtures in
             # lexicographic order
-            pats = behaviors_at(points)
+            pats = behaviors_at(points).pattern_set
             for mixture in itertools.product(*(sorted(c) for c in zip(g1, g2))):
                 if mixture not in pats:
-                    return frozenset(i for i in range(arity) if mixture[i] == g1[i])
+                    return frozenset(i for i, v in enumerate(mixture) if v == g1[i])
             raise ShatteredError("every mixture realized", (points, g1, g2))
 
     elif flavor == "graph":
         def evaluator(points, f):
-            pats = behaviors_at(points)
-            present = {
-                sum(1 << i for i in range(arity) if p[i] == f[i]) for p in pats
-            }
-            for bits in itertools.product((0, 1), repeat=arity):
-                mask = sum(1 << i for i, b in enumerate(bits) if b)
-                if mask not in present:
-                    return frozenset(i for i, b in enumerate(bits) if b)
-            raise ShatteredError("every agreement set realized", (points, f))
+            code = _first_missing_code(_cells(behaviors_at(points), "graph", f))
+            if code is None:
+                raise ShatteredError("every agreement set realized", (points, f))
+            return frozenset(i for i, b in enumerate(code) if b)
 
     elif flavor == "psi":
         if psi is None:
@@ -265,12 +264,10 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
             raise RepresentationError("family alphabet differs from class alphabet")
 
         def evaluator(points, psibar):
-            pats = behaviors_at(points)
-            images = {apply_encoders(psibar, p) for p in pats}
-            for pattern in itertools.product((0, 1), repeat=arity):
-                if pattern not in images:
-                    return pattern
-            raise ShatteredError("every binary pattern covered", (points, psibar))
+            code = _first_missing_code(_cells(behaviors_at(points), "psi", psibar))
+            if code is None:
+                raise ShatteredError("every binary pattern covered", (points, psibar))
+            return code
 
     else:
         raise PreconditionError(f"unknown witness flavor {flavor!r}")
@@ -293,7 +290,7 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
     if m < 1:
         raise PreconditionError("sample size must be positive")
     order = 2 * m - 1
-    behaviors_at = None if h_check is None else _behaviors_by_points(h_check)
+    behaviors_at = None if h_check is None else cache(lambda points: restrict(h_check, points))
 
     def evaluator(points, g1, g2):
         report = nfl_adversary(learner, points, g1, g2)
@@ -301,7 +298,7 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
             i for i in range(len(points)) if report.f_values[i] == g1[i]
         )
         if behaviors_at is not None:
-            if report.f_values in behaviors_at(points):
+            if report.f_values in behaviors_at(points).pattern_set:
                 raise ExclusionFailure(
                     f"class realizes the hard labeling {report.f_values} on {points}"
                 )
@@ -346,17 +343,16 @@ def psi_witness_from_natarajan(witness: Witness, family: PsiFamily,
     spec = GoodFunctionSpec(witness=witness, num_labels=cls.num_labels)
 
     def evaluator(points, psibar):
-        v = good_patterns(spec, points).patterns
+        v = good_patterns(spec, points)
         if len(v) >= 2 ** len(points):
             raise ConsistencyError(
                 f"behavior superset has {len(v)} patterns at arity {len(points)}, "
                 "which contradicts the growth bound"
             )
-        images = {apply_encoders(psibar, p) for p in v}
-        for pattern in itertools.product((0, 1), repeat=len(points)):
-            if pattern not in images:
-                return pattern
-        raise ConsistencyError("no missing binary pattern despite the count bound")
+        code = _first_missing_code(_cells(v, "psi", psibar))
+        if code is None:
+            raise ConsistencyError("no missing binary pattern despite the count bound")
+        return code
 
     return Witness(flavor="psi", order=k_b - 1, evaluator=evaluator,
                    psi=family, provenance="from_counting")

@@ -269,6 +269,32 @@ def first_missing_mixture(pats, g1, g2):
     return next((index_set for mixture, index_set in candidates if mixture not in pats), None)
 
 
+def first_missing_agreement(pats, f):
+    """Index set of the first agreement set with ``f``, in product order of
+    its 0/1 indicator, that no behavior in ``pats`` has; None if every one is
+    realized.  Every behavior's agreement mask is built per input."""
+    arity = len(f)
+    present = {
+        sum(1 << i for i in range(arity) if p[i] == f[i]) for p in pats
+    }
+    for bits in itertools.product((0, 1), repeat=arity):
+        mask = sum(1 << i for i, b in enumerate(bits) if b)
+        if mask not in present:
+            return frozenset(i for i, b in enumerate(bits) if b)
+    return None
+
+
+def first_missing_image(pats, psibar):
+    """First binary pattern, in product order, outside the encoded images of
+    ``pats``; None if every one is covered.  Every behavior is encoded per
+    input."""
+    images = {apply_encoders(psibar, p) for p in pats}
+    for pattern in itertools.product((0, 1), repeat=len(psibar)):
+        if pattern not in images:
+            return pattern
+    return None
+
+
 def exact_expected_risk(learner, points, f_values, m):
     """Fraction-summing average risk over all (2m)^m training sequences."""
     points = tuple(points)

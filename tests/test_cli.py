@@ -343,6 +343,21 @@ def test_bad_argv_values_exit_two(capsys, tmp_path, c6_file):
         ["gallery", "emit", "failing_psi", "--params", '{"labels": 2, "family": [["x", "1"]]}'],
         ["dim", "--class", str(bad_full), "--kind", "natarajan"],
     ]
+    # gallery parameters take JSON integers only: true as n, "3" and 2.9 as
+    # sizes, and true or 2 as encoder symbols used to build a class
+    float_full = tmp_path / "float_full.json"
+    float_full.write_text(json.dumps({"gallery": "full", "params": {"n": 2.9, "labels": 2}}))
+    cases += [
+        ["gallery", "emit", "full", "--params", '{"n": true, "labels": "3"}'],
+        ["gallery", "emit", "full", "--params", '{"n": 2, "labels": true}'],
+        ["dim", "--class", str(float_full), "--kind", "natarajan"],
+    ]
+    for k, row in enumerate(([True, False, "*"], ["1", "0", 2])):
+        params = {"family": [row, ["*", "1", "0"]], "labels": 3, "window": 1}
+        failing = tmp_path / f"failing{k}.json"
+        failing.write_text(json.dumps({"gallery": "failing_psi", "params": params}))
+        cases += [["gallery", "emit", "failing_psi", "--params", json.dumps(params)],
+                  ["dim", "--class", str(failing), "--kind", "graph"]]
     for learner in ("memorize:x", "const:x", f"embed:{c6_file}:x", f"embed:{c6_file}"):
         cases.append(["nfl", "--learner", learner, "--points", "0,1",
                       "--g1", "1,1", "--g2", "2,2"])
@@ -350,6 +365,12 @@ def test_bad_argv_values_exit_two(capsys, tmp_path, c6_file):
     cases.append(["dim", "--class", str(tmp_path), "--kind", "ds"])
     for argv in cases:
         assert_usage_error(capsys, *argv)
+
+
+def test_failing_psi_rows_keep_family_field_names(capsys):
+    params = {"family": [["1", "0", "0"], ["1", 2, "0"]], "labels": 3}
+    assert dispatch(["gallery", "emit", "failing_psi", "--params", json.dumps(params)]) == 2
+    assert "family[1][1]: expected '0', '1' or '*'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two(capsys):

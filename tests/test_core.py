@@ -161,6 +161,23 @@ def test_mix_rejects_arity_mismatch():
         dk.mix_labelings({0}, (0,), (1, 1))
 
 
+@given(st.integers(1, 4).flatmap(lambda n: st.sets(
+    st.tuples(*([st.integers(0, 3)] * n)), min_size=1, max_size=20)))
+def test_behavior_index_partitions_the_behaviors(pats):
+    arity = len(next(iter(pats)))
+    behaviors = dk.BehaviorSet(points=tuple(range(arity)), patterns=tuple(sorted(pats)))
+    listed = list(behaviors.pattern_set)
+    full = (1 << len(listed)) - 1
+    assert len(behaviors.index) == arity
+    for i, column in enumerate(behaviors.index):
+        union = 0
+        for v, mask in column.items():
+            assert not union & mask
+            union |= mask
+            assert mask == sum(1 << j for j, p in enumerate(listed) if p[i] == v)
+        assert union == full
+
+
 def test_distinct_pairs_differ_everywhere():
     for y1, y2 in distinct_pairs(2, 3):
         assert all(a != b for a, b in zip(y1, y2))

@@ -291,6 +291,14 @@ def test_bound_table_stays_inside_the_alphabet():
     assert all(v < 3 for p in dk.good_patterns(top, (0, 1, 2)).patterns for v in p)
 
 
+def test_spec_rejects_family_alphabet_mismatch():
+    # a family over 2 labels says nothing about label 2 of a 3-label alphabet
+    w = dk.Witness(flavor="psi", order=0, psi=dk.graph_family(2),
+                   evaluator=lambda pts, psibar: (0,))
+    with pytest.raises(dk.PreconditionError):
+        dk.GoodFunctionSpec(witness=w, num_labels=3)
+
+
 # --------------------------------------------------------- sample size rule
 
 def test_uc_sample_size_matches_formula():

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 import dimkit as dk
+from dimkit.psi import STAR
 from corpus import random_table_class
 
 
@@ -287,26 +289,70 @@ def test_reference_cases_cover_every_verdict():
             ("natarajan", "exclusion_failure")} <= seen
 
 
-def test_natarajan_candidates_follow_sorted_mixtures():
-    import itertools
+def _star_family(rng, q):
+    """Three or four random encoders over q labels, at least one with a star."""
+    tables = list(itertools.product((0, 1, STAR), repeat=q))
+    members = [dk.PsiFunction(table=t) for t in rng.sample(tables, rng.choice((3, 4)))]
+    members.append(dk.PsiFunction(table=(STAR,) + (1,) * (q - 1)))
+    return dk.PsiFamily(members=tuple(members), num_labels=q)
 
-    from oracles import first_missing_mixture
+
+def test_natarajan_candidates_follow_sorted_mixtures():
+    """Canonical answers on every input against the oracles: the first
+    missing mixture in sorted order, and for the graph and psi flavors (psi_N,
+    psi_G and a family with stars) the first missing code in product order."""
+    from oracles import first_missing_agreement, first_missing_image, first_missing_mixture
 
     rng = random.Random(1618)
+    family_rng = random.Random(1619)
     for _ in range(8):
         cls = random_table_class(rng, 3, rng.choice((2, 3, 4)), 20)
         q = cls.num_labels
+        families = (dk.natarajan_family(q), dk.graph_family(q), _star_family(family_rng, q))
         for order in (0, 1, 2):
-            w = dk.canonical_witness(cls, "natarajan", order)
+            natarajan = dk.canonical_witness(cls, "natarajan", order)
+            graph = dk.canonical_witness(cls, "graph", order)
+            psis = [dk.canonical_witness(cls, "psi", order, psi=fam) for fam in families]
             for points in itertools.combinations(range(3), order + 1):
                 pats = dk.restrict(cls, points).pattern_set
-                for g1, g2 in dk.core.distinct_pairs(order + 1, q):
-                    expected = first_missing_mixture(pats, g1, g2)
+                cases = [(natarajan, (g1, g2), first_missing_mixture(pats, g1, g2))
+                         for g1, g2 in dk.core.distinct_pairs(order + 1, q)]
+                cases += [(graph, (f,), first_missing_agreement(pats, f))
+                          for f in itertools.product(range(q), repeat=order + 1)]
+                cases += [(w, (psibar,), first_missing_image(pats, psibar))
+                          for w in psis
+                          for psibar in itertools.product(w.psi.members, repeat=order + 1)]
+                for w, payload, expected in cases:
                     if expected is None:
                         with pytest.raises(dk.ShatteredError):
-                            w.evaluate(points, g1, g2)
+                            w.evaluate(points, *payload)
                     else:
-                        assert w.evaluate(points, g1, g2) == expected
+                        assert w.evaluate(points, *payload) == expected
+
+
+def test_counting_witness_answers_first_missing_image():
+    from oracles import first_missing_image
+
+    rng = random.Random(1620)
+    for q, support in ((2, {1: 1}), (3, {0: 2, 3: 1})):
+        cls = dk.class_from_supports([support], num_labels=q)
+        w0 = dk.canonical_witness(cls, "natarajan", 0)
+        spec = dk.GoodFunctionSpec(witness=w0, num_labels=q)
+        for fam in (dk.natarajan_family(q), dk.graph_family(q), _star_family(rng, q)):
+            pw = dk.psi_witness_from_natarajan(w0, fam, cls)
+            for _ in range(3):
+                points = tuple(sorted(rng.sample(range(pw.arity + 2), pw.arity)))
+                pats = dk.good_patterns(spec, points).pattern_set
+                for _ in range(40):
+                    psibar = tuple(rng.choice(fam.members) for _ in points)
+                    assert pw.evaluate(points, psibar) == first_missing_image(pats, psibar)
+
+
+def test_validate_rejects_family_alphabet_mismatch():
+    w = dk.Witness(flavor="psi", order=1, psi=dk.graph_family(2),
+                   evaluator=lambda pts, psibar: (0, 0))
+    with pytest.raises(dk.RepresentationError):
+        dk.validate_witness(w, dk.full_class(2, 3), 1)
 
 
 # ------------------------------------------------- malformed witness output

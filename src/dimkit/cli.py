@@ -22,6 +22,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
+
 from . import embedding, gallery, nfl, psi, witnesses
 from .core import (
     ConsistencyError,
@@ -168,7 +170,6 @@ def class_from_file(doc: dict):
                         f"hypotheses[{i}].support[{x}]: label {y!r} outside 1..{labels - 1}"
                     )
             supports.append(pairs)
-        _reject_duplicates([tuple(sorted(s)) for s in supports])
         cls = class_from_supports(supports, num_labels=labels)
         return cls, None
     if not _is_int(domain) or domain < 1:
@@ -183,21 +184,8 @@ def class_from_file(doc: dict):
                     f"hypotheses[{i}][{j}]: label {v} outside 0..{labels - 1}"
                 )
         tables.append(tuple(row))
-    _reject_duplicates(tables)
     cls = class_from_tables(tables, num_labels=labels)
     return cls, None
-
-
-def _reject_duplicates(keys):
-    seen = {}
-    dupes = []
-    for i, k in enumerate(keys):
-        if k in seen:
-            dupes.append(i)
-        else:
-            seen[k] = i
-    if dupes:
-        raise SchemaError(f"duplicate hypotheses at indices {dupes}")
 
 
 def _is_int(value) -> bool:
@@ -251,6 +239,16 @@ def family_from_file(doc: dict) -> PsiFamily:
 
 def parse_psi_file(path: str) -> PsiFamily:
     return _read_json(path, family_from_file)
+
+
+def _psi_family(args, needed_by: Optional[str] = None) -> Optional[PsiFamily]:
+    """The family in the --psi file, or None without one; ``needed_by``
+    names the option that makes --psi required."""
+    if args.psi:
+        return parse_psi_file(args.psi)
+    if needed_by is not None:
+        raise SchemaError(f"{needed_by} requires --psi FILE")
+    return None
 
 
 def _parse_ints(text: str, field: str) -> tuple[int, ...]:
@@ -317,9 +315,7 @@ class Outcome:
 
 def _cmd_dim(args) -> Outcome:
     cls, _ = _load_class(args.class_file)
-    family = parse_psi_file(args.psi) if args.psi else None
-    if args.kind == "psi" and family is None:
-        raise SchemaError("--kind psi requires --psi FILE")
+    family = _psi_family(args, "--kind psi" if args.kind == "psi" else None)
     res = exact_dimension(cls, args.kind, psi=family, window=args.window)
     result = {"kind": args.kind, "dimension": res.value}
     if res.warning:
@@ -327,21 +323,20 @@ def _cmd_dim(args) -> Outcome:
     certs = [res.certificate] if res.certificate else []
     return Outcome(0, result, certs, {
         "class": class_to_file(cls), "kind": args.kind,
-        "psi": jsonable(family.members) if family else None,
+        "psi": family.members if family else None,
         "window": args.window,
     })
 
 
 def _witness_for(args, cls, entry):
-    family = parse_psi_file(args.psi) if getattr(args, "psi", None) else None
-    if getattr(args, "bundled", False):
+    if args.bundled:
+        family = _psi_family(args)
         if entry is None or entry.witness is None:
             raise SchemaError("--bundled requires a gallery class with a bundled witness")
         return entry.witness, family
     if args.flavor is None or args.order is None:
         raise SchemaError("need --flavor and --order (or --bundled)")
-    if args.flavor == "psi" and family is None:
-        raise SchemaError("--flavor psi requires --psi FILE")
+    family = _psi_family(args, "--flavor psi" if args.flavor == "psi" else None)
     w = witnesses.canonical_witness(cls, args.flavor, args.order, psi=family)
     return w, family
 
@@ -352,7 +347,7 @@ def _witness_meta(w) -> dict:
 
 def _validation_result(report) -> dict:
     shown = [
-        {"points": list(v.points), "reason": v.reason, "detail": jsonable(v.detail)}
+        {"points": list(v.points), "reason": v.reason, "detail": v.detail}
         for v in report.violations[:25]
     ]
     return {
@@ -368,7 +363,7 @@ def _cmd_witness_make(args) -> Outcome:
     w, family = _witness_for(args, cls, entry)
     result = {"witness": _witness_meta(w)}
     inputs = {"class": class_to_file(cls), "flavor": w.flavor, "order": w.order,
-              "psi": jsonable(family.members) if family else None}
+              "psi": family.members if family else None}
     return Outcome(0, result, [], inputs)
 
 
@@ -380,7 +375,7 @@ def _cmd_witness_check(args) -> Outcome:
     result = {"witness": _witness_meta(w), "window": window}
     result.update(_validation_result(report))
     inputs = {"class": class_to_file(cls), "flavor": w.flavor, "order": w.order,
-              "window": window, "psi": jsonable(family.members) if family else None}
+              "window": window, "psi": family.members if family else None}
     return Outcome(0 if report.valid else 1, result, [], inputs)
 
 
@@ -422,9 +417,9 @@ def _cmd_nfl(args) -> Outcome:
         "learner": learner.name,
         "points": list(points),
         "f": list(report.f_values),
-        "index_set": jsonable(report.index_set),
-        "expected_risk": jsonable(report.expected_risk),
-        "tail_probability": jsonable(report.tail_probability),
+        "index_set": report.index_set,
+        "expected_risk": report.expected_risk,
+        "tail_probability": report.tail_probability,
         "mixtures_examined": report.mixtures_examined,
         "markov_flag": report.markov_flag,
     }
@@ -452,9 +447,7 @@ def _embed_spec(args, cls):
     flavor, _, order = args.witness.partition(":")
     if flavor not in ("natarajan", "psi") or not order.isdigit():
         raise SchemaError("--witness: expected 'natarajan:K' or 'psi:K'")
-    family = parse_psi_file(args.psi) if getattr(args, "psi", None) else None
-    if flavor == "psi" and family is None:
-        raise SchemaError("--witness psi:K requires --psi FILE")
+    family = _psi_family(args, "--witness psi:K" if flavor == "psi" else None)
     w = witnesses.canonical_witness(cls, flavor, int(order), psi=family)
     return embedding.GoodFunctionSpec(witness=w, num_labels=cls.num_labels), family
 
@@ -463,7 +456,7 @@ def _cmd_embed(args) -> Outcome:
     cls, _ = _load_class(args.class_file)
     spec, family = _embed_spec(args, cls)
     inputs = {"class": class_to_file(cls), "witness": args.witness,
-              "psi": jsonable(family.members) if family else None,
+              "psi": family.members if family else None,
               "mode": args.mode}
     if args.mode == "behaviors":
         if not args.points:
@@ -482,7 +475,7 @@ def _cmd_embed(args) -> Outcome:
     inputs["sample"] = [list(p) for p in sample]
     with _witness_order(f"--witness {args.witness}"):
         h, risk = embedding.erm_augmented(spec, sample)
-    result = {"hypothesis": jsonable(h), "empirical_risk": jsonable(risk)}
+    result = {"hypothesis": h, "empirical_risk": risk}
     return Outcome(0, result, [], inputs)
 
 
@@ -492,7 +485,7 @@ def _cmd_distinguisher(args) -> Outcome:
     result = {"distinguisher": ok}
     if pair is not None:
         result["failing_pair"] = list(pair)
-    inputs = {"psi": jsonable(family.members), "labels": family.num_labels}
+    inputs = {"psi": family.members, "labels": family.num_labels}
     return Outcome(0 if ok else 1, result, [], inputs)
 
 

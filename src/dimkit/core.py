@@ -159,7 +159,6 @@ class HypothesisClass:
     domain_size: Optional[int] = None
     hypotheses: Optional[tuple[Hypothesis, ...]] = None
     behavior_fn: Optional[Callable[[tuple[int, ...]], Iterable[Pattern]]] = None
-    enumerator: Optional[Callable[[], Iterator[Hypothesis]]] = None
 
     def __post_init__(self):
         if (self.hypotheses is None) == (self.behavior_fn is None):
@@ -177,9 +176,9 @@ class HypothesisClass:
                     raise RepresentationError("class over the naturals expects finite-support hypotheses")
                 if h.table is not None and len(h.table) != self.domain_size:
                     raise RepresentationError("table length differs from domain size")
-            keys = [h.sort_key() for h in hyps]
-            if len(set(keys)) != len(keys):
-                dupes = [i for i, k in enumerate(keys) if keys.index(k) != i]
+            first = {}
+            dupes = [i for i, h in enumerate(hyps) if first.setdefault(h.sort_key(), i) != i]
+            if dupes:
                 raise RepresentationError(f"duplicate hypotheses at indices {dupes}")
             object.__setattr__(
                 self, "hypotheses", tuple(sorted(hyps, key=Hypothesis.sort_key))
@@ -190,11 +189,15 @@ class HypothesisClass:
         return self.hypotheses is not None
 
     def enumerate(self) -> Iterator[Hypothesis]:
-        if self.hypotheses is not None:
-            return iter(self.hypotheses)
-        if self.enumerator is not None:
-            return self.enumerator()
-        raise RepresentationError("class exposes no hypothesis enumerator")
+        if self.hypotheses is None:
+            raise RepresentationError("class exposes no hypothesis enumerator")
+        return iter(self.hypotheses)
+
+    @cached_property
+    def _columns(self) -> dict[int, tuple[int, ...]]:
+        """Per point, the label of every hypothesis there, in class order;
+        ``restrict`` fills a point in the first time it is used."""
+        return {}
 
     def support_bound(self) -> Optional[int]:
         """Largest support point over an explicit class on the naturals."""
@@ -255,7 +258,8 @@ class BehaviorSet:
 
 def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
     """Project the class onto ``points``: exactly { h|_X : h in H }, duplicates
-    removed, in lexicographic order."""
+    removed, in lexicographic order.  An explicit class zips its cached
+    per-point columns."""
     points = tuple(int(x) for x in points)
     if len(set(points)) != len(points):
         raise PreconditionError(f"duplicate points in {points}")
@@ -264,7 +268,11 @@ def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
             if not 0 <= x < cls.domain_size:
                 raise DomainError(f"point {x} outside domain [0,{cls.domain_size})")
     if cls.hypotheses is not None:
-        pats = {h.values_on(points) for h in cls.hypotheses}
+        columns = cls._columns
+        for x in points:
+            if x not in columns:  # h(x) raises DomainError before caching
+                columns[x] = tuple(h(x) for h in cls.hypotheses)
+        pats = set(zip(*[columns[x] for x in points])) if points else {()}
     else:
         raw = cls.behavior_fn(points)
         pats = set()

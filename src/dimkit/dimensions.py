@@ -105,30 +105,12 @@ def _check_points(points):
     return points
 
 
-class _Columns:
-    """Stand-in for an explicit class during one dimension search: its value
-    columns over [0, window], built once, so the behaviors on a point tuple
-    are a zip of columns instead of a fresh ``restrict``."""
-
-    def __init__(self, cls: HypothesisClass, window: int):
-        self.num_labels = cls.num_labels
-        self.columns = tuple(zip(*{h.values_on(range(window + 1)) for h in cls.hypotheses}))
-
-
-def _patterns(cls, points) -> tuple:
-    """The behaviors on ``points``, sorted and duplicate-free as ``restrict``
-    returns them."""
-    if isinstance(cls, _Columns):
-        return tuple(sorted(set(zip(*[cls.columns[x] for x in points]))))
-    return restrict(cls, points).patterns
-
-
 def _encoded_search(cls, points, kind, encoders, payload) -> Optional[ShatterCertificate]:
     """Certificate that ``points`` (already checked) is shattered, from the
     coverage search over the (table, meta) pairs ``encoders(vals)`` builds
     from the sorted labels ``vals`` realized at each coordinate.
     ``payload(metas)`` turns the chosen metas into the certificate payload."""
-    patterns = _patterns(cls, points)
+    patterns = restrict(cls, points).patterns
     choices = [encoders(sorted({p[i] for p in patterns})) for i in range(len(points))]
     got = _coverage_search(patterns, choices) if all(choices) else None
     if got is None:
@@ -204,7 +186,7 @@ def _pseudo_cube_core(patterns) -> frozenset:
 
 def is_ds_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
     points = _check_points(points)
-    core = _pseudo_cube_core(_patterns(cls, points))
+    core = _pseudo_cube_core(restrict(cls, points).patterns)
     if not core:
         return None
     return ShatterCertificate(kind="ds", points=points, payload=(tuple(sorted(core)),))
@@ -264,11 +246,11 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     all supports: beyond it every hypothesis is 0, so no larger point can
     join a shattered set and the search is exact.  Sizes increase until the
     first size with no shattered subset (all five flavors are downward
-    monotone).  Ties go to the lexicographically first subset.  Explicit
-    classes are projected from value columns built once per search, and a
-    candidate with a face (a subset one point smaller) known not to be
-    shattered is skipped without a test, which by monotonicity never skips
-    a shattered one.
+    monotone).  Ties go to the lexicographically first subset.  Every
+    candidate is projected by ``restrict``, which an explicit class answers
+    from its cached per-point columns, and a candidate with a face (a subset
+    one point smaller) known not to be shattered is skipped without a test,
+    which by monotonicity never skips a shattered one.
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown dimension kind {kind!r}")
@@ -284,7 +266,6 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
             warning = "window contains no support point of the class"
     if cls.domain_size is not None:
         window = min(window, cls.domain_size - 1)
-    source = _Columns(cls, window) if cls.hypotheses is not None else cls
     pts = range(window + 1)
     best = DimensionResult(value=0, certificate=None, warning=warning)
     failed = set()  # subsets of the previous size known not to be shattered
@@ -295,7 +276,7 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
             if below and any(points[:i] + points[i + 1:] in below for i in range(size)):
                 failed.add(points)
                 continue
-            found = _shatter(source, points, kind, psi)
+            found = _shatter(cls, points, kind, psi)
             if found is not None:
                 break
             failed.add(points)

@@ -57,6 +57,8 @@ class GoodFunctionSpec:
             raise PreconditionError("witness family alphabet differs from num_labels")
         if self.label_bound is not None:
             bound = tuple(int(v) for v in self.label_bound)
+            if not bound:
+                raise PreconditionError("label bound table must be nonempty")
             if any(not 0 <= b < self.num_labels for b in bound):
                 raise PreconditionError(
                     f"label bounds must be labels of the alphabet of size {self.num_labels}")
@@ -190,12 +192,8 @@ def erm_augmented(spec: GoodFunctionSpec, sample: Sample) -> tuple[Hypothesis, F
     (lexicographically smallest on ties), extended by 0 elsewhere."""
     if not sample:
         raise PreconditionError("cannot minimize over an empty sample")
-    limit = (
-        spec.num_labels if spec.label_bound is None
-        else max(spec.num_labels, max(spec.label_bound) + 1)
-    )
     for x, y in sample:
-        if not 0 <= y < limit:
+        if not 0 <= y < spec.num_labels:
             raise PreconditionError(f"sample label {y} outside the alphabet")
     points = tuple(sorted({x for x, _ in sample}))
     behaviors = good_patterns(spec, points)

@@ -225,20 +225,18 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
         raise PreconditionError("need an explicit class on exactly two points")
     if exact_dimension(cls, "ds").value != 2:
         raise PreconditionError("class must have DS dimension exactly 2")
-    pats = restrict(cls, (0, 1)).patterns
-    q = cls.num_labels
+    behaviors = restrict(cls, (0, 1))
+    bit = {p: 1 << j for j, p in enumerate(behaviors.pattern_set)}
 
     # 4-subsets of behaviors with DS dimension exactly 1, precomputed once,
-    # each with its bitmask over the behaviors.
-    ds1_subsets = []
-    for combo in itertools.combinations(range(len(pats)), 4):
-        subset = tuple(pats[i] for i in combo)
-        if not _pseudo_cube_core(subset):
-            ds1_subsets.append((sum(1 << i for i in combo), subset))
+    # each with its bitmask over the behaviors (bits as in ``index``).
+    ds1_subsets = [(sum(bit[p] for p in subset), subset)
+                   for subset in itertools.combinations(behaviors.patterns, 4)
+                   if not _pseudo_cube_core(subset)]
 
-    tables = all_encoders(q)
-    images1, of1 = _images(tables, [p[0] for p in pats])
-    images2, of2 = _images(tables, [p[1] for p in pats])
+    tables = all_encoders(cls.num_labels)
+    images1, of1 = _images(tables, behaviors.index[0])
+    images2, of2 = _images(tables, behaviors.index[1])
     # hits[i]: (second table, subclasses) for every table pair whose first
     # encoder has image i and that shatters the domain, in table order.
     hits = []
@@ -260,19 +258,19 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
                             entries=tuple(entries))
 
 
-def _images(tables, labels) -> tuple[list, list[int]]:
-    """Each table's image on the behaviors, given one label per behavior, as
-    the bitmasks of the behaviors it maps to 0 and to 1: the distinct images
-    in order of first occurrence, and each table's image index."""
-    at = [0] * len(tables[0].table)  # label -> bitmask of its behaviors
-    for k, y in enumerate(labels):
-        at[y] |= 1 << k
+def _encoder_image(column: dict[int, int], psi: PsiFunction) -> tuple[int, int]:
+    """An encoder's image on one coordinate of a behavior index (label ->
+    bitmask of the behaviors with that label there): the bitmasks of the
+    behaviors it sends to 0 and to 1.  A star sends a behavior to neither."""
+    return (sum(m for v, m in column.items() if psi.table[v] == 0),
+            sum(m for v, m in column.items() if psi.table[v] == 1))
+
+
+def _images(tables, column) -> tuple[list, list[int]]:
+    """Each table's image on one coordinate: the distinct images in order of
+    first occurrence, and each table's image index."""
     index: dict[tuple[int, int], int] = {}
-    of = []
-    for t in tables:
-        zero = sum(m for m, v in zip(at, t.table) if v == 0)
-        one = sum(m for m, v in zip(at, t.table) if v == 1)
-        of.append(index.setdefault((zero, one), len(index)))
+    of = [index.setdefault(_encoder_image(column, t), len(index)) for t in tables]
     return list(index), of
 
 

@@ -28,7 +28,7 @@ from .core import (
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     restrict,
 )
-from .psi import PsiFamily
+from .psi import PsiFamily, _encoder_image
 from .psi import apply_encoders  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 
 FLAVORS = ("natarajan", "graph", "psi")
@@ -158,9 +158,7 @@ def _cells(behaviors: BehaviorSet, flavor: str, row) -> list[tuple[int, int]]:
         full = (1 << len(behaviors)) - 1
         agree = [column.get(v, 0) for column, v in zip(behaviors.index, row)]
         return [(full & ~a, a) for a in agree]
-    return [(sum(m for v, m in column.items() if psi.table[v] == 0),
-             sum(m for v, m in column.items() if psi.table[v] == 1))
-            for column, psi in zip(behaviors.index, row)]
+    return [_encoder_image(column, psi) for column, psi in zip(behaviors.index, row)]
 
 
 def _first_missing_code(cells, live: int = -1, prefix: tuple = ()) -> Optional[tuple]:

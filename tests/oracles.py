@@ -15,6 +15,12 @@ def _subsets(n):
         yield from (frozenset(c) for c in itertools.combinations(range(n), r))
 
 
+def restrict_reference(cls, points):
+    """Behaviors of an explicit class on ``points``, one hypothesis at a
+    time, sorted and duplicate-free."""
+    return tuple(sorted({h.values_on(points) for h in cls.hypotheses}))
+
+
 def vc_shattered(cls, points):
     pats = restrict(cls, points).pattern_set
     return all(p in pats for p in itertools.product((0, 1), repeat=len(points)))

@@ -120,6 +120,20 @@ def test_duplicate_hypotheses_listed_by_index(tmp_path):
     ))
     with pytest.raises(SchemaError, match=r"indices \[2\]"):
         parse_class_file(str(path))
+    # several duplicates, each listed at its own index in file order; support
+    # objects are equal whatever their key order
+    for doc, listed in (
+        ({"labels": 3, "domain": 2,
+          "hypotheses": [[0, 1], [2, 2], [0, 1], [1, 0], [2, 2], [0, 1]]}, "[2, 4, 5]"),
+        ({"labels": 3, "domain": "nat",
+          "hypotheses": [{"support": {"4": 2, "1": 1}}, {"support": {}},
+                         {"support": {"1": 1, "4": 2}}, {"support": {}},
+                         {"support": {"4": 2}}]}, "[2, 3]"),
+    ):
+        path.write_text(json.dumps(doc))
+        message = f"{path}: duplicate hypotheses at indices {listed}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            parse_class_file(str(path))
 
 
 def test_psi_file_inline_rows(tmp_path):
@@ -508,17 +522,21 @@ def test_cross_process_byte_stability(tmp_path):
     rows = [[0, 1], [2, 1], [2, 3], [4, 3], [4, 5], [0, 5], [1, 1], [1, 0], [3, 0]]
     tail = tmp_path / "tail.json"
     tail.write_text(json.dumps({"labels": 6, "domain": 2, "hypotheses": rows}))
+    # refute-ds and the graph witness read bitmasks whose bits follow the
+    # iteration order of a frozenset of behaviors
     commands = [
-        ["witness", "check", "--class", str(c6), "--flavor", "natarajan", "--order", "1"],
-        ["dim", "--class", str(tail), "--kind", "ds"],
+        (["witness", "check", "--class", str(c6), "--flavor", "natarajan", "--order", "1"], 0),
+        (["witness", "check", "--class", str(c6), "--flavor", "graph", "--order", "1"], 1),
+        (["refute-ds", "--class", str(c6)], 0),
+        (["dim", "--class", str(tail), "--kind", "ds"], 0),
     ]
-    for command in commands:
+    for command, code in commands:
         outs = []
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
             proc = subprocess.run([sys.executable, "-m", "dimkit", *command],
                                   capture_output=True, text=True, env=env)
-            assert proc.returncode == 0
+            assert proc.returncode == code
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
     cert = json.loads(outs[0])["certificates"][0]

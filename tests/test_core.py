@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dimkit as dk
+import oracles
 from dimkit.core import distinct_pairs
 
 
@@ -57,6 +58,37 @@ def test_oracle_class_arity_mismatch_is_representation_error():
     bad = dk.HypothesisClass(num_labels=2, behavior_fn=lambda pts: [(0,)])
     with pytest.raises(dk.RepresentationError):
         dk.restrict(bad, (0, 1))
+
+
+@st.composite
+def explicit_classes(draw):
+    """A table class, or a class over the naturals with supports in [0, 5]."""
+    if draw(st.booleans()):
+        return draw(table_classes())
+    q = draw(st.integers(2, 4))
+    supports = draw(st.lists(
+        st.dictionaries(st.integers(0, 5), st.integers(1, q - 1), max_size=4),
+        min_size=1, max_size=10, unique_by=lambda s: tuple(sorted(s.items()))))
+    return dk.class_from_supports(supports, num_labels=q)
+
+
+@given(explicit_classes(),
+       st.lists(st.lists(st.integers(-2, 8), unique=True, max_size=4), min_size=1, max_size=6))
+def test_restrict_matches_reference_on_one_class_object(cls, calls):
+    # every call goes to the same class object, so early calls fill its
+    # column cache and later ones read it; points come unsorted, past every
+    # support, outside a finite domain or negative, and a failing call is
+    # followed by further calls
+    for points in [*calls, [], *reversed(calls)]:
+        points = tuple(points)
+        try:
+            want = oracles.restrict_reference(cls, points)
+        except dk.DomainError:
+            with pytest.raises(dk.DomainError):
+                dk.restrict(cls, points)
+            continue
+        got = dk.restrict(cls, points)
+        assert (got.points, got.patterns) == (points, want)
 
 
 @given(table_classes())

@@ -291,6 +291,14 @@ def test_bound_table_stays_inside_the_alphabet():
     assert all(v < 3 for p in dk.good_patterns(top, (0, 1, 2)).patterns for v in p)
 
 
+def test_bound_table_must_be_nonempty():
+    # an empty table used to be accepted, and erm_augmented then died on
+    # max() of an empty sequence
+    _, spec = three_hyp_spec()
+    with pytest.raises(dk.PreconditionError, match="nonempty"):
+        dk.GoodFunctionSpec(witness=spec.witness, num_labels=3, label_bound=())
+
+
 def test_spec_rejects_family_alphabet_mismatch():
     # a family over 2 labels says nothing about label 2 of a 3-label alphabet
     w = dk.Witness(flavor="psi", order=0, psi=dk.graph_family(2),

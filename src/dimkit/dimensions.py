@@ -54,27 +54,43 @@ def _coverage_search(patterns, coord_choices):
     as the partial codes fail to cover all prefixes, which keeps negative
     answers cheap.  Returns the chosen metas (first in lexicographic choice
     order) or None.
+
+    The search state at depth d maps each unread suffix ``pat[d:]`` of an
+    alive pattern (by its number among the distinct suffixes at depth d) to
+    the bitmask of its prefix codes, so patterns that share a suffix are
+    carried as one entry.  The bit chosen at depth d is bit d of a code, so
+    extending a code set by bit b is ``mask << (b << d)``.  This numbering
+    of the codes is a bijection of {0,1}^d applied to all of them at once,
+    so it does not change which choices cover.
     """
     n = len(coord_choices)
+    if not n:
+        return ()
+    # The suffix numbered s at depth d starts with label heads[d][s] and
+    # continues with the suffix numbered tails[d][s] at depth d + 1.
+    heads, tails = [None] * n, [None] * n
+    node = [0] * len(patterns)
+    for d in range(n - 1, -1, -1):
+        ids = {}
+        for k, p in enumerate(patterns):
+            node[k] = ids.setdefault((p[d], node[k]), len(ids))
+        heads[d] = [v for v, _ in ids]
+        tails[d] = [t for _, t in ids]
     chosen = []
 
     def rec(depth, alive):
-        if depth == n:
-            return True
-        # Group the alive (prefix code, pattern) pairs by their label here,
-        # with the set of codes per label as a bitmask.  The prefixes cover
-        # all 2^depth codes, so a table extends them to every code of length
+        # The union of the code sets per label here.  The codes cover all
+        # 2^depth prefixes, so a table extends them to every code of length
         # depth + 1 iff the labels it sends to 0, and those it sends to 1,
         # each carry every prefix code.
-        groups, masks = {}, {}
-        for code, pat in alive:
-            v = pat[depth]
-            if v in groups:
-                groups[v].append((code, pat))
-                masks[v] |= 1 << code
+        head, tail = heads[depth], tails[depth]
+        masks = {}
+        for s, codes in alive.items():
+            v = head[s]
+            if v in masks:
+                masks[v] |= codes
             else:
-                groups[v] = [(code, pat)]
-                masks[v] = 1 << code
+                masks[v] = codes
         full = (1 << (1 << depth)) - 1
         for table, meta in coord_choices[depth]:
             halves = [0, 0]
@@ -83,17 +99,40 @@ def _coverage_search(patterns, coord_choices):
                     halves[b] |= masks[v]
             if halves[0] == full and halves[1] == full:
                 chosen.append(meta)
-                nxt = [((code << 1) | b, pat)
-                       for v, b in table.items() if v in groups
-                       for code, pat in groups[v]]
+                if depth + 1 == n:
+                    return True
+                nxt = {}
+                for s, codes in alive.items():
+                    b = table.get(head[s])
+                    if b is not None:
+                        t = tail[s]
+                        nxt[t] = nxt.get(t, 0) | (codes << (b << depth))
                 if rec(depth + 1, nxt):
                     return True
                 chosen.pop()
         return False
 
-    if rec(0, [(0, p) for p in patterns]):
+    if rec(0, dict.fromkeys(node, 1)):
         return tuple(chosen)
     return None
+
+
+def _distinct_tables(choices):
+    """The (table, meta) pairs whose table takes both values, without any
+    table equal to, or the complement of, an earlier one.  Flipping one
+    coordinate's bit permutes {0,1}^n, so a table and its complement cover
+    or fail together with the same other choices: a choice tuple that uses a
+    dropped table has an equivalent tuple earlier in lexicographic order, and
+    the first covering tuple is the same as over the full list."""
+    seen, kept = set(), []
+    for table, meta in choices:
+        key = tuple(table.items())
+        if key in seen or not 0 < sum(table.values()) < len(table):
+            continue
+        seen.add(key)
+        seen.add(tuple((v, 1 - b) for v, b in key))
+        kept.append((table, meta))
+    return kept
 
 
 def _check_points(points):
@@ -108,11 +147,18 @@ def _check_points(points):
 def _encoded_search(cls, points, kind, encoders, payload) -> Optional[ShatterCertificate]:
     """Certificate that ``points`` (already checked) is shattered, from the
     coverage search over the (table, meta) pairs ``encoders(vals)`` builds
-    from the sorted labels ``vals`` realized at each coordinate.
+    from the sorted labels ``vals`` realized at each coordinate, built once
+    per distinct ``vals`` and cut down by ``_distinct_tables``.
     ``payload(metas)`` turns the chosen metas into the certificate payload."""
     patterns = restrict(cls, points).patterns
-    choices = [encoders(sorted({p[i] for p in patterns})) for i in range(len(points))]
-    got = _coverage_search(patterns, choices) if all(choices) else None
+    lists = {}
+    choices = []
+    for column in zip(*patterns):
+        vals = tuple(sorted(set(column)))
+        if vals not in lists:
+            lists[vals] = _distinct_tables(encoders(vals))
+        choices.append(lists[vals])
+    got = _coverage_search(patterns, choices) if patterns and all(choices) else None
     if got is None:
         return None
     return ShatterCertificate(kind=kind, points=points, payload=payload(got))
@@ -194,18 +240,23 @@ def is_ds_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate
 
 def is_psi_shattered(cls: HypothesisClass, points, family: PsiFamily) -> Optional[ShatterCertificate]:
     """Search for an encoder tuple from the family whose image of the class
-    behaviors covers {0,1}^n.  Star outputs never count toward coverage."""
+    behaviors covers {0,1}^n.  Star outputs never count toward coverage.
+
+    At each coordinate only the first member of each set {T, 1-T} of tables
+    restricted to the realized labels is tried: under Ψ_N the members (k, k')
+    and (k', k) are complements, and members that differ only off the
+    realized labels restrict to the same table.  A covering tuple through a
+    later member stays covering when that member is swapped for the earlier
+    one (flipping a coordinate's bit permutes {0,1}^n), and the swap is
+    lexicographically smaller, so the first certificate, payload included,
+    is the one the full product would give."""
     points = _check_points(points)
     if family.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
 
     def encoders(vals):
-        cands = []
-        for psi in family.members:
-            table = {v: psi.table[v] for v in vals if psi.table[v] != STAR}
-            if 0 in table.values() and 1 in table.values():
-                cands.append((table, psi))
-        return cands
+        return [({v: psi.table[v] for v in vals if psi.table[v] != STAR}, psi)
+                for psi in family.members]
 
     return _encoded_search(cls, points, "psi", encoders, lambda got: (got,))
 
@@ -220,8 +271,6 @@ def _shatter(cls, points, kind, family):
     if kind == "ds":
         return is_ds_shattered(cls, points)
     if kind == "psi":
-        if family is None:
-            raise PreconditionError("psi dimension requires a family")
         return is_psi_shattered(cls, points, family)
     raise PreconditionError(f"unknown dimension kind {kind!r}")
 
@@ -241,6 +290,7 @@ def _default_window(cls: HypothesisClass) -> int:
 def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily] = None,
                     window: Optional[int] = None) -> DimensionResult:
     """Largest d such that some d-subset of [0, window] is shattered.
+    ``psi`` is the family of kind "psi", and is refused with any other kind.
 
     For explicit classes over the naturals the window defaults to the top of
     all supports: beyond it every hypothesis is 0, so no larger point can
@@ -254,6 +304,9 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown dimension kind {kind!r}")
+    if (psi is None) == (kind == "psi"):
+        raise PreconditionError("psi dimension requires a family" if psi is None
+                                else f"{kind} dimension takes no family")
     if window is not None and window < 0:
         raise PreconditionError("window must be a natural")
     warning = None

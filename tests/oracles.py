@@ -129,6 +129,24 @@ def first_certificate(cls, points, kind, family=None):
     return None
 
 
+def first_cover(patterns, coord_choices):
+    """Metas of the first choice tuple, in product order of the lists of
+    (table, meta) pairs, whose tables map ``patterns`` onto all of
+    {0,1}^n; a pattern with a label missing from its table is dropped.
+    Every tuple is encoded in full, without pruning or deduplication."""
+    n = len(coord_choices)
+    binaries = set(itertools.product((0, 1), repeat=n))
+    for combo in itertools.product(*coord_choices):
+        images = {
+            tuple(table[v] for (table, _), v in zip(combo, p))
+            for p in patterns
+            if all(v in table for (table, _), v in zip(combo, p))
+        }
+        if binaries <= images:
+            return tuple(meta for _, meta in combo)
+    return None
+
+
 def shattered(cls, points, kind, family=None):
     if kind == "vc":
         return vc_shattered(cls, points)

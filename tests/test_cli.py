@@ -173,6 +173,18 @@ def test_dim_psi_kind_needs_family(capsys, c6_file):
     assert code == 2
 
 
+def test_dim_refuses_a_family_with_a_non_psi_kind(capsys, c6_file, tmp_path):
+    # an unused family would still be folded into inputs_digest
+    fam = tmp_path / "psin6.json"
+    fam.write_text(json.dumps({"labels": 6, "builtin": "psi_N"}))
+    for kind in ("natarajan", "graph", "ds"):
+        assert_usage_error(capsys, "dim", "--class", c6_file, "--kind", kind, "--psi", str(fam))
+    code, report = run(capsys, "dim", "--class", c6_file, "--kind", "psi", "--psi", str(fam))
+    assert code == 0 and report["result"]["dimension"] == 1
+    with pytest.raises(dk.PreconditionError):
+        dk.exact_dimension(dk.six_cycle_class().cls, "graph", psi=dk.natarajan_family(6))
+
+
 def test_distinguisher_true(capsys, psin3_file):
     code, report = run(capsys, "distinguisher", "--psi", psin3_file)
     assert code == 0 and report["result"]["distinguisher"] is True
@@ -522,12 +534,23 @@ def test_cross_process_byte_stability(tmp_path):
     rows = [[0, 1], [2, 1], [2, 3], [4, 3], [4, 5], [0, 5], [1, 1], [1, 0], [3, 0]]
     tail = tmp_path / "tail.json"
     tail.write_text(json.dumps({"labels": 6, "domain": 2, "hypotheses": rows}))
+    psin = tmp_path / "psin6.json"
+    psin.write_text(json.dumps({"labels": 6, "builtin": "psi_N"}))
+    # two complementary pairs of members; they 2-shatter the tail class
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"labels": 6, "family": [
+        ["1", "0", "*", "*", "*", "1"], ["0", "1", "*", "*", "*", "0"],
+        ["*", "0", "*", "*", "1", "1"], ["*", "1", "*", "*", "0", "0"]]}))
     # refute-ds and the graph witness read bitmasks whose bits follow the
-    # iteration order of a frozenset of behaviors
+    # iteration order of a frozenset of behaviors; the coverage search
+    # iterates dicts of suffixes and of realized labels
     commands = [
         (["witness", "check", "--class", str(c6), "--flavor", "natarajan", "--order", "1"], 0),
         (["witness", "check", "--class", str(c6), "--flavor", "graph", "--order", "1"], 1),
         (["refute-ds", "--class", str(c6)], 0),
+        (["dim", "--class", str(tail), "--kind", "graph"], 0),
+        (["dim", "--class", str(tail), "--kind", "psi", "--psi", str(psin)], 0),
+        (["dim", "--class", str(tail), "--kind", "psi", "--psi", str(pair)], 0),
         (["dim", "--class", str(tail), "--kind", "ds"], 0),
     ]
     for command, code in commands:
@@ -541,3 +564,17 @@ def test_cross_process_byte_stability(tmp_path):
         assert outs[0] == outs[1]
     cert = json.loads(outs[0])["certificates"][0]
     assert cert["payload"] == [sorted(rows[:6])]
+
+
+def test_demo_script_runs(tmp_path):
+    import os
+
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "demo.py")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, demo], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "== gallery dimensions ==" in proc.stdout
+    assert "verdict=refuted" in proc.stdout

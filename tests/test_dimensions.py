@@ -8,6 +8,7 @@ import oracles
 from corpus import random_table_class
 from dimkit import dimensions
 from dimkit.dimensions import _pseudo_cube_core
+from dimkit.psi import all_encoders
 
 C6_ROWS = [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (0, 5)]
 
@@ -364,6 +365,130 @@ def test_certificates_equal_first_bruteforce_certificate():
                     cert = dk.is_psi_shattered(cls, pts, fam)
                     got = None if cert is None else cert.payload
                     assert got == oracles.first_certificate(cls, pts, "psi", fam)
+
+
+def _random_partial_table(rng, q):
+    return {v: rng.randint(0, 1) for v in range(q) if rng.random() < 0.8}
+
+
+def test_coverage_search_matches_product_and_cover():
+    rng = random.Random(2718)
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        q = rng.randint(2, 4)
+        choices = []
+        for _ in range(n):
+            tables = [_random_partial_table(rng, q) for _ in range(rng.randint(1, 3))]
+            # complements and copies of earlier tables, with the same labels
+            for t in list(tables):
+                if rng.random() < 0.4:
+                    tables.insert(rng.randint(0, len(tables)),
+                                  {v: 1 - b for v, b in t.items()})
+                if rng.random() < 0.2:
+                    tables.append(dict(t))
+            choices.append([(t, k) for k, t in enumerate(tables)])
+        cube = list(itertools.product(range(q), repeat=n))
+        pats = set(rng.sample(cube, rng.randint(0, min(len(cube), 12))))
+        # half the time plant a preimage of every code under one random tuple
+        planted = [[t for t, _ in c if len(set(t.values())) == 2] for c in choices]
+        if rng.random() < 0.5 and all(planted):
+            planted = [rng.choice(ts) for ts in planted]
+            for code in itertools.product((0, 1), repeat=n):
+                pats.add(tuple(rng.choice([v for v, b in t.items() if b == c])
+                               for t, c in zip(planted, code)))
+        pats = tuple(sorted(pats))
+        want = oracles.first_cover(pats, choices)
+        assert dimensions._coverage_search(pats, choices) == want, (pats, choices)
+        deduped = [dimensions._distinct_tables(c) for c in choices]
+        if all(deduped):
+            assert dimensions._coverage_search(pats, deduped) == want, (pats, choices)
+        else:
+            assert want is None
+
+
+def _random_psi_family(rng, q):
+    """Random {0,1,*} members, shuffled together with complements of some,
+    copies differing only at one label, and members that take one value
+    off the stars (constant on every set of realized labels)."""
+    tables = [tuple(rng.choice((0, 1, dk.STAR)) for _ in range(q))
+              for _ in range(rng.randint(1, 4))]
+    for t in list(tables):
+        if rng.random() < 0.6:
+            tables.append(tuple(v if v == dk.STAR else 1 - v for v in t))
+        if rng.random() < 0.4:
+            y = rng.randrange(q)
+            tables.append(t[:y] + (rng.choice((0, 1, dk.STAR)),) + t[y + 1:])
+    if rng.random() < 0.5:
+        b = rng.randint(0, 1)
+        tables.append(tuple(rng.choice((b, dk.STAR)) for _ in range(q)))
+    rng.shuffle(tables)
+    return dk.PsiFamily(members=tuple(dk.PsiFunction(table=t) for t in tables), num_labels=q)
+
+
+def test_psi_certificates_with_complementary_and_restricted_equal_members():
+    rng = random.Random(31415)
+    for _ in range(150):
+        q = rng.randint(2, 4)
+        cls = random_table_class(rng, rng.randint(1, 3), q, 16)
+        fam = _random_psi_family(rng, q)
+        for r in range(1, cls.domain_size + 1):
+            for pts in itertools.combinations(range(cls.domain_size), r):
+                cert = dk.is_psi_shattered(cls, pts, fam)
+                got = None if cert is None else cert.payload
+                assert got == oracles.first_certificate(cls, pts, "psi", fam), (fam, pts)
+        res = dk.exact_dimension(cls, "psi", psi=fam)
+        assert res.value == oracles.dimension(cls, "psi", cls.domain_size - 1, fam)
+        if res.certificate is not None:
+            assert dk.verify_certificate(res.certificate, cls)
+
+
+def test_shattering_of_an_oracle_class_with_no_behaviors():
+    empty = dk.HypothesisClass(num_labels=2, behavior_fn=lambda pts: set())
+    assert dk.is_n_shattered(empty, (0,)) is None
+    assert dk.is_psi_shattered(empty, (0, 1), dk.natarajan_family(2)) is None
+
+
+def _random_distinguisher(rng, q):
+    members = {tuple(rng.choice((0, 1, dk.STAR)) for _ in range(q))
+               for _ in range(rng.randint(1, 4))}
+    # separate every label pair that no member separates yet
+    for y, yp in itertools.combinations(range(q), 2):
+        if not any({t[y], t[yp]} == {0, 1} for t in members):
+            members.add(tuple(1 if v == y else 0 if v == yp else rng.choice((0, 1, dk.STAR))
+                              for v in range(q)))
+    fam = dk.PsiFamily(members=tuple(dk.PsiFunction(table=t) for t in sorted(members)),
+                       num_labels=q)
+    assert dk.is_distinguisher(fam)[0]
+    return fam
+
+
+def test_metamorphic_dimension_relations():
+    # Natarajan <= DS <= graph (Daniely & Shalev-Shwartz 2014), and for every
+    # distinguisher family Natarajan <= Ψ <= Ψ_all together with graph <=
+    # Ψ_all (Ben-David, Cesa-Bianchi, Haussler & Long 1995); Ψ <= graph does
+    # not hold in general.  N, G and DS ignore how labels and points are named.
+    rng = random.Random(1995)
+    everything = {q: dk.PsiFamily(members=all_encoders(q), num_labels=q) for q in (2, 3, 4)}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        q = rng.randint(2, 4)
+        cls = random_table_class(rng, n, q, 14)
+        dims = {kind: dk.exact_dimension(cls, kind).value for kind in ("natarajan", "ds", "graph")}
+        n_dim, ds_dim, g_dim = dims["natarajan"], dims["ds"], dims["graph"]
+        assert n_dim <= ds_dim <= g_dim, dims
+        psi_all = dk.exact_dimension(cls, "psi", psi=everything[q]).value
+        assert g_dim <= psi_all
+        psi_dim = dk.exact_dimension(cls, "psi", psi=_random_distinguisher(rng, q)).value
+        assert n_dim <= psi_dim <= psi_all
+        labels = list(range(q))
+        rng.shuffle(labels)
+        order = list(range(n))
+        rng.shuffle(order)
+        rows = dk.restrict(cls, range(n)).patterns
+        renamed = dk.class_from_tables([[labels[r[x]] for x in order] for r in rows],
+                                       num_labels=q)
+        for kind, value in dims.items():
+            assert dk.exact_dimension(renamed, kind).value == value, (kind, rows, labels, order)
 
 
 def test_corrupted_certificates_fail_verification():

@@ -6,6 +6,13 @@ integer pairs.  Identical inputs produce byte-identical reports; wall-clock
 timing is therefore opt-in (--timing adds a runtime_ms field that is
 excluded from the stability guarantee).
 
+A report is written in one pass: `canonical_json` takes the report objects
+themselves (certificates, encoder tables, refutation entries, Fractions,
+frozensets, containers) and writes the text that ``json.dumps`` gives for
+their `jsonable` conversion, without building that copy; `jsonable` stays as
+its reference.  The argument parser is built once per process, on first
+use, and each subcommand's handler is looked up by name at each dispatch.
+
 Exit codes: 0 success, 1 verified-negative result (invalid witness, family
 that fails to distinguish, refutation that does not go through), 2 usage or
 schema errors, 3 a broken internal invariant (ConsistencyError, e.g. the
@@ -16,12 +23,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Optional
 
 from . import embedding, gallery, nfl, psi, witnesses
@@ -43,7 +52,7 @@ from .dimensions import (
     exact_dimension,
     sauer_natarajan_check,
 )
-from .psi import STAR, PsiFamily, PsiFunction
+from .psi import STAR, PairEntry, PsiFamily, PsiFunction
 
 
 class SchemaError(ValueError):
@@ -51,16 +60,24 @@ class SchemaError(ValueError):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False, allow_nan=False)
+    """The canonical text of a report value, written in one pass: exactly
+    ``json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"),
+    ensure_ascii=False, allow_nan=False)``, without the converted copy.
+
+    A part that occurs more than once in ``obj`` (the same object, not an
+    equal copy) is encoded once and its text reused.  Objects with fixed
+    keys are written with the keys already in sorted order, and rows and
+    maps of plain scalars go to the stdlib C encoder in one call each.
+    """
+    return _encode(obj, {})
 
 
 def jsonable(obj):
     """Convert report payloads to JSON-safe structures without floats.
 
-    A part that occurs more than once in ``obj`` (the same object, not an
-    equal copy) is converted once and its converted form reused, so a
-    report that repeats shared parts costs one conversion per distinct part.
+    The reference for `canonical_json`, which gives the canonical text of
+    this conversion without building it.  A part that occurs more than once
+    in ``obj`` is converted once and its converted form reused.
     """
     return _convert(obj, {})
 
@@ -98,6 +115,9 @@ def _convert(obj, seen: dict):
             out = {"table": list(obj.table)}
         else:
             out = {"support": {str(x): y for x, y in obj.support}}
+    elif isinstance(obj, PairEntry):
+        out = {"psi1": _convert(obj.psi1, seen), "psi2": _convert(obj.psi2, seen),
+               "subclasses": _convert(obj.subclasses, seen)}
     else:
         raise SchemaError(f"cannot serialize {type(obj).__name__}")
     # keeping obj alive keeps its id from being reused within this call
@@ -105,8 +125,108 @@ def _convert(obj, seen: dict):
     return out
 
 
+# The stdlib C encoder with json.dumps's canonical settings, for values
+# that need no conversion; ``default`` raises json.dumps's TypeError.
+_c_encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring,
+                            None, ":", ",", True, False, False)
+
+
+def _raw(value) -> str:
+    """json.dumps text of ``value`` as it is, with no conversion."""
+    return "".join(_c_encoder(value, 0))
+
+
+def _encode(obj, memo: dict) -> str:
+    done = memo.get(id(obj))
+    if done is not None:
+        return done[1]
+    kind = type(obj)
+    write = _UNSHARED.get(kind)
+    if write is not None:
+        return write(obj, memo)
+    write = _SHARED.get(kind) or _inherited_writer(kind)
+    text = write(obj, memo)
+    # keeping obj alive keeps its id from being reused within this call
+    memo[id(obj)] = (obj, text)
+    return text
+
+
+def _inherited_writer(kind):
+    for base in kind.__mro__:
+        write = _UNSHARED.get(base) or _SHARED.get(base)
+        if write is not None:
+            return write
+    raise SchemaError(f"cannot serialize {kind.__name__}")
+
+
+def _scalar(obj, memo) -> str:
+    return _raw(obj)
+
+
+def _float(obj, memo):
+    raise SchemaError("floats are banned from reports")
+
+
+def _fraction(obj, memo) -> str:
+    return f'{{"den":{_raw(obj.denominator)},"num":{_raw(obj.numerator)}}}'
+
+
+def _pair_entry(obj, memo) -> str:
+    return (f'{{"psi1":{_encode(obj.psi1, memo)},"psi2":{_encode(obj.psi2, memo)},'
+            f'"subclasses":{_encode(obj.subclasses, memo)}}}')
+
+
+def _sequence(obj, memo) -> str:
+    if _PLAIN.issuperset(map(type, obj)):
+        return _raw(list(obj))
+    return "[" + ",".join([_encode(v, memo) for v in obj]) + "]"
+
+
+def _mapping(obj, memo) -> str:
+    if not _STR.issuperset(map(type, obj)):
+        obj = {str(k): v for k, v in obj.items()}
+    if _PLAIN.issuperset(map(type, obj.values())):
+        return _raw(obj)
+    return "{" + ",".join([f"{encode_basestring(k)}:{_encode(obj[k], memo)}"
+                           for k in sorted(obj)]) + "}"
+
+
+def _frozenset(obj, memo) -> str:
+    # members sort by their converted value, so ints sort as numbers
+    if _PLAIN.issuperset(map(type, obj)):
+        return _raw(sorted(obj))
+    return "[" + ",".join([_encode(v, memo) for v in sorted(obj, key=jsonable)]) + "]"
+
+
+def _psi_table(obj, memo) -> str:
+    return "[" + ",".join(['"*"' if v == STAR else encode_basestring(str(v))
+                           for v in obj.table]) + "]"
+
+
+def _certificate(obj, memo) -> str:
+    return (f'{{"kind":{_raw(obj.kind)},"payload":{_encode(obj.payload, memo)},'
+            f'"points":{_raw(list(obj.points))}}}')
+
+
+def _hypothesis(obj, memo) -> str:
+    if obj.table is not None:
+        return f'{{"table":{_raw(list(obj.table))}}}'
+    return f'{{"support":{_raw({str(x): y for x, y in obj.support})}}}'
+
+
+_STR = frozenset({str})
+# Written afresh at each occurrence: scalars, and parts that are cheap or,
+# like the entries of a refute-ds report, occur once each.
+_UNSHARED = {bool: _scalar, int: _scalar, str: _scalar, type(None): _scalar,
+             float: _float, Fraction: _fraction, PairEntry: _pair_entry}
+# Encoded once per call and reused by id.
+_SHARED = {list: _sequence, tuple: _sequence, set: _sequence, dict: _mapping,
+           frozenset: _frozenset, PsiFunction: _psi_table,
+           ShatterCertificate: _certificate, Hypothesis: _hypothesis}
+
+
 def digest(payload) -> str:
-    return hashlib.sha256(canonical_json(jsonable(payload)).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +506,8 @@ def _cmd_witness_from_learner(args) -> Outcome:
         window = _default_window(check_cls)
     if window is None:
         raise SchemaError("--window required without --check-class")
+    if window < 0:
+        raise PreconditionError("window must be a natural")
     num_labels = args.labels or (check_cls.num_labels if check_cls else None)
     if num_labels is None:
         raise SchemaError("--labels required without --check-class")
@@ -439,7 +561,7 @@ def _witness_order(option: str):
         points, *payload = err.witness_input
         raise PreconditionError(
             f"{option}: the class shatters points {list(points)} on witness input "
-            f"{canonical_json(jsonable(payload))}, so no witness of that order exists"
+            f"{canonical_json(payload)}, so no witness of that order exists"
         ) from None
 
 
@@ -492,14 +614,11 @@ def _cmd_distinguisher(args) -> Outcome:
 def _cmd_refute_ds(args) -> Outcome:
     cls, _ = _load_class(args.class_file)
     report = psi.refute_ds_expressibility(cls)
-    # dispatch converts each shared table and subclass tuple once
-    entries = [{"psi1": e.psi1, "psi2": e.psi2, "subclasses": e.subclasses}
-               for e in report.entries]
     result = {
         "verdict": report.verdict,
         "pairs_examined": report.pairs_examined,
         "shattering_pairs": len(report.entries),
-        "entries": entries,
+        "entries": report.entries,
     }
     inputs = {"class": class_to_file(cls)}
     return Outcome(0 if report.verdict == "refuted" else 1, result, [], inputs)
@@ -543,11 +662,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--psi")
     p.add_argument("--window", type=int)
-    p.set_defaults(handler=_cmd_dim)
+    p.set_defaults(handler="_cmd_dim")
 
     p = sub.add_parser("witness", help="witness construction and checking")
     wsub = p.add_subparsers(dest="action", required=True)
-    for action, handler in (("make", _cmd_witness_make), ("check", _cmd_witness_check)):
+    for action, handler in (("make", "_cmd_witness_make"),
+                            ("check", "_cmd_witness_check")):
         wp = wsub.add_parser(action)
         wp.add_argument("--class", dest="class_file", required=True)
         wp.add_argument("--flavor", choices=witnesses.FLAVORS)
@@ -562,14 +682,14 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--window", type=int)
     wp.add_argument("--labels", type=int)
     wp.add_argument("--check-class", dest="check_class")
-    wp.set_defaults(handler=_cmd_witness_from_learner)
+    wp.set_defaults(handler="_cmd_witness_from_learner")
 
     p = sub.add_parser("nfl", help="no-free-lunch adversary")
     p.add_argument("--learner", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
-    p.set_defaults(handler=_cmd_nfl)
+    p.set_defaults(handler="_cmd_nfl")
 
     p = sub.add_parser("embed", help="augmented class: behaviors, ERM")
     p.add_argument("mode", choices=("behaviors", "erm"))
@@ -578,40 +698,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi")
     p.add_argument("--points")
     p.add_argument("--sample")
-    p.set_defaults(handler=_cmd_embed)
+    p.set_defaults(handler="_cmd_embed")
 
     p = sub.add_parser("distinguisher", help="does the family separate all label pairs")
     p.add_argument("--psi", required=True)
-    p.set_defaults(handler=_cmd_distinguisher)
+    p.set_defaults(handler="_cmd_distinguisher")
 
     p = sub.add_parser("refute-ds", help="exhaustive DS-expressibility refutation")
     p.add_argument("--class", dest="class_file", required=True)
-    p.set_defaults(handler=_cmd_refute_ds)
+    p.set_defaults(handler="_cmd_refute_ds")
 
     p = sub.add_parser("sauer", help="growth bound check")
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=_cmd_sauer)
+    p.set_defaults(handler="_cmd_sauer")
 
     p = sub.add_parser("gallery", help="canonical classes")
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("name", nargs="?")
     p.add_argument("--params", help="JSON object of constructor parameters")
-    p.set_defaults(handler=_cmd_gallery)
+    p.set_defaults(handler="_cmd_gallery")
 
     return parser
 
 
+# One parser per process, built on first use: each parse fills a new
+# namespace, so no value carries over from one call to the next.
+_parser = functools.cache(build_parser)
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return err.code if err.code else 0
     started = time.monotonic()
     try:
-        outcome = args.handler(args)
+        # the handler is looked up by name at each call, not bound in the
+        # parser, so the module's current function runs
+        outcome = globals()[args.handler](args)
     except (SchemaError, DomainError, PreconditionError, RepresentationError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
@@ -624,8 +750,8 @@ def dispatch(argv) -> int:
         "command": args.command if args.command != "witness"
         else f"witness {args.action}",
         "inputs_digest": digest(outcome.inputs),
-        "result": jsonable(outcome.result),
-        "certificates": jsonable(outcome.certificates),
+        "result": outcome.result,
+        "certificates": outcome.certificates,
     }
     if args.timing:
         report["runtime_ms"] = int((time.monotonic() - started) * 1000)

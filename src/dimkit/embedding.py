@@ -25,6 +25,7 @@ from typing import Optional
 from .core import (
     BehaviorSet,
     BudgetError,
+    DomainError,
     Hypothesis,
     HypothesisClass,
     Pattern,
@@ -145,6 +146,8 @@ def good_patterns(spec: GoodFunctionSpec, points) -> BehaviorSet:
     points = tuple(sorted(set(int(x) for x in points)))
     if not points:
         raise PreconditionError("need at least one point")
+    if points[0] < 0:
+        raise DomainError(f"point {points[0]} is not a natural")
     window = points[-1]
     projected = {
         tuple(p[x] for x in points) for p in good_window(spec, window)

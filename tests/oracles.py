@@ -3,9 +3,11 @@ search strategies (no candidate pruning, no prefix extension, no coverage
 DFS).  Expected values in the tests are computed or cross-checked here."""
 
 import itertools
+import json
 from fractions import Fraction
 
 from dimkit import PreconditionError, ShatteredError, empirical_risk, mix_labelings, restrict
+from dimkit.cli import jsonable
 from dimkit.psi import PairEntry, RefutationReport, all_encoders, apply_encoders
 from dimkit.witnesses import ExclusionFailure, WitnessReport, WitnessViolation
 
@@ -396,3 +398,10 @@ def refute_ds_reference(cls):
     return RefutationReport(verdict=verdict,
                             pairs_examined=len(tables) ** 2,
                             entries=tuple(entries))
+
+
+def canonical_json(obj):
+    """Canonical report text in two passes: ``jsonable`` builds the
+    converted copy, then the stdlib encoder sorts keys and writes it."""
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False, allow_nan=False)

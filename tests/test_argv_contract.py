@@ -103,10 +103,15 @@ def _files(root, good, bad):
 GOOD_CLASSES = ("three.json", "full.json", "gap.json", "nat.json", "zero.json", "failing.json")
 GOOD_FAMILIES = ("psiN3.json", "psiG2.json", "rows3.json")
 INTS = _pool(["0", "1", "2", "3", "4"], ["-1", "x", "", "1.5", "01"])
-POINTS = _pool(["0,1", "1,0", "0,1,2,3", "0,1,2", "2,0"], ["0,0", "", "x", "-1,2", "5,6", "0,,1"])
+# A value written "=v" is passed joined to its option, as "--points=v": as a
+# token of its own, argparse takes "-1,2" for an option, so only the joined
+# form brings a negative list to the handler.
+POINTS = _pool(["0,1", "1,0", "0,1,2,3", "0,1,2", "2,0"],
+               ["0,0", "", "x", "-1,2", "5,6", "0,,1", "=-1,2", "=-1"])
 LABELS = _pool(["0,0", "1,1", "0,1", "1,0", "2,2", "0,0,0,0", "1,1,1,1", "1,2,1,2"],
                ["", "x", "-1,-1", "9,9", "1"])
-SAMPLES = _pool(["0:1", "0:1,1:0", "1:1,1:1", "0:2,1:1"], ["x", "", "0:9", "-1:0", "0:1:2", "7:1"])
+SAMPLES = _pool(["0:1", "0:1,1:0", "1:1,1:1", "0:2,1:1"],
+                ["x", "", "0:9", "-1:0", "0:1:2", "7:1", "=-1:0", "=0:1,-2:1"])
 WITNESS_SPECS = _pool(["natarajan:0", "natarajan:1", "psi:1", "psi:0", "natarajan:2"],
                       ["graph:1", "natarajan:x", "natarajan:-1", "", "natarajan"])
 PARAMS = _pool(['{}', '{"n":2,"labels":3}', '{"m":2}', '{"window":1}', '{"labels":2}',
@@ -137,8 +142,11 @@ def _argv(root):
         return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
 
     def flag(name, values, present):
+        def tokens(value):
+            return [name + value] if value.startswith("=") else [name, value]
+
         return st.tuples(st.sampled_from(present), values).map(
-            lambda t: [name, t[1]] if t[0] else [])
+            lambda t: tokens(t[1]) if t[0] else [])
 
     def req(name, values):
         return flag(name, values, [True] * 9 + [False])

@@ -1,4 +1,7 @@
+import collections
 import copy
+import enum
+import hashlib
 import json
 import re
 import subprocess
@@ -6,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimkit as dk
 from dimkit import cli
@@ -19,6 +24,8 @@ from dimkit.cli import (
     parse_class_file,
     parse_psi_file,
 )
+from dimkit.psi import PairEntry
+from oracles import canonical_json as reference_json
 from oracles import refute_ds_reference
 
 
@@ -311,6 +318,22 @@ def test_embed_below_dimension_exits_two(capsys, three_file):
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("behaviors", "--points=-1,1"),
+    ("behaviors", "--points", "-1"),
+    ("erm", "--sample=-1:0"),
+])
+def test_embed_negative_point_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "nat.json"
+    path.write_text(json.dumps({"labels": 2, "domain": "nat",
+                                "hypotheses": [{"support": {}}, {"support": {"1": 1}}]}))
+    mode, *rest = argv
+    assert_usage_error(capsys, "embed", mode, "--class", str(path),
+                       "--witness", "natarajan:1", *rest)
+    dispatch(["embed", mode, "--class", str(path), "--witness", "natarajan:1", *rest])
+    assert capsys.readouterr().err == "error: point -1 is not a natural\n"
+
+
 def test_sauer_command(capsys, three_file):
     code, report = run(capsys, "sauer", "--class", three_file,
                        "--points", "0,1", "--d", "1")
@@ -342,6 +365,14 @@ def test_dim_negative_window_exits_two(capsys, c6_file):
 def test_witness_check_negative_window_exits_two(capsys, c6_file):
     assert_usage_error(capsys, "witness", "check", "--class", c6_file,
                        "--flavor", "natarajan", "--order", "1", "--window", "-1")
+
+
+def test_witness_from_learner_negative_window_exits_two(capsys):
+    assert_usage_error(capsys, "witness", "from-learner", "--learner", "const:0",
+                       "--m", "1", "--window", "-2", "--labels", "2")
+    dispatch(["witness", "from-learner", "--learner", "const:0", "--m", "1",
+              "--window", "-2", "--labels", "2"])
+    assert capsys.readouterr().err == "error: window must be a natural\n"
 
 
 def test_sauer_negative_degree_exits_two(capsys, three_file):
@@ -489,6 +520,105 @@ def test_shared_container_serializes_like_fresh_copies():
              copy.deepcopy(part)]
     assert canonical_json(jsonable(shared)) == canonical_json(jsonable(fresh))
     assert jsonable(shared)[1]["7"] == [jsonable(part)]
+
+
+_PSI = st.lists(st.sampled_from([0, 1, dk.STAR]), min_size=1, max_size=4).map(
+    lambda t: dk.PsiFunction(table=tuple(t)))
+_LEAVES = st.one_of(
+    st.integers(-10**20, 10**20), st.booleans(), st.none(), st.fractions(),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n\t", "\x00\x1f\x7f", "é ü", "∞\u2028", "😀", "</"]),
+    _PSI,
+    st.frozensets(st.integers(-3, 30), max_size=5),
+    st.frozensets(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=4),
+    st.sets(st.integers(-3, 30), max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).map(
+        lambda t: dk.Hypothesis(num_labels=4, table=tuple(t))),
+    st.dictionaries(st.integers(0, 20), st.integers(1, 3), max_size=3).map(
+        lambda d: dk.Hypothesis(num_labels=4, support=tuple(d.items()))),
+)
+
+
+def _nested(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-12, 12), st.booleans()),
+                        children, max_size=4),
+        st.builds(dk.ShatterCertificate, kind=st.sampled_from(["ds", "psi", "é"]),
+                  points=st.lists(st.integers(0, 12), max_size=3).map(tuple),
+                  payload=children),
+        st.builds(PairEntry, psi1=_PSI, psi2=_PSI, subclasses=children),
+        # the same object three times
+        children.map(lambda v: [v, {"again": v}, (v,)]),
+    )
+
+
+@settings(max_examples=300)
+@given(st.recursive(_LEAVES, _nested, max_leaves=24))
+def test_canonical_json_equals_two_pass_reference(value):
+    assert canonical_json(value) == reference_json(value)
+
+
+class _Label(enum.IntEnum):
+    TWO = 2
+
+
+def test_canonical_json_resolves_subclasses_like_jsonable():
+    point = collections.namedtuple("point", "x y")
+    for value in (_Label.TWO, [_Label.TWO, point(1, 0)],
+                  collections.OrderedDict([(10, "a"), (9, point(0, 1))]),
+                  {"k": collections.Counter({3: 1})}):
+        assert canonical_json(value) == reference_json(value)
+
+
+def test_canonical_json_orders_keys_and_members_like_the_reference():
+    # keys sort as strings, frozenset members by their converted value
+    assert canonical_json({10: 0, 9: 1, True: 2}) == '{"10":0,"9":1,"True":2}'
+    assert canonical_json(frozenset({10, 9, 100})) == "[9,10,100]"
+    assert canonical_json(frozenset({(10,), (9, 1)})) == "[[9,1],[10]]"
+
+
+@pytest.mark.parametrize("value", [
+    0.5,
+    [1, Fraction(1, 2), 0.5],
+    {"a": {"b": [0.5]}},
+    frozenset({0.5, 1}),
+    dk.ShatterCertificate(kind="ds", points=(0,), payload=((0.5,),)),
+    PairEntry(psi1=dk.PsiFunction(table=(0, 1)), psi2=dk.PsiFunction(table=(1, 0)),
+              subclasses=((0.5,),)),
+])
+def test_canonical_json_rejects_floats(value):
+    for payload in (value, [value, {"again": value}]):
+        with pytest.raises(SchemaError, match="floats"):
+            canonical_json(payload)
+
+
+@pytest.mark.parametrize("value", [object(), b"x", 1j, {"k": [dk.natarajan_family(3)]},
+                                   frozenset({object()})])
+def test_canonical_json_rejects_unknown_types(value):
+    with pytest.raises(SchemaError, match="cannot serialize"):
+        canonical_json(value)
+
+
+def test_six_cycle_refute_report_is_pinned(capsys, c6_file):
+    assert dispatch(["refute-ds", "--class", c6_file]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ad0d297d3f148a1e231e7348b1c944d1d3c465420e5b014a64b71f2982af52e4"
+
+
+def test_dispatch_carries_no_value_to_the_next_call(capsys, three_file, psin3_file):
+    code, report = run(capsys, "--timing", "dim", "--class", three_file, "--kind", "psi",
+                       "--psi", psin3_file)
+    assert code == 0 and "runtime_ms" in report
+    # a --psi left over from the first call would make this one exit 2
+    code, report = run(capsys, "dim", "--class", three_file, "--kind", "natarajan")
+    assert code == 0 and "runtime_ms" not in report
+    assert report["inputs_digest"] == digest({
+        "class": class_to_file(parse_class_file(three_file)), "kind": "natarajan",
+        "psi": None, "window": None})
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize("error", [dk.ConsistencyError, dk.NflFailureError])

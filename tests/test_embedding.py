@@ -134,6 +134,20 @@ def test_augmented_class_view_plugs_into_dimension_search():
     assert dk.exact_dimension(view, "natarajan", window=4).value <= spec.witness.order + 1
 
 
+@pytest.mark.parametrize("points", [(-1, 1), (-1,), (0, -3, 2)])
+def test_good_patterns_rejects_negative_points(points):
+    # a negative point would index a pattern from its end: p[-1]
+    _, spec = three_hyp_spec()
+    with pytest.raises(dk.DomainError, match=f"point {min(points)} is not a natural"):
+        dk.good_patterns(spec, points)
+
+
+def test_erm_rejects_negative_sample_points():
+    _, spec = three_hyp_spec()
+    with pytest.raises(dk.DomainError, match="point -1 is not a natural"):
+        dk.erm_augmented(spec, ((-1, 0), (1, 2)))
+
+
 def test_augmented_class_rejects_finite_domain_base():
     base = dk.class_from_tables([(0, 1)], num_labels=2)
     w = dk.canonical_witness(base, "natarajan", 0)

@@ -6,12 +6,14 @@ integer pairs.  Identical inputs produce byte-identical reports; wall-clock
 timing is therefore opt-in (--timing adds a runtime_ms field that is
 excluded from the stability guarantee).
 
-A report is written in one pass: `canonical_json` takes the report objects
-themselves (certificates, encoder tables, refutation entries, Fractions,
-frozensets, containers) and writes the text that ``json.dumps`` gives for
-their `jsonable` conversion, without building that copy; `jsonable` stays as
-its reference.  The argument parser is built once per process, on first
-use, and each subcommand's handler is looked up by name at each dispatch.
+A report holds, by exact type, only None, bool, int and str; lists, tuples,
+dicts with str keys and frozensets of ints; and Fraction, PsiFunction,
+ShatterCertificate, Hypothesis and PairEntry.  Anything else, subclasses
+included, raises SchemaError: "floats are banned from reports" for a float,
+"cannot serialize ..." otherwise.  `canonical_json` writes a report in one
+pass, as the text ``json.dumps`` gives for its `jsonable` conversion.  The
+argument parser is built once per process, on first use, and each
+subcommand's handler is looked up by name at each dispatch.
 
 Exit codes: 0 success, 1 verified-negative result (invalid witness, family
 that fails to distinguish, refutation that does not go through), 2 usage or
@@ -73,56 +75,51 @@ def canonical_json(obj) -> str:
 
 
 def jsonable(obj):
-    """Convert report payloads to JSON-safe structures without floats.
-
-    The reference for `canonical_json`, which gives the canonical text of
-    this conversion without building it.  A part that occurs more than once
-    in ``obj`` is converted once and its converted form reused.
-    """
-    return _convert(obj, {})
+    """Convert a report value to plain JSON structures: the reference for
+    `canonical_json`, over the same vocabulary (see the module docstring)."""
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in obj]
+    if kind is dict:
+        _only(_STR, obj, " as a dict key")
+        return {k: jsonable(v) for k, v in obj.items()}
+    if kind is frozenset:
+        _only(_INT, obj, " in a frozenset")
+        return sorted(obj)
+    if kind is Fraction:
+        return {"num": obj.numerator, "den": obj.denominator}
+    if kind is PsiFunction:
+        return ["*" if v == STAR else str(v) for v in obj.table]
+    if kind is ShatterCertificate:
+        return {"kind": obj.kind, "points": list(obj.points),
+                "payload": jsonable(obj.payload)}
+    if kind is Hypothesis:
+        if obj.table is not None:
+            return {"table": list(obj.table)}
+        return {"support": {str(x): y for x, y in obj.support}}
+    if kind is PairEntry:
+        return {"psi1": jsonable(obj.psi1), "psi2": jsonable(obj.psi2),
+                "subclasses": jsonable(obj.subclasses)}
+    raise _rejected(obj)
 
 
 _PLAIN = frozenset({bool, int, str, type(None)})
+_STR = frozenset({str})
+_INT = frozenset({int})
 
 
-def _convert(obj, seen: dict):
-    if type(obj) in _PLAIN:
-        return obj
-    done = seen.get(id(obj))
-    if done is not None:
-        return done[1]
-    # plain containers first: the Fraction check is an ABC check, and no
-    # type matches more than one branch
-    if isinstance(obj, (list, tuple, set)):
-        out = [_convert(v, seen) for v in obj]
-    elif isinstance(obj, dict):
-        out = {str(k): _convert(v, seen) for k, v in obj.items()}
-    elif isinstance(obj, Fraction):
-        out = {"num": obj.numerator, "den": obj.denominator}
-    elif isinstance(obj, (int, str)):
-        return obj
-    elif isinstance(obj, float):
-        raise SchemaError("floats are banned from reports")
-    elif isinstance(obj, PsiFunction):
-        out = ["*" if v == STAR else str(v) for v in obj.table]
-    elif isinstance(obj, frozenset):
-        out = sorted(_convert(v, seen) for v in obj)
-    elif isinstance(obj, ShatterCertificate):
-        out = {"kind": obj.kind, "points": list(obj.points),
-               "payload": _convert(obj.payload, seen)}
-    elif isinstance(obj, Hypothesis):
-        if obj.table is not None:
-            out = {"table": list(obj.table)}
-        else:
-            out = {"support": {str(x): y for x, y in obj.support}}
-    elif isinstance(obj, PairEntry):
-        out = {"psi1": _convert(obj.psi1, seen), "psi2": _convert(obj.psi2, seen),
-               "subclasses": _convert(obj.subclasses, seen)}
-    else:
-        raise SchemaError(f"cannot serialize {type(obj).__name__}")
-    # keeping obj alive keeps its id from being reused within this call
-    seen[id(obj)] = (obj, out)
-    return out
+def _rejected(value, role: str = "") -> SchemaError:
+    if type(value) is float:
+        return SchemaError("floats are banned from reports")
+    return SchemaError(f"cannot serialize {type(value).__name__}{role}")
+
+
+def _only(types: frozenset, values, role: str) -> None:
+    """Reject the first of ``values`` whose exact type is not in ``types``."""
+    if not types.issuperset(map(type, values)):
+        raise _rejected(next(v for v in values if type(v) not in types), role)
 
 
 # The stdlib C encoder with json.dumps's canonical settings, for values
@@ -144,27 +141,17 @@ def _encode(obj, memo: dict) -> str:
     write = _UNSHARED.get(kind)
     if write is not None:
         return write(obj, memo)
-    write = _SHARED.get(kind) or _inherited_writer(kind)
+    write = _SHARED.get(kind)
+    if write is None:
+        raise _rejected(obj)
     text = write(obj, memo)
     # keeping obj alive keeps its id from being reused within this call
     memo[id(obj)] = (obj, text)
     return text
 
 
-def _inherited_writer(kind):
-    for base in kind.__mro__:
-        write = _UNSHARED.get(base) or _SHARED.get(base)
-        if write is not None:
-            return write
-    raise SchemaError(f"cannot serialize {kind.__name__}")
-
-
 def _scalar(obj, memo) -> str:
     return _raw(obj)
-
-
-def _float(obj, memo):
-    raise SchemaError("floats are banned from reports")
 
 
 def _fraction(obj, memo) -> str:
@@ -183,8 +170,7 @@ def _sequence(obj, memo) -> str:
 
 
 def _mapping(obj, memo) -> str:
-    if not _STR.issuperset(map(type, obj)):
-        obj = {str(k): v for k, v in obj.items()}
+    _only(_STR, obj, " as a dict key")
     if _PLAIN.issuperset(map(type, obj.values())):
         return _raw(obj)
     return "{" + ",".join([f"{encode_basestring(k)}:{_encode(obj[k], memo)}"
@@ -192,10 +178,8 @@ def _mapping(obj, memo) -> str:
 
 
 def _frozenset(obj, memo) -> str:
-    # members sort by their converted value, so ints sort as numbers
-    if _PLAIN.issuperset(map(type, obj)):
-        return _raw(sorted(obj))
-    return "[" + ",".join([_encode(v, memo) for v in sorted(obj, key=jsonable)]) + "]"
+    _only(_INT, obj, " in a frozenset")
+    return _raw(sorted(obj))
 
 
 def _psi_table(obj, memo) -> str:
@@ -214,13 +198,12 @@ def _hypothesis(obj, memo) -> str:
     return f'{{"support":{_raw({str(x): y for x, y in obj.support})}}}'
 
 
-_STR = frozenset({str})
 # Written afresh at each occurrence: scalars, and parts that are cheap or,
 # like the entries of a refute-ds report, occur once each.
 _UNSHARED = {bool: _scalar, int: _scalar, str: _scalar, type(None): _scalar,
-             float: _float, Fraction: _fraction, PairEntry: _pair_entry}
+             Fraction: _fraction, PairEntry: _pair_entry}
 # Encoded once per call and reused by id.
-_SHARED = {list: _sequence, tuple: _sequence, set: _sequence, dict: _mapping,
+_SHARED = {list: _sequence, tuple: _sequence, dict: _mapping,
            frozenset: _frozenset, PsiFunction: _psi_table,
            ShatterCertificate: _certificate, Hypothesis: _hypothesis}
 
@@ -393,25 +376,26 @@ def _parse_sample(text: str):
     return tuple(pairs)
 
 
+def _integer(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(f"{option}: expected an integer, got {text!r}") from None
+
+
 def _parse_learner(spec: str, *, num_labels: int, window: int):
     head, _, rest = spec.partition(":")
-
-    def integer(text):
-        try:
-            return int(text)
-        except ValueError:
-            raise SchemaError(f"--learner {spec!r}: expected an integer, got {text!r}") from None
-
+    option = f"--learner {spec!r}"
     if head == "const":
-        return nfl.constant_learner(integer(rest), num_labels, window)
+        return nfl.constant_learner(_integer(rest, option), num_labels, window)
     if head == "memorize":
-        return nfl.memorizing_learner(integer(rest), num_labels, window)
+        return nfl.memorizing_learner(_integer(rest, option), num_labels, window)
     if head == "erm":
         cls = parse_class_file(rest)
         return nfl.erm_learner(cls)
     if head == "embed":
         path, _, order = rest.rpartition(":")
-        order = integer(order)
+        order = _integer(order, option)
         cls = parse_class_file(path)
         w = witnesses.canonical_witness(cls, "natarajan", order)
         spec_obj = embedding.GoodFunctionSpec(witness=w, num_labels=cls.num_labels)
@@ -508,9 +492,12 @@ def _cmd_witness_from_learner(args) -> Outcome:
         raise SchemaError("--window required without --check-class")
     if window < 0:
         raise PreconditionError("window must be a natural")
-    num_labels = args.labels or (check_cls.num_labels if check_cls else None)
+    num_labels = args.labels if args.labels is not None else (
+        check_cls.num_labels if check_cls else None)
     if num_labels is None:
         raise SchemaError("--labels required without --check-class")
+    if num_labels < 1:
+        raise SchemaError("--labels: expected a positive integer")
     learner = _parse_learner(args.learner, num_labels=num_labels, window=window)
     w = witnesses.witness_from_learner(learner, args.m, h_check=check_cls)
     result = {"witness": _witness_meta(w), "learner": learner.name, "m": args.m}
@@ -567,10 +554,11 @@ def _witness_order(option: str):
 
 def _embed_spec(args, cls):
     flavor, _, order = args.witness.partition(":")
-    if flavor not in ("natarajan", "psi") or not order.isdigit():
+    if flavor not in ("natarajan", "psi"):
         raise SchemaError("--witness: expected 'natarajan:K' or 'psi:K'")
+    order = _integer(order, "--witness")
     family = _psi_family(args, "--witness psi:K" if flavor == "psi" else None)
-    w = witnesses.canonical_witness(cls, flavor, int(order), psi=family)
+    w = witnesses.canonical_witness(cls, flavor, order, psi=family)
     return embedding.GoodFunctionSpec(witness=w, num_labels=cls.num_labels), family
 
 

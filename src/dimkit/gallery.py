@@ -115,26 +115,34 @@ def failing_psi_gallery(family: PsiFamily, window: int) -> GalleryEntry:
     )
 
 
+_PARAMS = {"full": ("n", "labels"), "gap": ("m",), "six_cycle": (),
+           "failing_psi": ("labels", "family", "window")}
+GALLERY_NAMES = tuple(_PARAMS)
+
+
 def build(name: str, params: dict) -> GalleryEntry:
-    """Gallery constructor registry used by the CLI and class files.  Bad
-    parameter values raise PreconditionError, bad family rows
-    RepresentationError."""
+    """Gallery constructor registry used by the CLI and class files.  An
+    unknown entry, a parameter the entry does not take, or a bad parameter
+    value raises PreconditionError; bad family rows RepresentationError."""
+    if name not in _PARAMS:
+        raise PreconditionError(f"unknown gallery entry {name!r}")
+    for key in params:
+        if key not in _PARAMS[name]:
+            raise PreconditionError(f"gallery entry {name!r} takes no parameter {key!r}")
     if name == "full":
         n = _int(params.get("n", 2), "n")
-        q = _int(params.get("labels", params.get("q", 2)), "labels")
+        q = _int(params.get("labels", 2), "labels")
         cls = full_class(n, q)
         return GalleryEntry(name="full", cls=cls, params={"n": n, "labels": q})
     if name == "gap":
         return gap_class(_int(params.get("m", 3), "m"))
     if name == "six_cycle":
         return six_cycle_class()
-    if name == "failing_psi":
-        q = _int(params.get("labels", 0), "labels")
-        if q < 2:
-            raise PreconditionError("failing_psi needs 'labels' of at least 2")
-        family = family_from_rows(params.get("family"), q)
-        return failing_psi_gallery(family, _int(params.get("window", 1), "window"))
-    raise PreconditionError(f"unknown gallery entry {name!r}")
+    q = _int(params.get("labels", 0), "labels")
+    if q < 2:
+        raise PreconditionError("failing_psi needs 'labels' of at least 2")
+    family = family_from_rows(params.get("family"), q)
+    return failing_psi_gallery(family, _int(params.get("window", 1), "window"))
 
 
 def _int(value, key: str) -> int:
@@ -143,6 +151,3 @@ def _int(value, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise PreconditionError(f"parameter {key!r}: expected an integer, got {value!r}")
     return value
-
-
-GALLERY_NAMES = ("full", "gap", "six_cycle", "failing_psi")

@@ -128,6 +128,8 @@ def nfl_adversary(learner: Learner, points, g1: Pattern, g2: Pattern) -> Adversa
         raise PreconditionError("labelings must cover the points")
     if any(a == b for a, b in zip(g1, g2)):
         raise PreconditionError("labelings must differ at every point")
+    if min((*g1, *g2)) < 0:
+        raise PreconditionError("labels must be naturals")
     m = len(points) // 2
     quarter = Fraction(1, 4)
     eighth = Fraction(1, 8)

@@ -14,7 +14,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dimkit.cli import dispatch
@@ -51,6 +51,7 @@ CLASS_FILES = {
     "badparams.json": {"gallery": "gap", "params": [1]},
     "strparam.json": {"gallery": "gap", "params": {"m": "x"}},
     "hugeparam.json": {"gallery": "gap", "params": {"m": 99}},
+    "unknownparam.json": {"gallery": "gap", "params": {"n": 5}},
     "inftyparam.json": {"gallery": "full", "params": {"n": 1e999}},
     "badfamily.json": {"gallery": "failing_psi", "params": {"family": [[5]], "labels": 2}},
     "nofamily.json": {"gallery": "failing_psi", "params": {"labels": "x"}},
@@ -109,16 +110,20 @@ INTS = _pool(["0", "1", "2", "3", "4"], ["-1", "x", "", "1.5", "01"])
 POINTS = _pool(["0,1", "1,0", "0,1,2,3", "0,1,2", "2,0"],
                ["0,0", "", "x", "-1,2", "5,6", "0,,1", "=-1,2", "=-1"])
 LABELS = _pool(["0,0", "1,1", "0,1", "1,0", "2,2", "0,0,0,0", "1,1,1,1", "1,2,1,2"],
-               ["", "x", "-1,-1", "9,9", "1"])
+               ["", "x", "-1,-1", "9,9", "1", "=-1,0"])
+# alphabet sizes for --labels; 0 used to fall back to --check-class's alphabet
+ALPHABETS = _pool(["1", "2", "3", "5"], ["0", "-1", "x"])
 SAMPLES = _pool(["0:1", "0:1,1:0", "1:1,1:1", "0:2,1:1"],
                 ["x", "", "0:9", "-1:0", "0:1:2", "7:1", "=-1:0", "=0:1,-2:1"])
 WITNESS_SPECS = _pool(["natarajan:0", "natarajan:1", "psi:1", "psi:0", "natarajan:2"],
-                      ["graph:1", "natarajan:x", "natarajan:-1", "", "natarajan"])
+                      ["graph:1", "natarajan:x", "natarajan:-1", "", "natarajan",
+                       "natarajan:\u00b2"])
 PARAMS = _pool(['{}', '{"n":2,"labels":3}', '{"m":2}', '{"window":1}', '{"labels":2}',
                 '{"family":[["0","*"]],"labels":2,"window":1}'],
                ['{bad', '[]', 'null', '{"n":"x"}', '{"m":-1}', '{"m":99}', '{"m":1e999}',
                 '{"m":1.5}', '{"n":true}', '{"window":-1}', '{"family":[["0","1"]],"labels":2}',
-                '{"family":[[{}]],"labels":2}', '{"family":[[5]],"labels":2}'])
+                '{"family":[[{}]],"labels":2}', '{"family":[[5]],"labels":2}',
+                '{"m":2,"q":3}'])
 
 
 def _learners(root):
@@ -164,7 +169,7 @@ def _argv(root):
                      st.sampled_from([[], [], ["--bundled"]]))
     from_learner = concat(st.just(["witness", "from-learner"]), req("--learner", learners),
                           req("--m", _pool(["1", "2"], ["-1", "0", "x"])),
-                          opt("--window", INTS), opt("--labels", INTS),
+                          opt("--window", INTS), opt("--labels", ALPHABETS),
                           opt("--check-class", classes))
     nfl = concat(st.just(["nfl"]), req("--learner", learners), req("--points", POINTS),
                  req("--g1", LABELS), req("--g2", LABELS))
@@ -194,9 +199,20 @@ def _run(argv):
 
 
 def test_generated_argv_keeps_the_exit_code_contract(workdir):
+    three, unknown_param = str(workdir / "three.json"), str(workdir / "unknownparam.json")
+
+    # the draws rarely reach the last values of a pool, so the malformed
+    # values that once escaped (or were taken silently) also run as examples
     @settings(derandomize=True, database=None, max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_argv(workdir))
+    @example(["embed", "behaviors", "--class", three, "--witness", "natarajan:\u00b2",
+              "--points", "0,1"])
+    @example(["nfl", "--learner", "const:0", "--points", "0,1", "--g1=-1,0", "--g2", "1,1"])
+    @example(["witness", "from-learner", "--learner", "const:0", "--m", "1", "--labels", "0",
+              "--check-class", three])
+    @example(["gallery", "emit", "gap", "--params", '{"m":2,"q":3}'])
+    @example(["dim", "--class", unknown_param, "--kind", "natarajan"])
     def check(argv):
         code, out, err = _run(argv)
         assert code in (0, 1, 2), (argv, code)

@@ -271,6 +271,32 @@ def test_nfl_command(capsys):
     assert res["tail_probability"] == {"num": 1, "den": 1}
 
 
+@pytest.mark.parametrize("labels", [("--g1=-1,-1", "--g2", "1,1"),
+                                    ("--g1", "0,1", "--g2=1,-1")])
+def test_nfl_negative_label_exits_two(capsys, labels):
+    argv = ["nfl", "--learner", "const:0", "--points", "0,1", *labels]
+    assert_usage_error(capsys, *argv)
+    dispatch(argv)
+    assert capsys.readouterr().err == "error: labels must be naturals\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("natarajan:\u00b2", "--witness: expected an integer, got '\u00b2'"),
+    ("psi:\u00b9", "--witness: expected an integer, got '\u00b9'"),
+    ("natarajan:", "--witness: expected an integer, got ''"),
+    ("natarajan:-1", "order must be a natural"),
+    ("graph:1", "--witness: expected 'natarajan:K' or 'psi:K'"),
+])
+def test_embed_order_that_is_not_a_natural_exits_two(capsys, three_file, spec, message):
+    # superscript digits pass str.isdigit but not int(); that may not escape
+    # as a traceback
+    argv = ["embed", "behaviors", "--class", three_file, "--witness", spec,
+            "--points", "0,1"]
+    assert_usage_error(capsys, *argv)
+    dispatch(argv)
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_embed_commands(capsys, tmp_path):
     path = tmp_path / "nat.json"
     path.write_text(json.dumps({
@@ -375,6 +401,18 @@ def test_witness_from_learner_negative_window_exits_two(capsys):
     assert capsys.readouterr().err == "error: window must be a natural\n"
 
 
+@pytest.mark.parametrize("labels", ["0", "-1"])
+def test_witness_from_learner_labels_below_one_exit_two(capsys, three_file, labels):
+    # with --check-class too: --labels 0 must not fall back to the class's
+    # alphabet as if it were missing
+    for extra in ([], ["--check-class", three_file]):
+        argv = ["witness", "from-learner", "--learner", "const:0", "--m", "1",
+                "--window", "1", "--labels", labels, *extra]
+        assert_usage_error(capsys, *argv)
+        dispatch(argv)
+        assert capsys.readouterr().err == "error: --labels: expected a positive integer\n"
+
+
 def test_sauer_negative_degree_exits_two(capsys, three_file):
     assert_usage_error(capsys, "sauer", "--class", three_file, "--points", "0,1",
                        "--d", "-1")
@@ -422,6 +460,22 @@ def test_bad_argv_values_exit_two(capsys, tmp_path, c6_file):
     cases.append(["dim", "--class", str(tmp_path), "--kind", "ds"])
     for argv in cases:
         assert_usage_error(capsys, *argv)
+
+
+def test_gallery_params_take_only_the_entry_keys(capsys, tmp_path):
+    # an unknown key used to be dropped, so {"n": 5} built gap at m=3
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps({"gallery": "gap", "params": {"n": 5}}))
+    cases = [
+        (["gallery", "emit", "gap", "--params", '{"n":5}'], "'n'"),
+        (["gallery", "emit", "full", "--params", '{"n":2,"q":3}'], "'q'"),
+        (["gallery", "emit", "six_cycle", "--params", '{"window":1}'], "'window'"),
+        (["dim", "--class", str(gap), "--kind", "natarajan"], "'n'"),
+    ]
+    for argv, key in cases:
+        assert_usage_error(capsys, *argv)
+        dispatch(argv)
+        assert f"takes no parameter {key}" in capsys.readouterr().err
 
 
 def test_failing_psi_rows_keep_family_field_names(capsys):
@@ -514,10 +568,11 @@ def test_float_in_shared_container_is_rejected():
 
 def test_shared_container_serializes_like_fresh_copies():
     part = (dk.PsiFunction(table=(0, 1, dk.STAR)), ((0, 1), (1, 0)), Fraction(2, 3),
-            frozenset({3, 1}), {4: "x", "y": [True, None]})
-    shared = [part, {"k": part, 7: [part]}, part]
-    fresh = [copy.deepcopy(part), {"k": copy.deepcopy(part), 7: [copy.deepcopy(part)]},
+            frozenset({3, 1}), {"4": "x", "y": [True, None]})
+    shared = [part, {"k": part, "7": [part]}, part]
+    fresh = [copy.deepcopy(part), {"k": copy.deepcopy(part), "7": [copy.deepcopy(part)]},
              copy.deepcopy(part)]
+    assert canonical_json(shared) == canonical_json(fresh)
     assert canonical_json(jsonable(shared)) == canonical_json(jsonable(fresh))
     assert jsonable(shared)[1]["7"] == [jsonable(part)]
 
@@ -530,8 +585,6 @@ _LEAVES = st.one_of(
     st.sampled_from(['"', "\\", "\n\t", "\x00\x1f\x7f", "é ü", "∞\u2028", "😀", "</"]),
     _PSI,
     st.frozensets(st.integers(-3, 30), max_size=5),
-    st.frozensets(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=4),
-    st.sets(st.integers(-3, 30), max_size=4),
     st.lists(st.integers(0, 3), min_size=1, max_size=4).map(
         lambda t: dk.Hypothesis(num_labels=4, table=tuple(t))),
     st.dictionaries(st.integers(0, 20), st.integers(1, 3), max_size=3).map(
@@ -543,8 +596,7 @@ def _nested(children):
     return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-12, 12), st.booleans()),
-                        children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
         st.builds(dk.ShatterCertificate, kind=st.sampled_from(["ds", "psi", "é"]),
                   points=st.lists(st.integers(0, 12), max_size=3).map(tuple),
                   payload=children),
@@ -564,19 +616,40 @@ class _Label(enum.IntEnum):
     TWO = 2
 
 
-def test_canonical_json_resolves_subclasses_like_jsonable():
-    point = collections.namedtuple("point", "x y")
-    for value in (_Label.TWO, [_Label.TWO, point(1, 0)],
-                  collections.OrderedDict([(10, "a"), (9, point(0, 1))]),
-                  {"k": collections.Counter({3: 1})}):
-        assert canonical_json(value) == reference_json(value)
-
-
 def test_canonical_json_orders_keys_and_members_like_the_reference():
-    # keys sort as strings, frozenset members by their converted value
-    assert canonical_json({10: 0, 9: 1, True: 2}) == '{"10":0,"9":1,"True":2}'
-    assert canonical_json(frozenset({10, 9, 100})) == "[9,10,100]"
-    assert canonical_json(frozenset({(10,), (9, 1)})) == "[[9,1],[10]]"
+    # keys sort as strings, frozenset members as numbers
+    for value, text in (({"10": 0, "9": 1, "True": 2}, '{"10":0,"9":1,"True":2}'),
+                        (frozenset({10, 9, 100}), "[9,10,100]")):
+        assert canonical_json(value) == reference_json(value) == text
+
+
+_POINT = collections.namedtuple("point", "x y")
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.5, "floats are banned"),
+    ({10: "a"}, "cannot serialize int as a dict key"),
+    ({True: 1}, "cannot serialize bool as a dict key"),
+    ({(0, 1): 1}, "cannot serialize tuple as a dict key"),
+    ({0.5: 1}, "floats are banned"),
+    ({3, 1}, "cannot serialize set"),
+    (frozenset({(9, 1), (10,)}), "cannot serialize tuple in a frozenset"),
+    (frozenset({True}), "cannot serialize bool in a frozenset"),
+    (frozenset({"a"}), "cannot serialize str in a frozenset"),
+    (_Label.TWO, "cannot serialize _Label"),
+    (_POINT(1, 0), "cannot serialize point"),
+    (collections.OrderedDict([("a", 1)]), "cannot serialize OrderedDict"),
+    (collections.Counter({"a": 1}), "cannot serialize Counter"),
+    (dk.natarajan_family(3), "cannot serialize PsiFamily"),
+    (object(), "cannot serialize object"),
+])
+def test_values_outside_the_report_vocabulary_are_rejected(value, message):
+    # on their own, nested, and shared: the memo must not let a second
+    # occurrence through
+    for payload in (value, [1, {"k": (value,)}], [value, value]):
+        for convert in (canonical_json, jsonable):
+            with pytest.raises(SchemaError, match=f"^{message}"):
+                convert(payload)
 
 
 @pytest.mark.parametrize("value", [

@@ -81,3 +81,16 @@ def test_failing_psi_gallery_delegates():
     assert entry.name == "failing_psi"
     assert dk.exact_dimension(entry.cls, "graph").value == 3
     assert dk.validate_witness(entry.witness, entry.cls, 2).valid
+
+
+@pytest.mark.parametrize("name, params, key", [
+    ("gap", {"n": 5}, "n"),
+    ("gap", {"m": 2, "window": 1}, "window"),
+    ("full", {"n": 2, "q": 3}, "q"),
+    ("six_cycle", {"m": 3}, "m"),
+    ("failing_psi", {"labels": 2, "family": [["0", "1"]], "m": 1}, "m"),
+])
+def test_build_rejects_a_parameter_the_entry_does_not_take(name, params, key):
+    with pytest.raises(dk.PreconditionError, match=f"takes no parameter '{key}'"):
+        dk.gallery.build(name, params)
+

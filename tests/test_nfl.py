@@ -72,6 +72,13 @@ def test_adversary_rejects_bad_inputs():
         dk.nfl_adversary(learner, (0, 1), (0, 0), (1, 0))
 
 
+@pytest.mark.parametrize("g1, g2", [((-1, -1), (1, 1)), ((0, 1), (1, -2))])
+def test_adversary_rejects_negative_labels(g1, g2):
+    learner = dk.constant_learner(0, num_labels=2, window=1)
+    with pytest.raises(dk.PreconditionError, match="labels must be naturals"):
+        dk.nfl_adversary(learner, (0, 1), g1, g2)
+
+
 def _built_in_learners(num_labels, window):
     base = dk.class_from_supports([{0: 1}, {1: 1}], num_labels=num_labels)
     witness = dk.canonical_witness(base, "natarajan", 1)

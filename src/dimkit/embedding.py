@@ -215,10 +215,12 @@ def erm_augmented(spec: GoodFunctionSpec, sample: Sample) -> tuple[Hypothesis, F
 
 def agnostic_learner(spec: GoodFunctionSpec):
     """Deterministic total learner mapping a sample to the augmented-ERM
-    hypothesis."""
+    hypothesis; symmetric, since that minimiser reads only the sample's
+    distinct points and its per-pattern mistake counts."""
     from .nfl import Learner
 
-    return Learner(name="erm_augmented", fn=lambda sample: erm_augmented(spec, sample)[0])
+    return Learner(name="erm_augmented", fn=lambda sample: erm_augmented(spec, sample)[0],
+                   symmetric=True)
 
 
 def realizable_enumeration_erm(enumerator, sample: Sample, budget: int) -> Hypothesis:

@@ -6,13 +6,25 @@ empty index set first) and returns the first target f whose exact expected
 risk, over all (2m)^m training sequences drawn from the uniform distribution
 on f's graph, reaches 1/4.  The tail probability of risk >= 1/8 is computed
 exactly as well, never assumed from Markov's inequality.
+
+Every sample the adversary feeds a learner is labeled by one function, f.
+A learner declared ``symmetric`` returns the same hypothesis for every
+ordering of such a sample, so the adversary runs it once per multiset of m
+points (``combinations_with_replacement``) and weights the multiset by the
+number of sequences it stands for, m!/(c_1! ... c_k!) where the c_i count
+the repeats of each point.  Any other learner runs on every sequence.  The
+sweep sums weighted wrong answers as integers: the expected risk reaches 1/4
+iff 4 * total >= (2m)^(m+1), and a sequence is in the tail iff
+8 * wrong >= 2m.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .core import (
@@ -30,10 +42,17 @@ from .core import (
 
 @dataclass(frozen=True)
 class Learner:
-    """A total deterministic map from labeled samples to hypotheses."""
+    """A total deterministic map from labeled samples to hypotheses.
+
+    ``symmetric`` declares that on a sample labeled by one function (each
+    point carries the same label wherever it repeats) the hypothesis depends
+    only on the multiset of the sample, not on its order.  The adversary
+    then runs the learner once per multiset, weighted by its number of
+    orderings; an undeclared learner runs on every sequence."""
 
     name: str
     fn: Callable[[Sample], Hypothesis]
+    symmetric: bool = False
 
     def __call__(self, sample: Sample) -> Hypothesis:
         return self.fn(sample)
@@ -42,18 +61,20 @@ class Learner:
 def constant_learner(value: int, num_labels: int, window: int) -> Learner:
     """Predicts ``value`` everywhere on [0, window], ignoring the sample."""
     h = Hypothesis(num_labels=num_labels, table=(value,) * (window + 1))
-    return Learner(name=f"const:{value}", fn=lambda sample: h)
+    return Learner(name=f"const:{value}", fn=lambda sample: h, symmetric=True)
 
 
 def memorizing_learner(default: int, num_labels: int, window: int) -> Learner:
-    """Repeats the last seen label per point, ``default`` elsewhere."""
+    """Repeats the last seen label per point, ``default`` elsewhere.  On a
+    sample labeled by one function every seen label of a point is the same,
+    so the learner is symmetric there."""
 
     def fn(sample: Sample) -> Hypothesis:
         seen = dict(sample)
         table = tuple(seen.get(x, default) for x in range(window + 1))
         return Hypothesis(num_labels=num_labels, table=table)
 
-    return Learner(name=f"memorize:{default}", fn=fn)
+    return Learner(name=f"memorize:{default}", fn=fn, symmetric=True)
 
 
 def erm_learner(cls: HypothesisClass) -> Learner:
@@ -78,7 +99,7 @@ def erm_learner(cls: HypothesisClass) -> Learner:
                 cls.hypotheses, key=lambda g: sum(1 for x, y in key if g(x) != y))
         return h
 
-    return Learner(name="erm", fn=fn)
+    return Learner(name="erm", fn=fn, symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -86,11 +107,30 @@ class AdversaryReport:
     points: tuple[int, ...]
     f_values: Pattern
     index_set: frozenset
-    distribution: FiniteDistribution
     expected_risk: Fraction
     tail_probability: Fraction
     mixtures_examined: int
     markov_flag: bool  # expected risk >= 1/4 with tail below 1/7 (a curiosity)
+
+    @cached_property
+    def distribution(self) -> FiniteDistribution:
+        """The uniform distribution on the graph of f, where f has risk 0."""
+        return FiniteDistribution.uniform_on_graph(self.points, self.f_values)
+
+
+def _graph_points(points, *labelings) -> tuple[int, ...]:
+    """The points as a tuple: an even, positive number of distinct points,
+    each labeled by a natural in every one of the labelings."""
+    points = tuple(points)
+    if len(points) % 2 or not points:
+        raise PreconditionError("need an even, positive number of points")
+    if len(set(points)) != len(points):
+        raise PreconditionError("duplicate points")
+    if any(len(g) != len(points) for g in labelings):
+        raise PreconditionError("labelings must cover the points")
+    if any(y < 0 for g in labelings for y in g):
+        raise PreconditionError("labels must be naturals")
+    return points
 
 
 def exact_expected_risk(learner: Learner, points, f_values: Pattern, m: int):
@@ -99,10 +139,10 @@ def exact_expected_risk(learner: Learner, points, f_values: Pattern, m: int):
 
     Returns the exact average and the full (sequence, risk) table.
     """
-    points = tuple(points)
+    points = _graph_points(points, f_values)
     if len(points) != 2 * m:
         raise PreconditionError(f"need exactly {2 * m} points, got {len(points)}")
-    f = dict(zip(points, f_values, strict=True))
+    f = dict(zip(points, f_values))
     risks = [Fraction(wrong, len(points)) for wrong in range(len(points) + 1)]
     table = []
     total = 0
@@ -115,42 +155,60 @@ def exact_expected_risk(learner: Learner, points, f_values: Pattern, m: int):
     return Fraction(total, len(points) ** (m + 1)), tuple(table)
 
 
+def _multisets(points, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each multiset of m points with its number of orderings, m!/prod c!."""
+    return tuple(
+        (ms, math.factorial(m) // math.prod(
+            math.factorial(len(tuple(run))) for _, run in itertools.groupby(ms)))
+        for ms in itertools.combinations_with_replacement(points, m)
+    )
+
+
+def _risk_counts(learner: Learner, points, f_values: Pattern, multisets):
+    """Integer sums over the training sequences labeled by f: the learner's
+    wrong answers on the points, and the sequences with 8 * wrong >= 2m.  A
+    sequence is counted through the weight of its multiset when
+    ``multisets`` (from ``_multisets``) is given, else run on its own."""
+    n = len(points)
+    label = dict(zip(points, f_values))
+    graph = tuple(zip(points, f_values))
+    samples = multisets or zip(itertools.product(points, repeat=n // 2), itertools.repeat(1))
+    total = tail = 0
+    for seq, weight in samples:
+        h = learner(tuple((x, label[x]) for x in seq))
+        wrong = sum(1 for x, y in graph if h(x) != y)
+        total += weight * wrong
+        if 8 * wrong >= n:
+            tail += weight
+    return total, tail
+
+
 def nfl_adversary(learner: Learner, points, g1: Pattern, g2: Pattern) -> AdversaryReport:
     """First mixture of (g1, g2) on which the learner's exact expected risk
     reaches 1/4; its uniform graph distribution realizes the target (risk 0)
     while the learner fails with probability at least 1/7."""
-    points = tuple(points)
-    if len(points) % 2 or not points:
-        raise PreconditionError("need an even, positive number of points")
-    if len(set(points)) != len(points):
-        raise PreconditionError("duplicate points")
-    if len(g1) != len(points) or len(g2) != len(points):
-        raise PreconditionError("labelings must cover the points")
+    points = _graph_points(points, g1, g2)
     if any(a == b for a, b in zip(g1, g2)):
         raise PreconditionError("labelings must differ at every point")
-    if min((*g1, *g2)) < 0:
-        raise PreconditionError("labels must be naturals")
-    m = len(points) // 2
-    quarter = Fraction(1, 4)
-    eighth = Fraction(1, 8)
+    n = len(points)
+    m = n // 2
+    multisets = _multisets(points, m) if learner.symmetric else None
     examined = 0
-    for bits in itertools.product((0, 1), repeat=len(points)):
+    for bits in itertools.product((0, 1), repeat=n):
         examined += 1
         index_set = frozenset(i for i, b in enumerate(bits) if b)
         f = mix_labelings(index_set, g1, g2)
-        expected, table = exact_expected_risk(learner, points, f, m)
-        if expected >= quarter:
-            tail = Fraction(sum(1 for _, r in table if r >= eighth), len(table))
-            dist = FiniteDistribution.uniform_on_graph(points, f)
+        total, tail = _risk_counts(learner, points, f, multisets)
+        if 4 * total >= n ** (m + 1):
+            tail_probability = Fraction(tail, n ** m)
             return AdversaryReport(
                 points=points,
                 f_values=f,
                 index_set=index_set,
-                distribution=dist,
-                expected_risk=expected,
-                tail_probability=tail,
+                expected_risk=Fraction(total, n ** (m + 1)),
+                tail_probability=tail_probability,
                 mixtures_examined=examined,
-                markov_flag=tail < Fraction(1, 7),
+                markov_flag=tail_probability < Fraction(1, 7),
             )
     raise NflFailureError(
         "no mixture reached expected risk 1/4; the learner is not a "

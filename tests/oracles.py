@@ -335,6 +335,22 @@ def exact_expected_risk(learner, points, f_values, m):
     return total / len(points) ** m, tuple(table)
 
 
+def nfl_adversary(learner, points, g1, g2):
+    """The adversary decided mixture by mixture through the Fraction
+    sequence sweep: (f, index set, expected risk, tail, mixtures examined)
+    of the first mixture whose expected risk reaches 1/4, or None."""
+    points = tuple(points)
+    m = len(points) // 2
+    for examined, bits in enumerate(itertools.product((0, 1), repeat=len(points)), 1):
+        index_set = frozenset(i for i, b in enumerate(bits) if b)
+        f = mix_labelings(index_set, g1, g2)
+        expected, table = exact_expected_risk(learner, points, f, m)
+        if expected >= Fraction(1, 4):
+            tail = Fraction(sum(1 for _, r in table if r >= Fraction(1, 8)), len(table))
+            return f, index_set, expected, tail, examined
+    return None
+
+
 def erm(cls, sample):
     """Unmemoised minimum empirical risk, ties to the canonical order."""
     return min(cls.hypotheses, key=lambda h: (empirical_risk(h, sample), h.sort_key()))

@@ -12,6 +12,7 @@ milliseconds; the point is the boundary, not the search.
 import contextlib
 import io
 import json
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -90,68 +91,93 @@ def workdir(tmp_path_factory):
     return root
 
 
-def _pool(good, bad):
-    """Valid values four times as likely as each malformed one, so that
-    most commands get past parsing into the code behind it."""
-    return st.sampled_from([*good] * 4 + [*bad])
+class Pool(NamedTuple):
+    """The values drawn for one option: valid ones, then malformed ones.
+    A pool of file names (``files``) passes each name as a path under the
+    work directory."""
+
+    good: tuple
+    bad: tuple
+    files: bool = False
+
+    def values(self, root):
+        return [str(root / v) if self.files else v for v in (*self.good, *self.bad)]
+
+    def strategy(self, root):
+        """Valid values four times as likely as each malformed one, so that
+        most commands get past parsing into the code behind it."""
+        values = self.values(root)
+        return st.sampled_from(values[:len(self.good)] * 4 + values[len(self.good):])
 
 
-def _files(root, good, bad):
-    return _pool([str(root / n) for n in good],
-                 [str(root / n) for n in (*bad, *RAW_FILES, "adir.json", "missing.json")])
+def _files(good, bad):
+    return Pool(tuple(good), (*bad, *RAW_FILES, "adir.json", "missing.json"), files=True)
 
 
 GOOD_CLASSES = ("three.json", "full.json", "gap.json", "nat.json", "zero.json", "failing.json")
 GOOD_FAMILIES = ("psiN3.json", "psiG2.json", "rows3.json")
-INTS = _pool(["0", "1", "2", "3", "4"], ["-1", "x", "", "1.5", "01"])
+CLASSES = _files(GOOD_CLASSES, [n for n in CLASS_FILES if n not in GOOD_CLASSES])
+FAMILIES = _files(GOOD_FAMILIES, [n for n in FAMILY_FILES if n not in GOOD_FAMILIES])
+INTS = Pool(("0", "1", "2", "3", "4"), ("-1", "x", "", "1.5", "01"))
 # A value written "=v" is passed joined to its option, as "--points=v": as a
 # token of its own, argparse takes "-1,2" for an option, so only the joined
 # form brings a negative list to the handler.
-POINTS = _pool(["0,1", "1,0", "0,1,2,3", "0,1,2", "2,0"],
-               ["0,0", "", "x", "-1,2", "5,6", "0,,1", "=-1,2", "=-1"])
-LABELS = _pool(["0,0", "1,1", "0,1", "1,0", "2,2", "0,0,0,0", "1,1,1,1", "1,2,1,2"],
-               ["", "x", "-1,-1", "9,9", "1", "=-1,0"])
+POINTS = Pool(("0,1", "1,0", "0,1,2,3", "0,1,2", "2,0"),
+              ("0,0", "", "x", "-1,2", "5,6", "0,,1", "=-1,2", "=-1"))
+LABELS = Pool(("0,0", "1,1", "0,1", "1,0", "2,2", "0,0,0,0", "1,1,1,1", "1,2,1,2"),
+              ("", "x", "-1,-1", "9,9", "1", "=-1,0"))
 # alphabet sizes for --labels; 0 used to fall back to --check-class's alphabet
-ALPHABETS = _pool(["1", "2", "3", "5"], ["0", "-1", "x"])
-SAMPLES = _pool(["0:1", "0:1,1:0", "1:1,1:1", "0:2,1:1"],
-                ["x", "", "0:9", "-1:0", "0:1:2", "7:1", "=-1:0", "=0:1,-2:1"])
-WITNESS_SPECS = _pool(["natarajan:0", "natarajan:1", "psi:1", "psi:0", "natarajan:2"],
-                      ["graph:1", "natarajan:x", "natarajan:-1", "", "natarajan",
-                       "natarajan:\u00b2"])
-PARAMS = _pool(['{}', '{"n":2,"labels":3}', '{"m":2}', '{"window":1}', '{"labels":2}',
-                '{"family":[["0","*"]],"labels":2,"window":1}'],
-               ['{bad', '[]', 'null', '{"n":"x"}', '{"m":-1}', '{"m":99}', '{"m":1e999}',
-                '{"m":1.5}', '{"n":true}', '{"window":-1}', '{"family":[["0","1"]],"labels":2}',
-                '{"family":[[{}]],"labels":2}', '{"family":[[5]],"labels":2}',
-                '{"m":2,"q":3}'])
+ALPHABETS = Pool(("1", "2", "3", "5"), ("0", "-1", "x"))
+SAMPLES = Pool(("0:1", "0:1,1:0", "1:1,1:1", "0:2,1:1"),
+               ("x", "", "0:9", "-1:0", "0:1:2", "7:1", "=-1:0", "=0:1,-2:1"))
+WITNESS_SPECS = Pool(("natarajan:0", "natarajan:1", "psi:1", "psi:0", "natarajan:2"),
+                     ("graph:1", "natarajan:x", "natarajan:-1", "", "natarajan",
+                      "natarajan:\u00b2"))
+PARAMS = Pool(('{}', '{"n":2,"labels":3}', '{"m":2}', '{"window":1}', '{"labels":2}',
+               '{"family":[["0","*"]],"labels":2,"window":1}'),
+              ('{bad', '[]', 'null', '{"n":"x"}', '{"m":-1}', '{"m":99}', '{"m":1e999}',
+               '{"m":1.5}', '{"n":true}', '{"window":-1}', '{"family":[["0","1"]],"labels":2}',
+               '{"family":[[{}]],"labels":2}', '{"family":[[5]],"labels":2}',
+               '{"m":2,"q":3}'))
+KINDS = Pool(("vc", "natarajan", "graph", "ds", "psi"), ("x",))
+FLAVORS = Pool(("natarajan", "graph", "psi"), ("x",))
+SIZES = Pool(("1", "2"), ("-1", "0", "x"))
+# learners: a spec, erm over a class file, or embed over a class file and order
+LEARNER_SPECS = Pool(("const:0", "const:1", "memorize:1", "memorize:0"),
+                     ("const:x", "const:-1", "const:9", "memorize:", "bogus", "", "erm:",
+                      "embed::1"))
+LEARNER_CLASSES = Pool(("three.json", "full.json", "nat.json"),
+                       ("bigvalue.json", "missing.json", "badjson.json"), files=True)
+EMBED_ORDERS = Pool(("0", "1"), ("x", "-1"))
+# positional words, as token lists
+EMBED_MODES = Pool((["behaviors"], ["erm"]), (["x"],))
+GALLERY_ACTIONS = Pool((["list"], ["emit", "full"], ["emit", "gap"], ["emit", "six_cycle"],
+                        ["emit", "failing_psi"]), (["emit"], ["emit", "nope"], ["x"]))
 
 
 def _learners(root):
-    classes = _pool([str(root / n) for n in ("three.json", "full.json", "nat.json")],
-                    [str(root / n) for n in ("bigvalue.json", "missing.json", "badjson.json")])
+    classes = LEARNER_CLASSES.strategy(root)
     return st.one_of(
-        _pool(["const:0", "const:1", "memorize:1", "memorize:0"],
-              ["const:x", "const:-1", "const:9", "memorize:", "bogus", "", "erm:", "embed::1"]),
+        LEARNER_SPECS.strategy(root),
         classes.map(lambda p: f"erm:{p}"),
-        st.tuples(classes, _pool(["0", "1"], ["x", "-1"])).map(
+        st.tuples(classes, EMBED_ORDERS.strategy(root)).map(
             lambda t: f"embed:{t[0]}:{t[1]}"),
     )
 
 
 def _argv(root):
-    classes = _files(root, GOOD_CLASSES, [n for n in CLASS_FILES if n not in GOOD_CLASSES])
-    families = _files(root, GOOD_FAMILIES, [n for n in FAMILY_FILES if n not in GOOD_FAMILIES])
+    classes = CLASSES.strategy(root)
+    families = FAMILIES.strategy(root)
     learners = _learners(root)
+    ints = INTS.strategy(root)
+    points = POINTS.strategy(root)
 
     def concat(*parts):
         return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
 
     def flag(name, values, present):
-        def tokens(value):
-            return [name + value] if value.startswith("=") else [name, value]
-
         return st.tuples(st.sampled_from(present), values).map(
-            lambda t: tokens(t[1]) if t[0] else [])
+            lambda t: _tokens(name, t[1]) if t[0] else [])
 
     def req(name, values):
         return flag(name, values, [True] * 9 + [False])
@@ -160,30 +186,29 @@ def _argv(root):
         return flag(name, values, [True, False])
 
     dim = concat(st.just(["dim"]), req("--class", classes),
-                 req("--kind", _pool(["vc", "natarajan", "graph", "ds", "psi"], ["x"])),
-                 opt("--psi", families), opt("--window", INTS))
+                 req("--kind", KINDS.strategy(root)),
+                 opt("--psi", families), opt("--window", ints))
     witness = concat(st.sampled_from([["witness", "make"], ["witness", "check"]]),
                      req("--class", classes),
-                     req("--flavor", _pool(["natarajan", "graph", "psi"], ["x"])),
-                     req("--order", INTS), opt("--psi", families), opt("--window", INTS),
+                     req("--flavor", FLAVORS.strategy(root)),
+                     req("--order", ints), opt("--psi", families), opt("--window", ints),
                      st.sampled_from([[], [], ["--bundled"]]))
     from_learner = concat(st.just(["witness", "from-learner"]), req("--learner", learners),
-                          req("--m", _pool(["1", "2"], ["-1", "0", "x"])),
-                          opt("--window", INTS), opt("--labels", ALPHABETS),
+                          req("--m", SIZES.strategy(root)),
+                          opt("--window", ints), opt("--labels", ALPHABETS.strategy(root)),
                           opt("--check-class", classes))
-    nfl = concat(st.just(["nfl"]), req("--learner", learners), req("--points", POINTS),
-                 req("--g1", LABELS), req("--g2", LABELS))
-    embed = concat(st.just(["embed"]), _pool([["behaviors"], ["erm"]], [["x"]]),
-                   req("--class", classes), req("--witness", WITNESS_SPECS),
-                   opt("--psi", families), opt("--points", POINTS), opt("--sample", SAMPLES))
+    nfl = concat(st.just(["nfl"]), req("--learner", learners), req("--points", points),
+                 req("--g1", LABELS.strategy(root)), req("--g2", LABELS.strategy(root)))
+    embed = concat(st.just(["embed"]), EMBED_MODES.strategy(root),
+                   req("--class", classes), req("--witness", WITNESS_SPECS.strategy(root)),
+                   opt("--psi", families), opt("--points", points),
+                   opt("--sample", SAMPLES.strategy(root)))
     distinguisher = concat(st.just(["distinguisher"]), req("--psi", families))
     refute = concat(st.just(["refute-ds"]), req("--class", classes))
-    sauer = concat(st.just(["sauer"]), req("--class", classes), req("--points", POINTS),
-                   req("--d", INTS))
-    gallery = concat(st.just(["gallery"]),
-                     _pool([["list"], ["emit", "full"], ["emit", "gap"], ["emit", "six_cycle"],
-                            ["emit", "failing_psi"]], [["emit"], ["emit", "nope"], ["x"]]),
-                     opt("--params", PARAMS))
+    sauer = concat(st.just(["sauer"]), req("--class", classes), req("--points", points),
+                   req("--d", ints))
+    gallery = concat(st.just(["gallery"]), GALLERY_ACTIONS.strategy(root),
+                     opt("--params", PARAMS.strategy(root)))
     junk = st.lists(st.sampled_from(["--help", "--timing", "-x", "dim", "--class", "x", "--"]),
                     max_size=3)
     command = st.one_of(dim, witness, from_learner, nfl, embed, distinguisher, refute,
@@ -191,11 +216,100 @@ def _argv(root):
     return concat(st.sampled_from([[], ["--timing"]]), command)
 
 
+def _tokens(name, value):
+    return [name + value] if value.startswith("=") else [name, value]
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _check_contract(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == 1:
+        report = json.loads(out)
+        assert isinstance(report, dict) and isinstance(report.get("result"), dict), argv
+    if code == 2:
+        assert out == "" and err, (argv, out, err)
+
+
+def _bases(root):
+    """One command line per subcommand that runs to a report: the head
+    words, then each option the subcommand takes with its base value, or
+    None where the option is left out.  A key in angle brackets is a
+    positional word list."""
+    three, nat, full, psin3 = (str(root / n) for n in
+                               ("three.json", "nat.json", "full.json", "psiN3.json"))
+    witness = {"--class": three, "--flavor": "natarajan", "--order": "1", "--psi": None,
+               "--window": "1"}
+    return [
+        (["dim"], {"--class": three, "--kind": "natarajan", "--psi": None, "--window": None}),
+        (["witness", "make"], witness),
+        (["witness", "check"], witness),
+        (["witness", "from-learner"], {"--learner": "const:0", "--m": "1", "--window": "2",
+                                       "--labels": "2", "--check-class": None}),
+        (["nfl"], {"--learner": "memorize:0", "--points": "0,1", "--g1": "0,0",
+                   "--g2": "1,1"}),
+        (["embed"], {"<mode>": ["behaviors"], "--class": nat, "--witness": "natarajan:1",
+                     "--psi": None, "--points": "0,1", "--sample": None}),
+        (["distinguisher"], {"--psi": psin3}),
+        (["refute-ds"], {"--class": full}),
+        (["sauer"], {"--class": three, "--points": "0,1", "--d": "1"}),
+        (["gallery"], {"<action>": ["emit", "gap"], "--params": None}),
+    ]
+
+
+OPTION_POOLS = {
+    "--class": CLASSES, "--check-class": CLASSES, "--psi": FAMILIES, "--kind": KINDS,
+    "--flavor": FLAVORS, "--order": INTS, "--window": INTS, "--d": INTS, "--m": SIZES,
+    "--labels": ALPHABETS, "--points": POINTS, "--g1": LABELS, "--g2": LABELS,
+    "--sample": SAMPLES, "--witness": WITNESS_SPECS, "--params": PARAMS,
+    "<mode>": EMBED_MODES, "<action>": GALLERY_ACTIONS,
+}
+
+
+def _substitutes(option, root):
+    """(pool, index, value) for every value of the pools behind an option;
+    a learner class goes in under both erm and embed."""
+    if option != "--learner":
+        pool = OPTION_POOLS[option]
+        return [(pool, i, v) for i, v in enumerate(pool.values(root))]
+    three = str(root / "three.json")
+    return [
+        *((LEARNER_SPECS, i, v) for i, v in enumerate(LEARNER_SPECS.values(root))),
+        *((LEARNER_CLASSES, i, v) for i, path in enumerate(LEARNER_CLASSES.values(root))
+          for v in (f"erm:{path}", f"embed:{path}:1")),
+        *((EMBED_ORDERS, i, f"embed:{three}:{v}")
+          for i, v in enumerate(EMBED_ORDERS.values(root))),
+    ]
+
+
+def _command_line(head, options):
+    argv = list(head)
+    for name, value in options.items():
+        if value is not None:
+            argv += value if name.startswith("<") else _tokens(name, value)
+    return argv
+
+
+def test_every_pool_value_keeps_the_exit_code_contract(workdir):
+    # the draws below favour the first members of a pool, so this sweep
+    # passes each pool value once, in place of its option's base value
+    used = set()
+    for head, base in _bases(workdir):
+        code, out, _ = _run(_command_line(head, base))
+        assert code in (0, 1) and json.loads(out), head  # 1: verified negative
+        for option in base:
+            for pool, index, value in _substitutes(option, workdir):
+                _check_contract(_command_line(head, {**base, option: value}))
+                used.add((id(pool), index))
+    pools = [p for p in globals().values() if isinstance(p, Pool)]
+    assert used == {(id(p), i) for p in pools for i in range(len(p.good) + len(p.bad))}
 
 
 def test_generated_argv_keeps_the_exit_code_contract(workdir):
@@ -214,6 +328,8 @@ def test_generated_argv_keeps_the_exit_code_contract(workdir):
     @example(["gallery", "emit", "gap", "--params", '{"m":2,"q":3}'])
     @example(["dim", "--class", unknown_param, "--kind", "natarajan"])
     def check(argv):
+        # the code of this body seeds the derandomized draws, so it spells
+        # out _check_contract rather than calling it and changing the draws
         code, out, err = _run(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err, (argv, err)

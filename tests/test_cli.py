@@ -280,6 +280,21 @@ def test_nfl_negative_label_exits_two(capsys, labels):
     assert capsys.readouterr().err == "error: labels must be naturals\n"
 
 
+def test_nfl_at_m5_sweeps_multisets(capsys):
+    # 2,002 multisets per mixture where the sequence sweep ran 100,000
+    points = ",".join(str(x) for x in range(10))
+    code, report = run(capsys, "nfl", "--learner", "memorize:0", "--points", points,
+                       "--g1", ",".join(["1"] * 10), "--g2", ",".join(["2"] * 10))
+    assert code == 0
+    res = report["result"]
+    # f = g2 everywhere; the memorizer misses each unseen point, and a point
+    # is unseen in 5 draws with probability (9/10)^5
+    assert res["f"] == [2] * 10 and res["index_set"] == []
+    assert res["expected_risk"] == {"num": 9 ** 5, "den": 10 ** 5}
+    assert res["tail_probability"] == {"num": 1, "den": 1}
+    assert res["mixtures_examined"] == 1 and res["markov_flag"] is False
+
+
 @pytest.mark.parametrize("spec, message", [
     ("natarajan:\u00b2", "--witness: expected an integer, got '\u00b2'"),
     ("psi:\u00b9", "--witness: expected an integer, got '\u00b9'"),

@@ -1,8 +1,16 @@
+import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dimkit as dk
+from dimkit import nfl
+from oracles import exact_expected_risk as reference_risk
+from oracles import nfl_adversary as reference_adversary
 
 
 def test_expected_risk_constant_learner_total_miss():
@@ -94,6 +102,11 @@ def _built_in_learners(num_labels, window):
     ]
 
 
+def _fields(report):
+    return (report.f_values, report.index_set, report.expected_risk,
+            report.tail_probability, report.mixtures_examined)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_adversary_constants_for_every_builtin_learner(m):
     points = tuple(range(2 * m))
@@ -119,32 +132,58 @@ def test_adversary_m3_smoke():
         assert report.tail_probability >= Fraction(1, 7)
 
 
+def _random_learner(trial, q, window):
+    """A fixed random map from samples (as sequences) to hypotheses, and the
+    list of samples it was called on."""
+    answers = {}
+    calls = []
+    rng = random.Random(trial)
+
+    def fn(sample):
+        calls.append(sample)
+        key = tuple(sample)
+        if key not in answers:
+            answers[key] = dk.Hypothesis(
+                num_labels=q, table=tuple(rng.randrange(q) for _ in range(window + 1)))
+        return answers[key]
+
+    return dk.Learner(name=f"random:{trial}", fn=fn), calls
+
+
 def test_adversary_succeeds_against_arbitrary_deterministic_learners():
     # random total deterministic behavior: a fixed random map from samples to
-    # hypotheses; the averaging argument guarantees some mixture reaches 1/4
-    import random
-
+    # hypotheses; the averaging argument guarantees some mixture reaches 1/4.
+    # Such a learner is not declared symmetric, so the adversary runs it on
+    # every sequence of every mixture it examines.
     rng = random.Random(161803)
     for trial in range(50):
         q = rng.choice((2, 3))
-        window = 1
-        answers = {}
-
-        def fn(sample, _rng=random.Random(trial), _q=q, _w=window):
-            key = tuple(sample)
-            if key not in answers:
-                answers[key] = dk.Hypothesis(
-                    num_labels=_q,
-                    table=tuple(_rng.randrange(_q) for _ in range(_w + 1)),
-                )
-            return answers[key]
-
-        learner = dk.Learner(name=f"random:{trial}", fn=fn)
+        learner, calls = _random_learner(trial, q, 1)
+        assert not learner.symmetric
         g1 = tuple(rng.randrange(q) for _ in range(2))
         g2 = tuple((v + 1) % q for v in g1)
         report = dk.nfl_adversary(learner, (0, 1), g1, g2)
         assert report.expected_risk >= Fraction(1, 4)
         assert report.tail_probability >= Fraction(1, 7)
+        assert len(calls) == 2 * report.mixtures_examined
+        assert _fields(report) == reference_adversary(learner, (0, 1), g1, g2)
+
+
+def test_undeclared_learners_run_on_every_sequence():
+    # at m = 2 the 16 sequences differ from the 10 multisets, and a random
+    # map answers two orderings of one sample differently
+    rng = random.Random(314159)
+    points = (0, 1, 2, 3)
+    for trial in range(20):
+        q = rng.choice((2, 3))
+        learner, calls = _random_learner(trial, q, 3)
+        g1 = tuple(rng.randrange(q) for _ in points)
+        g2 = tuple((v + 1) % q for v in g1)
+        report = dk.nfl_adversary(learner, points, g1, g2)
+        assert len(calls) == 16 * report.mixtures_examined
+        assert [tuple(x for x, _ in c) for c in calls[:16]] == list(
+            itertools.product(points, repeat=2))
+        assert _fields(report) == reference_adversary(learner, points, g1, g2)
 
 
 def test_adversary_is_deterministic():
@@ -157,10 +196,6 @@ def test_adversary_is_deterministic():
 # ------------------------------------------ integer risk sums and ERM memo
 
 def test_expected_risk_matches_fraction_sums():
-    import random
-
-    from oracles import exact_expected_risk as reference
-
     rng = random.Random(4242)
     for m in (1, 2, 3):
         points = tuple(sorted(rng.sample(range(8), 2 * m)))
@@ -168,13 +203,11 @@ def test_expected_risk_matches_fraction_sums():
             for _ in range(10):
                 f = tuple(rng.randrange(3) for _ in points)
                 got = dk.exact_expected_risk(learner, points, f, m)
-                assert got == reference(learner, points, f, m)
+                assert got == reference_risk(learner, points, f, m)
                 assert all(isinstance(risk, Fraction) for _, risk in got[1])
 
 
 def test_erm_memo_matches_unmemoised_min():
-    import random
-
     from corpus import random_table_class
     from oracles import erm
 
@@ -211,3 +244,84 @@ def test_erm_rejects_empty_and_out_of_domain_samples():
         learner(())
     with pytest.raises(dk.DomainError):
         learner(((5, 1),))
+
+
+# ------------------------------------------- inputs of exact_expected_risk
+
+@pytest.mark.parametrize("points, f_values, m, message", [
+    ((), (), 0, "even, positive number of points"),
+    ((0, 0), (1, 2), 1, "duplicate points"),
+    ((0, 1), (1,), 1, "labelings must cover the points"),
+    ((0, 1), (1, -1), 1, "labels must be naturals"),
+    ((0, 1), (1, 1), 2, "need exactly 4 points"),
+])
+def test_expected_risk_rejects_bad_inputs(points, f_values, m, message):
+    learner = dk.constant_learner(0, num_labels=3, window=1)
+    with pytest.raises(dk.PreconditionError, match=message):
+        dk.exact_expected_risk(learner, points, f_values, m)
+
+
+# --------------------------------------------- the weighted multiset sweep
+
+def test_multiset_weights_count_every_sequence():
+    for m in (1, 2, 3, 4):
+        points = tuple(range(2 * m))
+        multisets = nfl._multisets(points, m)
+        assert sum(w for _, w in multisets) == len(points) ** m
+        assert [ms for ms, _ in multisets] == sorted(
+            {tuple(sorted(seq)) for seq in itertools.product(points, repeat=m)})
+
+
+def test_weighted_sweep_matches_the_sequence_oracle():
+    # at m = 4 a sequence with one wrong answer sits on the tail boundary
+    rng = random.Random(27182)
+    for m in (1, 2, 3, 4):
+        points = tuple(sorted(rng.sample(range(8), 2 * m)))
+        multisets = nfl._multisets(points, m)
+        n = len(points)
+        for learner in _built_in_learners(3, 7):
+            for _ in range(6 if m < 4 else 1):
+                f = tuple(rng.randrange(3) for _ in points)
+                expected, table = reference_risk(learner, points, f, m)
+                tail = Fraction(sum(1 for _, r in table if r >= Fraction(1, 8)), len(table))
+                for sweep in (multisets, None):
+                    total, tail_count = nfl._risk_counts(learner, points, f, sweep)
+                    assert Fraction(total, n ** (m + 1)) == expected
+                    assert Fraction(tail_count, n ** m) == tail
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_undeclared_wrapper_gives_the_same_report(m):
+    # the full sequence sweep and the multiset sweep agree on every built-in
+    rng = random.Random(1732 + m)
+    points = tuple(range(2 * m))
+    for learner in _built_in_learners(3, 2 * m - 1):
+        g1, g2 = zip(*(rng.sample(range(3), 2) for _ in points))
+        wrapped = dk.Learner(learner.name, learner.fn, symmetric=False)
+        assert dk.nfl_adversary(wrapped, points, g1, g2) == dk.nfl_adversary(
+            learner, points, g1, g2)
+
+
+@given(st.integers(2, 3).flatmap(lambda q: st.tuples(
+    st.just(q),
+    st.lists(st.integers(0, q - 1), min_size=4, max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=5).flatmap(
+        lambda seq: st.tuples(st.just(seq), st.permutations(seq))),
+)))
+def test_symmetric_learners_ignore_sample_order(case):
+    q, f, (seq, permuted) = case
+    for learner in _built_in_learners(q, 3):
+        assert learner.symmetric
+        sample = tuple((x, f[x]) for x in seq)
+        assert learner(sample) == learner(tuple((x, f[x]) for x in permuted)), learner.name
+
+
+def test_distribution_is_derived_from_the_graph():
+    assert "distribution" not in {f.name for f in dataclasses.fields(dk.AdversaryReport)}
+    learner = dk.memorizing_learner(0, num_labels=3, window=3)
+    report = dk.nfl_adversary(learner, (0, 1, 2, 3), (1, 2, 1, 2), (2, 1, 2, 1))
+    assert report.distribution == dk.FiniteDistribution.uniform_on_graph(
+        report.points, report.f_values)
+    assert report.distribution is report.distribution
+    again = dk.nfl_adversary(learner, (0, 1, 2, 3), (1, 2, 1, 2), (2, 1, 2, 1))
+    assert report == again  # a cached distribution on one side changes nothing

@@ -434,10 +434,12 @@ def _cmd_dim(args) -> Outcome:
 
 def _witness_for(args, cls, entry):
     if args.bundled:
-        family = _psi_family(args)
+        if (args.flavor, args.order, args.psi) != (None, None, None):
+            raise SchemaError("--bundled runs the gallery's own witness: "
+                              "drop --flavor, --order and --psi")
         if entry is None or entry.witness is None:
             raise SchemaError("--bundled requires a gallery class with a bundled witness")
-        return entry.witness, family
+        return entry.witness, None
     if args.flavor is None or args.order is None:
         raise SchemaError("need --flavor and --order (or --bundled)")
     family = _psi_family(args, "--flavor psi" if args.flavor == "psi" else None)
@@ -462,24 +464,20 @@ def _validation_result(report) -> dict:
     }
 
 
-def _cmd_witness_make(args) -> Outcome:
+def _cmd_witness(args) -> Outcome:
+    """witness make and witness check: the same witness, which only check
+    validates, over its --window."""
     cls, entry = _load_class(args.class_file)
     w, family = _witness_for(args, cls, entry)
     result = {"witness": _witness_meta(w)}
     inputs = {"class": class_to_file(cls), "flavor": w.flavor, "order": w.order,
               "psi": family.members if family else None}
-    return Outcome(0, result, [], inputs)
-
-
-def _cmd_witness_check(args) -> Outcome:
-    cls, entry = _load_class(args.class_file)
-    w, family = _witness_for(args, cls, entry)
+    if args.action == "make":
+        return Outcome(0, result, [], inputs)
     window = _default_window(cls) if args.window is None else args.window
     report = witnesses.validate_witness(w, cls, window)
-    result = {"witness": _witness_meta(w), "window": window}
+    result["window"] = inputs["window"] = window
     result.update(_validation_result(report))
-    inputs = {"class": class_to_file(cls), "flavor": w.flavor, "order": w.order,
-              "window": window, "psi": family.members if family else None}
     return Outcome(0 if report.valid else 1, result, [], inputs)
 
 
@@ -569,8 +567,6 @@ def _cmd_embed(args) -> Outcome:
               "psi": family.members if family else None,
               "mode": args.mode}
     if args.mode == "behaviors":
-        if not args.points:
-            raise SchemaError("embed behaviors requires --points")
         points = _parse_ints(args.points, "--points")
         with _witness_order(f"--witness {args.witness}"):
             behaviors = embedding.good_patterns(spec, points)
@@ -579,8 +575,6 @@ def _cmd_embed(args) -> Outcome:
                   "count": len(behaviors),
                   "patterns": [list(p) for p in behaviors.patterns]}
         return Outcome(0, result, [], inputs)
-    if not args.sample:
-        raise SchemaError("embed erm requires --sample")
     sample = _parse_sample(args.sample)
     inputs["sample"] = [list(p) for p in sample]
     with _witness_order(f"--witness {args.witness}"):
@@ -654,16 +648,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="witness construction and checking")
     wsub = p.add_subparsers(dest="action", required=True)
-    for action, handler in (("make", "_cmd_witness_make"),
-                            ("check", "_cmd_witness_check")):
+    for action in ("make", "check"):
         wp = wsub.add_parser(action)
         wp.add_argument("--class", dest="class_file", required=True)
         wp.add_argument("--flavor", choices=witnesses.FLAVORS)
         wp.add_argument("--order", type=int)
         wp.add_argument("--psi")
-        wp.add_argument("--window", type=int)
+        if action == "check":
+            wp.add_argument("--window", type=int)
         wp.add_argument("--bundled", action="store_true")
-        wp.set_defaults(handler=handler)
+        wp.set_defaults(handler="_cmd_witness")
     wp = wsub.add_parser("from-learner")
     wp.add_argument("--learner", required=True)
     wp.add_argument("--m", type=int, required=True)
@@ -680,12 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="_cmd_nfl")
 
     p = sub.add_parser("embed", help="augmented class: behaviors, ERM")
-    p.add_argument("mode", choices=("behaviors", "erm"))
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--witness", required=True, help="FLAVOR:ORDER, e.g. natarajan:1")
-    p.add_argument("--psi")
-    p.add_argument("--points")
-    p.add_argument("--sample")
+    esub = p.add_subparsers(dest="mode", required=True)
+    for mode, option in (("behaviors", "--points"), ("erm", "--sample")):
+        ep = esub.add_parser(mode)
+        ep.add_argument("--class", dest="class_file", required=True)
+        ep.add_argument("--witness", required=True, help="FLAVOR:ORDER, e.g. natarajan:1")
+        ep.add_argument("--psi")
+        ep.add_argument(option, required=True)
     p.set_defaults(handler="_cmd_embed")
 
     p = sub.add_parser("distinguisher", help="does the family separate all label pairs")
@@ -703,9 +698,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="_cmd_sauer")
 
     p = sub.add_parser("gallery", help="canonical classes")
-    p.add_argument("action", choices=("list", "emit"))
-    p.add_argument("name", nargs="?")
-    p.add_argument("--params", help="JSON object of constructor parameters")
+    gsub = p.add_subparsers(dest="action", required=True)
+    gsub.add_parser("list")
+    gp = gsub.add_parser("emit")
+    gp.add_argument("name")
+    gp.add_argument("--params", help="JSON object of constructor parameters")
     p.set_defaults(handler="_cmd_gallery")
 
     return parser

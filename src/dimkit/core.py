@@ -318,9 +318,11 @@ class FiniteDistribution:
 
     @staticmethod
     def uniform_on_graph(points: Iterable[int], values: Iterable[int]) -> "FiniteDistribution":
-        pairs = list(zip(points, values, strict=True))
-        w = Fraction(1, len(pairs))
-        return FiniteDistribution(atoms=tuple((pair, w) for pair in pairs))
+        points, values = tuple(points), tuple(values)
+        if not points or len(points) != len(values):
+            raise RepresentationError("need one value per point, and at least one point")
+        w = Fraction(1, len(points))
+        return FiniteDistribution(atoms=tuple((pair, w) for pair in zip(points, values)))
 
 
 def true_risk(h: Hypothesis, dist: FiniteDistribution) -> Fraction:

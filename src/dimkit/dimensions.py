@@ -22,7 +22,7 @@ from .core import (
     RepresentationError,
     restrict,
 )
-from .psi import STAR, PsiFamily
+from .psi import STAR, PsiFamily, PsiFunction
 
 KINDS = ("vc", "natarajan", "graph", "ds", "psi")
 
@@ -339,29 +339,36 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     return best
 
 
+# payload length per certificate kind, as ShatterCertificate documents it
+_PAYLOAD_SIZE = {"vc": 0, "natarajan": 2, "graph": 1, "ds": 1, "psi": 1}
+
+
 def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     """Re-check a certificate against the class it allegedly shatters.  A DS
     cube must be a pseudo-cube of realized patterns; every other kind names
     one binary encoder per point, and their image of the class must cover
-    {0,1}^n."""
-    points = cert.points
+    {0,1}^n.  A payload of the wrong shape for its kind does not verify."""
+    if cert.kind not in _PAYLOAD_SIZE:
+        raise PreconditionError(f"unknown certificate kind {cert.kind!r}")
+    points, payload = cert.points, cert.payload
+    if len(payload) != _PAYLOAD_SIZE[cert.kind]:
+        return False
     behaviors = restrict(cls, points)
     if cert.kind == "ds":
-        (cube,) = cert.payload
+        (cube,) = payload
         return set(cube) <= behaviors.pattern_set and is_pseudo_cube(cube)
     if cert.kind == "vc":
         tables = [{0: 0, 1: 1}] * len(points)
     elif cert.kind == "natarajan":
-        g1, g2 = cert.payload
+        g1, g2 = payload
         tables = [{a: 1, b: 0} for a, b in zip(g1, g2)] if len(g1) == len(g2) else []
     elif cert.kind == "graph":
         labels = {v for p in behaviors.patterns for v in p}
-        tables = [{v: int(v == k) for v in labels} for k in cert.payload[0]]
-    elif cert.kind == "psi":
-        tables = [{v: b for v, b in enumerate(psi.table) if b != STAR}
-                  for psi in cert.payload[0]]
+        tables = [{v: int(v == k) for v in labels} for k in payload[0]]
+    elif all(isinstance(psi, PsiFunction) for psi in payload[0]):
+        tables = [{v: b for v, b in enumerate(psi.table) if b != STAR} for psi in payload[0]]
     else:
-        raise PreconditionError(f"unknown certificate kind {cert.kind!r}")
+        return False
     if len(tables) != len(points):
         return False
     return _coverage_search(behaviors.patterns, [[(t, None)] for t in tables]) is not None

@@ -20,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     BehaviorSet,
@@ -34,66 +33,46 @@ from .core import (
     empirical_risk,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
+from .nfl import Learner
 from .witnesses import Witness, witness_inputs
 
 
 @dataclass(frozen=True)
 class GoodFunctionSpec:
-    """Witness plus alphabet data driving the good-pattern enumeration.
-
-    ``label_bound`` optionally caps candidate labels per window: with a
-    nondecreasing table c of labels, patterns over [0, M] draw labels from
-    {0, ..., c[M]} instead of the full alphabet.
-    """
+    """Witness plus alphabet driving the good-pattern enumeration.  The label
+    space is finite, so a pattern draws every label of range(num_labels) at
+    every point."""
 
     witness: Witness
     num_labels: int
-    label_bound: Optional[tuple[int, ...]] = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.num_labels < 1:
+            raise PreconditionError("good functions need at least one label")
         if self.witness.flavor not in ("natarajan", "psi"):
             raise PreconditionError("good functions need a natarajan or psi witness")
         if self.witness.psi is not None and self.witness.psi.num_labels != self.num_labels:
             raise PreconditionError("witness family alphabet differs from num_labels")
-        if self.label_bound is not None:
-            bound = tuple(int(v) for v in self.label_bound)
-            if not bound:
-                raise PreconditionError("label bound table must be nonempty")
-            if any(not 0 <= b < self.num_labels for b in bound):
-                raise PreconditionError(
-                    f"label bounds must be labels of the alphabet of size {self.num_labels}")
-            if any(a > b for a, b in zip(bound, bound[1:])):
-                raise PreconditionError("label bound table must be nondecreasing")
-            object.__setattr__(self, "label_bound", bound)
-
-    def window_labels(self, window: int) -> range:
-        if self.label_bound is None:
-            return range(self.num_labels)
-        if window >= len(self.label_bound):
-            raise PreconditionError(
-                f"label bound table covers [0,{len(self.label_bound)}), window {window} requested"
-            )
-        return range(self.label_bound[window] + 1)
 
 
-def _excluded_on(spec: GoodFunctionSpec, subset, labels) -> frozenset:
+def _excluded_on(spec: GoodFunctionSpec, subset) -> frozenset:
     """All restrictions to ``subset`` that agree with a witness-excluded
     labeling, materialized once per subset and cached on the spec."""
-    key = ("excl", subset, labels.stop)
+    key = ("excl", subset)
     cached = spec._cache.get(key)
     if cached is not None:
         return cached
     w = spec.witness
     excluded = set()
-    for payload in witness_inputs(w, labels.stop):
+    for payload in witness_inputs(w, spec.num_labels):
         answer = w._evaluate_canonical(subset, payload)
         if w.flavor == "natarajan":
             # _evaluate_canonical has checked the index set against arity
             excluded.add(tuple(a if i in answer else b
                                for i, (a, b) in enumerate(zip(*payload))))
         else:
-            preimages = [[v for v in labels if psi.table[v] == b]
+            preimages = [[v for v in range(spec.num_labels) if psi.table[v] == b]
                          for psi, b in zip(payload[0], answer)]
             excluded.update(itertools.product(*preimages))
     result = frozenset(excluded)
@@ -101,7 +80,7 @@ def _excluded_on(spec: GoodFunctionSpec, subset, labels) -> frozenset:
     return result
 
 
-def _extension_ok(spec, pattern, old_top, new_point, labels) -> bool:
+def _extension_ok(spec, pattern, old_top, new_point) -> bool:
     """Check the constraints a nonzero extension at ``new_point`` makes
     reachable: subsets whose maximum exceeds the previous support top."""
     arity = spec.witness.arity
@@ -111,7 +90,7 @@ def _extension_ok(spec, pattern, old_top, new_point, labels) -> bool:
     for subset in itertools.combinations(range(new_point + 1), arity):
         if subset[-1] > floor:
             restricted = tuple(pattern[x] for x in subset)
-            if restricted in _excluded_on(spec, subset, labels):
+            if restricted in _excluded_on(spec, subset):
                 return False
     return True
 
@@ -121,17 +100,16 @@ def good_window(spec: GoodFunctionSpec, window: int) -> tuple[Pattern, ...]:
     key = ("window", window)
     if key in spec._cache:
         return spec._cache[key]
-    labels = spec.window_labels(window)
     survivors = [((), None)]  # (pattern prefix, top of its support)
     for x in range(window + 1):
         nxt = []
         for prefix, top in survivors:
-            for a in labels:
+            for a in range(spec.num_labels):
                 if a == 0:
                     nxt.append((prefix + (0,), top))
                 else:
                     candidate = prefix + (a,)
-                    if _extension_ok(spec, candidate, top, x, labels):
+                    if _extension_ok(spec, candidate, top, x):
                         nxt.append((candidate, x))
         survivors = nxt
     result = tuple(sorted(p for p, _ in survivors))
@@ -217,8 +195,6 @@ def agnostic_learner(spec: GoodFunctionSpec):
     """Deterministic total learner mapping a sample to the augmented-ERM
     hypothesis; symmetric, since that minimiser reads only the sample's
     distinct points and its per-pattern mistake counts."""
-    from .nfl import Learner
-
     return Learner(name="erm_augmented", fn=lambda sample: erm_augmented(spec, sample)[0],
                    symmetric=True)
 

@@ -11,7 +11,7 @@ from .core import (
     PreconditionError,
     class_from_tables,
 )
-from .psi import PsiFamily, family_from_rows
+from .psi import PsiFamily, failing_psi_class, family_from_rows
 from .witnesses import Witness
 
 
@@ -21,7 +21,6 @@ class GalleryEntry:
     cls: HypothesisClass
     expected_dims: dict[str, int] = field(default_factory=dict)
     witness: Optional[Witness] = None
-    params: dict = field(default_factory=dict)
 
 
 def full_class(n: int, num_labels: int) -> HypothesisClass:
@@ -84,7 +83,6 @@ def gap_class(m: int) -> GalleryEntry:
         cls=cls,
         expected_dims={"natarajan": 1, "graph": m},
         witness=witness,
-        params={"m": m},
     )
 
 
@@ -103,15 +101,12 @@ def six_cycle_class() -> GalleryEntry:
 
 def failing_psi_gallery(family: PsiFamily, window: int) -> GalleryEntry:
     """Gallery wrapper around the hard class for a non-distinguisher family."""
-    from .psi import failing_psi_class
-
     cls, witness = failing_psi_class(family, window)
     return GalleryEntry(
         name="failing_psi",
         cls=cls,
         expected_dims={"graph": window + 1},
         witness=witness,
-        params={"window": window},
     )
 
 
@@ -132,8 +127,7 @@ def build(name: str, params: dict) -> GalleryEntry:
     if name == "full":
         n = _int(params.get("n", 2), "n")
         q = _int(params.get("labels", 2), "labels")
-        cls = full_class(n, q)
-        return GalleryEntry(name="full", cls=cls, params={"n": n, "labels": q})
+        return GalleryEntry(name="full", cls=full_class(n, q))
     if name == "gap":
         return gap_class(_int(params.get("m", 3), "m"))
     if name == "six_cycle":

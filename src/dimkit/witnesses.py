@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Optional
 
+from . import nfl
 from .core import (
     BehaviorSet,
     ConsistencyError,
@@ -82,6 +83,12 @@ class Witness:
             raise PreconditionError(f"witness of order {self.order} takes {self.arity} points")
         if len(set(points)) != len(points):
             raise PreconditionError("duplicate points in witness input")
+        expected = 2 if self.flavor == "natarajan" else 1
+        if len(payload) != expected:
+            raise PreconditionError(
+                f"{self.flavor} witness takes {expected} payload arguments, got {len(payload)}")
+        if any(len(arg) != self.arity for arg in payload):
+            raise PreconditionError(f"witness payload needs one entry per point ({self.arity})")
         order = sorted(range(len(points)), key=lambda i: points[i])
         pts = tuple(points[i] for i in order)
         payload = tuple(tuple(arg[i] for i in order) for arg in payload)
@@ -283,15 +290,13 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
     the index set of g1-coordinates inside f is a valid exclusion.  When
     ``h_check`` is given, the exclusion is re-verified per input.
     """
-    from .nfl import nfl_adversary
-
     if m < 1:
         raise PreconditionError("sample size must be positive")
     order = 2 * m - 1
     behaviors_at = None if h_check is None else cache(lambda points: restrict(h_check, points))
 
     def evaluator(points, g1, g2):
-        report = nfl_adversary(learner, points, g1, g2)
+        report = nfl.nfl_adversary(learner, points, g1, g2)
         index_set = frozenset(
             i for i in range(len(points)) if report.f_values[i] == g1[i]
         )

@@ -188,7 +188,7 @@ def good_patterns_bruteforce(spec, points):
     opposed to the library's prefix-extension search."""
     points = tuple(sorted(set(points)))
     window = points[-1]
-    labels = spec.window_labels(window)
+    labels = range(spec.num_labels)
     w = spec.witness
     arity = w.arity
     per_coord = [(a, b) for a in labels for b in labels if a != b]

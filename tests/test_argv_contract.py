@@ -9,6 +9,7 @@ alphabets up to 5, sample size m up to 2) so that every command finishes in
 milliseconds; the point is the boundary, not the search.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dimkit import cli
 from dimkit.cli import dispatch
 
 CLASS_FILES = {
@@ -188,27 +190,36 @@ def _argv(root):
     dim = concat(st.just(["dim"]), req("--class", classes),
                  req("--kind", KINDS.strategy(root)),
                  opt("--psi", families), opt("--window", ints))
-    witness = concat(st.sampled_from([["witness", "make"], ["witness", "check"]]),
-                     req("--class", classes),
-                     req("--flavor", FLAVORS.strategy(root)),
-                     req("--order", ints), opt("--psi", families), opt("--window", ints),
-                     st.sampled_from([[], [], ["--bundled"]]))
+    # a witness comes from --flavor and --order, or from --bundled alone
+    chosen = st.one_of(
+        concat(req("--flavor", FLAVORS.strategy(root)), req("--order", ints),
+               opt("--psi", families)),
+        concat(st.just(["--bundled"]), flag("--psi", families, [False] * 9 + [True])))
+    witness = st.one_of(
+        concat(st.just(["witness", "make"]), req("--class", classes), chosen),
+        concat(st.just(["witness", "check"]), req("--class", classes), chosen,
+               opt("--window", ints)))
     from_learner = concat(st.just(["witness", "from-learner"]), req("--learner", learners),
                           req("--m", SIZES.strategy(root)),
                           opt("--window", ints), opt("--labels", ALPHABETS.strategy(root)),
                           opt("--check-class", classes))
     nfl = concat(st.just(["nfl"]), req("--learner", learners), req("--points", points),
                  req("--g1", LABELS.strategy(root)), req("--g2", LABELS.strategy(root)))
-    embed = concat(st.just(["embed"]), EMBED_MODES.strategy(root),
-                   req("--class", classes), req("--witness", WITNESS_SPECS.strategy(root)),
-                   opt("--psi", families), opt("--points", points),
-                   opt("--sample", SAMPLES.strategy(root)))
+    # each embed mode takes its own option: --points or --sample
+    mode_option = {"behaviors": req("--points", points),
+                   "erm": req("--sample", SAMPLES.strategy(root))}
+    embed = EMBED_MODES.strategy(root).flatmap(lambda mode: concat(
+        st.just(["embed", *mode]), req("--class", classes),
+        req("--witness", WITNESS_SPECS.strategy(root)), opt("--psi", families),
+        mode_option.get(mode[0], st.just([]))))
     distinguisher = concat(st.just(["distinguisher"]), req("--psi", families))
     refute = concat(st.just(["refute-ds"]), req("--class", classes))
     sauer = concat(st.just(["sauer"]), req("--class", classes), req("--points", points),
                    req("--d", ints))
-    gallery = concat(st.just(["gallery"]), GALLERY_ACTIONS.strategy(root),
-                     opt("--params", PARAMS.strategy(root)))
+    # only gallery emit takes --params
+    gallery = GALLERY_ACTIONS.strategy(root).flatmap(lambda action: concat(
+        st.just(["gallery", *action]),
+        opt("--params", PARAMS.strategy(root)) if action[0] == "emit" else st.just([])))
     junk = st.lists(st.sampled_from(["--help", "--timing", "-x", "dim", "--class", "x", "--"]),
                     max_size=3)
     command = st.one_of(dim, witness, from_learner, nfl, embed, distinguisher, refute,
@@ -239,27 +250,28 @@ def _check_contract(argv):
 
 
 def _bases(root):
-    """One command line per subcommand that runs to a report: the head
+    """One command line per subcommand mode that runs to a report: the head
     words, then each option the subcommand takes with its base value, or
     None where the option is left out.  A key in angle brackets is a
     positional word list."""
     three, nat, full, psin3 = (str(root / n) for n in
                                ("three.json", "nat.json", "full.json", "psiN3.json"))
-    witness = {"--class": three, "--flavor": "natarajan", "--order": "1", "--psi": None,
-               "--window": "1"}
+    witness = {"--class": three, "--flavor": "natarajan", "--order": "1", "--psi": None}
+    embed = {"--class": nat, "--witness": "natarajan:1", "--psi": None}
     return [
         (["dim"], {"--class": three, "--kind": "natarajan", "--psi": None, "--window": None}),
         (["witness", "make"], witness),
-        (["witness", "check"], witness),
+        (["witness", "check"], {**witness, "--window": "1"}),
         (["witness", "from-learner"], {"--learner": "const:0", "--m": "1", "--window": "2",
                                        "--labels": "2", "--check-class": None}),
         (["nfl"], {"--learner": "memorize:0", "--points": "0,1", "--g1": "0,0",
                    "--g2": "1,1"}),
-        (["embed"], {"<mode>": ["behaviors"], "--class": nat, "--witness": "natarajan:1",
-                     "--psi": None, "--points": "0,1", "--sample": None}),
+        (["embed"], {"<mode>": ["behaviors"], **embed, "--points": "0,1"}),
+        (["embed"], {"<mode>": ["erm"], **embed, "--sample": "0:1,1:0"}),
         (["distinguisher"], {"--psi": psin3}),
         (["refute-ds"], {"--class": full}),
         (["sauer"], {"--class": three, "--points": "0,1", "--d": "1"}),
+        (["gallery"], {"<action>": ["list"]}),
         (["gallery"], {"<action>": ["emit", "gap"], "--params": None}),
     ]
 
@@ -310,6 +322,39 @@ def test_every_pool_value_keeps_the_exit_code_contract(workdir):
                 used.add((id(pool), index))
     pools = [p for p in globals().values() if isinstance(p, Pool)]
     assert used == {(id(p), i) for p in pools for i in range(len(p.good) + len(p.bad))}
+
+
+def _recording_namespace(reads: set):
+    """An argparse namespace that adds the name of every attribute read
+    from it to ``reads``."""
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording()
+
+
+# read by dispatch rather than by a handler: the subcommand words, the
+# handler's name, --timing
+DISPATCH_FIELDS = {"command", "action", "handler", "timing"}
+
+
+def test_every_parsed_option_is_read(workdir):
+    # an option that the parser takes and the handler never reads changes
+    # nothing, so every field of each parsed base command line must be read
+    unread = []
+    for head, base in _bases(workdir):
+        reads = set()
+        argv = _command_line(head, base)
+        args = cli.build_parser().parse_args(argv, namespace=_recording_namespace(reads))
+        fields = set(vars(args)) - DISPATCH_FIELDS
+        reads.clear()  # drop the parser's own reads
+        with contextlib.redirect_stdout(io.StringIO()):
+            getattr(cli, args.handler)(args)
+        if fields - reads:
+            unread.append((argv[:2], sorted(fields - reads)))
+    assert not unread
 
 
 def test_generated_argv_keeps_the_exit_code_contract(workdir):

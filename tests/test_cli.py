@@ -229,6 +229,19 @@ def test_witness_check_bundled_gap(capsys, tmp_path):
     assert report["result"]["witness"]["provenance"] == "gap_rule"
 
 
+@pytest.mark.parametrize("action", ["make", "check"])
+@pytest.mark.parametrize("extra", [["--psi", "PSI"], ["--flavor", "graph"], ["--order", "5"],
+                                   ["--flavor", "graph", "--order", "5"]])
+def test_witness_bundled_refuses_flavor_order_and_psi(capsys, tmp_path, psin3_file,
+                                                      action, extra):
+    # these options used to be parsed and ignored (--psi only went into the
+    # inputs digest), so the report did not say which witness ran
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"gallery": "gap", "params": {"m": 3}}))
+    extra = [psin3_file if v == "PSI" else v for v in extra]
+    assert_usage_error(capsys, "witness", action, "--class", str(path), "--bundled", *extra)
+
+
 def test_witness_make_reports_metadata(capsys, three_file):
     code, report = run(capsys, "witness", "make", "--class", three_file,
                        "--flavor", "graph", "--order", "1")

@@ -174,6 +174,14 @@ def test_distribution_validation():
         )
 
 
+def test_uniform_on_graph_needs_one_value_per_point():
+    # no points used to raise ZeroDivisionError, and unequal lengths a raw
+    # ValueError from zip
+    for points, values in (((), ()), ((0, 1), (1,)), ((0,), (1, 2))):
+        with pytest.raises(dk.RepresentationError):
+            dk.FiniteDistribution.uniform_on_graph(points, values)
+
+
 # ------------------------------------------------------------ mix_labelings
 
 def test_mix_full_set_is_first_labeling():

@@ -523,6 +523,16 @@ def test_corrupted_certificates_fail_verification():
     assert set(not_cube) <= dk.restrict(three, (0, 1)).pattern_set
     assert not dk.verify_certificate(dk.ShatterCertificate("ds", (0, 1), (not_cube,)), three)
 
+
+@pytest.mark.parametrize("kind, payload", [
+    ("graph", ()), ("psi", ()), ("natarajan", ((0, 1),)), ("ds", ()), ("psi", ((0, 1),)),
+    ("natarajan", ()), ("ds", ((), ())), ("vc", ((0, 1),)),
+])
+def test_certificate_of_the_wrong_shape_fails_verification(kind, payload):
+    # these raised IndexError, ValueError or AttributeError
+    cert = dk.ShatterCertificate(kind, (0, 1), payload)
+    assert dk.verify_certificate(cert, dk.full_class(2, 2)) is False
+
     binary = dk.class_from_tables([(0, 0), (0, 1), (1, 0)], num_labels=2)
     assert dk.verify_certificate(dk.ShatterCertificate("vc", (1,), ()), binary)
     assert not oracles.vc_shattered(binary, (0, 1))

@@ -242,83 +242,21 @@ def test_enumeration_erm_budget_error():
         dk.realizable_enumeration_erm(cls.enumerate(), ((0, 1), (1, 0)), budget=5)
 
 
-# ----------------------------------------------------------- bounded labels
-
-def test_constant_bound_degenerates_to_plain_enumeration():
-    cls, spec = three_hyp_spec()
-    bounded = dk.GoodFunctionSpec(
-        witness=spec.witness, num_labels=3, label_bound=(2, 2, 2, 2, 2)
-    )
-    for points in ((0, 1), (0, 2), (1, 3)):
-        assert (
-            dk.good_patterns(bounded, points).patterns
-            == dk.good_patterns(spec, points).patterns
-        )
-
-
-def test_unit_bound_keeps_binary_patterns():
-    _, spec = three_hyp_spec()
-    bounded = dk.GoodFunctionSpec(
-        witness=spec.witness, num_labels=3, label_bound=(1, 1, 1)
-    )
-    got = dk.good_patterns(bounded, (0, 1))
-    assert all(set(p) <= {0, 1} for p in got.patterns)
-
-
-def test_growing_bound_label_pool():
-    _, spec = three_hyp_spec()
-    bounded = dk.GoodFunctionSpec(
-        witness=spec.witness, num_labels=3, label_bound=(0, 1, 2)
-    )
-    assert list(bounded.window_labels(2)) == [0, 1, 2]
-    assert list(bounded.window_labels(0)) == [0]
-    with pytest.raises(dk.PreconditionError):
-        bounded.window_labels(3)
-
-
-def test_bounded_variant_matches_full_enumeration():
-    _, spec = three_hyp_spec()
-    bounded = dk.GoodFunctionSpec(
-        witness=spec.witness, num_labels=3, label_bound=(1, 1, 2, 2)
-    )
-    for points in ((0, 1), (0, 1, 2), (1, 3)):
-        assert (
-            dk.good_patterns(bounded, points).patterns
-            == oracles.good_patterns_bruteforce(bounded, points)
-        )
-
-
-def test_bound_table_must_be_nondecreasing():
-    _, spec = three_hyp_spec()
-    with pytest.raises(dk.PreconditionError):
-        dk.GoodFunctionSpec(witness=spec.witness, num_labels=3, label_bound=(2, 1))
-
-
-def test_bound_table_stays_inside_the_alphabet():
-    # a bound of 5 with q = 3 used to make good patterns with label 5, which
-    # erm_augmented then rejected with a RepresentationError
-    _, spec = three_hyp_spec()
-    for bound in ((5, 5, 5), (0, 1, 3), (-1, 0)):
-        with pytest.raises(dk.PreconditionError):
-            dk.GoodFunctionSpec(witness=spec.witness, num_labels=3, label_bound=bound)
-    top = dk.GoodFunctionSpec(witness=spec.witness, num_labels=3, label_bound=(2, 2, 2))
-    assert all(v < 3 for p in dk.good_patterns(top, (0, 1, 2)).patterns for v in p)
-
-
-def test_bound_table_must_be_nonempty():
-    # an empty table used to be accepted, and erm_augmented then died on
-    # max() of an empty sequence
-    _, spec = three_hyp_spec()
-    with pytest.raises(dk.PreconditionError, match="nonempty"):
-        dk.GoodFunctionSpec(witness=spec.witness, num_labels=3, label_bound=())
-
-
 def test_spec_rejects_family_alphabet_mismatch():
     # a family over 2 labels says nothing about label 2 of a 3-label alphabet
     w = dk.Witness(flavor="psi", order=0, psi=dk.graph_family(2),
                    evaluator=lambda pts, psibar: (0,))
     with pytest.raises(dk.PreconditionError):
         dk.GoodFunctionSpec(witness=w, num_labels=3)
+
+
+def test_spec_needs_a_label():
+    # with no labels the enumeration had no all-zero pattern and returned an
+    # empty behavior set, though v(T) is never empty
+    _, spec = three_hyp_spec()
+    for q in (0, -1):
+        with pytest.raises(dk.PreconditionError):
+            dk.GoodFunctionSpec(witness=spec.witness, num_labels=q)
 
 
 # --------------------------------------------------------- sample size rule

@@ -59,6 +59,25 @@ def test_witness_rejects_duplicate_points_and_equal_labelings():
         w.evaluate((0, 1), (0, 0), (0, 1))
 
 
+def test_witness_rejects_malformed_payloads():
+    # a short labeling raised IndexError, and a wrong number of payload
+    # arguments a raw ValueError from unpacking
+    w = dk.canonical_witness(three_hyp(), "natarajan", 1)
+    for payload in (((0,), (1,)), ((0, 0), (1,)), ((0, 0, 0), (1, 1, 1)), ((0, 0),),
+                    ((0, 0), (1, 1), (2, 2)), ()):
+        with pytest.raises(dk.PreconditionError):
+            w.evaluate((0, 1), *payload)
+    g = dk.canonical_witness(three_hyp(), "graph", 1)
+    for payload in (((0,),), ((0, 0), (1, 1)), ()):
+        with pytest.raises(dk.PreconditionError):
+            g.evaluate((0, 1), *payload)
+    fam = dk.graph_family(3)
+    p = dk.canonical_witness(three_hyp(), "psi", 1, psi=fam)
+    with pytest.raises(dk.PreconditionError):
+        p.evaluate((0, 1), fam.members[:1])
+    assert len(p.evaluate((0, 1), fam.members[:2])) == 2
+
+
 # --------------------------------------------------------------- validation
 
 def test_canonical_order1_witness_validates_exhaustively():

@@ -345,5 +345,4 @@ def distinct_pairs(arity: int, num_labels: int) -> Iterator[tuple[Pattern, Patte
     """All ordered labeling pairs (y, y') that differ at every coordinate."""
     labels = range(num_labels)
     per_coord = [(a, b) for a in labels for b in labels if a != b]
-    for combo in itertools.product(per_coord, repeat=arity):
-        yield tuple(zip(*combo))
+    return map(tuple, itertools.starmap(zip, itertools.product(per_coord, repeat=arity)))

@@ -343,15 +343,34 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
 _PAYLOAD_SIZE = {"vc": 0, "natarajan": 2, "graph": 1, "ds": 1, "psi": 1}
 
 
+def _is_labeling(row) -> bool:
+    return isinstance(row, (tuple, list)) and all(isinstance(v, int) for v in row)
+
+
+def _well_typed(kind: str, payload: tuple) -> bool:
+    """Whether each payload part has the type its kind takes: labelings
+    for natarajan and graph, a collection of label tuples for ds, and
+    encoders for psi."""
+    if kind == "ds":
+        (cube,) = payload
+        return isinstance(cube, (tuple, list, set, frozenset)) and all(
+            isinstance(p, tuple) and _is_labeling(p) for p in cube)
+    if kind == "psi":
+        return isinstance(payload[0], (tuple, list)) and all(
+            isinstance(psi, PsiFunction) for psi in payload[0])
+    return all(map(_is_labeling, payload))
+
+
 def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     """Re-check a certificate against the class it allegedly shatters.  A DS
     cube must be a pseudo-cube of realized patterns; every other kind names
     one binary encoder per point, and their image of the class must cover
-    {0,1}^n.  A payload of the wrong shape for its kind does not verify."""
+    {0,1}^n.  A payload of the wrong shape or type for its kind does not
+    verify."""
     if cert.kind not in _PAYLOAD_SIZE:
         raise PreconditionError(f"unknown certificate kind {cert.kind!r}")
     points, payload = cert.points, cert.payload
-    if len(payload) != _PAYLOAD_SIZE[cert.kind]:
+    if len(payload) != _PAYLOAD_SIZE[cert.kind] or not _well_typed(cert.kind, payload):
         return False
     behaviors = restrict(cls, points)
     if cert.kind == "ds":
@@ -365,10 +384,8 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     elif cert.kind == "graph":
         labels = {v for p in behaviors.patterns for v in p}
         tables = [{v: int(v == k) for v in labels} for k in payload[0]]
-    elif all(isinstance(psi, PsiFunction) for psi in payload[0]):
-        tables = [{v: b for v, b in enumerate(psi.table) if b != STAR} for psi in payload[0]]
     else:
-        return False
+        tables = [{v: b for v, b in enumerate(psi.table) if b != STAR} for psi in payload[0]]
     if len(tables) != len(points):
         return False
     return _coverage_search(behaviors.patterns, [[(t, None)] for t in tables]) is not None

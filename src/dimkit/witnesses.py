@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial, reduce
+from operator import and_, getitem
 from typing import Callable, Optional
 
 from . import nfl
@@ -29,7 +30,7 @@ from .core import (
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     restrict,
 )
-from .psi import PsiFamily, _encoder_image
+from .psi import PsiFamily, PsiFunction, _encoder_image
 from .psi import apply_encoders  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 
 FLAVORS = ("natarajan", "graph", "psi")
@@ -87,11 +88,17 @@ class Witness:
         if len(payload) != expected:
             raise PreconditionError(
                 f"{self.flavor} witness takes {expected} payload arguments, got {len(payload)}")
-        if any(len(arg) != self.arity for arg in payload):
+        try:
+            sized = all(len(arg) == self.arity for arg in payload)
+        except TypeError:  # an int where a labeling belongs
+            sized = False
+        if not sized:
             raise PreconditionError(f"witness payload needs one entry per point ({self.arity})")
         order = sorted(range(len(points)), key=lambda i: points[i])
         pts = tuple(points[i] for i in order)
         payload = tuple(tuple(arg[i] for i in order) for arg in payload)
+        if self.flavor != "psi" and not all(isinstance(v, int) for arg in payload for v in arg):
+            raise PreconditionError(f"{self.flavor} witness labelings must hold integer labels")
         if self.flavor == "natarajan":
             g1, g2 = payload
             if any(a == b for a, b in zip(g1, g2)):
@@ -99,16 +106,21 @@ class Witness:
         elif self.flavor == "psi":
             (psibar,) = payload
             for psi in psibar:
+                if not isinstance(psi, PsiFunction):
+                    raise PreconditionError(f"psi witness payload holds {psi!r}, not an encoder")
                 if psi.num_labels != self.psi.num_labels:
                     raise PreconditionError("encoder alphabet mismatch")
         return self._evaluate_canonical(pts, payload)
 
     def _evaluate_canonical(self, points, payload):
         """Run the evaluator on a canonical input (strictly increasing points,
-        payload aligned with them) and check the shape of its answer: an
-        index set inside range(arity), or a 0/1 pattern of length arity.
-        Returns the answer as a frozenset or a tuple."""
-        out = self.evaluator(points, *payload)
+        payload aligned with them) and check the shape of its answer."""
+        return self._checked_answer(self.evaluator(points, *payload), points)
+
+    def _checked_answer(self, out, points):
+        """Check the shape of an evaluator answer on ``points``: an index set
+        inside range(arity), or a 0/1 pattern of length arity.  Returns the
+        answer as a frozenset or a tuple."""
         try:
             if self.flavor == "psi":
                 out = tuple(out)
@@ -148,24 +160,63 @@ def witness_inputs(witness: Witness, num_labels: int):
     """Every canonical payload of the witness's flavor over labels
     0..num_labels-1, in product order: (g1, g2) pairs that differ at every
     coordinate, (f,) labelings, or (psibar,) encoder tuples."""
-    arity = witness.arity
     if witness.flavor == "natarajan":
-        return distinct_pairs(arity, num_labels)
-    if witness.flavor == "graph":
-        return ((f,) for f in itertools.product(range(num_labels), repeat=arity))
-    return ((psibar,) for psibar in itertools.product(witness.psi.members, repeat=arity))
+        return distinct_pairs(witness.arity, num_labels)
+    return zip(itertools.product(_alphabet(witness, num_labels), repeat=witness.arity))
 
 
-def _cells(behaviors: BehaviorSet, flavor: str, row) -> list[tuple[int, int]]:
-    """Per coordinate, the bitmasks (over ``behaviors.index``) of the
-    behaviors coded 0 and coded 1 there.  For a graph labeling f, code 1
-    means agreeing with f; for an encoder tuple, it is the encoder's value,
-    and a star puts the behavior in neither cell."""
+def _alphabet(witness: Witness, num_labels: int):
+    """What one coordinate of a payload holds, in product order: a (g1, g2)
+    label pair that differs, a label, or an encoder."""
+    labels = range(num_labels)
+    if witness.flavor == "natarajan":
+        return [(a, b) for a in labels for b in labels if a != b]
+    return labels if witness.flavor == "graph" else witness.psi.members
+
+
+class _Cells(dict):
+    """One coordinate's memo: a graph label or an encoder mapped to its cell
+    pair, computed on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        cell = self[key] = self.make(key)
+        return cell
+
+
+def _cell_tables(behaviors: BehaviorSet, flavor: str) -> list[_Cells]:
+    """Per coordinate, a memo from a graph label or an encoder to the
+    bitmasks (over ``behaviors.index``) of the behaviors coded 0 and coded 1
+    there.  For a graph label, code 1 means having that label; for an
+    encoder, it is the encoder's value, and a star puts the behavior in
+    neither cell."""
     if flavor == "graph":
         full = (1 << len(behaviors)) - 1
-        agree = [column.get(v, 0) for column, v in zip(behaviors.index, row)]
-        return [(full & ~a, a) for a in agree]
-    return [_encoder_image(column, psi) for column, psi in zip(behaviors.index, row)]
+        return [_Cells(lambda v, get=column.get: (full & ~get(v, 0), get(v, 0)))
+                for column in behaviors.index]
+    return [_Cells(partial(_encoder_image, column)) for column in behaviors.index]
+
+
+def _cell_rows(witness: Witness, behaviors: BehaviorSet, num_labels: int):
+    """Per input, in ``witness_inputs`` order, the pairs each coordinate's
+    0/1 code picks from: (g2[i], g1[i]) for natarajan, so code 1 picks g1's
+    label, and the cells of the label or encoder for graph and psi."""
+    alphabet = _alphabet(witness, num_labels)
+    if witness.flavor == "natarajan":
+        return itertools.product([(b, a) for a, b in alphabet], repeat=witness.arity)
+    return itertools.product(*([t[s] for s in alphabet]
+                               for t in _cell_tables(behaviors, witness.flavor)))
+
+
+def _code(flavor: str, arity: int, answer) -> tuple[int, ...]:
+    """The 0/1 code of a well-formed answer: a pattern's bits, or an index
+    set's indicator."""
+    if flavor == "psi":
+        return tuple(int(b == 1) for b in answer)
+    return tuple(int(i in answer) for i in range(arity))
 
 
 def _first_missing_code(cells, live: int = -1, prefix: tuple = ()) -> Optional[tuple]:
@@ -186,53 +237,61 @@ def _first_missing_code(cells, live: int = -1, prefix: tuple = ()) -> Optional[t
     return None
 
 
-def _realized(behaviors: BehaviorSet, flavor: str, payload, answer):
-    """The violation detail when some behavior realizes what the witness
-    answer on ``payload`` excludes: the excluded mixture, the first behavior
-    in ``pattern_set`` order with the excluded agreement set, or the excluded
-    pattern.  None when the exclusion holds."""
-    if flavor == "natarajan":
-        excluded = tuple(a if i in answer else b for i, (a, b) in enumerate(zip(*payload)))
-        return excluded if excluded in behaviors.pattern_set else None
-    code = answer if flavor == "psi" else [int(i in answer) for i in range(len(behaviors.points))]
-    live = -1
-    for cell, b in zip(_cells(behaviors, flavor, payload[0]), code):
-        live &= cell[b]
-    if not live:
-        return None
-    if flavor == "psi":
-        return answer
-    return next(itertools.islice(behaviors.pattern_set, (live & -live).bit_length() - 1, None))
-
-
 def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> WitnessReport:
     """Exhaustively re-check the exclusion property on every valid input
     whose points lie in [0, window].  Inputs are generated canonical, so they
-    go to the evaluator without re-sorting."""
+    go to the evaluator without re-sorting.
+
+    Every input reaches the evaluator and the shape check of its answer.
+    What the check reads is built once per point tuple: the behaviors and,
+    for the graph and psi flavors, each coordinate's cells per label or
+    family member, so an input costs one evaluator call and table lookups.
+    An answer equal to one seen before, and of the exact type a well-formed
+    one has (a frozenset, or a tuple for psi), is checked by one dict lookup
+    of its 0/1 code; any other goes through ``Witness._checked_answer``."""
     if window < 0:
         raise PreconditionError("window must be a natural")
     if witness.flavor == "psi" and witness.psi.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
-    evaluate = witness._evaluate_canonical
+    flavor, evaluator = witness.flavor, witness.evaluator
+    codes = {}  # each well-formed answer seen so far, mapped to its code
+    shape = tuple if flavor == "psi" else frozenset
     checked = 0
     violations = []
     for points in itertools.combinations(range(window + 1), witness.arity):
         behaviors = restrict(cls, points)
-        for payload in witness_inputs(witness, cls.num_labels):
+        realized = behaviors.pattern_set
+        for cells, payload in zip(_cell_rows(witness, behaviors, cls.num_labels),
+                                  witness_inputs(witness, cls.num_labels)):
             checked += 1
             try:
-                answer = evaluate(points, payload)
+                out = evaluator(points, *payload)
             except (ShatteredError, ExclusionFailure) as err:
                 violations.append(WitnessViolation(
                     points=points, payload=payload,
                     reason="shattered" if isinstance(err, ShatteredError)
                     else "exclusion_failure"))
                 continue
-            hit = _realized(behaviors, witness.flavor, payload, answer)
-            if hit is not None:
-                violations.append(WitnessViolation(
-                    points=points, payload=payload,
-                    reason="excluded_pattern_realized", detail=hit))
+            try:
+                code = codes[out] if type(out) is shape else None
+            except (KeyError, TypeError):  # not seen yet, or unhashable entries
+                code = None
+            if code is None:
+                out = witness._checked_answer(out, points)
+                code = codes.setdefault(out, _code(flavor, witness.arity, out))
+            if flavor == "natarajan":
+                hit = tuple(map(getitem, cells, code))
+                if hit not in realized:
+                    continue
+            else:
+                live = reduce(and_, map(getitem, cells, code))
+                if not live:
+                    continue
+                hit = out if flavor == "psi" else next(itertools.islice(
+                    realized, (live & -live).bit_length() - 1, None))
+            violations.append(WitnessViolation(
+                points=points, payload=payload,
+                reason="excluded_pattern_realized", detail=hit))
     return WitnessReport(checked_inputs=checked, violations=tuple(violations))
 
 
@@ -241,7 +300,11 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
     """Brute-force witness from the behavior oracle: per input, return the
     first candidate output (ordered by the labeling/pattern it induces) that
     the class does not realize.  Raises ShatteredError at evaluation time on
-    inputs where every candidate is realized."""
+    inputs where every candidate is realized.
+
+    The evaluators cache the behaviors per point tuple, and the graph and
+    psi ones also each coordinate's cells there, per label or encoder as
+    first asked for, so an encoder outside the family is answered too."""
     behaviors_at = cache(lambda points: restrict(cls, points))
 
     if flavor == "natarajan":
@@ -256,8 +319,10 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
             raise ShatteredError("every mixture realized", (points, g1, g2))
 
     elif flavor == "graph":
+        cells_at = cache(lambda points: _cell_tables(behaviors_at(points), "graph"))
+
         def evaluator(points, f):
-            code = _first_missing_code(_cells(behaviors_at(points), "graph", f))
+            code = _first_missing_code(list(map(getitem, cells_at(points), f)))
             if code is None:
                 raise ShatteredError("every agreement set realized", (points, f))
             return frozenset(i for i, b in enumerate(code) if b)
@@ -268,8 +333,10 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
         if psi.num_labels != cls.num_labels:
             raise RepresentationError("family alphabet differs from class alphabet")
 
+        cells_at = cache(lambda points: _cell_tables(behaviors_at(points), "psi"))
+
         def evaluator(points, psibar):
-            code = _first_missing_code(_cells(behaviors_at(points), "psi", psibar))
+            code = _first_missing_code(list(map(getitem, cells_at(points), psibar)))
             if code is None:
                 raise ShatteredError("every binary pattern covered", (points, psibar))
             return code
@@ -352,7 +419,8 @@ def psi_witness_from_natarajan(witness: Witness, family: PsiFamily,
                 f"behavior superset has {len(v)} patterns at arity {len(points)}, "
                 "which contradicts the growth bound"
             )
-        code = _first_missing_code(_cells(v, "psi", psibar))
+        code = _first_missing_code([_encoder_image(column, psi)
+                                    for column, psi in zip(v.index, psibar)])
         if code is None:
             raise ConsistencyError("no missing binary pattern despite the count bound")
         return code

@@ -421,6 +421,17 @@ def test_witness_check_negative_window_exits_two(capsys, c6_file):
                        "--flavor", "natarajan", "--order", "1", "--window", "-1")
 
 
+def test_witness_from_learner_at_m3(capsys, tmp_path):
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"gallery": "full", "params": {"n": 6, "labels": 2}}))
+    code, report = run(capsys, "witness", "from-learner", "--learner", "memorize:0",
+                       "--m", "3", "--check-class", str(full))
+    result = report["result"]
+    assert code == 1 and not result["valid"]
+    assert result["witness"]["order"] == 5 and result["window"] == 5
+    assert result["checked_inputs"] == 64 and result["violation_count"] == 64
+
+
 def test_witness_from_learner_negative_window_exits_two(capsys):
     assert_usage_error(capsys, "witness", "from-learner", "--learner", "const:0",
                        "--m", "1", "--window", "-2", "--labels", "2")
@@ -707,6 +718,28 @@ def test_six_cycle_refute_report_is_pinned(capsys, c6_file):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "ad0d297d3f148a1e231e7348b1c944d1d3c465420e5b014a64b71f2982af52e4"
+
+
+SMALL_TABLE = {"labels": 3, "domain": 4, "hypotheses": [
+    [0, 1, 2, 0], [1, 0, 2, 1], [2, 2, 0, 1], [0, 0, 1, 2], [1, 2, 1, 0]]}
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["--class", "gap.json", "--bundled"], 0,
+     "a719819d17b0f3267ee5b396b26bdc18d6ab078d08eec53a15d4f6b069ec9384"),
+    (["--class", "small.json", "--flavor", "graph", "--order", "1"], 1,
+     "869359363511d39ae0f83105cb27f152e3aa4f8e74b53eced48b7a81f2962c8a"),
+    (["--class", "small.json", "--flavor", "psi", "--psi", "psiG.json", "--order", "1"], 1,
+     "ea918deaf86621696eed402590174e4e2f777308adf8b7e990f6261b78b3a95d"),
+], ids=["gap3-bundled", "graph", "psiG"])
+def test_witness_check_reports_are_pinned(capsys, tmp_path, monkeypatch, argv, code, expected):
+    (tmp_path / "gap.json").write_text(json.dumps({"gallery": "gap", "params": {"m": 3}}))
+    (tmp_path / "small.json").write_text(json.dumps(SMALL_TABLE))
+    (tmp_path / "psiG.json").write_text(json.dumps({"labels": 3, "builtin": "psi_G"}))
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["witness", "check", *argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_dispatch_carries_no_value_to_the_next_call(capsys, three_file, psin3_file):

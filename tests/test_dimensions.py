@@ -539,6 +539,25 @@ def test_certificate_of_the_wrong_shape_fails_verification(kind, payload):
     assert not dk.verify_certificate(dk.ShatterCertificate("vc", (0, 1), ()), binary)
 
 
+@pytest.mark.parametrize("kind, payload", [
+    ("graph", (5,)), ("natarajan", (1, 2)), ("ds", ([[0, 0], [0, 1], [1, 0], [1, 1]],)),
+    ("ds", (5,)), ("ds", (((0, 0), [0, 1]),)), ("psi", (5,)), ("natarajan", ((0, 1), None)),
+], ids=["graph-int", "natarajan-ints", "ds-lists", "ds-int", "ds-mixed", "psi-int",
+        "natarajan-none"])
+def test_certificate_of_the_wrong_type_fails_verification(kind, payload):
+    # these raised TypeError
+    cert = dk.ShatterCertificate(kind, (0, 1), payload)
+    assert dk.verify_certificate(cert, dk.full_class(2, 2)) is False
+
+
+def test_certificate_parts_in_lists_still_verify():
+    cube = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert dk.verify_certificate(dk.ShatterCertificate("ds", (0, 1), (cube,)),
+                                 dk.full_class(2, 2))
+    assert dk.verify_certificate(dk.ShatterCertificate("natarajan", (0, 1), ([0, 0], [1, 1])),
+                                 dk.full_class(2, 2))
+
+
 def test_negative_window_is_rejected():
     with pytest.raises(dk.PreconditionError):
         dk.exact_dimension(c6(), "natarajan", window=-5)

@@ -220,6 +220,20 @@ def test_psi_witness_flavor_guard():
 
 # ------------------------------------------- fast validation vs reference
 
+ANSWER_TYPES = {
+    "set": set,
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda items: (i for i in items),
+    "bools": lambda items: frozenset(map(bool, items)),  # {False, True} == {0, 1}
+}
+PSI_ANSWER_TYPES = {
+    "list": list,
+    "generator": lambda bits: (b for b in bits),
+    "bools": lambda bits: tuple(b == 1 for b in bits),
+}
+
+
 def _witness_cases():
     """(label, witness factory, class, window): each factory builds a fresh
     witness, so the two validations share no evaluator caches."""
@@ -279,6 +293,22 @@ def _witness_cases():
         cases.append((f"user.psi.{order}", lambda order=order: dk.Witness(
             flavor="psi", order=order, psi=fam,
             evaluator=lambda pts, psibar: [psi.table[1] for psi in psibar]), cls, 3))
+    # answers of every type the shape check takes, not only a frozenset (or
+    # a tuple for psi), so that both paths of the check are compared, on a
+    # sparse class where some answers hold and some do not
+    cls = dk.class_from_tables([(0, 1, 2, 0), (1, 0, 2, 1), (2, 2, 0, 1), (0, 0, 1, 2)],
+                               num_labels=3)
+    for name, make in ANSWER_TYPES.items():
+        cases.append((f"user.natarajan.{name}", lambda make=make: dk.Witness(
+            flavor="natarajan", order=1,
+            evaluator=lambda pts, g1, g2: make(i for i in range(2) if g1[i] < g2[i])), cls, 3))
+        cases.append((f"user.graph.{name}", lambda make=make: dk.Witness(
+            flavor="graph", order=1,
+            evaluator=lambda pts, f: make(i for i in range(2) if f[0] == f[1])), cls, 3))
+    for name, make in PSI_ANSWER_TYPES.items():
+        cases.append((f"user.psi.{name}", lambda make=make: dk.Witness(
+            flavor="psi", order=1, psi=fam,
+            evaluator=lambda pts, psibar: make(psi.table[pts[0] % 3] for psi in psibar)), cls, 3))
     return cases
 
 
@@ -293,6 +323,7 @@ def test_validation_matches_reference_loop(case):
     assert [(v.points, v.payload, v.reason, v.detail) for v in fast.violations] == \
         [(v.points, v.payload, v.reason, v.detail) for v in slow.violations]
     assert fast == slow
+    assert repr(fast) == repr(slow)  # True and 1 are equal, but serialize apart
 
 
 def test_reference_cases_cover_every_verdict():
@@ -418,3 +449,127 @@ def test_well_formed_outputs_are_normalized():
     p = dk.Witness(flavor="psi", order=1, psi=dk.graph_family(2),
                    evaluator=lambda pts, psibar: [1, 0])
     assert p.evaluate((0, 1), dk.graph_family(2).members[:2]) == (1, 0)
+
+
+def _answers_on(points, malformed, flavor):
+    """Order-1 witness over two labels answering well-formed everywhere but
+    on ``points``, where it answers ``malformed()``."""
+    ok = (0, 0) if flavor == "psi" else frozenset()
+
+    def evaluator(pts, *payload):
+        return malformed() if pts == points else ok
+    return dk.Witness(flavor=flavor, order=1, evaluator=evaluator,
+                      psi=dk.graph_family(2) if flavor == "psi" else None)
+
+
+def _malformed_message(flavor, shown, points):
+    expected = ("a 0/1 pattern of length 2" if flavor == "psi"
+                else "an index set inside 0..1")
+    return f"{flavor} witness answered {shown} on points {points}; expected {expected}"
+
+
+@pytest.mark.parametrize("flavor, malformed, shown", [
+    *(pytest.param(flavor, make, "frozenset({7})", id=f"{flavor}-{name}")
+      for flavor in ("natarajan", "graph")
+      for name, make in (("frozenset", lambda: frozenset({7})), ("set", lambda: {7}),
+                         ("list", lambda: [7, 7]), ("tuple", lambda: (7,)),
+                         ("generator", lambda: (i for i in (7,))))),
+    pytest.param("natarajan", lambda: 7, "7", id="natarajan-int"),
+    *(pytest.param("psi", make, shown, id=f"psi-{name}")
+      for name, make, shown in (
+          ("short", lambda: (0,), "(0,)"),
+          ("short-list", lambda: [0], "(0,)"),
+          ("long", lambda: (0, 1, 0), "(0, 1, 0)"),
+          ("non-binary", lambda: (5, 5), "(5, 5)"),
+          ("non-binary-generator", lambda: (b for b in (0, 2)), "(0, 2)"),
+          ("bool-and-two", lambda: (True, 2), "(True, 2)"),
+          ("unhashable", lambda: ([1], 0), "([1], 0)"),
+          ("int", lambda: 3, "3"))),
+])
+def test_malformed_answers_raise_one_message_everywhere(flavor, malformed, shown):
+    """A malformed answer raises the same PreconditionError through
+    validation (on the last point tuple, after well-formed answers), the
+    public evaluate and the good-pattern enumeration (which asks about
+    (0, 1) first)."""
+    w = _answers_on((1, 2), malformed, flavor)
+    with pytest.raises(dk.PreconditionError) as err:
+        dk.validate_witness(w, dk.full_class(3, 2), 2)
+    assert str(err.value) == _malformed_message(flavor, shown, (1, 2))
+    payload = ((dk.graph_family(2).members[1],) * 2,) if flavor == "psi" else (
+        ((0, 1), (1, 0)) if flavor == "natarajan" else ((0, 1),))
+    with pytest.raises(dk.PreconditionError) as err:
+        w.evaluate((2, 1), *payload)
+    assert str(err.value) == _malformed_message(flavor, shown, (1, 2))
+    if flavor != "graph":
+        spec = dk.GoodFunctionSpec(witness=_answers_on((0, 1), malformed, flavor), num_labels=2)
+        with pytest.raises(dk.PreconditionError) as err:
+            dk.good_patterns(spec, (0, 1, 2))
+        assert str(err.value) == _malformed_message(flavor, shown, (0, 1))
+
+
+def test_witness_rejects_payload_parts_of_the_wrong_type():
+    # an int where an encoder belongs raised AttributeError, and an int
+    # where a labeling belongs TypeError
+    fam = dk.graph_family(3)
+    p = dk.canonical_witness(three_hyp(), "psi", 1, psi=fam)
+    for psibar in ((1, 2), (fam.members[0], 2), 5):
+        with pytest.raises(dk.PreconditionError):
+            p.evaluate((0, 1), psibar)
+    # and a label of the wrong type inside a labeling TypeError, or went
+    # through as a label
+    n = dk.canonical_witness(three_hyp(), "natarajan", 1)
+    for g1, g2 in ((1, 2), ((0, "a"), (1, 0)), ((0, [1]), (1, 0))):
+        with pytest.raises(dk.PreconditionError):
+            n.evaluate((0, 1), g1, g2)
+    g = dk.canonical_witness(three_hyp(), "graph", 1)
+    for f in (5, ([0], 1), ("a", 1)):
+        with pytest.raises(dk.PreconditionError):
+            g.evaluate((0, 1), f)
+
+
+def test_canonical_cells_are_cached_per_point_tuple():
+    """The canonical graph and psi answers against the oracles on every
+    input, with point tuples interleaved and each input asked twice, and
+    with encoders over the class alphabet that are not in the family."""
+    from oracles import first_missing_agreement, first_missing_image
+
+    rng = random.Random(1621)
+    for _ in range(4):
+        cls = random_table_class(rng, 4, rng.choice((2, 3)), 12)
+        q = cls.num_labels
+        fam = dk.graph_family(q)
+        outside = [e for e in dk.psi.all_encoders(q) if e not in fam.members]
+        encoders = fam.members + tuple(rng.sample(outside, 3))
+        for order in (0, 1, 2):
+            graph = dk.canonical_witness(cls, "graph", order)
+            psi = dk.canonical_witness(cls, "psi", order, psi=fam)
+            cases = []
+            for points in itertools.combinations(range(4), order + 1):
+                pats = dk.restrict(cls, points).pattern_set
+                cases += [(graph, points, f, first_missing_agreement(pats, f))
+                          for f in itertools.product(range(q), repeat=order + 1)]
+                cases += [(psi, points, psibar, first_missing_image(pats, psibar))
+                          for psibar in itertools.product(encoders, repeat=order + 1)]
+            rng.shuffle(cases)
+            for w, points, row, expected in cases + cases[::-1]:
+                if expected is None:
+                    with pytest.raises(dk.ShatteredError):
+                        w.evaluate(points, row)
+                else:
+                    assert w.evaluate(points, row) == expected
+
+
+def test_learner_witness_at_m3_matches_reference():
+    from oracles import validate_witness_reference
+
+    cls = dk.full_class(6, 2)
+
+    def make():
+        learner = dk.memorizing_learner(0, num_labels=2, window=5)
+        return dk.witness_from_learner(learner, 3, h_check=cls)
+
+    fast = dk.validate_witness(make(), cls, 5)
+    assert fast.checked_inputs == 64 and len(fast.violations) == 64
+    assert {v.reason for v in fast.violations} == {"exclusion_failure"}
+    slow = validate_witness_reference(make(), cls, 5)
+    assert fast == slow and repr(fast) == repr(slow)

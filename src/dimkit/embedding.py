@@ -20,6 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import getitem
 
 from .core import (
     BehaviorSet,
@@ -34,7 +36,7 @@ from .core import (
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
 from .nfl import Learner
-from .witnesses import Witness, witness_inputs
+from .witnesses import Witness, _cell_rows, _code_reader, witness_inputs
 
 
 @dataclass(frozen=True)
@@ -55,26 +57,39 @@ class GoodFunctionSpec:
         if self.witness.psi is not None and self.witness.psi.num_labels != self.num_labels:
             raise PreconditionError("witness family alphabet differs from num_labels")
 
+    @cached_property
+    def _read(self):
+        """The witness's code reader, whose memo every subset shares."""
+        return _code_reader(self.witness)
+
 
 def _excluded_on(spec: GoodFunctionSpec, subset) -> frozenset:
     """All restrictions to ``subset`` that agree with a witness-excluded
-    labeling, materialized once per subset and cached on the spec."""
+    labeling, materialized once per subset and cached on the spec.
+
+    As in ``validate_witness``, every input reaches the evaluator, and the
+    answer's 0/1 code comes from ``spec._read``.  The code picks, per
+    coordinate, from the pair beside the input: (g2[i], g1[i]) for
+    natarajan, or the labels the encoder codes 0 and 1 for psi."""
     key = ("excl", subset)
     cached = spec._cache.get(key)
     if cached is not None:
         return cached
     w = spec.witness
+    evaluator, read = w.evaluator, spec._read
+    inputs = witness_inputs(w, spec.num_labels)
     excluded = set()
-    for payload in witness_inputs(w, spec.num_labels):
-        answer = w._evaluate_canonical(subset, payload)
-        if w.flavor == "natarajan":
-            # _evaluate_canonical has checked the index set against arity
-            excluded.add(tuple(a if i in answer else b
-                               for i, (a, b) in enumerate(zip(*payload))))
-        else:
-            preimages = [[v for v in range(spec.num_labels) if psi.table[v] == b]
-                         for psi, b in zip(payload[0], answer)]
-            excluded.update(itertools.product(*preimages))
+    if w.flavor == "natarajan":
+        for row, payload in zip(_cell_rows(w, spec.num_labels), inputs):
+            _, code = read(evaluator(subset, *payload), subset)
+            excluded.add(tuple(map(getitem, row, code)))
+    else:
+        labels = range(spec.num_labels)
+        preimages = [tuple(tuple(v for v in labels if psi.table[v] == b) for b in (0, 1))
+                     for psi in w.psi.members]
+        for row, payload in zip(itertools.product(preimages, repeat=w.arity), inputs):
+            _, code = read(evaluator(subset, *payload), subset)
+            excluded.update(itertools.product(*map(getitem, row, code)))
     result = frozenset(excluded)
     spec._cache[key] = result
     return result

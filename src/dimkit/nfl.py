@@ -60,6 +60,8 @@ class Learner:
 
 def constant_learner(value: int, num_labels: int, window: int) -> Learner:
     """Predicts ``value`` everywhere on [0, window], ignoring the sample."""
+    if window < 0:
+        raise PreconditionError("window must be a natural")
     h = Hypothesis(num_labels=num_labels, table=(value,) * (window + 1))
     return Learner(name=f"const:{value}", fn=lambda sample: h, symmetric=True)
 
@@ -68,6 +70,8 @@ def memorizing_learner(default: int, num_labels: int, window: int) -> Learner:
     """Repeats the last seen label per point, ``default`` elsewhere.  On a
     sample labeled by one function every seen label of a point is the same,
     so the learner is symmetric there."""
+    if window < 0:
+        raise PreconditionError("window must be a natural")
 
     def fn(sample: Sample) -> Hypothesis:
         seen = dict(sample)

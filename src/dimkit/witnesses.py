@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
-from operator import and_, getitem
+from operator import and_, eq, getitem
 from typing import Callable, Optional
 
 from . import nfl
@@ -110,12 +110,7 @@ class Witness:
                     raise PreconditionError(f"psi witness payload holds {psi!r}, not an encoder")
                 if psi.num_labels != self.psi.num_labels:
                     raise PreconditionError("encoder alphabet mismatch")
-        return self._evaluate_canonical(pts, payload)
-
-    def _evaluate_canonical(self, points, payload):
-        """Run the evaluator on a canonical input (strictly increasing points,
-        payload aligned with them) and check the shape of its answer."""
-        return self._checked_answer(self.evaluator(points, *payload), points)
+        return self._checked_answer(self.evaluator(pts, *payload), pts)
 
     def _checked_answer(self, out, points):
         """Check the shape of an evaluator answer on ``points``: an index set
@@ -200,10 +195,11 @@ def _cell_tables(behaviors: BehaviorSet, flavor: str) -> list[_Cells]:
     return [_Cells(partial(_encoder_image, column)) for column in behaviors.index]
 
 
-def _cell_rows(witness: Witness, behaviors: BehaviorSet, num_labels: int):
+def _cell_rows(witness: Witness, num_labels: int, behaviors: Optional[BehaviorSet] = None):
     """Per input, in ``witness_inputs`` order, the pairs each coordinate's
     0/1 code picks from: (g2[i], g1[i]) for natarajan, so code 1 picks g1's
-    label, and the cells of the label or encoder for graph and psi."""
+    label, and the cells of the label or encoder in ``behaviors`` for graph
+    and psi."""
     alphabet = _alphabet(witness, num_labels)
     if witness.flavor == "natarajan":
         return itertools.product([(b, a) for a, b in alphabet], repeat=witness.arity)
@@ -219,21 +215,55 @@ def _code(flavor: str, arity: int, answer) -> tuple[int, ...]:
     return tuple(int(i in answer) for i in range(arity))
 
 
-def _first_missing_code(cells, live: int = -1, prefix: tuple = ()) -> Optional[tuple]:
-    """The lexicographically first 0/1 code, extending ``prefix``, that no
-    behavior in ``live`` (a bitmask, -1 for all) has, where a behavior has
-    code c when it lies in cells[i][c[i]] at every coordinate i; None when
-    every code is had."""
-    i = len(prefix)
-    if i == len(cells):
-        return None
-    for b in (0, 1):
-        rest = live & cells[i][b]
+def _code_reader(witness: Witness) -> Callable:
+    """``read(answer, points) -> (answer, code)`` for evaluator answers on
+    ``points``, with a memo of the answers it has seen.  An answer of the
+    exact type a well-formed one has (a frozenset, or a tuple for psi) that
+    equals one seen before costs one dict lookup of its 0/1 code; any other
+    goes through ``Witness._checked_answer``, which normalizes it or raises
+    PreconditionError."""
+    flavor, arity = witness.flavor, witness.arity
+    shape = tuple if flavor == "psi" else frozenset
+    codes = {}
+
+    def read(out, points):
+        if type(out) is shape:
+            try:
+                return out, codes[out]
+            except (KeyError, TypeError):  # not seen yet, or unhashable entries
+                pass
+        out = witness._checked_answer(out, points)
+        return out, codes.setdefault(out, _code(flavor, arity, out))
+
+    return read
+
+
+def _first_missing_code(cells, live: int = -1) -> Optional[tuple]:
+    """The lexicographically first 0/1 code that no behavior in ``live`` (a
+    bitmask, -1 for all) has, where a behavior has code c when it lies in
+    cells[i][c[i]] at every coordinate i; None when every code is had.
+
+    A depth-first search without recursion: ``masks[i]`` holds the behaviors
+    that agree with the code up to coordinate i, and the coordinates after
+    the current one stay 0, so a code whose cell empties the mask is the
+    answer as it stands."""
+    last = len(cells) - 1
+    code = [0] * len(cells)
+    masks = [live] * len(cells)
+    i = 0 if cells else -1
+    while i >= 0:
+        rest = masks[i] & cells[i][code[i]]
         if not rest:
-            return prefix + (b,) + (0,) * (len(cells) - i - 1)
-        found = _first_missing_code(cells, rest, prefix + (b,))
-        if found is not None:
-            return found
+            return tuple(code)
+        if i < last:
+            i += 1
+            masks[i] = rest
+            continue
+        while i >= 0 and code[i]:  # every code extending this prefix is had
+            code[i] = 0
+            i -= 1
+        if i >= 0:
+            code[i] = 1
     return None
 
 
@@ -246,22 +276,23 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
     What the check reads is built once per point tuple: the behaviors and,
     for the graph and psi flavors, each coordinate's cells per label or
     family member, so an input costs one evaluator call and table lookups.
-    An answer equal to one seen before, and of the exact type a well-formed
-    one has (a frozenset, or a tuple for psi), is checked by one dict lookup
-    of its 0/1 code; any other goes through ``Witness._checked_answer``."""
+    The answer's 0/1 code comes from ``_code_reader``, which the
+    good-pattern exclusion (``embedding._excluded_on``) shares: an answer
+    equal to one seen before, and of the exact type a well-formed one has (a
+    frozenset, or a tuple for psi), is one dict lookup; any other goes
+    through ``Witness._checked_answer``."""
     if window < 0:
         raise PreconditionError("window must be a natural")
     if witness.flavor == "psi" and witness.psi.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
     flavor, evaluator = witness.flavor, witness.evaluator
-    codes = {}  # each well-formed answer seen so far, mapped to its code
-    shape = tuple if flavor == "psi" else frozenset
+    read = _code_reader(witness)
     checked = 0
     violations = []
     for points in itertools.combinations(range(window + 1), witness.arity):
         behaviors = restrict(cls, points)
         realized = behaviors.pattern_set
-        for cells, payload in zip(_cell_rows(witness, behaviors, cls.num_labels),
+        for cells, payload in zip(_cell_rows(witness, cls.num_labels, behaviors),
                                   witness_inputs(witness, cls.num_labels)):
             checked += 1
             try:
@@ -272,13 +303,7 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
                     reason="shattered" if isinstance(err, ShatteredError)
                     else "exclusion_failure"))
                 continue
-            try:
-                code = codes[out] if type(out) is shape else None
-            except (KeyError, TypeError):  # not seen yet, or unhashable entries
-                code = None
-            if code is None:
-                out = witness._checked_answer(out, points)
-                code = codes.setdefault(out, _code(flavor, witness.arity, out))
+            out, code = read(out, points)
             if flavor == "natarajan":
                 hit = tuple(map(getitem, cells, code))
                 if hit not in realized:
@@ -312,11 +337,12 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
             # g1[i] != g2[i], so each mixture fixes its index set and the
             # product of the sorted coordinate pairs lists the mixtures in
             # lexicographic order
-            pats = behaviors_at(points).pattern_set
-            for mixture in itertools.product(*(sorted(c) for c in zip(g1, g2))):
-                if mixture not in pats:
-                    return frozenset(i for i, v in enumerate(mixture) if v == g1[i])
-            raise ShatteredError("every mixture realized", (points, g1, g2))
+            realized = behaviors_at(points).pattern_set.__contains__
+            mixtures = itertools.product(*map(sorted, zip(g1, g2)))
+            mixture = next(itertools.filterfalse(realized, mixtures), None)
+            if mixture is None:
+                raise ShatteredError("every mixture realized", (points, g1, g2))
+            return frozenset(itertools.compress(range(len(mixture)), map(eq, mixture, g1)))
 
     elif flavor == "graph":
         cells_at = cache(lambda points: _cell_tables(behaviors_at(points), "graph"))

@@ -321,6 +321,19 @@ def first_missing_image(pats, psibar):
     return None
 
 
+def first_missing_code(cells, live=-1):
+    """First 0/1 code, in product order, that no behavior in ``live`` has: a
+    behavior has code c when its bit is set in cells[i][c[i]] at every
+    coordinate i.  None if every code is had."""
+    for code in itertools.product((0, 1), repeat=len(cells)):
+        mask = live
+        for cell, b in zip(cells, code):
+            mask &= cell[b]
+        if not mask:
+            return code
+    return None
+
+
 def exact_expected_risk(learner, points, f_values, m):
     """Fraction-summing average risk over all (2m)^m training sequences."""
     points = tuple(points)

@@ -348,7 +348,7 @@ def test_embed_commands(capsys, tmp_path):
     assert report["result"]["empirical_risk"] == {"num": 0, "den": 1}
 
 
-def test_embed_below_dimension_exits_two(capsys, three_file):
+def test_embed_below_dimension_exits_two(capsys, tmp_path, three_file):
     # single points of this class are Natarajan-shattered, so the canonical
     # witness of order 0 has no answer on them; that is a usage error, not a
     # crash that would exit 1 like a verified negative
@@ -365,6 +365,15 @@ def test_embed_below_dimension_exits_two(capsys, three_file):
     dispatch(list(cases[0]))
     err = capsys.readouterr().err
     assert "natarajan:0" in err and "points [0]" in err
+    assert err == ("error: --witness natarajan:0: the class shatters points [0] on witness "
+                   "input [[0],[1]], so no witness of that order exists\n")
+    psig = tmp_path / "psig3.json"
+    psig.write_text(json.dumps({"labels": 3, "builtin": "psi_G"}))
+    assert dispatch(["embed", "behaviors", "--class", three_file, "--witness", "psi:0",
+                     "--psi", str(psig), "--points", "0,1"]) == 2
+    assert capsys.readouterr().err == (
+        'error: --witness psi:0: the class shatters points [0] on witness input '
+        '[[["1","0","0"]]], so no witness of that order exists\n')
     proc = subprocess.run([sys.executable, "-m", "dimkit", *cases[0]],
                           capture_output=True, text=True)
     assert proc.returncode == 2
@@ -805,6 +814,14 @@ def test_cross_process_byte_stability(tmp_path):
     pair.write_text(json.dumps({"labels": 6, "family": [
         ["1", "0", "*", "*", "*", "1"], ["0", "1", "*", "*", "*", "0"],
         ["*", "0", "*", "*", "1", "1"], ["*", "1", "*", "*", "0", "0"]]}))
+    # a sparse base over the naturals with Natarajan dimension 1 and Psi_G
+    # dimension 2, for the good-pattern commands
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"labels": 3, "domain": "nat", "hypotheses": [
+        {"support": sup} for sup in ({"0": 1, "1": 2}, {"1": 1, "2": 2}, {"0": 2, "2": 1},
+                                     {"3": 1}, {"1": 2, "3": 2})]}))
+    psig = tmp_path / "psig3.json"
+    psig.write_text(json.dumps({"labels": 3, "builtin": "psi_G"}))
     # refute-ds and the graph witness read bitmasks whose bits follow the
     # iteration order of a frozenset of behaviors; the coverage search
     # iterates dicts of suffixes and of realized labels
@@ -812,6 +829,15 @@ def test_cross_process_byte_stability(tmp_path):
         (["witness", "check", "--class", str(c6), "--flavor", "natarajan", "--order", "1"], 0),
         (["witness", "check", "--class", str(c6), "--flavor", "graph", "--order", "1"], 1),
         (["refute-ds", "--class", str(c6)], 0),
+        # the good-pattern exclusion collects excluded labelings in sets
+        (["embed", "behaviors", "--class", str(base), "--witness", "natarajan:1",
+          "--points", "0,2,4"], 0),
+        (["embed", "erm", "--class", str(base), "--witness", "natarajan:1",
+          "--sample", "0:1,2:2,4:1"], 0),
+        (["embed", "behaviors", "--class", str(base), "--witness", "psi:2",
+          "--psi", str(psig), "--points", "1,3,4"], 0),
+        (["nfl", "--learner", f"embed:{base}:1", "--points", "0,1,2,3",
+          "--g1", "0,1,2,0", "--g2", "1,2,0,2"], 0),
         (["dim", "--class", str(tail), "--kind", "graph"], 0),
         (["dim", "--class", str(tail), "--kind", "psi", "--psi", str(psin)], 0),
         (["dim", "--class", str(tail), "--kind", "psi", "--psi", str(pair)], 0),

@@ -7,6 +7,7 @@ import pytest
 import dimkit as dk
 import oracles
 from corpus import random_support_class
+from dimkit.psi import STAR
 
 
 def singleton_spec():
@@ -60,6 +61,84 @@ def test_prefix_search_matches_full_enumeration_psi_flavor():
         points = (0, 2, 3)
         assert dk.good_patterns(spec, points).patterns == \
             oracles.good_patterns_bruteforce(spec, points)
+
+
+# Answers of every type the shape check takes.  The exclusion reads an answer
+# of the exact well-formed type (a frozenset, or a tuple for psi) from its code
+# memo once seen, and sends any other through the shape check.
+NATARAJAN_ANSWERS = {
+    "frozenset": frozenset,
+    "set": set,
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda items: (i for i in items),
+    "bools": lambda items: frozenset(map(bool, items)),  # {False, True} == {0, 1}
+    "mixed": lambda items: (set, frozenset, list)[sum(items) % 3](items),
+}
+PSI_ANSWERS = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda bits: (b for b in bits),
+    "bools": lambda bits: tuple(b == 1 for b in bits),
+}
+
+
+@pytest.mark.parametrize("name", NATARAJAN_ANSWERS)
+def test_exclusion_matches_full_sweep_for_natarajan_answer_types(name):
+    make = NATARAJAN_ANSWERS[name]
+
+    def evaluator(pts, g1, g2):
+        # the excluded mixture takes t = pts[i] % 3 where g1 or g2 offers
+        # it, else t + 1, so some patterns stay good
+        t = [x % 3 for x in pts]
+        return make([i for i in range(2)
+                     if g1[i] == t[i] or (g2[i] != t[i] and g1[i] == (t[i] + 1) % 3)])
+
+    w = dk.Witness(flavor="natarajan", order=1, evaluator=evaluator)
+    spec = dk.GoodFunctionSpec(witness=w, num_labels=3)
+    reference = dk.GoodFunctionSpec(witness=dk.Witness(
+        flavor="natarajan", order=1,
+        evaluator=lambda *args: frozenset(evaluator(*args))), num_labels=3)
+    for points in ((0, 2, 3), (1, 3), (3,)):
+        got = dk.good_patterns(spec, points).patterns
+        assert got == oracles.good_patterns_bruteforce(spec, points)
+        assert got == dk.good_patterns(reference, points).patterns
+    assert len(dk.good_patterns(spec, (0, 2, 3))) > 1  # not only the zero pattern
+
+
+@pytest.mark.parametrize("family, q", [(dk.natarajan_family, 3), (dk.graph_family, 3),
+                                       (dk.graph_family, 2)])
+@pytest.mark.parametrize("name", PSI_ANSWERS)
+def test_exclusion_matches_full_sweep_for_psi_answer_types(name, family, q):
+    make = PSI_ANSWERS[name]
+    fam = family(q)
+
+    def evaluator(pts, psibar):
+        # the bit that label pts[i] % q, or failing that the next label, has
+        bits = []
+        for x, psi in zip(pts, psibar):
+            v = psi.table[x % q]
+            bits.append(int(v == 1 or v == STAR and psi.table[(x + 1) % q] == 1))
+        return make(bits)
+
+    w = dk.Witness(flavor="psi", order=1, psi=fam, evaluator=evaluator)
+    spec = dk.GoodFunctionSpec(witness=w, num_labels=q)
+    for points in ((0, 2, 3), (1, 3)):
+        got = dk.good_patterns(spec, points).patterns
+        assert got == oracles.good_patterns_bruteforce(spec, points)
+    assert len(dk.good_patterns(spec, (0, 2, 3))) > 1
+
+
+@pytest.mark.parametrize("flavor, family", [("natarajan", None), ("psi", dk.graph_family(3))])
+def test_shattered_input_propagates_out_of_good_patterns(flavor, family):
+    # single points of this class are shattered, so the canonical witness of
+    # order 0 has no answer there
+    cls = dk.class_from_supports([{0: 1, 1: 2}, {0: 2}, {1: 1}], num_labels=3)
+    w = dk.canonical_witness(cls, flavor, 0, psi=family)
+    spec = dk.GoodFunctionSpec(witness=w, num_labels=3)
+    with pytest.raises(dk.ShatteredError) as err:
+        dk.good_patterns(spec, (0, 1))
+    assert err.value.witness_input[0] == (0,)
 
 
 def test_truncation_closure_of_survivors():

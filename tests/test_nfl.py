@@ -246,6 +246,15 @@ def test_erm_rejects_empty_and_out_of_domain_samples():
         learner(((5, 1),))
 
 
+@pytest.mark.parametrize("make", [dk.constant_learner, dk.memorizing_learner])
+def test_learners_reject_a_negative_window(make):
+    # a negative window built hypotheses over an empty domain, and the fault
+    # only showed later as a DomainError at point 0 inside the adversary
+    with pytest.raises(dk.PreconditionError, match="^window must be a natural$"):
+        make(0, 3, -1)
+    assert make(0, 3, 0)(()).table == (0,)
+
+
 # ------------------------------------------- inputs of exact_expected_risk
 
 @pytest.mark.parametrize("points, f_values, m, message", [

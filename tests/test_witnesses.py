@@ -468,7 +468,7 @@ def _malformed_message(flavor, shown, points):
     return f"{flavor} witness answered {shown} on points {points}; expected {expected}"
 
 
-@pytest.mark.parametrize("flavor, malformed, shown", [
+MALFORMED = [
     *(pytest.param(flavor, make, "frozenset({7})", id=f"{flavor}-{name}")
       for flavor in ("natarajan", "graph")
       for name, make in (("frozenset", lambda: frozenset({7})), ("set", lambda: {7}),
@@ -485,7 +485,10 @@ def _malformed_message(flavor, shown, points):
           ("bool-and-two", lambda: (True, 2), "(True, 2)"),
           ("unhashable", lambda: ([1], 0), "([1], 0)"),
           ("int", lambda: 3, "3"))),
-])
+]
+
+
+@pytest.mark.parametrize("flavor, malformed, shown", MALFORMED)
 def test_malformed_answers_raise_one_message_everywhere(flavor, malformed, shown):
     """A malformed answer raises the same PreconditionError through
     validation (on the last point tuple, after well-formed answers), the
@@ -505,6 +508,64 @@ def test_malformed_answers_raise_one_message_everywhere(flavor, malformed, shown
         with pytest.raises(dk.PreconditionError) as err:
             dk.good_patterns(spec, (0, 1, 2))
         assert str(err.value) == _malformed_message(flavor, shown, (0, 1))
+
+
+@pytest.mark.parametrize("flavor, malformed, shown",
+                         [p for p in MALFORMED if p.values[0] != "graph"])
+def test_malformed_answer_after_well_formed_ones_in_good_patterns(flavor, malformed, shown):
+    """The good-pattern exclusion meets the malformed answer on (1, 2), after
+    well-formed answers on (0, 1) and (0, 2) have filled its code memo, and
+    raises the message the public evaluate raises."""
+    def evaluator(pts, *payload):
+        if pts == (1, 2):
+            return malformed()
+        # each excludes only the labeling (1, 1), so the enumeration goes on
+        if flavor == "psi":
+            return tuple(psi.table[1] for psi in payload[0])
+        return frozenset(i for i in range(2) if payload[0][i] == 1)
+
+    w = dk.Witness(flavor=flavor, order=1, evaluator=evaluator,
+                   psi=dk.graph_family(2) if flavor == "psi" else None)
+    payload = ((dk.graph_family(2).members[1],) * 2,) if flavor == "psi" else ((0, 1), (1, 0))
+    with pytest.raises(dk.PreconditionError) as err:
+        w.evaluate((2, 1), *payload)
+    assert str(err.value) == _malformed_message(flavor, shown, (1, 2))
+    spec = dk.GoodFunctionSpec(witness=w, num_labels=2)
+    with pytest.raises(dk.PreconditionError) as err:
+        dk.good_patterns(spec, (0, 1, 2))
+    assert str(err.value) == _malformed_message(flavor, shown, (1, 2))
+    assert {("excl", (0, 1)), ("excl", (0, 2))} <= spec._cache.keys()
+
+
+def test_first_missing_code_matches_brute_force():
+    """The search against the first code, in product order, that no live
+    behavior has: random cells over up to 12 behaviors, random live masks,
+    and cells where every code is had."""
+    from dimkit.witnesses import _first_missing_code
+    from oracles import first_missing_code
+
+    rng = random.Random(31)
+    covered = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        if rng.random() < 0.3:
+            # behavior j has code owners[j], one cell per coordinate, and
+            # every code has an owner
+            owners = list(itertools.product((0, 1), repeat=n))
+            owners += [rng.choice(owners) for _ in range(rng.randint(0, 4))]
+            cells = [tuple(sum(1 << j for j, c in enumerate(owners) if c[i] == b)
+                           for b in (0, 1)) for i in range(n)]
+            full = (1 << len(owners)) - 1
+        else:
+            full = (1 << rng.randint(1, 12)) - 1
+            cells = [(rng.randint(0, full), rng.randint(0, full)) for _ in range(n)]
+        live = rng.choice((-1, full, rng.randint(0, full)))
+        expected = first_missing_code(cells, live)
+        covered += expected is None
+        assert _first_missing_code(cells, live) == expected
+        if live == -1:
+            assert _first_missing_code(cells) == expected
+    assert covered >= 100
 
 
 def test_witness_rejects_payload_parts_of_the_wrong_type():

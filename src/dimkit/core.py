@@ -245,7 +245,10 @@ class BehaviorSet:
     def index(self) -> tuple[dict[int, int], ...]:
         """Per coordinate, each label mapped to the bitmask of the behaviors
         with that label there; bit j stands for the j-th behavior in the
-        iteration order of ``pattern_set``."""
+        iteration order of ``pattern_set``.  Read by witness validation
+        and the canonical witnesses (``witnesses``), by the DS refutation
+        (``psi``), and by the coverage search behind vc, Natarajan, graph
+        and Ψ shattering (``dimensions._coverage_search``)."""
         index = tuple({} for _ in self.points)
         for j, p in enumerate(self.pattern_set):
             for column, v in zip(index, p):

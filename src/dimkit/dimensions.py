@@ -13,6 +13,7 @@ orders throughout).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,74 +46,54 @@ class DimensionResult:
     warning: Optional[str] = None
 
 
-def _coverage_search(patterns, coord_choices):
-    """Pick one binary encoder per coordinate so that the encoded patterns
-    cover all 2^n binary tuples.
+def _coverage_search(behaviors, coord_choices):
+    """Pick one binary encoder per coordinate so that the encoded behaviors
+    of the ``BehaviorSet`` cover all 2^n binary tuples.
 
     ``coord_choices[i]`` is a list of (table, meta) where table maps a label
-    to 0/1 (missing labels kill the pattern).  Branches are pruned as soon
-    as the partial codes fail to cover all prefixes, which keeps negative
-    answers cheap.  Returns the chosen metas (first in lexicographic choice
+    to 0/1 (a behavior with a label the table does not map encodes to
+    nothing).  Returns the chosen metas (first in lexicographic choice
     order) or None.
 
-    The search state at depth d maps each unread suffix ``pat[d:]`` of an
-    alive pattern (by its number among the distinct suffixes at depth d) to
-    the bitmask of its prefix codes, so patterns that share a suffix are
-    carried as one entry.  The bit chosen at depth d is bit d of a code, so
-    extending a code set by bit b is ``mask << (b << d)``.  This numbering
-    of the codes is a bijection of {0,1}^d applied to all of them at once,
-    so it does not change which choices cover.
+    Each table becomes two masks over ``behaviors.index``: the behaviors it
+    sends to 0 and those it sends to 1 (a table with an empty half never
+    covers and is dropped).  The search state at depth d is one cell per
+    prefix code of length d, the bitmask of the behaviors whose encoded
+    prefix is that code.  After the choice at depth d each cell must hold at
+    least 2^(n-d-1) behaviors: a behavior encodes to one code only, and each
+    of the cell's 2^(n-d-1) completions needs its own.  The bound cuts only
+    branches that cannot cover and the tables keep their order, so the
+    first covering choice tuple is the one the full product would give.
     """
     n = len(coord_choices)
     if not n:
         return ()
-    # The suffix numbered s at depth d starts with label heads[d][s] and
-    # continues with the suffix numbered tails[d][s] at depth d + 1.
-    heads, tails = [None] * n, [None] * n
-    node = [0] * len(patterns)
-    for d in range(n - 1, -1, -1):
-        ids = {}
-        for k, p in enumerate(patterns):
-            node[k] = ids.setdefault((p[d], node[k]), len(ids))
-        heads[d] = [v for v, _ in ids]
-        tails[d] = [t for _, t in ids]
-    chosen = []
-
-    def rec(depth, alive):
-        # The union of the code sets per label here.  The codes cover all
-        # 2^depth prefixes, so a table extends them to every code of length
-        # depth + 1 iff the labels it sends to 0, and those it sends to 1,
-        # each carry every prefix code.
-        head, tail = heads[depth], tails[depth]
-        masks = {}
-        for s, codes in alive.items():
-            v = head[s]
-            if v in masks:
-                masks[v] |= codes
-            else:
-                masks[v] = codes
-        full = (1 << (1 << depth)) - 1
-        for table, meta in coord_choices[depth]:
+    levels = []
+    for column, choices in zip(behaviors.index, coord_choices):
+        level = []
+        for table, meta in choices:
             halves = [0, 0]
             for v, b in table.items():
-                if v in masks:
-                    halves[b] |= masks[v]
-            if halves[0] == full and halves[1] == full:
-                chosen.append(meta)
-                if depth + 1 == n:
-                    return True
-                nxt = {}
-                for s, codes in alive.items():
-                    b = table.get(head[s])
-                    if b is not None:
-                        t = tail[s]
-                        nxt[t] = nxt.get(t, 0) | (codes << (b << depth))
-                if rec(depth + 1, nxt):
-                    return True
-                chosen.pop()
+                halves[b] |= column.get(v, 0)
+            if halves[0] and halves[1]:
+                level.append((*halves, meta))
+        levels.append(level)
+    chosen = []
+
+    def rec(depth, cells):
+        need = 1 << (n - depth - 1)
+        for zero, one, meta in levels[depth]:
+            nxt = list(map(zero.__and__, cells))
+            nxt.extend(map(one.__and__, cells))
+            if min(map(int.bit_count, nxt)) < need:
+                continue
+            chosen.append(meta)
+            if depth + 1 == n or rec(depth + 1, nxt):
+                return True
+            chosen.pop()
         return False
 
-    if rec(0, dict.fromkeys(node, 1)):
+    if rec(0, [(1 << len(behaviors.pattern_set)) - 1]):
         return tuple(chosen)
     return None
 
@@ -150,15 +131,15 @@ def _encoded_search(cls, points, kind, encoders, payload) -> Optional[ShatterCer
     from the sorted labels ``vals`` realized at each coordinate, built once
     per distinct ``vals`` and cut down by ``_distinct_tables``.
     ``payload(metas)`` turns the chosen metas into the certificate payload."""
-    patterns = restrict(cls, points).patterns
+    behaviors = restrict(cls, points)
     lists = {}
     choices = []
-    for column in zip(*patterns):
-        vals = tuple(sorted(set(column)))
+    for column in behaviors.index:
+        vals = tuple(sorted(column))
         if vals not in lists:
             lists[vals] = _distinct_tables(encoders(vals))
         choices.append(lists[vals])
-    got = _coverage_search(patterns, choices) if patterns and all(choices) else None
+    got = _coverage_search(behaviors, choices) if all(choices) else None
     if got is None:
         return None
     return ShatterCertificate(kind=kind, points=points, payload=payload(got))
@@ -292,9 +273,11 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     """Largest d such that some d-subset of [0, window] is shattered.
     ``psi`` is the family of kind "psi", and is refused with any other kind.
 
-    For explicit classes over the naturals the window defaults to the top of
-    all supports: beyond it every hypothesis is 0, so no larger point can
-    join a shattered set and the search is exact.  Sizes increase until the
+    For explicit classes over the naturals the window defaults to, and is
+    capped at, the top of all supports: beyond it every hypothesis is 0, so
+    no larger point can join a shattered set and the search is exact.  An
+    oracle class over the naturals has no such cap, and a window it cannot
+    enumerate (sys.maxsize or more) is refused.  Sizes increase until the
     first size with no shattered subset (all five flavors are downward
     monotone).  Ties go to the lexicographically first subset.  Every
     candidate is projected by ``restrict``, which an explicit class answers
@@ -317,8 +300,10 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
             x <= window for h in cls.hypotheses for x, _ in (h.support or ())
         ) and any(h.support for h in cls.hypotheses):
             warning = "window contains no support point of the class"
-    if cls.domain_size is not None:
-        window = min(window, cls.domain_size - 1)
+    if cls.domain_size is not None or cls.hypotheses is not None:
+        window = min(window, _default_window(cls))
+    elif window >= sys.maxsize:
+        raise PreconditionError(f"window {window} is too large to enumerate")
     pts = range(window + 1)
     best = DimensionResult(value=0, certificate=None, warning=warning)
     failed = set()  # subsets of the previous size known not to be shattered
@@ -388,7 +373,7 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
         tables = [{v: b for v, b in enumerate(psi.table) if b != STAR} for psi in payload[0]]
     if len(tables) != len(points):
         return False
-    return _coverage_search(behaviors.patterns, [[(t, None)] for t in tables]) is not None
+    return _coverage_search(behaviors, [[(t, None)] for t in tables]) is not None
 
 
 @dataclass(frozen=True)

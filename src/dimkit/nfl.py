@@ -69,9 +69,11 @@ def constant_learner(value: int, num_labels: int, window: int) -> Learner:
 def memorizing_learner(default: int, num_labels: int, window: int) -> Learner:
     """Repeats the last seen label per point, ``default`` elsewhere.  On a
     sample labeled by one function every seen label of a point is the same,
-    so the learner is symmetric there."""
+    so the learner is symmetric there.  ``default`` and ``num_labels`` are
+    checked at construction, as ``constant_learner`` checks them."""
     if window < 0:
         raise PreconditionError("window must be a natural")
+    Hypothesis(num_labels=num_labels, table=(default,))
 
     def fn(sample: Sample) -> Hypothesis:
         seen = dict(sample)

@@ -425,6 +425,20 @@ def test_dim_negative_window_exits_two(capsys, c6_file):
                        "--window", "-5")
 
 
+def test_dim_window_past_the_supports_matches_window_three(capsys, tmp_path):
+    path = tmp_path / "nat.json"
+    path.write_text(json.dumps({"labels": 3, "domain": "nat", "hypotheses": [
+        {"support": {"0": 1, "2": 2}}, {"support": {"1": 2}}, {"support": {"2": 1}}]}))
+    argv = ["dim", "--class", str(path), "--kind", "graph", "--window"]
+    code, want = run(capsys, *argv, "3")
+    assert code == 0
+    for window in ("1180591620717411303424", "100000"):
+        code, report = run(capsys, *argv, window)
+        assert code == 0, window
+        assert report["result"] == want["result"], window
+        assert report["certificates"] == want["certificates"], window
+
+
 def test_witness_check_negative_window_exits_two(capsys, c6_file):
     assert_usage_error(capsys, "witness", "check", "--class", c6_file,
                        "--flavor", "natarajan", "--order", "1", "--window", "-1")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -177,6 +178,24 @@ def test_oracle_class_requires_window():
     with pytest.raises(dk.PreconditionError):
         dk.exact_dimension(oracle, "natarajan")
     assert dk.exact_dimension(oracle, "natarajan", window=3).value == 0
+
+
+def test_window_past_the_supports_is_capped():
+    cls = dk.class_from_supports([{0: 1, 2: 2}, {1: 2}, {2: 1}], num_labels=3)
+    for kind in ("natarajan", "graph", "ds"):
+        want = dk.exact_dimension(cls, kind, window=3)
+        for window in (2 ** 70, 100_000):
+            assert dk.exact_dimension(cls, kind, window=window) == want, (kind, window)
+    fam = dk.natarajan_family(3)
+    assert (dk.exact_dimension(cls, "psi", psi=fam, window=2 ** 70)
+            == dk.exact_dimension(cls, "psi", psi=fam, window=3))
+
+
+def test_oracle_window_past_maxsize_is_rejected():
+    oracle = dk.HypothesisClass(num_labels=2, behavior_fn=lambda pts: {(0,) * len(pts)})
+    for window in (sys.maxsize, 2 ** 70):
+        with pytest.raises(dk.PreconditionError):
+            dk.exact_dimension(oracle, "natarajan", window=window)
 
 
 # ------------------------------------------------- randomized cross-checks
@@ -397,13 +416,84 @@ def test_coverage_search_matches_product_and_cover():
                 pats.add(tuple(rng.choice([v for v, b in t.items() if b == c])
                                for t, c in zip(planted, code)))
         pats = tuple(sorted(pats))
+        behaviors = dk.BehaviorSet(points=tuple(range(n)), patterns=pats)
         want = oracles.first_cover(pats, choices)
-        assert dimensions._coverage_search(pats, choices) == want, (pats, choices)
+        assert dimensions._coverage_search(behaviors, choices) == want, (pats, choices)
         deduped = [dimensions._distinct_tables(c) for c in choices]
         if all(deduped):
-            assert dimensions._coverage_search(pats, deduped) == want, (pats, choices)
+            assert dimensions._coverage_search(behaviors, deduped) == want, (pats, choices)
         else:
             assert want is None
+
+
+def test_coverage_search_counting_bound_prunes_dense_sets():
+    """Dense pattern sets (at least 2^n of them) at arities 4-6, where the
+    cells pass the emptiness test but not always the counting bound: some
+    with a planted cover, some with every preimage of one code under the
+    planted tables removed.  Tables are partial, repeated and complemented."""
+    rng = random.Random(4096)
+    pruned = planted_found = 0
+    for trial in range(60):
+        n = rng.randint(4, 6)
+        q = rng.randint(2, 3)
+        choices = []
+        for _ in range(n):
+            t = {}
+            while len(set(t.values())) < 2:
+                t = _random_partial_table(rng, q)
+            tables = [t, {v: 1 - b for v, b in t.items()}, _random_partial_table(rng, q)]
+            if rng.random() < 0.3:
+                tables.append(dict(t))
+            rng.shuffle(tables)
+            choices.append([(t, k) for k, t in enumerate(tables)])
+        cube = list(itertools.product(range(q), repeat=n))
+        pats = set(rng.sample(cube, min(len(cube), (1 << n) + rng.randint(0, 1 << n))))
+        planted = [[t for t, _ in c if len(set(t.values())) == 2] for c in choices]
+        if all(planted):
+            planted = [rng.choice(ts) for ts in planted]
+            if trial % 2:
+                for code in itertools.product((0, 1), repeat=n):
+                    pats.add(tuple(rng.choice([v for v, b in t.items() if b == c])
+                                   for t, c in zip(planted, code)))
+            else:
+                hole = tuple(rng.randint(0, 1) for _ in range(n))
+                pats = {p for p in pats
+                        if tuple(t.get(v) for t, v in zip(planted, p)) != hole}
+        pats = tuple(sorted(pats))
+        behaviors = dk.BehaviorSet(points=tuple(range(n)), patterns=pats)
+        want = oracles.first_cover(pats, choices)
+        assert dimensions._coverage_search(behaviors, choices) == want, (pats, choices)
+        planted_found += want is not None
+        # the bound is live: some first-level choice leaves every cell
+        # nonempty yet one below the 2^(n-1) it needs
+        index = behaviors.index[0]
+        for table, _ in choices[0]:
+            cells = [sum(index.get(v, 0) for v, b in table.items() if b == c).bit_count()
+                     for c in (0, 1)]
+            pruned += 0 < min(cells) < 1 << (n - 1)
+    assert planted_found and pruned
+
+
+def test_arity_five_certificates_equal_first_bruteforce_certificate():
+    """Seeded classes with at least 2^5 behaviors on five points, where the
+    counting bound is checked at every depth of a five-level search."""
+    rng = random.Random(55)
+    pts = tuple(range(5))
+    answers = set()
+    for _ in range(6):
+        q = rng.choice((2, 3))
+        cube = list(itertools.product(range(q), repeat=5))
+        cls = dk.class_from_tables(sorted(rng.sample(cube, rng.randint(32, min(len(cube), 80)))), q)
+        for kind, search in (("natarajan", dk.is_n_shattered), ("graph", dk.is_g_shattered)):
+            cert = search(cls, pts)
+            got = None if cert is None else cert.payload
+            assert got == oracles.first_certificate(cls, pts, kind), (kind, cls)
+            answers.add(got is None)
+        for fam in (dk.natarajan_family(q), dk.graph_family(q)):
+            cert = dk.is_psi_shattered(cls, pts, fam)
+            got = None if cert is None else cert.payload
+            assert got == oracles.first_certificate(cls, pts, "psi", fam), (fam, cls)
+    assert answers == {True, False}
 
 
 def _random_psi_family(rng, q):

@@ -255,6 +255,16 @@ def test_learners_reject_a_negative_window(make):
     assert make(0, 3, 0)(()).table == (0,)
 
 
+@pytest.mark.parametrize("args", [(5, 3, 2), (-1, 3, 2), (0, 0, 2)])
+def test_memorizing_learner_checks_its_labels_when_built(args):
+    # these failed only at the first call, inside the adversary
+    with pytest.raises(dk.RepresentationError) as const_err:
+        dk.constant_learner(*args)
+    with pytest.raises(dk.RepresentationError) as memo_err:
+        dk.memorizing_learner(*args)
+    assert str(memo_err.value) == str(const_err.value)
+
+
 # ------------------------------------------- inputs of exact_expected_risk
 
 @pytest.mark.parametrize("points, f_values, m, message", [

@@ -11,7 +11,7 @@ are 0-based throughout.
 
 from __future__ import annotations
 
-import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -292,6 +292,15 @@ def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
     return BehaviorSet(points=points, patterns=tuple(sorted(pats)))
 
 
+def _check_window(window: int) -> None:
+    """Refuse a window [0, window] that is empty, or too large to enumerate
+    as a range or a table (sys.maxsize or more)."""
+    if window < 0:
+        raise PreconditionError("window must be a natural")
+    if window >= sys.maxsize:
+        raise PreconditionError(f"window {window} is too large to enumerate")
+
+
 def empirical_risk(h: Hypothesis, sample: Sample) -> Fraction:
     """Fraction of sample pairs the hypothesis mislabels."""
     if not sample:
@@ -342,10 +351,3 @@ def mix_labelings(index_set: Iterable[int], y1: Pattern, y2: Pattern) -> Pattern
         if not 0 <= i < len(y1):
             raise PreconditionError(f"index {i} outside arity {len(y1)}")
     return tuple(y1[i] if i in chosen else y2[i] for i in range(len(y1)))
-
-
-def distinct_pairs(arity: int, num_labels: int) -> Iterator[tuple[Pattern, Pattern]]:
-    """All ordered labeling pairs (y, y') that differ at every coordinate."""
-    labels = range(num_labels)
-    per_coord = [(a, b) for a in labels for b in labels if a != b]
-    return map(tuple, itertools.starmap(zip, itertools.product(per_coord, repeat=arity)))

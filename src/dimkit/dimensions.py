@@ -13,7 +13,6 @@ orders throughout).
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,9 +20,10 @@ from .core import (
     HypothesisClass,
     PreconditionError,
     RepresentationError,
+    _check_window,
     restrict,
 )
-from .psi import STAR, PsiFamily, PsiFunction
+from .psi import PsiFamily, PsiFunction, _binary_table, _encoder_image
 
 KINDS = ("vc", "natarajan", "graph", "ds", "psi")
 
@@ -55,15 +55,16 @@ def _coverage_search(behaviors, coord_choices):
     nothing).  Returns the chosen metas (first in lexicographic choice
     order) or None.
 
-    Each table becomes two masks over ``behaviors.index``: the behaviors it
-    sends to 0 and those it sends to 1 (a table with an empty half never
-    covers and is dropped).  The search state at depth d is one cell per
-    prefix code of length d, the bitmask of the behaviors whose encoded
-    prefix is that code.  After the choice at depth d each cell must hold at
-    least 2^(n-d-1) behaviors: a behavior encodes to one code only, and each
-    of the cell's 2^(n-d-1) completions needs its own.  The bound cuts only
-    branches that cannot cover and the tables keep their order, so the
-    first covering choice tuple is the one the full product would give.
+    Each table becomes its image on ``behaviors.index``, the masks of the
+    behaviors it sends to 0 and of those it sends to 1 (a table with an
+    empty half never covers and is dropped).  The search state at depth d
+    is one cell per prefix code of length d, the bitmask of the behaviors
+    whose encoded prefix is that code.  After the choice at depth d each
+    cell must hold at least 2^(n-d-1) behaviors: a behavior encodes to one
+    code only, and each of the cell's 2^(n-d-1) completions needs its own.
+    The bound cuts only branches that cannot cover and the tables keep
+    their order, so the first covering choice tuple is the one the full
+    product would give.
     """
     n = len(coord_choices)
     if not n:
@@ -72,11 +73,9 @@ def _coverage_search(behaviors, coord_choices):
     for column, choices in zip(behaviors.index, coord_choices):
         level = []
         for table, meta in choices:
-            halves = [0, 0]
-            for v, b in table.items():
-                halves[b] |= column.get(v, 0)
-            if halves[0] and halves[1]:
-                level.append((*halves, meta))
+            zero, one = _encoder_image(column, table)
+            if zero and one:
+                level.append((zero, one, meta))
         levels.append(level)
     chosen = []
 
@@ -157,9 +156,10 @@ def is_n_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]
     values realized at each coordinate, whose 2^n mixtures are all realized.
     Each pair is tried once, as the canonical half {a: 1, b: 0} with a < b of
     the Ψ_N encoders, so (g1, g2) is the lexicographically first answer."""
+    table_of = _binary_table("natarajan", cls.num_labels)
     return _encoded_search(
         cls, _check_points(points), "natarajan",
-        lambda vals: [({a: 1, b: 0}, (a, b)) for a, b in itertools.combinations(vals, 2)],
+        lambda vals: [(table_of(pair), pair) for pair in itertools.combinations(vals, 2)],
         lambda got: tuple(zip(*got)))
 
 
@@ -234,10 +234,11 @@ def is_psi_shattered(cls: HypothesisClass, points, family: PsiFamily) -> Optiona
     points = _check_points(points)
     if family.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
+    table_of = _binary_table("psi", cls.num_labels)
+    tables = [(table_of(psi), psi) for psi in family.members]
 
     def encoders(vals):
-        return [({v: psi.table[v] for v in vals if psi.table[v] != STAR}, psi)
-                for psi in family.members]
+        return [({v: b for v, b in table.items() if v in vals}, psi) for table, psi in tables]
 
     return _encoded_search(cls, points, "psi", encoders, lambda got: (got,))
 
@@ -302,8 +303,8 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
             warning = "window contains no support point of the class"
     if cls.domain_size is not None or cls.hypotheses is not None:
         window = min(window, _default_window(cls))
-    elif window >= sys.maxsize:
-        raise PreconditionError(f"window {window} is too large to enumerate")
+    else:
+        _check_window(window)
     pts = range(window + 1)
     best = DimensionResult(value=0, certificate=None, warning=warning)
     failed = set()  # subsets of the previous size known not to be shattered
@@ -361,18 +362,13 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     if cert.kind == "ds":
         (cube,) = payload
         return set(cube) <= behaviors.pattern_set and is_pseudo_cube(cube)
+    if any(len(part) != len(points) for part in payload):
+        return False
     if cert.kind == "vc":
         tables = [{0: 0, 1: 1}] * len(points)
-    elif cert.kind == "natarajan":
-        g1, g2 = payload
-        tables = [{a: 1, b: 0} for a, b in zip(g1, g2)] if len(g1) == len(g2) else []
-    elif cert.kind == "graph":
-        labels = {v for p in behaviors.patterns for v in p}
-        tables = [{v: int(v == k) for v in labels} for k in payload[0]]
     else:
-        tables = [{v: b for v, b in enumerate(psi.table) if b != STAR} for psi in payload[0]]
-    if len(tables) != len(points):
-        return False
+        coords = zip(*payload) if cert.kind == "natarajan" else payload[0]
+        tables = map(_binary_table(cert.kind, cls.num_labels), coords)
     return _coverage_search(behaviors, [[(t, None)] for t in tables]) is not None
 
 

@@ -36,7 +36,7 @@ from .core import (
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
 from .nfl import Learner
-from .witnesses import Witness, _cell_rows, _code_reader, witness_inputs
+from .witnesses import Witness, _code_reader, _input_tables, witness_inputs
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,13 @@ class GoodFunctionSpec:
         """The witness's code reader, whose memo every subset shares."""
         return _code_reader(self.witness)
 
+    @cached_property
+    def _preimages(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per entry one payload coordinate can hold, in ``witness_inputs``
+        order, the labels its binary table codes 0 and those it codes 1."""
+        return [tuple(tuple(v for v, b in table.items() if b == c) for c in (0, 1))
+                for table in _input_tables(self.witness, self.num_labels)]
+
 
 def _excluded_on(spec: GoodFunctionSpec, subset) -> frozenset:
     """All restrictions to ``subset`` that agree with a witness-excluded
@@ -69,28 +76,22 @@ def _excluded_on(spec: GoodFunctionSpec, subset) -> frozenset:
 
     As in ``validate_witness``, every input reaches the evaluator, and the
     answer's 0/1 code comes from ``spec._read``.  The code picks, per
-    coordinate, from the pair beside the input: (g2[i], g1[i]) for
-    natarajan, or the labels the encoder codes 0 and 1 for psi."""
+    coordinate, the labels that the binary table of the input's entry there
+    codes with that bit (for natarajan, the one label g1[i] or g2[i]); the
+    excluded labelings are the products of the distinct picks."""
     key = ("excl", subset)
     cached = spec._cache.get(key)
     if cached is not None:
         return cached
     w = spec.witness
     evaluator, read = w.evaluator, spec._read
-    inputs = witness_inputs(w, spec.num_labels)
-    excluded = set()
-    if w.flavor == "natarajan":
-        for row, payload in zip(_cell_rows(w, spec.num_labels), inputs):
-            _, code = read(evaluator(subset, *payload), subset)
-            excluded.add(tuple(map(getitem, row, code)))
-    else:
-        labels = range(spec.num_labels)
-        preimages = [tuple(tuple(v for v in labels if psi.table[v] == b) for b in (0, 1))
-                     for psi in w.psi.members]
-        for row, payload in zip(itertools.product(preimages, repeat=w.arity), inputs):
-            _, code = read(evaluator(subset, *payload), subset)
-            excluded.update(itertools.product(*map(getitem, row, code)))
-    result = frozenset(excluded)
+    rows = itertools.product(spec._preimages, repeat=w.arity)
+    picks = set()
+    for row, payload in zip(rows, witness_inputs(w, spec.num_labels)):
+        _, code = read(evaluator(subset, *payload), subset)
+        picks.add(tuple(map(getitem, row, code)))
+    result = frozenset(itertools.chain.from_iterable(
+        itertools.starmap(itertools.product, picks)))
     spec._cache[key] = result
     return result
 

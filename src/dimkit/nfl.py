@@ -35,6 +35,7 @@ from .core import (
     Pattern,
     PreconditionError,
     Sample,
+    _check_window,
     empirical_risk,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     mix_labelings,
 )
@@ -60,8 +61,7 @@ class Learner:
 
 def constant_learner(value: int, num_labels: int, window: int) -> Learner:
     """Predicts ``value`` everywhere on [0, window], ignoring the sample."""
-    if window < 0:
-        raise PreconditionError("window must be a natural")
+    _check_window(window)
     h = Hypothesis(num_labels=num_labels, table=(value,) * (window + 1))
     return Learner(name=f"const:{value}", fn=lambda sample: h, symmetric=True)
 
@@ -71,8 +71,7 @@ def memorizing_learner(default: int, num_labels: int, window: int) -> Learner:
     sample labeled by one function every seen label of a point is the same,
     so the learner is symmetric there.  ``default`` and ``num_labels`` are
     checked at construction, as ``constant_learner`` checks them."""
-    if window < 0:
-        raise PreconditionError("window must be a natural")
+    _check_window(window)
     Hypothesis(num_labels=num_labels, table=(default,))
 
     def fn(sample: Sample) -> Hypothesis:

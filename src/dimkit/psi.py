@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     HypothesisClass,
@@ -235,8 +235,9 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
                    if not _pseudo_cube_core(subset)]
 
     tables = all_encoders(cls.num_labels)
-    images1, of1 = _images(tables, behaviors.index[0])
-    images2, of2 = _images(tables, behaviors.index[1])
+    binary = list(map(_binary_table("psi", cls.num_labels), tables))
+    images1, of1 = _images(binary, behaviors.index[0])
+    images2, of2 = _images(binary, behaviors.index[1])
     # hits[i]: (second table, subclasses) for every table pair whose first
     # encoder has image i and that shatters the domain, in table order.
     hits = []
@@ -258,17 +259,34 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
                             entries=tuple(entries))
 
 
-def _encoder_image(column: dict[int, int], psi: PsiFunction) -> tuple[int, int]:
-    """An encoder's image on one coordinate of a behavior index (label ->
+def _binary_table(flavor: str, num_labels: int) -> Callable[..., dict[int, int]]:
+    """The map from one payload coordinate of a natarajan, graph or psi
+    witness or certificate to its binary table (label -> 0/1, stars
+    omitted): a natarajan pair (a, b) codes a as 1 and b as 0, a graph label
+    k is its indicator over the alphabet (all 0 for a label outside it), and
+    an encoder keeps its non-star values."""
+    if flavor == "natarajan":
+        return lambda pair: {pair[0]: 1, pair[1]: 0}
+    if flavor == "graph":
+        labels = range(num_labels)
+        return lambda k: {v: int(v == k) for v in labels}
+    return lambda psi: {v: b for v, b in enumerate(psi.table) if b != STAR}
+
+
+def _encoder_image(column: dict[int, int], table: dict[int, int]) -> tuple[int, int]:
+    """A binary table's image on one coordinate of a behavior index (label ->
     bitmask of the behaviors with that label there): the bitmasks of the
-    behaviors it sends to 0 and to 1.  A star sends a behavior to neither."""
-    return (sum(m for v, m in column.items() if psi.table[v] == 0),
-            sum(m for v, m in column.items() if psi.table[v] == 1))
+    behaviors it codes 0 and 1.  A label the table omits (a star) codes a
+    behavior as neither."""
+    halves = [0, 0]
+    for v, b in table.items():
+        halves[b] |= column.get(v, 0)
+    return halves[0], halves[1]
 
 
 def _images(tables, column) -> tuple[list, list[int]]:
-    """Each table's image on one coordinate: the distinct images in order of
-    first occurrence, and each table's image index."""
+    """Each binary table's image on one coordinate: the distinct images in
+    order of first occurrence, and each table's image index."""
     index: dict[tuple[int, int], int] = {}
     of = [index.setdefault(_encoder_image(column, t), len(index)) for t in tables]
     return list(index), of

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, reduce
 from operator import and_, eq, getitem
 from typing import Callable, Optional
 
@@ -26,11 +26,11 @@ from .core import (
     PreconditionError,
     RepresentationError,
     ShatteredError,
-    distinct_pairs,
+    _check_window,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     restrict,
 )
-from .psi import PsiFamily, PsiFunction, _encoder_image
+from .psi import PsiFamily, PsiFunction, _binary_table, _encoder_image
 from .psi import apply_encoders  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 
 FLAVORS = ("natarajan", "graph", "psi")
@@ -155,9 +155,10 @@ def witness_inputs(witness: Witness, num_labels: int):
     """Every canonical payload of the witness's flavor over labels
     0..num_labels-1, in product order: (g1, g2) pairs that differ at every
     coordinate, (f,) labelings, or (psibar,) encoder tuples."""
+    rows = itertools.product(_alphabet(witness, num_labels), repeat=witness.arity)
     if witness.flavor == "natarajan":
-        return distinct_pairs(witness.arity, num_labels)
-    return zip(itertools.product(_alphabet(witness, num_labels), repeat=witness.arity))
+        return map(tuple, itertools.starmap(zip, rows))
+    return zip(rows)
 
 
 def _alphabet(witness: Witness, num_labels: int):
@@ -169,9 +170,14 @@ def _alphabet(witness: Witness, num_labels: int):
     return labels if witness.flavor == "graph" else witness.psi.members
 
 
+def _input_tables(witness: Witness, num_labels: int) -> list[dict[int, int]]:
+    """The binary table of each entry of ``_alphabet``, in its order."""
+    return list(map(_binary_table(witness.flavor, num_labels), _alphabet(witness, num_labels)))
+
+
 class _Cells(dict):
-    """One coordinate's memo: a graph label or an encoder mapped to its cell
-    pair, computed on first use."""
+    """One coordinate's memo: a payload coordinate mapped to its cell pair,
+    computed on first use."""
 
     def __init__(self, make):
         super().__init__()
@@ -182,29 +188,20 @@ class _Cells(dict):
         return cell
 
 
-def _cell_tables(behaviors: BehaviorSet, flavor: str) -> list[_Cells]:
-    """Per coordinate, a memo from a graph label or an encoder to the
-    bitmasks (over ``behaviors.index``) of the behaviors coded 0 and coded 1
-    there.  For a graph label, code 1 means having that label; for an
-    encoder, it is the encoder's value, and a star puts the behavior in
-    neither cell."""
-    if flavor == "graph":
-        full = (1 << len(behaviors)) - 1
-        return [_Cells(lambda v, get=column.get: (full & ~get(v, 0), get(v, 0)))
-                for column in behaviors.index]
-    return [_Cells(partial(_encoder_image, column)) for column in behaviors.index]
+def _cell_tables(behaviors: BehaviorSet, table_of: Callable) -> list[_Cells]:
+    """Per coordinate, a memo from a payload coordinate (a graph label or an
+    encoder) to the image of its binary table ``table_of`` there: the
+    bitmasks (over ``behaviors.index``) of the behaviors coded 0 and 1."""
+    return [_Cells(lambda s, column=column: _encoder_image(column, table_of(s)))
+            for column in behaviors.index]
 
 
-def _cell_rows(witness: Witness, num_labels: int, behaviors: Optional[BehaviorSet] = None):
-    """Per input, in ``witness_inputs`` order, the pairs each coordinate's
-    0/1 code picks from: (g2[i], g1[i]) for natarajan, so code 1 picks g1's
-    label, and the cells of the label or encoder in ``behaviors`` for graph
-    and psi."""
-    alphabet = _alphabet(witness, num_labels)
-    if witness.flavor == "natarajan":
-        return itertools.product([(b, a) for a, b in alphabet], repeat=witness.arity)
-    return itertools.product(*([t[s] for s in alphabet]
-                               for t in _cell_tables(behaviors, witness.flavor)))
+def _cell_rows(tables, behaviors: BehaviorSet):
+    """Per input, in ``witness_inputs`` order, each coordinate's (code 0,
+    code 1) cells in ``behaviors``: the image of the binary table (from
+    ``_input_tables``) of the input's entry there."""
+    return itertools.product(*([_encoder_image(column, t) for t in tables]
+                               for column in behaviors.index))
 
 
 def _code(flavor: str, arity: int, answer) -> tuple[int, ...]:
@@ -269,30 +266,31 @@ def _first_missing_code(cells, live: int = -1) -> Optional[tuple]:
 
 def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> WitnessReport:
     """Exhaustively re-check the exclusion property on every valid input
-    whose points lie in [0, window].  Inputs are generated canonical, so they
-    go to the evaluator without re-sorting.
+    whose points lie in [0, window] (a window of sys.maxsize or more is
+    refused).  Inputs are generated canonical, so they go to the evaluator
+    without re-sorting.
 
     Every input reaches the evaluator and the shape check of its answer.
-    What the check reads is built once per point tuple: the behaviors and,
-    for the graph and psi flavors, each coordinate's cells per label or
-    family member, so an input costs one evaluator call and table lookups.
-    The answer's 0/1 code comes from ``_code_reader``, which the
-    good-pattern exclusion (``embedding._excluded_on``) shares: an answer
-    equal to one seen before, and of the exact type a well-formed one has (a
-    frozenset, or a tuple for psi), is one dict lookup; any other goes
-    through ``Witness._checked_answer``."""
-    if window < 0:
-        raise PreconditionError("window must be a natural")
+    Each payload entry's binary table is built once per call, and its cells
+    once per point tuple.  The answer's 0/1 code selects one cell per
+    coordinate, and the input fails when those cells share a behavior (for
+    natarajan, the excluded mixture).  The code comes from ``_code_reader``,
+    which the good-pattern exclusion (``embedding._excluded_on``) shares: an
+    answer equal to one seen before, and of the exact type a well-formed one
+    has (a frozenset, or a tuple for psi), is one dict lookup; any other
+    goes through ``Witness._checked_answer``."""
+    _check_window(window)
     if witness.flavor == "psi" and witness.psi.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
     flavor, evaluator = witness.flavor, witness.evaluator
     read = _code_reader(witness)
+    tables = _input_tables(witness, cls.num_labels)
     checked = 0
     violations = []
     for points in itertools.combinations(range(window + 1), witness.arity):
         behaviors = restrict(cls, points)
         realized = behaviors.pattern_set
-        for cells, payload in zip(_cell_rows(witness, cls.num_labels, behaviors),
+        for cells, payload in zip(_cell_rows(tables, behaviors),
                                   witness_inputs(witness, cls.num_labels)):
             checked += 1
             try:
@@ -304,16 +302,11 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
                     else "exclusion_failure"))
                 continue
             out, code = read(out, points)
-            if flavor == "natarajan":
-                hit = tuple(map(getitem, cells, code))
-                if hit not in realized:
-                    continue
-            else:
-                live = reduce(and_, map(getitem, cells, code))
-                if not live:
-                    continue
-                hit = out if flavor == "psi" else next(itertools.islice(
-                    realized, (live & -live).bit_length() - 1, None))
+            live = reduce(and_, map(getitem, cells, code))
+            if not live:
+                continue
+            hit = out if flavor == "psi" else next(itertools.islice(
+                realized, (live & -live).bit_length() - 1, None))
             violations.append(WitnessViolation(
                 points=points, payload=payload,
                 reason="excluded_pattern_realized", detail=hit))
@@ -327,9 +320,10 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
     the class does not realize.  Raises ShatteredError at evaluation time on
     inputs where every candidate is realized.
 
-    The evaluators cache the behaviors per point tuple, and the graph and
-    psi ones also each coordinate's cells there, per label or encoder as
-    first asked for, so an encoder outside the family is answered too."""
+    The evaluators cache the behaviors per point tuple.  The graph and psi
+    flavors share one evaluator, which also caches each coordinate's cells
+    there, per label or encoder as first asked for, so an encoder outside
+    the family, or a graph label outside the alphabet, is answered too."""
     behaviors_at = cache(lambda points: restrict(cls, points))
 
     if flavor == "natarajan":
@@ -344,28 +338,22 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
                 raise ShatteredError("every mixture realized", (points, g1, g2))
             return frozenset(itertools.compress(range(len(mixture)), map(eq, mixture, g1)))
 
-    elif flavor == "graph":
-        cells_at = cache(lambda points: _cell_tables(behaviors_at(points), "graph"))
+    elif flavor in ("graph", "psi"):
+        if flavor == "psi":
+            if psi is None:
+                raise PreconditionError("psi flavor needs a family")
+            if psi.num_labels != cls.num_labels:
+                raise RepresentationError("family alphabet differs from class alphabet")
+        table_of = _binary_table(flavor, cls.num_labels)
+        cells_at = cache(lambda points: _cell_tables(behaviors_at(points), table_of))
+        graph = flavor == "graph"
+        missing = "every agreement set realized" if graph else "every binary pattern covered"
 
-        def evaluator(points, f):
-            code = _first_missing_code(list(map(getitem, cells_at(points), f)))
+        def evaluator(points, row):
+            code = _first_missing_code(list(map(getitem, cells_at(points), row)))
             if code is None:
-                raise ShatteredError("every agreement set realized", (points, f))
-            return frozenset(i for i, b in enumerate(code) if b)
-
-    elif flavor == "psi":
-        if psi is None:
-            raise PreconditionError("psi flavor needs a family")
-        if psi.num_labels != cls.num_labels:
-            raise RepresentationError("family alphabet differs from class alphabet")
-
-        cells_at = cache(lambda points: _cell_tables(behaviors_at(points), "psi"))
-
-        def evaluator(points, psibar):
-            code = _first_missing_code(list(map(getitem, cells_at(points), psibar)))
-            if code is None:
-                raise ShatteredError("every binary pattern covered", (points, psibar))
-            return code
+                raise ShatteredError(missing, (points, row))
+            return frozenset(itertools.compress(range(len(code)), code)) if graph else code
 
     else:
         raise PreconditionError(f"unknown witness flavor {flavor!r}")
@@ -437,6 +425,7 @@ def psi_witness_from_natarajan(witness: Witness, family: PsiFamily,
         raise PreconditionError("family alphabet differs from class alphabet")
     k_b = sauer_crossover(witness.order, cls.num_labels)
     spec = GoodFunctionSpec(witness=witness, num_labels=cls.num_labels)
+    table_of = _binary_table("psi", cls.num_labels)
 
     def evaluator(points, psibar):
         v = good_patterns(spec, points)
@@ -445,7 +434,7 @@ def psi_witness_from_natarajan(witness: Witness, family: PsiFamily,
                 f"behavior superset has {len(v)} patterns at arity {len(points)}, "
                 "which contradicts the growth bound"
             )
-        code = _first_missing_code([_encoder_image(column, psi)
+        code = _first_missing_code([_encoder_image(column, table_of(psi))
                                     for column, psi in zip(v.index, psibar)])
         if code is None:
             raise ConsistencyError("no missing binary pattern despite the count bound")

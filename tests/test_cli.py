@@ -444,6 +444,27 @@ def test_witness_check_negative_window_exits_two(capsys, c6_file):
                        "--flavor", "natarajan", "--order", "1", "--window", "-1")
 
 
+def test_windows_too_large_to_enumerate_exit_two(capsys, tmp_path):
+    """A window of 2^70 is refused as a usage error wherever it would be
+    enumerated (witness validation) or tabulated (the const and memorize
+    learners, whose window `nfl` takes from its largest point)."""
+    path = tmp_path / "nat.json"
+    path.write_text(json.dumps({"labels": 3, "domain": "nat", "hypotheses": [
+        {"support": {"0": 1, "2": 2}}, {"support": {"1": 2}}, {"support": {"2": 1}}]}))
+    huge = str(2 ** 70)
+    argvs = [["witness", "check", "--class", str(path), "--flavor", "natarajan",
+              "--order", "1", "--window", huge]]
+    for learner in ("const:0", "memorize:0"):
+        from_learner = ["witness", "from-learner", "--learner", learner, "--m", "1",
+                        "--window", huge]
+        argvs += [from_learner + ["--labels", "2"],
+                  from_learner + ["--check-class", str(path)],
+                  ["nfl", "--learner", learner, "--points", f"0,{huge}",
+                   "--g1", "0,0", "--g2", "1,1"]]
+    for argv in argvs:
+        assert_usage_error(capsys, *argv)
+
+
 def test_witness_from_learner_at_m3(capsys, tmp_path):
     full = tmp_path / "full.json"
     full.write_text(json.dumps({"gallery": "full", "params": {"n": 6, "labels": 2}}))

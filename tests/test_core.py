@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import dimkit as dk
 import oracles
-from dimkit.core import distinct_pairs
 
 
 @st.composite
@@ -216,12 +215,6 @@ def test_behavior_index_partitions_the_behaviors(pats):
             union |= mask
             assert mask == sum(1 << j for j, p in enumerate(listed) if p[i] == v)
         assert union == full
-
-
-def test_distinct_pairs_differ_everywhere():
-    for y1, y2 in distinct_pairs(2, 3):
-        assert all(a != b for a, b in zip(y1, y2))
-    assert len(list(distinct_pairs(2, 3))) == 36
 
 
 # ------------------------------------------------- truncate and max_support

@@ -5,6 +5,7 @@ import pytest
 
 import dimkit as dk
 from dimkit.psi import STAR
+from dimkit.witnesses import witness_inputs
 from corpus import random_table_class
 
 
@@ -79,6 +80,14 @@ def test_witness_rejects_malformed_payloads():
 
 
 # --------------------------------------------------------------- validation
+
+def test_distinct_pairs_differ_everywhere():
+    w = dk.Witness(flavor="natarajan", order=1, evaluator=lambda points, g1, g2: frozenset())
+    inputs = list(witness_inputs(w, 3))
+    assert len(inputs) == 36 == len(set(inputs))
+    for g1, g2 in inputs:
+        assert len(g1) == len(g2) == 2 and all(a != b for a, b in zip(g1, g2))
+
 
 def test_canonical_order1_witness_validates_exhaustively():
     cls = three_hyp()
@@ -366,7 +375,7 @@ def test_natarajan_candidates_follow_sorted_mixtures():
             for points in itertools.combinations(range(3), order + 1):
                 pats = dk.restrict(cls, points).pattern_set
                 cases = [(natarajan, (g1, g2), first_missing_mixture(pats, g1, g2))
-                         for g1, g2 in dk.core.distinct_pairs(order + 1, q)]
+                         for g1, g2 in witness_inputs(natarajan, q)]
                 cases += [(graph, (f,), first_missing_agreement(pats, f))
                           for f in itertools.product(range(q), repeat=order + 1)]
                 cases += [(w, (psibar,), first_missing_image(pats, psibar))
@@ -590,17 +599,21 @@ def test_witness_rejects_payload_parts_of_the_wrong_type():
 
 def test_canonical_cells_are_cached_per_point_tuple():
     """The canonical graph and psi answers against the oracles on every
-    input, with point tuples interleaved and each input asked twice, and
-    with encoders over the class alphabet that are not in the family."""
+    input, with point tuples interleaved and each input asked twice, with
+    encoders over the class alphabet that are not in the family, and with
+    graph labels one below and one above the alphabet, on random classes
+    and on a one-label class."""
     from oracles import first_missing_agreement, first_missing_image
 
     rng = random.Random(1621)
-    for _ in range(4):
-        cls = random_table_class(rng, 4, rng.choice((2, 3)), 12)
+    classes = (random_table_class(rng, 4, rng.choice((2, 3)), 12) for _ in range(4))
+    one_label = dk.class_from_tables([(0, 0, 0, 0)], num_labels=1)
+    for cls in itertools.chain(classes, [one_label]):
         q = cls.num_labels
-        fam = dk.graph_family(q)
+        fam = (dk.graph_family(q) if q > 1
+               else dk.PsiFamily(members=dk.psi.all_encoders(1), num_labels=1))
         outside = [e for e in dk.psi.all_encoders(q) if e not in fam.members]
-        encoders = fam.members + tuple(rng.sample(outside, 3))
+        encoders = fam.members + tuple(rng.sample(outside, min(3, len(outside))))
         for order in (0, 1, 2):
             graph = dk.canonical_witness(cls, "graph", order)
             psi = dk.canonical_witness(cls, "psi", order, psi=fam)
@@ -608,7 +621,7 @@ def test_canonical_cells_are_cached_per_point_tuple():
             for points in itertools.combinations(range(4), order + 1):
                 pats = dk.restrict(cls, points).pattern_set
                 cases += [(graph, points, f, first_missing_agreement(pats, f))
-                          for f in itertools.product(range(q), repeat=order + 1)]
+                          for f in itertools.product(range(-1, q + 1), repeat=order + 1)]
                 cases += [(psi, points, psibar, first_missing_image(pats, psibar))
                           for psibar in itertools.product(encoders, repeat=order + 1)]
             rng.shuffle(cases)

@@ -44,8 +44,6 @@ from .core import (
     PreconditionError,
     RepresentationError,
     ShatteredError,
-    class_from_supports,
-    class_from_tables,
 )
 from .dimensions import (
     KINDS,
@@ -249,51 +247,55 @@ def class_from_file(doc: dict):
             raise SchemaError(f"field 'gallery': {err}") from err
         return entry.cls, entry
     labels = doc.get("labels")
-    if not _is_int(labels) or labels < 1:
+    if type(labels) is not int or labels < 1:
         raise SchemaError("field 'labels': expected a positive integer")
     domain = doc.get("domain")
     rows = doc.get("hypotheses")
     if not isinstance(rows, list) or not rows:
         raise SchemaError("field 'hypotheses': expected a nonempty array")
-    if domain == "nat":
-        supports = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict) or "support" not in row:
-                raise SchemaError(f"hypotheses[{i}]: expected {{'support': ...}}")
-            sup = row["support"]
-            if not isinstance(sup, dict):
-                raise SchemaError(f"hypotheses[{i}].support: expected an object")
-            try:
-                pairs = tuple((int(k), v) for k, v in sup.items())
-            except ValueError as err:
-                raise SchemaError(f"hypotheses[{i}].support: {err}") from err
-            for x, y in pairs:
-                if not _is_int(y) or not 1 <= y < labels:
-                    raise SchemaError(
-                        f"hypotheses[{i}].support[{x}]: label {y!r} outside 1..{labels - 1}"
-                    )
-            supports.append(pairs)
-        cls = class_from_supports(supports, num_labels=labels)
-        return cls, None
-    if not _is_int(domain) or domain < 1:
+    nat = domain == "nat"
+    if not nat and (type(domain) is not int or domain < 1):
         raise SchemaError("field 'domain': expected a positive integer or 'nat'")
-    tables = []
+    hyps = []
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != domain:
-            raise SchemaError(f"hypotheses[{i}]: expected a row of length {domain}")
-        for j, v in enumerate(row):
-            if not _is_int(v) or not 0 <= v < labels:
-                raise SchemaError(
-                    f"hypotheses[{i}][{j}]: label {v} outside 0..{labels - 1}"
-                )
-        tables.append(tuple(row))
-    cls = class_from_tables(tables, num_labels=labels)
+        try:
+            if not nat:
+                if not isinstance(row, list) or len(row) != domain:
+                    raise SchemaError(f"hypotheses[{i}]: expected a row of length {domain}")
+                hyps.append(Hypothesis(num_labels=labels, table=tuple(row)))
+            elif not isinstance(row, dict) or "support" not in row:
+                raise SchemaError(f"hypotheses[{i}]: expected {{'support': ...}}")
+            elif not isinstance(row["support"], dict):
+                raise SchemaError(f"hypotheses[{i}].support: expected an object")
+            else:
+                hyps.append(Hypothesis(num_labels=labels,
+                                       support=_support_pairs(row["support"], i)))
+        except RepresentationError as err:
+            # the message starts at the entry: "[j]: ..." or "support[x]: ..."
+            raise SchemaError(f"hypotheses[{i}]{'.' if nat else ''}{err}") from err
+    cls = HypothesisClass(num_labels=labels, domain_size=None if nat else domain,
+                          hypotheses=tuple(hyps))
     return cls, None
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: ``true``/``false`` are not labels or sizes."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _support_pairs(support: dict, i: int):
+    """The (point, label) pairs of the support object of hypotheses[i].  A
+    key is a point in the one form ``class_to_file`` writes: no sign but a
+    minus, no leading zero, no space, underscore or non-ASCII digit."""
+    keys = list(support)
+    try:
+        points = list(map(int, keys))
+        if list(map(str, points)) == keys:
+            return zip(points, support.values())
+    except ValueError:
+        pass
+    for key in keys:
+        try:
+            if str(int(key)) == key:
+                continue
+        except ValueError:  # not an integer, or too long for int()
+            pass
+        raise SchemaError(f"hypotheses[{i}].support: key {key!r} is not a canonical decimal integer")
 
 
 def _read_json(path: str, build):
@@ -328,7 +330,7 @@ def family_from_file(doc: dict) -> PsiFamily:
     if not isinstance(doc, dict):
         raise SchemaError("family file must be a JSON object")
     labels = doc.get("labels")
-    if not _is_int(labels) or labels < 2:
+    if type(labels) is not int or labels < 2:
         raise SchemaError("field 'labels': expected an integer >= 2")
     if "builtin" in doc:
         which = doc["builtin"]

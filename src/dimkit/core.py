@@ -11,11 +11,12 @@ are 0-based throughout.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 # A labeled sample: ((point, label), ...), repeats allowed.
 Sample = tuple[tuple[int, int], ...]
@@ -77,26 +78,27 @@ class Hypothesis:
             raise RepresentationError("alphabet must contain label 0")
         if (self.table is None) == (self.support is None):
             raise RepresentationError("exactly one of table/support required")
+        top = self.num_labels - 1
         if self.table is not None:
-            table = tuple(int(v) for v in self.table)
-            for v in table:
-                if not 0 <= v < self.num_labels:
-                    raise RepresentationError(f"label {v} outside alphabet of size {self.num_labels}")
+            table = tuple(self.table)
+            j = _first_outside(table, 0, top)
+            if j is not None:
+                raise RepresentationError(f"[{j}]: label {table[j]!r} outside 0..{top}")
             object.__setattr__(self, "table", table)
-        else:
-            pairs = tuple(sorted((int(x), int(y)) for x, y in self.support))
-            seen = set()
-            for x, y in pairs:
-                if x < 0:
-                    raise RepresentationError("points are naturals")
-                if x in seen:
-                    raise RepresentationError(f"duplicate support point {x}")
-                seen.add(x)
-                if not 1 <= y < self.num_labels:
-                    raise RepresentationError(
-                        f"support stores nonzero labels below {self.num_labels}, got {y}"
-                    )
-            object.__setattr__(self, "support", pairs)
+            return
+        pairs = tuple(self.support)
+        support = dict(pairs)
+        j = _first_outside(support.keys(), 0, None)
+        if j is not None:
+            raise RepresentationError(f"support[{list(support)[j]!r}]: point is not a natural")
+        j = _first_outside(support.values(), 1, top)
+        if j is not None:
+            x, y = list(support.items())[j]
+            raise RepresentationError(f"support[{x}]: label {y!r} outside 1..{top}")
+        if len(support) < len(pairs):
+            x = next(x for j, (x, _) in enumerate(pairs) if x in dict(pairs[:j]))
+            raise RepresentationError(f"support[{x}]: duplicate point")
+        object.__setattr__(self, "support", tuple(sorted(support.items())))
 
     @property
     def domain_size(self) -> Optional[int]:
@@ -208,21 +210,17 @@ class HypothesisClass:
 
 
 def class_from_tables(rows: Iterable[Iterable[int]], num_labels: int) -> HypothesisClass:
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        raise RepresentationError("explicit class must be nonempty")
-    n = len(rows[0])
     hyps = tuple(Hypothesis(num_labels=num_labels, table=r) for r in rows)
-    return HypothesisClass(num_labels=num_labels, domain_size=n, hypotheses=hyps)
+    if not hyps:
+        raise RepresentationError("explicit class must be nonempty")
+    return HypothesisClass(num_labels=num_labels, domain_size=len(hyps[0].table), hypotheses=hyps)
 
 
 def class_from_supports(supports: Iterable[dict[int, int] | Iterable[tuple[int, int]]],
                         num_labels: int) -> HypothesisClass:
-    hyps = []
-    for s in supports:
-        pairs = tuple(s.items()) if isinstance(s, dict) else tuple(s)
-        hyps.append(Hypothesis(num_labels=num_labels, support=pairs))
-    return HypothesisClass(num_labels=num_labels, domain_size=None, hypotheses=tuple(hyps))
+    hyps = tuple(Hypothesis(num_labels=num_labels, support=s.items() if isinstance(s, dict) else s)
+                 for s in supports)
+    return HypothesisClass(num_labels=num_labels, domain_size=None, hypotheses=hyps)
 
 
 @dataclass(frozen=True)
@@ -263,33 +261,40 @@ def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
     """Project the class onto ``points``: exactly { h|_X : h in H }, duplicates
     removed, in lexicographic order.  An explicit class zips its cached
     per-point columns."""
-    points = tuple(int(x) for x in points)
+    points = tuple(points)
+    j = _first_outside(points, 0, None if cls.domain_size is None else cls.domain_size - 1)
+    if j is not None:
+        raise DomainError(f"point {points[j]!r} is not a natural" if cls.domain_size is None
+                          else f"point {points[j]!r} outside domain [0,{cls.domain_size})")
     if len(set(points)) != len(points):
         raise PreconditionError(f"duplicate points in {points}")
-    if cls.domain_size is not None:
-        for x in points:
-            if not 0 <= x < cls.domain_size:
-                raise DomainError(f"point {x} outside domain [0,{cls.domain_size})")
     if cls.hypotheses is not None:
         columns = cls._columns
         for x in points:
-            if x not in columns:  # h(x) raises DomainError before caching
+            if x not in columns:
                 columns[x] = tuple(h(x) for h in cls.hypotheses)
         pats = set(zip(*[columns[x] for x in points])) if points else {()}
     else:
-        raw = cls.behavior_fn(points)
-        pats = set()
-        for p in raw:
-            p = tuple(int(v) for v in p)
-            if len(p) != len(points):
-                raise RepresentationError(
-                    f"oracle produced arity {len(p)} for {len(points)} points"
-                )
-            for v in p:
-                if not 0 <= v < cls.num_labels:
-                    raise RepresentationError(f"oracle label {v} outside alphabet")
-            pats.add(p)
+        pats = set(map(tuple, cls.behavior_fn(points)))
+        arities = set(map(len, pats)) - {len(points)}
+        if arities:
+            raise RepresentationError(f"oracle produced arity {min(arities)} for {len(points)} points")
+        labels = tuple(itertools.chain.from_iterable(pats))
+        j = _first_outside(labels, 0, cls.num_labels - 1)
+        if j is not None:
+            raise RepresentationError(f"oracle label {labels[j]!r} outside alphabet")
     return BehaviorSet(points=points, patterns=tuple(sorted(pats)))
+
+
+def _first_outside(values: Collection, low: int, high: Optional[int]) -> Optional[int]:
+    """The index of the first value that is not an exact int (bool, float and
+    str are not) in low..high, unbounded above for None; None if there is
+    none.  The success path runs at C speed, on the set of types, min and max."""
+    if {int}.issuperset(map(type, values)) and (
+            not values or low <= min(values) and (high is None or max(values) <= high)):
+        return None
+    return next(j for j, v in enumerate(values)
+                if type(v) is not int or v < low or high is not None and v > high)
 
 
 def _check_window(window: int) -> None:
@@ -317,8 +322,11 @@ class FiniteDistribution:
     atoms: tuple[tuple[tuple[int, int], Fraction], ...]
 
     def __post_init__(self):
-        atoms = tuple(((int(x), int(y)), Fraction(w)) for (x, y), w in self.atoms)
+        atoms = tuple(((x, y), Fraction(w)) for (x, y), w in self.atoms)
         keys = [k for k, _ in atoms]
+        j = _first_outside(tuple(itertools.chain.from_iterable(keys)), 0, None)
+        if j is not None:
+            raise RepresentationError(f"atom {keys[j // 2]!r}: points and labels are naturals")
         if len(set(keys)) != len(keys):
             raise RepresentationError("duplicate atoms")
         for _, w in atoms:

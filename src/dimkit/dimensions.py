@@ -277,8 +277,9 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     For explicit classes over the naturals the window defaults to, and is
     capped at, the top of all supports: beyond it every hypothesis is 0, so
     no larger point can join a shattered set and the search is exact.  An
-    oracle class over the naturals has no such cap, and a window it cannot
-    enumerate (sys.maxsize or more) is refused.  Sizes increase until the
+    oracle class over the naturals has no such cap.  A window that cannot be
+    enumerated (sys.maxsize or more) is refused, and so is a support point
+    that large when it sets the window.  Sizes increase until the
     first size with no shattered subset (all five flavors are downward
     monotone).  Ties go to the lexicographically first subset.  Every
     candidate is projected by ``restrict``, which an explicit class answers
@@ -291,8 +292,6 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     if (psi is None) == (kind == "psi"):
         raise PreconditionError("psi dimension requires a family" if psi is None
                                 else f"{kind} dimension takes no family")
-    if window is not None and window < 0:
-        raise PreconditionError("window must be a natural")
     warning = None
     if window is None:
         window = _default_window(cls)
@@ -303,8 +302,7 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
             warning = "window contains no support point of the class"
     if cls.domain_size is not None or cls.hypotheses is not None:
         window = min(window, _default_window(cls))
-    else:
-        _check_window(window)
+    _check_window(window)
     pts = range(window + 1)
     best = DimensionResult(value=0, certificate=None, warning=warning)
     failed = set()  # subsets of the previous size known not to be shattered

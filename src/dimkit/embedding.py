@@ -32,6 +32,8 @@ from .core import (
     Pattern,
     PreconditionError,
     Sample,
+    _check_window,
+    _first_outside,
     empirical_risk,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
@@ -137,12 +139,15 @@ def good_patterns(spec: GoodFunctionSpec, points) -> BehaviorSet:
     """The behavior oracle v(T): good patterns over [0, max(T)] projected to
     T and deduplicated.  Contains every behavior of any class the witness is
     valid for."""
-    points = tuple(sorted(set(int(x) for x in points)))
+    points = tuple(points)
+    j = _first_outside(points, 0, None)
+    if j is not None:
+        raise DomainError(f"point {points[j]!r} is not a natural")
+    points = tuple(sorted(set(points)))
     if not points:
         raise PreconditionError("need at least one point")
-    if points[0] < 0:
-        raise DomainError(f"point {points[0]} is not a natural")
     window = points[-1]
+    _check_window(window)
     projected = {
         tuple(p[x] for x in points) for p in good_window(spec, window)
     }

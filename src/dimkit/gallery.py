@@ -142,6 +142,6 @@ def build(name: str, params: dict) -> GalleryEntry:
 def _int(value, key: str) -> int:
     """JSON integers only, as in class files: ``true``, ``2.9`` and ``"3"``
     are rejected."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise PreconditionError(f"parameter {key!r}: expected an integer, got {value!r}")
     return value

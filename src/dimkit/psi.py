@@ -19,6 +19,7 @@ from .core import (
     HypothesisClass,
     PreconditionError,
     RepresentationError,
+    _first_outside,
     class_from_tables,
     restrict,
 )
@@ -33,12 +34,12 @@ class PsiFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        table = tuple(int(v) for v in self.table)
+        table = tuple(self.table)
         if not table:
             raise RepresentationError("encoder needs a nonempty alphabet")
-        for v in table:
-            if v not in (0, 1, STAR):
-                raise RepresentationError(f"encoder output {v} outside {{0,1,*}}")
+        j = _first_outside(table, 0, STAR)
+        if j is not None:
+            raise RepresentationError(f"encoder output {table[j]!r} outside {{0,1,*}}")
         object.__setattr__(self, "table", table)
 
     @property
@@ -74,6 +75,10 @@ class PsiFamily:
         return len(self.members)
 
 
+# the symbols a family row may hold, by exact type: a str, or a JSON integer
+_SYMBOLS = {"0": 0, "1": 1, "*": STAR, 0: 0, 1: 1}
+
+
 def family_from_rows(rows, num_labels: int) -> PsiFamily:
     """Family from JSON rows of '0', '1' or '*' symbols (0 and 1 may also be
     JSON integers), one row of ``num_labels`` symbols per encoder."""
@@ -83,15 +88,11 @@ def family_from_rows(rows, num_labels: int) -> PsiFamily:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != num_labels:
             raise RepresentationError(f"family[{i}]: expected a row of length {num_labels}")
-        table = []
-        for j, s in enumerate(row):
-            if s == "*":
-                table.append(STAR)
-            elif s in ("0", "1", 0, 1) and not isinstance(s, bool):
-                table.append(int(s))
-            else:
-                raise RepresentationError(f"family[{i}][{j}]: expected '0', '1' or '*'")
-        members.append(PsiFunction(table=tuple(table)))
+        table = tuple(_SYMBOLS.get(s) if type(s) in (str, int) else None for s in row)
+        if None in table:
+            raise RepresentationError(
+                f"family[{i}][{table.index(None)}]: expected '0', '1' or '*'")
+        members.append(PsiFunction(table=table))
     return PsiFamily(members=tuple(members), num_labels=num_labels)
 
 

@@ -13,6 +13,7 @@ finite window.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import and_, eq, getitem
@@ -34,6 +35,8 @@ from .psi import PsiFamily, PsiFunction, _binary_table, _encoder_image
 from .psi import apply_encoders  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 
 FLAVORS = ("natarajan", "graph", "psi")
+# the most witness inputs ``validate_witness`` checks in one call
+_VALIDATION_BUDGET = 10 ** 8
 _BITS = frozenset((0, 1))
 
 
@@ -266,8 +269,9 @@ def _first_missing_code(cells, live: int = -1) -> Optional[tuple]:
 
 def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> WitnessReport:
     """Exhaustively re-check the exclusion property on every valid input
-    whose points lie in [0, window] (a window of sys.maxsize or more is
-    refused).  Inputs are generated canonical, so they go to the evaluator
+    whose points lie in [0, window].  A window of sys.maxsize or more is
+    refused, and so is one with more than ``_VALIDATION_BUDGET`` (10^8)
+    inputs.  Inputs are generated canonical, so they go to the evaluator
     without re-sorting.
 
     Every input reaches the evaluator and the shape check of its answer.
@@ -282,6 +286,11 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
     _check_window(window)
     if witness.flavor == "psi" and witness.psi.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
+    count = (math.comb(window + 1, witness.arity)
+             * len(_alphabet(witness, cls.num_labels)) ** witness.arity)
+    if count > _VALIDATION_BUDGET:
+        raise PreconditionError(f"validating on [0, {window}] takes {count} witness inputs, "
+                                f"above the budget of {_VALIDATION_BUDGET}")
     flavor, evaluator = witness.flavor, witness.evaluator
     read = _code_reader(witness)
     tables = _input_tables(witness, cls.num_labels)

@@ -47,6 +47,8 @@ CLASS_FILES = {
     "badsupport.json": {"labels": 2, "domain": "nat", "hypotheses": [{"support": [1]}]},
     "badkey.json": {"labels": 2, "domain": "nat", "hypotheses": [{"support": {"a": 1}}]},
     "negkey.json": {"labels": 2, "domain": "nat", "hypotheses": [{"support": {"-1": 1}}]},
+    "underkey.json": {"labels": 2, "domain": "nat", "hypotheses": [{"support": {"1_0": 1}}]},
+    "zerokey.json": {"labels": 2, "domain": "nat", "hypotheses": [{"support": {"01": 1}}]},
     "strlabel.json": {"labels": 3, "domain": "nat", "hypotheses": [{"support": {"0": "1"}}]},
     "zerolabel.json": {"labels": 3, "domain": "nat", "hypotheses": [{"support": {"0": 0}}]},
     "nosupport.json": {"labels": 2, "domain": "nat", "hypotheses": [{}]},
@@ -322,6 +324,22 @@ def test_every_pool_value_keeps_the_exit_code_contract(workdir):
                 used.add((id(pool), index))
     pools = [p for p in globals().values() if isinstance(p, Pool)]
     assert used == {(id(p), i) for p in pools for i in range(len(p.good) + len(p.bad))}
+
+
+# the malformed class files whose error lies inside hypotheses[0]
+ENTRY_ERRORS = {"shortrow.json", "bigvalue.json", "nullvalue.json", "badsupport.json",
+                "badkey.json", "negkey.json", "underkey.json", "zerokey.json",
+                "strlabel.json", "zerolabel.json", "nosupport.json"}
+
+
+def test_malformed_class_files_name_the_file_and_the_entry(workdir):
+    for name in CLASS_FILES:
+        if name in GOOD_CLASSES:
+            continue
+        path = str(workdir / name)
+        code, out, err = _run(["dim", "--class", path, "--kind", "natarajan"])
+        assert code == 2 and err.startswith(f"error: {path}: "), (name, err)
+        assert ("hypotheses[0]" in err) == (name in ENTRY_ERRORS), (name, err)
 
 
 def _recording_namespace(reads: set):

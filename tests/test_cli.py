@@ -3,6 +3,7 @@ import copy
 import enum
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -118,6 +119,19 @@ def test_label_overflow_is_schema_error(capsys, tmp_path):
         with pytest.raises(SchemaError, match=field):
             parse_class_file(str(path))
         assert_usage_error(capsys, "dim", "--class", str(path), "--kind", "natarajan")
+
+
+@pytest.mark.parametrize("key", ["1_0", "01", " 1", "+1", "-0", "\u0661", "1.0", ""])
+def test_support_keys_must_be_canonical_decimals(capsys, tmp_path, key):
+    # int() reads most of these keys as a point ("1_0" as 10, "01" and "+1"
+    # as 1), but class_to_file writes none of them, so none may name one
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps({"labels": 2, "domain": "nat",
+                                "hypotheses": [{"support": {}}, {"support": {key: 1}}]}))
+    assert_usage_error(capsys, "dim", "--class", str(path), "--kind", "natarajan")
+    dispatch(["dim", "--class", str(path), "--kind", "natarajan"])
+    assert capsys.readouterr().err == (
+        f"error: {path}: hypotheses[1].support: key {key!r} is not a canonical decimal integer\n")
 
 
 def test_duplicate_hypotheses_listed_by_index(tmp_path):
@@ -461,8 +475,49 @@ def test_windows_too_large_to_enumerate_exit_two(capsys, tmp_path):
                   from_learner + ["--check-class", str(path)],
                   ["nfl", "--learner", learner, "--points", f"0,{huge}",
                    "--g1", "0,0", "--g2", "1,1"]]
+    # good patterns are extended over [0, largest point]
+    embed = ["--class", str(path), "--witness", "natarajan:1"]
+    argvs += [["embed", "behaviors", *embed, "--points", huge],
+              ["embed", "erm", *embed, "--sample", f"{huge}:1"]]
     for argv in argvs:
         assert_usage_error(capsys, *argv)
+
+
+def test_dim_on_a_support_point_too_large_to_enumerate_exits_two(capsys, tmp_path):
+    # the default window is the largest support point, here 2^70
+    huge = str(2 ** 70)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"labels": 2, "domain": "nat", "hypotheses": [
+        {"support": {}}, {"support": {huge: 1}}]}))
+    argv = ["dim", "--class", str(path), "--kind", "natarajan"]
+    assert_usage_error(capsys, *argv)
+    dispatch(argv)
+    assert capsys.readouterr().err == f"error: window {huge} is too large to enumerate\n"
+    code, report = run(capsys, *argv, "--window", "3")
+    assert code == 0 and report["result"]["dimension"] == 0
+
+
+def test_witness_check_past_the_input_budget_exits_two(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "nat.json"
+    path.write_text(json.dumps({"labels": 3, "domain": "nat", "hypotheses": [
+        {"support": {"0": 1, "2": 2}}, {"support": {"1": 2}}, {"support": {"2": 1}}]}))
+    # C(100001, 3) point tuples times 6^3 label-pair inputs each
+    argv = ["witness", "check", "--class", str(path), "--flavor", "natarajan",
+            "--order", "2", "--window", "100000"]
+    assert_usage_error(capsys, *argv)
+    dispatch(argv)
+    count = math.comb(100001, 3) * 6 ** 3
+    assert capsys.readouterr().err == (
+        f"error: validating on [0, 100000] takes {count} witness inputs, "
+        "above the budget of 100000000\n")
+    # the count is the number of inputs checked: C(4, 2) * 6^2 = 216 at window 3
+    small = ["witness", "check", "--class", str(path), "--flavor", "natarajan",
+             "--order", "1", "--window", "3"]
+    monkeypatch.setattr(dk.witnesses, "_VALIDATION_BUDGET", 216)
+    code, report = run(capsys, *small)
+    assert code in (0, 1) and report["result"]["checked_inputs"] == 216
+    monkeypatch.setattr(dk.witnesses, "_VALIDATION_BUDGET", 215)
+    assert_usage_error(capsys, *small)
 
 
 def test_witness_from_learner_at_m3(capsys, tmp_path):

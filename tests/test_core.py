@@ -294,3 +294,93 @@ def test_explicit_class_agrees_with_oracle_view():
     )
     for pts in ((0,), (1,), (0, 1), (1, 0)):
         assert dk.restrict(explicit, pts).patterns == dk.restrict(oracle, pts).patterns
+
+
+# ---------------------------------------------------------- exact-int entries
+
+def _good_patterns(points):
+    cls = dk.class_from_supports([{1: 1}, {0: 1}, {0: 2, 1: 2}], num_labels=3)
+    spec = dk.GoodFunctionSpec(witness=dk.canonical_witness(cls, "natarajan", 1),
+                               num_labels=3)
+    return dk.good_patterns(spec, points).patterns
+
+
+def _oracle_answers(entries):
+    oracle = dk.HypothesisClass(num_labels=3, behavior_fn=lambda pts: [entries, (0, 0)])
+    return dk.restrict(oracle, (0, 1)).patterns
+
+
+# Each entry point that takes labels, points or encoder outputs: its exact-int
+# entries, a function of a tuple of entries, and that function's value on them.
+ENTRY_POINTS = {
+    "Hypothesis table": ((0, 1, 2), lambda e: dk.Hypothesis(num_labels=3, table=e).table,
+                         (0, 1, 2)),
+    "Hypothesis support points": (
+        (0, 4), lambda e: dk.Hypothesis(num_labels=3, support=tuple(zip(e, (2, 1)))).support,
+        ((0, 2), (4, 1))),
+    "Hypothesis support labels": (
+        (2, 1), lambda e: dk.Hypothesis(num_labels=3, support=tuple(zip((4, 0), e))).support,
+        ((0, 1), (4, 2))),
+    "class_from_tables": (
+        (0, 1, 1, 0),
+        lambda e: [h.table for h in dk.class_from_tables([e[:2], e[2:]], 2).hypotheses],
+        [(0, 1), (1, 0)]),
+    "class_from_supports": (
+        (10, 1), lambda e: dk.class_from_supports([{e[0]: e[1]}], 2).hypotheses[0].support,
+        ((10, 1),)),
+    "PsiFunction": ((0, 1, dk.STAR), lambda e: dk.PsiFunction(table=e).table,
+                    (0, 1, dk.STAR)),
+    "restrict points": (
+        (2, 0), lambda e: dk.restrict(dk.class_from_tables([(0, 1, 2), (2, 1, 0)], 3), e).patterns,
+        ((0, 2), (2, 0))),
+    "oracle answers": ((2, 1), _oracle_answers, ((0, 0), (2, 1))),
+    "FiniteDistribution atoms": (
+        (0, 1, 3, 0),
+        lambda e: dk.FiniteDistribution(atoms=((e[:2], Fraction(1, 3)),
+                                               (e[2:], Fraction(2, 3)))).atoms,
+        (((0, 1), Fraction(1, 3)), ((3, 0), Fraction(2, 3)))),
+    "good_patterns points": ((2, 0), _good_patterns,
+                             ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))),
+}
+DIMKIT_ERRORS = (dk.RepresentationError, dk.DomainError, dk.PreconditionError)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@given(st.data())
+def test_entries_must_be_exact_ints(name, data):
+    # a bool, float, str or None entry is refused, never coerced by int();
+    # the exact ints give the value they always gave
+    entries, build, value = ENTRY_POINTS[name]
+    assert build(entries) == value
+    j = data.draw(st.integers(0, len(entries) - 1), label="position")
+    bad = data.draw(st.sampled_from([True, False, 1.0, 0.5, 1.9, "1", "10", None]),
+                    label="entry")
+    with pytest.raises(DIMKIT_ERRORS):
+        build(entries[:j] + (bad,) + entries[j + 1:])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dk.Hypothesis(num_labels=3, table=(1.9,)),
+    lambda: dk.class_from_supports([{"10": 1}], 2),
+    lambda: dk.restrict(dk.class_from_tables([(0, 1), (1, 0)], 2), ("1", 0.5)),
+    lambda: _good_patterns((0.9, 1)),
+], ids=["label 1.9", "support key '10'", "points '1' and 0.5", "point 0.9"])
+def test_values_int_used_to_coerce_are_refused(build):
+    with pytest.raises(DIMKIT_ERRORS):
+        build()
+
+
+def test_entry_errors_name_the_entry():
+    for build, message in (
+        (lambda: dk.Hypothesis(num_labels=3, table=(0, 1, 5)), "[2]: label 5 outside 0..2"),
+        (lambda: dk.Hypothesis(num_labels=2, support=((3, 2),)),
+         "support[3]: label 2 outside 1..1"),
+        (lambda: dk.Hypothesis(num_labels=2, support=((-1, 1),)),
+         "support[-1]: point is not a natural"),
+        (lambda: dk.Hypothesis(num_labels=2, support=((3, 1), (3, 1))),
+         "support[3]: duplicate point"),
+        (lambda: dk.PsiFunction(table=(0, 3)), "encoder output 3 outside {0,1,*}"),
+    ):
+        with pytest.raises(dk.RepresentationError) as err:
+            build()
+        assert str(err.value) == message

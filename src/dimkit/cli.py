@@ -278,24 +278,22 @@ def class_from_file(doc: dict):
     return cls, None
 
 
-def _support_pairs(support: dict, i: int):
+def _support_pairs(support: dict, i: int) -> list:
     """The (point, label) pairs of the support object of hypotheses[i].  A
     key is a point in the one form ``class_to_file`` writes: no sign but a
     minus, no leading zero, no space, underscore or non-ASCII digit."""
-    keys = list(support)
-    try:
-        points = list(map(int, keys))
-        if list(map(str, points)) == keys:
-            return zip(points, support.values())
-    except ValueError:
-        pass
-    for key in keys:
+    pairs = []
+    for key, label in support.items():
         try:
-            if str(int(key)) == key:
-                continue
+            point = int(key)
+            canonical = str(point) == key
         except ValueError:  # not an integer, or too long for int()
-            pass
-        raise SchemaError(f"hypotheses[{i}].support: key {key!r} is not a canonical decimal integer")
+            canonical = False
+        if not canonical:
+            raise SchemaError(
+                f"hypotheses[{i}].support: key {key!r} is not a canonical decimal integer")
+        pairs.append((point, label))
+    return pairs
 
 
 def _read_json(path: str, build):

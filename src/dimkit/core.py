@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 # A labeled sample: ((point, label), ...), repeats allowed.
 Sample = tuple[tuple[int, int], ...]
@@ -86,15 +86,14 @@ class Hypothesis:
                 raise RepresentationError(f"[{j}]: label {table[j]!r} outside 0..{top}")
             object.__setattr__(self, "table", table)
             return
+        # a support holds few pairs, for which a loop is faster than C-speed scans
         pairs = tuple(self.support)
+        for x, y in pairs:
+            if type(x) is not int or x < 0:
+                raise RepresentationError(f"support[{x!r}]: point is not a natural")
+            if type(y) is not int or not 1 <= y <= top:
+                raise RepresentationError(f"support[{x}]: label {y!r} outside 1..{top}")
         support = dict(pairs)
-        j = _first_outside(support.keys(), 0, None)
-        if j is not None:
-            raise RepresentationError(f"support[{list(support)[j]!r}]: point is not a natural")
-        j = _first_outside(support.values(), 1, top)
-        if j is not None:
-            x, y = list(support.items())[j]
-            raise RepresentationError(f"support[{x}]: label {y!r} outside 1..{top}")
         if len(support) < len(pairs):
             x = next(x for j, (x, _) in enumerate(pairs) if x in dict(pairs[:j]))
             raise RepresentationError(f"support[{x}]: duplicate point")
@@ -286,7 +285,7 @@ def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
     return BehaviorSet(points=points, patterns=tuple(sorted(pats)))
 
 
-def _first_outside(values: Collection, low: int, high: Optional[int]) -> Optional[int]:
+def _first_outside(values: tuple, low: int, high: Optional[int]) -> Optional[int]:
     """The index of the first value that is not an exact int (bool, float and
     str are not) in low..high, unbounded above for None; None if there is
     none.  The success path runs at C speed, on the set of types, min and max."""

@@ -12,6 +12,12 @@ The good set over [0, M] is closed under truncation, so it is computed by
 extending good prefixes one point at a time, checking only constraints that
 involve newly reachable subsets.  This enumerates exactly the survivors of
 the full pattern sweep (the test suite cross-checks both routes).
+
+A witness declared ``pair_symmetric`` (the canonical natarajan witness)
+excludes the same mixture on every orientation of the pairs (g1[i], g2[i]),
+so the exclusion reads it once per unordered pair tuple, and the first
+ShatteredError it meets is the one the ordered inputs give (see
+``_excluded_on``).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .core import (
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
 from .nfl import Learner
-from .witnesses import Witness, _code_reader, _input_tables, witness_inputs
+from .witnesses import Witness, _alphabet, _code_reader, _input_tables, _inputs_over
 
 
 @dataclass(frozen=True)
@@ -65,22 +71,37 @@ class GoodFunctionSpec:
         return _code_reader(self.witness)
 
     @cached_property
-    def _preimages(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Per entry one payload coordinate can hold, in ``witness_inputs``
-        order, the labels its binary table codes 0 and those it codes 1."""
-        return [tuple(tuple(v for v, b in table.items() if b == c) for c in (0, 1))
-                for table in _input_tables(self.witness, self.num_labels)]
+    def _preimages(self) -> list[tuple[tuple[int, ...], tuple[int, ...], object]]:
+        """Per entry one payload coordinate can hold, in ``_alphabet`` order:
+        the labels its binary table codes 0, those it codes 1 (so a code bit
+        indexes the two), and the entry itself.  For a pair-symmetric witness
+        only the natarajan pairs (a, b) with a < b are kept."""
+        w, n = self.witness, self.num_labels
+        rows = [(*(tuple(v for v, b in table.items() if b == c) for c in (0, 1)), entry)
+                for entry, table in zip(_alphabet(w, n), _input_tables(w, n))]
+        if w.pair_symmetric:
+            rows = [row for row in rows if row[2][0] < row[2][1]]
+        return rows
 
 
 def _excluded_on(spec: GoodFunctionSpec, subset) -> frozenset:
     """All restrictions to ``subset`` that agree with a witness-excluded
     labeling, materialized once per subset and cached on the spec.
 
-    As in ``validate_witness``, every input reaches the evaluator, and the
-    answer's 0/1 code comes from ``spec._read``.  The code picks, per
+    The evaluator is read on every input built from ``spec._preimages``, and
+    the answer's 0/1 code comes from ``spec._read``.  The code picks, per
     coordinate, the labels that the binary table of the input's entry there
     codes with that bit (for natarajan, the one label g1[i] or g2[i]); the
-    excluded labelings are the products of the distinct picks."""
+    excluded labelings are the products of the distinct picks.
+
+    A pair-symmetric witness excludes the same mixture on every orientation
+    of the pairs, so it is read only on inputs with g1[i] < g2[i] at every
+    coordinate, and the result is that of all ordered inputs.  The first
+    ShatteredError is the same too: whether an input is shattered depends
+    only on its unordered pairs, so the shattered inputs are closed under
+    flipping any coordinate, and (a, b) comes before (b, a) in ``_alphabet``
+    when a < b.  The first shattered input in ordered product order thus
+    has g1[i] < g2[i] everywhere, and it is the first one read here."""
     key = ("excl", subset)
     cached = spec._cache.get(key)
     if cached is not None:
@@ -88,8 +109,9 @@ def _excluded_on(spec: GoodFunctionSpec, subset) -> frozenset:
     w = spec.witness
     evaluator, read = w.evaluator, spec._read
     rows = itertools.product(spec._preimages, repeat=w.arity)
+    payloads = _inputs_over(w, [entry for *_, entry in spec._preimages])
     picks = set()
-    for row, payload in zip(rows, witness_inputs(w, spec.num_labels)):
+    for row, payload in zip(rows, payloads):
         _, code = read(evaluator(subset, *payload), subset)
         picks.add(tuple(map(getitem, row, code)))
     result = frozenset(itertools.chain.from_iterable(
@@ -194,11 +216,12 @@ def erm_augmented(spec: GoodFunctionSpec, sample: Sample) -> tuple[Hypothesis, F
     (lexicographically smallest on ties), extended by 0 elsewhere."""
     if not sample:
         raise PreconditionError("cannot minimize over an empty sample")
-    for x, y in sample:
-        if not 0 <= y < spec.num_labels:
-            raise PreconditionError(f"sample label {y} outside the alphabet")
-    points = tuple(sorted({x for x, _ in sample}))
-    behaviors = good_patterns(spec, points)
+    labels = tuple(y for _, y in sample)
+    j = _first_outside(labels, 0, spec.num_labels - 1)
+    if j is not None:
+        raise PreconditionError(f"sample label {labels[j]!r} outside the alphabet")
+    behaviors = good_patterns(spec, (x for x, _ in sample))
+    points = behaviors.points
     position = {x: i for i, x in enumerate(points)}
     best_pattern = None
     best_wrong = None

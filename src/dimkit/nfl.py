@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import eq
 from typing import Callable
 
 from .core import (
@@ -36,6 +37,7 @@ from .core import (
     PreconditionError,
     Sample,
     _check_window,
+    _first_outside,
     empirical_risk,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     mix_labelings,
 )
@@ -125,7 +127,8 @@ class AdversaryReport:
 
 def _graph_points(points, *labelings) -> tuple[int, ...]:
     """The points as a tuple: an even, positive number of distinct points,
-    each labeled by a natural in every one of the labelings."""
+    each labeled by an exact int that is a natural in every one of the
+    labelings."""
     points = tuple(points)
     if len(points) % 2 or not points:
         raise PreconditionError("need an even, positive number of points")
@@ -133,7 +136,7 @@ def _graph_points(points, *labelings) -> tuple[int, ...]:
         raise PreconditionError("duplicate points")
     if any(len(g) != len(points) for g in labelings):
         raise PreconditionError("labelings must cover the points")
-    if any(y < 0 for g in labelings for y in g):
+    if _first_outside(tuple(itertools.chain.from_iterable(labelings)), 0, None) is not None:
         raise PreconditionError("labels must be naturals")
     return points
 
@@ -193,7 +196,7 @@ def nfl_adversary(learner: Learner, points, g1: Pattern, g2: Pattern) -> Adversa
     reaches 1/4; its uniform graph distribution realizes the target (risk 0)
     while the learner fails with probability at least 1/7."""
     points = _graph_points(points, g1, g2)
-    if any(a == b for a, b in zip(g1, g2)):
+    if any(map(eq, g1, g2)):
         raise PreconditionError("labelings must differ at every point")
     n = len(points)
     m = n // 2

@@ -57,6 +57,14 @@ class Witness:
       psi:       (points, psibar) -> binary pattern
     An index set must lie inside range(arity) and a pattern must be a 0/1
     tuple of length arity; any other answer raises PreconditionError.
+
+    ``pair_symmetric`` (natarajan only) declares that the excluded mixture,
+    mix_labelings(answer, g1, g2), depends only on the unordered pair
+    {g1[i], g2[i]} at each coordinate, so swapping g1[i] and g2[i] anywhere
+    leaves it unchanged, and so does whether the evaluator raises
+    ShatteredError.  The good-pattern exclusion then reads the evaluator
+    once per unordered pair tuple; ``validate_witness`` still checks every
+    ordered input.
     """
 
     flavor: str
@@ -64,6 +72,7 @@ class Witness:
     evaluator: Callable
     psi: Optional[PsiFamily] = None
     provenance: str = "user"
+    pair_symmetric: bool = False
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -72,6 +81,8 @@ class Witness:
             raise PreconditionError("order must be a natural")
         if (self.flavor == "psi") != (self.psi is not None):
             raise PreconditionError("psi flavor carries a family, others do not")
+        if self.pair_symmetric and self.flavor != "natarajan":
+            raise PreconditionError("only a natarajan witness can be pair-symmetric")
 
     @property
     def arity(self) -> int:
@@ -158,7 +169,13 @@ def witness_inputs(witness: Witness, num_labels: int):
     """Every canonical payload of the witness's flavor over labels
     0..num_labels-1, in product order: (g1, g2) pairs that differ at every
     coordinate, (f,) labelings, or (psibar,) encoder tuples."""
-    rows = itertools.product(_alphabet(witness, num_labels), repeat=witness.arity)
+    return _inputs_over(witness, _alphabet(witness, num_labels))
+
+
+def _inputs_over(witness: Witness, alphabet):
+    """Every payload whose coordinates hold entries of ``alphabet``, in
+    product order."""
+    rows = itertools.product(alphabet, repeat=witness.arity)
     if witness.flavor == "natarajan":
         return map(tuple, itertools.starmap(zip, rows))
     return zip(rows)
@@ -339,7 +356,8 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
         def evaluator(points, g1, g2):
             # g1[i] != g2[i], so each mixture fixes its index set and the
             # product of the sorted coordinate pairs lists the mixtures in
-            # lexicographic order
+            # lexicographic order; the mixture found reads only the unordered
+            # pairs, so the witness is pair-symmetric
             realized = behaviors_at(points).pattern_set.__contains__
             mixtures = itertools.product(*map(sorted, zip(g1, g2)))
             mixture = next(itertools.filterfalse(realized, mixtures), None)
@@ -367,8 +385,8 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
     else:
         raise PreconditionError(f"unknown witness flavor {flavor!r}")
 
-    return Witness(flavor=flavor, order=order, evaluator=evaluator,
-                   psi=psi, provenance="canonical")
+    return Witness(flavor=flavor, order=order, evaluator=evaluator, psi=psi,
+                   provenance="canonical", pair_symmetric=flavor == "natarajan")
 
 
 def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = None) -> Witness:

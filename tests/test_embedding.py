@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ import pytest
 
 import dimkit as dk
 import oracles
-from corpus import random_support_class
+from corpus import random_support_class, random_table_class
+from dimkit.embedding import _excluded_on
 from dimkit.psi import STAR
 
 
@@ -61,6 +63,52 @@ def test_prefix_search_matches_full_enumeration_psi_flavor():
         points = (0, 2, 3)
         assert dk.good_patterns(spec, points).patterns == \
             oracles.good_patterns_bruteforce(spec, points)
+
+
+def _exclusion_or_error(spec, subset):
+    try:
+        return _excluded_on(spec, subset), None
+    except dk.ShatteredError as err:
+        return None, (str(err), err.witness_input)
+
+
+def test_pair_symmetric_exclusion_matches_the_ordered_loop():
+    """The canonical natarajan witness is read once per unordered pair tuple;
+    the ordered reference loop of the same witness, undeclared, reads every
+    orientation.  Both give the same exclusion, or the same first
+    ShatteredError, on every subset."""
+    rng = random.Random(3141)
+    compared = shattered = 0
+    for _ in range(30):
+        q = rng.randint(2, 4)
+        cls = random_table_class(rng, 4, q, rng.choice((4, 16, 64, 256)))
+        for order in (0, 1, 2):
+            w = dk.canonical_witness(cls, "natarajan", order)
+            spec = dk.GoodFunctionSpec(witness=w, num_labels=q)
+            reference = dk.GoodFunctionSpec(
+                witness=dataclasses.replace(w, pair_symmetric=False), num_labels=q)
+            assert spec.witness.pair_symmetric
+            assert len(spec._preimages) == q * (q - 1) // 2
+            assert len(reference._preimages) == q * (q - 1)
+            for subset in itertools.combinations(range(4), order + 1):
+                got = _exclusion_or_error(spec, subset)
+                assert got == _exclusion_or_error(reference, subset), (q, order, subset)
+                compared += 1
+                shattered += got[1] is not None
+    assert compared > 100 and 0 < shattered < compared
+
+
+def test_pair_symmetric_good_patterns_match_full_enumeration():
+    # at the class's own Natarajan dimension no input is shattered
+    rng = random.Random(1729)
+    for q, points in ((3, (0, 1, 3)), (4, (0, 2)), (4, (1,)), (2, (0, 1, 2, 3))):
+        cls = random_support_class(rng, 3, q, 3)
+        w = dk.canonical_witness(cls, "natarajan", dk.exact_dimension(cls, "natarajan").value)
+        assert w.pair_symmetric
+        spec = dk.GoodFunctionSpec(witness=w, num_labels=q)
+        got = dk.good_patterns(spec, points).patterns
+        assert len(got) > 1
+        assert got == oracles.good_patterns_bruteforce(spec, points)
 
 
 # Answers of every type the shape check takes.  The exclusion reads an answer
@@ -225,6 +273,20 @@ def test_erm_rejects_negative_sample_points():
     _, spec = three_hyp_spec()
     with pytest.raises(dk.DomainError, match="point -1 is not a natural"):
         dk.erm_augmented(spec, ((-1, 0), (1, 2)))
+
+
+@pytest.mark.parametrize("sample, error, message", [
+    (((0, True), (1, 1.5)), dk.PreconditionError, "sample label True outside the alphabet"),
+    (((0, 1), (1, 1.5)), dk.PreconditionError, "sample label 1.5 outside the alphabet"),
+    (((0, 1), (1, 3)), dk.PreconditionError, "sample label 3 outside the alphabet"),
+    ((("1", 1), (0, 1)), dk.DomainError, "point '1' is not a natural"),
+])
+def test_erm_takes_only_exact_int_labels_and_points(sample, error, message):
+    # a bool label counted as label 1, and a str point raised a raw TypeError
+    _, spec = three_hyp_spec()
+    with pytest.raises(error) as err:
+        dk.erm_augmented(spec, sample)
+    assert str(err.value) == message
 
 
 def test_augmented_class_rejects_finite_domain_base():

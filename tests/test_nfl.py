@@ -87,6 +87,15 @@ def test_adversary_rejects_negative_labels(g1, g2):
         dk.nfl_adversary(learner, (0, 1), g1, g2)
 
 
+@pytest.mark.parametrize("g1, g2", [((0.5, 1), (True, 2)), ((0, 1), (True, 2)),
+                                    ((0, "1"), (1, 2)), ((0, 1), (1, 2.0))])
+def test_adversary_rejects_labels_that_are_not_exact_ints(g1, g2):
+    # (0.5, 1) against (True, 2) returned f_values (True, 2)
+    learner = dk.constant_learner(0, num_labels=3, window=3)
+    with pytest.raises(dk.PreconditionError, match="labels must be naturals"):
+        dk.nfl_adversary(learner, (0, 1), g1, g2)
+
+
 def _built_in_learners(num_labels, window):
     base = dk.class_from_supports([{0: 1}, {1: 1}], num_labels=num_labels)
     witness = dk.canonical_witness(base, "natarajan", 1)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dimkit as dk
 from dimkit.psi import STAR
@@ -142,6 +144,58 @@ def test_smallest_validating_order_matches_dimension():
                 report = dk.validate_witness(tight, cls, window)
                 assert not report.valid
                 assert any(v.reason == "shattered" for v in report.violations)
+
+
+# ------------------------------------------------------- pair symmetry
+
+@pytest.mark.parametrize("flavor, family", [("graph", None), ("psi", dk.graph_family(2))])
+def test_only_natarajan_witnesses_can_be_pair_symmetric(flavor, family):
+    with pytest.raises(dk.PreconditionError, match="only a natarajan witness"):
+        dk.Witness(flavor=flavor, order=0, psi=family, evaluator=lambda *args: (0,),
+                   pair_symmetric=True)
+
+
+def test_canonical_witness_declares_pair_symmetry_for_natarajan_only():
+    cls = three_hyp()
+    fam = dk.graph_family(3)
+    assert dk.canonical_witness(cls, "natarajan", 1).pair_symmetric
+    assert not dk.canonical_witness(cls, "graph", 1).pair_symmetric
+    assert not dk.canonical_witness(cls, "psi", 1, psi=fam).pair_symmetric
+
+
+def test_orientation_dependent_witnesses_stay_undeclared():
+    learner = dk.constant_learner(0, num_labels=3, window=1)
+    assert not dk.witness_from_learner(learner, 1).pair_symmetric
+    w = dk.gap_class(2).witness
+    assert not w.pair_symmetric
+    # the same unordered pairs {0, 1} at both points, in two orientations,
+    # exclude different mixtures
+    lows, highs = (0, 0), (1, 1)
+    g1, g2 = (1, 0), (0, 1)
+    assert dk.mix_labelings(w.evaluate((0, 1), lows, highs), lows, highs) == (0, 1)
+    assert dk.mix_labelings(w.evaluate((0, 1), g1, g2), g1, g2) == (1, 0)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(0, 2),
+       st.integers(0, 2 ** 3 - 1))
+def test_canonical_natarajan_exclusion_ignores_pair_orientation(seed, q, order, flips):
+    """Swapping g1[i] and g2[i] at the coordinates in ``flips`` leaves the
+    excluded mixture, or the ShatteredError, of the canonical witness as it
+    is."""
+    rng = random.Random(seed)
+    cls = random_table_class(rng, 4, q, rng.choice((4, 16, 64)))
+    w = dk.canonical_witness(cls, "natarajan", order)
+    points = tuple(sorted(rng.sample(range(4), order + 1)))
+    g1 = tuple(rng.randrange(q) for _ in points)
+    g2 = tuple((a + rng.randrange(1, q)) % q for a in g1)
+    h1, h2 = zip(*((b, a) if flips >> i & 1 else (a, b) for i, (a, b) in enumerate(zip(g1, g2))))
+    try:
+        mixture = dk.mix_labelings(w.evaluate(points, g1, g2), g1, g2)
+    except dk.ShatteredError:
+        with pytest.raises(dk.ShatteredError):
+            w.evaluate(points, h1, h2)
+    else:
+        assert dk.mix_labelings(w.evaluate(points, h1, h2), h1, h2) == mixture
 
 
 # ------------------------------------------------------------ from learner

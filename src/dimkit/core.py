@@ -196,8 +196,18 @@ class HypothesisClass:
 
     @cached_property
     def _columns(self) -> dict[int, tuple[int, ...]]:
-        """Per point, the label of every hypothesis there, in class order;
-        ``restrict`` fills a point in the first time it is used."""
+        """Per point, the label of every hypothesis there, in class order.  A
+        table class fills every point at once, from its rows; a class over
+        the naturals fills a point in the first time it is used."""
+        if self.domain_size is not None and self.hypotheses is not None:
+            return dict(enumerate(zip(*(h.table for h in self.hypotheses))))
+        return {}
+
+    @cached_property
+    def _masks(self) -> dict[int, dict[int, int]]:
+        """Per point, each label there mapped to the bitmask of the hypotheses
+        with that label (bit j for the j-th hypothesis in class order);
+        ``_hypothesis_masks`` fills a point in the first time it is used."""
         return {}
 
     def support_bound(self) -> Optional[int]:
@@ -245,7 +255,8 @@ class BehaviorSet:
         iteration order of ``pattern_set``.  Read by witness validation
         and the canonical witnesses (``witnesses``), by the DS refutation
         (``psi``), and by the coverage search behind vc, Natarajan, graph
-        and Ψ shattering (``dimensions._coverage_search``)."""
+        and Ψ shattering on oracle classes only: on an explicit class that
+        search reads per-hypothesis masks instead (``_hypothesis_masks``)."""
         index = tuple({} for _ in self.points)
         for j, p in enumerate(self.pattern_set):
             for column, v in zip(index, p):
@@ -256,10 +267,10 @@ class BehaviorSet:
         return len(self.patterns)
 
 
-def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
-    """Project the class onto ``points``: exactly { h|_X : h in H }, duplicates
-    removed, in lexicographic order.  An explicit class zips its cached
-    per-point columns."""
+def _checked_columns(cls: HypothesisClass, points: Iterable[int]) -> tuple[tuple[int, ...], dict]:
+    """The points as a tuple, checked to be distinct points of the domain,
+    and, for an explicit class, its cached columns with every one of them
+    filled in (None for an oracle class)."""
     points = tuple(points)
     j = _first_outside(points, 0, None if cls.domain_size is None else cls.domain_size - 1)
     if j is not None:
@@ -267,11 +278,21 @@ def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
                           else f"point {points[j]!r} outside domain [0,{cls.domain_size})")
     if len(set(points)) != len(points):
         raise PreconditionError(f"duplicate points in {points}")
-    if cls.hypotheses is not None:
-        columns = cls._columns
-        for x in points:
-            if x not in columns:
-                columns[x] = tuple(h(x) for h in cls.hypotheses)
+    if cls.hypotheses is None:
+        return points, None
+    columns = cls._columns
+    for x in points:
+        if x not in columns:
+            columns[x] = tuple(h(x) for h in cls.hypotheses)
+    return points, columns
+
+
+def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
+    """Project the class onto ``points``: exactly { h|_X : h in H }, duplicates
+    removed, in lexicographic order.  An explicit class zips its cached
+    per-point columns."""
+    points, columns = _checked_columns(cls, points)
+    if columns is not None:
         pats = set(zip(*[columns[x] for x in points])) if points else {()}
     else:
         pats = set(map(tuple, cls.behavior_fn(points)))
@@ -283,6 +304,27 @@ def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
         if j is not None:
             raise RepresentationError(f"oracle label {labels[j]!r} outside alphabet")
     return BehaviorSet(points=points, patterns=tuple(sorted(pats)))
+
+
+def _hypothesis_masks(cls: HypothesisClass, points: Iterable[int]) -> tuple[dict[int, int], ...]:
+    """Per point of an explicit class, each label there mapped to the bitmask
+    of the hypotheses with that label (bit j for the j-th hypothesis in class
+    order), built once per point from its cached column.  The points are
+    checked as ``restrict`` checks them, with the same errors."""
+    points, columns = _checked_columns(cls, points)
+    masks = cls._masks
+    for x in points:
+        if x not in masks:
+            column = columns[x]
+            masks[x] = {v: _bitmask(bytes(map(v.__eq__, column))) for v in set(column)}
+    return tuple(masks[x] for x in points)
+
+
+def _bitmask(flags: bytes) -> int:
+    """The int with bit j set iff ``flags[j]`` is 1 (every flag is 0 or 1), at
+    C speed: stride r of the flags, read as a little-endian int, holds
+    ``flags[8k + r]`` at bit 8k, so shifting it up by r puts it at bit 8k + r."""
+    return sum(int.from_bytes(flags[r::8], "little") << r for r in range(8))
 
 
 def _first_outside(values: tuple, low: int, high: Optional[int]) -> Optional[int]:

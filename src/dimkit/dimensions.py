@@ -21,6 +21,7 @@ from .core import (
     PreconditionError,
     RepresentationError,
     _check_window,
+    _hypothesis_masks,
     restrict,
 )
 from .psi import PsiFamily, PsiFunction, _binary_table, _encoder_image
@@ -46,31 +47,37 @@ class DimensionResult:
     warning: Optional[str] = None
 
 
-def _coverage_search(behaviors, coord_choices):
-    """Pick one binary encoder per coordinate so that the encoded behaviors
-    of the ``BehaviorSet`` cover all 2^n binary tuples.
+def _coverage_search(index, full, coord_choices):
+    """Pick one binary encoder per coordinate so that the encoded members of
+    a class cover all 2^n binary tuples.
 
-    ``coord_choices[i]`` is a list of (table, meta) where table maps a label
-    to 0/1 (a behavior with a label the table does not map encodes to
-    nothing).  Returns the chosen metas (first in lexicographic choice
-    order) or None.
+    ``index[i]`` maps each label at coordinate i to the bitmask of the
+    members with that label there, and ``full`` is the mask of all members:
+    the hypotheses of an explicit class or the behaviors of an oracle class
+    (see ``_cells``).  ``coord_choices[i]`` is a list of (table, meta) where
+    table maps a label to 0/1 (a member with a label the table does not map
+    encodes to nothing).  Returns the chosen metas (first in lexicographic
+    choice order) or None.
 
-    Each table becomes its image on ``behaviors.index``, the masks of the
-    behaviors it sends to 0 and of those it sends to 1 (a table with an
-    empty half never covers and is dropped).  The search state at depth d
-    is one cell per prefix code of length d, the bitmask of the behaviors
-    whose encoded prefix is that code.  After the choice at depth d each
-    cell must hold at least 2^(n-d-1) behaviors: a behavior encodes to one
-    code only, and each of the cell's 2^(n-d-1) completions needs its own.
-    The bound cuts only branches that cannot cover and the tables keep
-    their order, so the first covering choice tuple is the one the full
-    product would give.
+    Each table becomes its image on ``index[i]``, the masks of the members
+    it sends to 0 and of those it sends to 1 (a table with an empty half
+    never covers and is dropped).  The search state at depth d is one cell
+    per prefix code of length d, the bitmask of the members whose encoded
+    prefix is that code.  Cells of hypotheses are nonempty exactly when
+    some behavior has their code, so both kinds of member cover alike.
+    After the choice at depth d each cell must hold at least 2^(n-d-1)
+    members: a member encodes to one code only, and each of the cell's
+    2^(n-d-1) completions needs its own.  Counted in hypotheses, several of
+    which may share a behavior, the bound is weaker, but a cell with fewer
+    hypotheses than that has fewer behaviors too, so it still cuts only
+    branches that cannot cover.  The tables keep their order, so the first
+    covering choice tuple is the one the full product would give.
     """
     n = len(coord_choices)
     if not n:
         return ()
     levels = []
-    for column, choices in zip(behaviors.index, coord_choices):
+    for column, choices in zip(index, coord_choices):
         level = []
         for table, meta in choices:
             zero, one = _encoder_image(column, table)
@@ -92,9 +99,21 @@ def _coverage_search(behaviors, coord_choices):
             chosen.pop()
         return False
 
-    if rec(0, [(1 << len(behaviors.pattern_set)) - 1]):
+    if rec(0, [full]):
         return tuple(chosen)
     return None
+
+
+def _cells(cls, points):
+    """The coverage search's input on ``points``: per point, each label there
+    mapped to the bitmask of the members with that label, and the mask of
+    all members.  The members are an explicit class's hypotheses, read from
+    its cached per-point masks with no projection, or else the behaviors of
+    ``restrict``.  The points are checked as ``restrict`` checks them."""
+    if cls.hypotheses is not None:
+        return _hypothesis_masks(cls, points), (1 << len(cls.hypotheses)) - 1
+    behaviors = restrict(cls, points)
+    return behaviors.index, (1 << len(behaviors.pattern_set)) - 1
 
 
 def _distinct_tables(choices):
@@ -130,15 +149,15 @@ def _encoded_search(cls, points, kind, encoders, payload) -> Optional[ShatterCer
     from the sorted labels ``vals`` realized at each coordinate, built once
     per distinct ``vals`` and cut down by ``_distinct_tables``.
     ``payload(metas)`` turns the chosen metas into the certificate payload."""
-    behaviors = restrict(cls, points)
+    index, full = _cells(cls, points)
     lists = {}
     choices = []
-    for column in behaviors.index:
+    for column in index:
         vals = tuple(sorted(column))
         if vals not in lists:
             lists[vals] = _distinct_tables(encoders(vals))
         choices.append(lists[vals])
-    got = _coverage_search(behaviors, choices) if all(choices) else None
+    got = _coverage_search(index, full, choices) if all(choices) else None
     if got is None:
         return None
     return ShatterCertificate(kind=kind, points=points, payload=payload(got))
@@ -281,11 +300,13 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     enumerated (sys.maxsize or more) is refused, and so is a support point
     that large when it sets the window.  Sizes increase until the
     first size with no shattered subset (all five flavors are downward
-    monotone).  Ties go to the lexicographically first subset.  Every
-    candidate is projected by ``restrict``, which an explicit class answers
-    from its cached per-point columns, and a candidate with a face (a subset
-    one point smaller) known not to be shattered is skipped without a test,
-    which by monotonicity never skips a shattered one.
+    monotone).  Ties go to the lexicographically first subset.  On an
+    explicit class the coverage kinds read each candidate's cells from the
+    class's cached per-point hypothesis masks, with no projection; DS, and
+    every kind on an oracle class, project the candidate with ``restrict``.
+    A candidate with a face (a subset one point smaller) known not to be
+    shattered is skipped without a test, which by monotonicity never skips
+    a shattered one.
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown dimension kind {kind!r}")
@@ -356,10 +377,10 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     points, payload = cert.points, cert.payload
     if len(payload) != _PAYLOAD_SIZE[cert.kind] or not _well_typed(cert.kind, payload):
         return False
-    behaviors = restrict(cls, points)
     if cert.kind == "ds":
         (cube,) = payload
-        return set(cube) <= behaviors.pattern_set and is_pseudo_cube(cube)
+        return set(cube) <= restrict(cls, points).pattern_set and is_pseudo_cube(cube)
+    index, full = _cells(cls, points)
     if any(len(part) != len(points) for part in payload):
         return False
     if cert.kind == "vc":
@@ -367,7 +388,7 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     else:
         coords = zip(*payload) if cert.kind == "natarajan" else payload[0]
         tables = map(_binary_table(cert.kind, cls.num_labels), coords)
-    return _coverage_search(behaviors, [[(t, None)] for t in tables]) is not None
+    return _coverage_search(index, full, [[(t, None)] for t in tables]) is not None
 
 
 @dataclass(frozen=True)

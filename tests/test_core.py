@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import dimkit as dk
 import oracles
+from dimkit.core import _hypothesis_masks
 
 
 @st.composite
@@ -88,6 +89,24 @@ def test_restrict_matches_reference_on_one_class_object(cls, calls):
             continue
         got = dk.restrict(cls, points)
         assert (got.points, got.patterns) == (points, want)
+
+
+@given(explicit_classes())
+def test_cached_columns_and_masks_match_the_hypotheses(cls):
+    # a table class fills every column from its rows at once; a class over
+    # the naturals fills a column the first time a point is used
+    hyps = cls.hypotheses
+    if cls.domain_size is not None:
+        assert set(cls._columns) == set(range(cls.domain_size))
+        points = tuple(range(cls.domain_size))
+    else:
+        assert cls._columns == {}
+        points = tuple(range(7))
+    masks = _hypothesis_masks(cls, points)
+    for x, column_masks in zip(points, masks):
+        assert cls._columns[x] == tuple(h(x) for h in hyps)
+        assert column_masks == {
+            v: sum(1 << j for j, h in enumerate(hyps) if h(x) == v) for v in set(cls._columns[x])}
 
 
 @given(table_classes())

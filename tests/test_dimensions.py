@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -417,11 +418,13 @@ def test_coverage_search_matches_product_and_cover():
                                for t, c in zip(planted, code)))
         pats = tuple(sorted(pats))
         behaviors = dk.BehaviorSet(points=tuple(range(n)), patterns=pats)
+        full = (1 << len(behaviors.pattern_set)) - 1
         want = oracles.first_cover(pats, choices)
-        assert dimensions._coverage_search(behaviors, choices) == want, (pats, choices)
+        assert dimensions._coverage_search(behaviors.index, full, choices) == want, (pats, choices)
         deduped = [dimensions._distinct_tables(c) for c in choices]
         if all(deduped):
-            assert dimensions._coverage_search(behaviors, deduped) == want, (pats, choices)
+            assert dimensions._coverage_search(behaviors.index, full, deduped) == want, \
+                (pats, choices)
         else:
             assert want is None
 
@@ -461,8 +464,9 @@ def test_coverage_search_counting_bound_prunes_dense_sets():
                         if tuple(t.get(v) for t, v in zip(planted, p)) != hole}
         pats = tuple(sorted(pats))
         behaviors = dk.BehaviorSet(points=tuple(range(n)), patterns=pats)
+        full = (1 << len(behaviors.pattern_set)) - 1
         want = oracles.first_cover(pats, choices)
-        assert dimensions._coverage_search(behaviors, choices) == want, (pats, choices)
+        assert dimensions._coverage_search(behaviors.index, full, choices) == want, (pats, choices)
         planted_found += want is not None
         # the bound is live: some first-level choice leaves every cell
         # nonempty yet one below the 2^(n-1) it needs
@@ -530,6 +534,109 @@ def test_psi_certificates_with_complementary_and_restricted_equal_members():
         assert res.value == oracles.dimension(cls, "psi", cls.domain_size - 1, fam)
         if res.certificate is not None:
             assert dk.verify_certificate(res.certificate, cls)
+
+
+def _coverage_kinds(q):
+    kinds = [("natarajan", None), ("graph", None),
+             ("psi", dk.natarajan_family(q)), ("psi", dk.graph_family(q))]
+    return kinds + [("vc", None)] if q == 2 else kinds
+
+
+def _forged(rng, cert, q):
+    """A copy of a coverage certificate with one coordinate of its payload
+    replaced by another label, label pair or family member."""
+    i = rng.randrange(len(cert.points))
+    if cert.kind == "natarajan":
+        g1, g2 = map(list, cert.payload)
+        g1[i], g2[i] = rng.sample(range(q), 2)
+        payload = (tuple(g1), tuple(g2))
+    elif cert.kind == "graph":
+        f = list(cert.payload[0])
+        f[i] = rng.randrange(q)
+        payload = (tuple(f),)
+    else:
+        psibar = list(cert.payload[0])
+        psibar[i] = dk.PsiFunction(table=tuple(rng.choice((0, 1, dk.STAR)) for _ in range(q)))
+        payload = (tuple(psibar),)
+    return dk.ShatterCertificate(cert.kind, cert.points, payload)
+
+
+def test_hypothesis_masks_and_behavior_masks_give_the_same_answers():
+    """Explicit classes are searched on per-hypothesis masks and oracle
+    classes on per-behavior masks.  Seeded classes with many hypotheses per
+    behavior on the projected points, wrapped as oracles, must give the same
+    dimensions, certificates and verdicts both ways, and the first brute-force
+    certificate."""
+    rng = random.Random(1909)
+    forged_true = forged_false = 0
+    for _ in range(12):
+        q = rng.choice((2, 3))
+        n = rng.randint(4, 5)
+        rows = sorted(rng.sample(list(itertools.product(range(q), repeat=n)),
+                                 rng.randint(12, min(q ** n, 60))))
+        explicit = dk.class_from_tables(rows, num_labels=q)
+        oracle = dk.HypothesisClass(num_labels=q, domain_size=n,
+                                    behavior_fn=_oracle_class(rows, q).behavior_fn)
+        for kind, fam in _coverage_kinds(q):
+            res = dk.exact_dimension(explicit, kind, psi=fam)
+            assert res == dk.exact_dimension(oracle, kind, psi=fam), (kind, rows)
+            for pts in itertools.combinations(range(n), 2):
+                certs = [dimensions._shatter(c, pts, kind, fam) for c in (explicit, oracle)]
+                assert certs[0] == certs[1]
+                want = oracles.first_certificate(explicit, pts, kind, fam)
+                assert (None if certs[0] is None else certs[0].payload) == want, (kind, pts)
+            cert = res.certificate
+            if cert is None:
+                continue
+            assert cert.payload == oracles.first_certificate(explicit, cert.points, kind, fam)
+            assert dk.verify_certificate(cert, explicit) and dk.verify_certificate(cert, oracle)
+            if kind == "vc":
+                continue
+            for _ in range(4):
+                forged = _forged(rng, cert, q)
+                verdict = dk.verify_certificate(forged, explicit)
+                assert verdict == dk.verify_certificate(forged, oracle), forged
+                forged_true += verdict
+                forged_false += not verdict
+        for bad in ((0, n), (n + 3,)):
+            want = f"point {bad[-1]} outside domain [0,{n})"
+            for cls in (explicit, oracle):
+                with pytest.raises(dk.DomainError, match=re.escape(want)):
+                    dk.is_n_shattered(cls, bad)
+                with pytest.raises(dk.DomainError, match=re.escape(want)):
+                    dk.verify_certificate(dk.ShatterCertificate("graph", bad, ((0,) * len(bad),)),
+                                          cls)
+                with pytest.raises(dk.PreconditionError, match=re.escape("duplicate points")):
+                    dk.verify_certificate(dk.ShatterCertificate("graph", (1, 1), ((0, 0),)), cls)
+    assert forged_true and forged_false
+
+
+def test_coverage_kinds_do_not_project_explicit_classes(monkeypatch):
+    # explicit classes are searched on their cached hypothesis masks, so only
+    # DS projects them, once per tested candidate; oracle classes are
+    # projected for every kind
+    restricts, tested = [], []
+    restrict, shatter = dimensions.restrict, dimensions._shatter
+    monkeypatch.setattr(dimensions, "restrict",
+                        lambda cls, pts: restricts.append(pts) or restrict(cls, pts))
+    monkeypatch.setattr(dimensions, "_shatter",
+                        lambda *a: tested.append(a[1]) or shatter(*a))
+    # the full cube on points 0-2, with point 3 a copy of point 0
+    rows = [r + (r[0],) for r in itertools.product((0, 1), repeat=3)]
+    explicit = dk.class_from_tables(rows, num_labels=2)
+    oracle = _oracle_class(rows, 2)
+    for kind, fam in _coverage_kinds(2) + [("ds", None)]:
+        for cls, window in ((explicit, None), (oracle, 3)):
+            del restricts[:], tested[:]
+            assert dk.exact_dimension(cls, kind, psi=fam, window=window).value == 3
+            if kind == "ds" or cls is oracle:
+                assert restricts == tested and tested, (kind, window)
+            else:
+                assert restricts == [] and tested, kind
+    cert = dk.is_n_shattered(explicit, (0, 1, 2))
+    del restricts[:]
+    assert dk.verify_certificate(cert, explicit) and restricts == []
+    assert dk.verify_certificate(cert, oracle) and restricts == [(0, 1, 2)]
 
 
 def test_shattering_of_an_oracle_class_with_no_behaviors():

@@ -338,9 +338,17 @@ def _first_outside(values: tuple, low: int, high: Optional[int]) -> Optional[int
                 if type(v) is not int or v < low or high is not None and v > high)
 
 
+def _check_int(value, what: str) -> None:
+    """Refuse a value that is not an exact int (bool, float and str are not),
+    naming it."""
+    if type(value) is not int:
+        raise PreconditionError(f"{what} {value!r} is not an exact int")
+
+
 def _check_window(window: int) -> None:
-    """Refuse a window [0, window] that is empty, or too large to enumerate
-    as a range or a table (sys.maxsize or more)."""
+    """Refuse a window [0, window] that is not an exact int, is empty, or is
+    too large to enumerate as a range or a table (sys.maxsize or more)."""
+    _check_int(window, "window")
     if window < 0:
         raise PreconditionError("window must be a natural")
     if window >= sys.maxsize:

@@ -20,6 +20,7 @@ from .core import (
     HypothesisClass,
     PreconditionError,
     RepresentationError,
+    _check_int,
     _check_window,
     _hypothesis_masks,
     restrict,
@@ -316,8 +317,9 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     warning = None
     if window is None:
         window = _default_window(cls)
-    elif cls.domain_size is None and cls.hypotheses is not None:
-        if not any(
+    else:
+        _check_int(window, "window")
+        if cls.domain_size is None and cls.hypotheses is not None and not any(
             x <= window for h in cls.hypotheses for x, _ in (h.support or ())
         ) and any(h.support for h in cls.hypotheses):
             warning = "window contains no support point of the class"

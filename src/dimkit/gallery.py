@@ -9,6 +9,7 @@ from typing import Optional
 from .core import (
     HypothesisClass,
     PreconditionError,
+    _check_int,
     class_from_tables,
 )
 from .psi import PsiFamily, failing_psi_class, family_from_rows
@@ -25,6 +26,8 @@ class GalleryEntry:
 
 def full_class(n: int, num_labels: int) -> HypothesisClass:
     """Every function from [0, n) to the alphabet: q^n hypotheses."""
+    _check_int(n, "n")
+    _check_int(num_labels, "number of labels")
     if n < 1 or num_labels < 1:
         raise PreconditionError("need n >= 1 and at least one label")
     if num_labels ** n > 1 << 20:
@@ -48,7 +51,17 @@ def gap_class(m: int) -> GalleryEntry:
     with a mixture holding two distinct non-blank codes (never realized);
     otherwise a single code A is involved and membership of the first point
     in A decides which of (A, blank) / (blank, A) is unrealizable.
+
+    It decides by comparing the labels (a1, b1) = y1 and (a2, b2) = y2: the
+    first of the mixtures (a1, b1), (a1, b2), (a2, b1), (a2, b2) with two
+    distinct non-blank codes is answered with its index set {0, 1}, {0},
+    {1} or {}.  Otherwise, since a1 != a2 and b1 != b2, each coordinate
+    holds one code A once and blank once.  The target is (blank, A) when
+    the first point lies in A, else (A, blank), so its index set holds 0
+    when "a1 is blank" agrees with "the first point lies in A", and 1 when
+    "b1 is A" does.  The answer is one of four frozensets built once.
     """
+    _check_int(m, "m")
     if m < 1:
         raise PreconditionError("need at least one point")
     if m > 16:
@@ -60,21 +73,26 @@ def gap_class(m: int) -> GalleryEntry:
         rows.append(tuple(code if (code >> x) & 1 else blank for x in range(m)))
     cls = class_from_tables(rows, num_labels=num_labels)
 
+    # answers[i][j] holds coordinate 0 exactly when i, and 1 exactly when j
+    answers = ((frozenset(), frozenset({1})), (frozenset({0}), frozenset({0, 1})))
+
     def evaluator(points, y1, y2):
-        coord_values = ((y1[0], y2[0]), (y1[1], y2[1]))
-        for a in coord_values[0]:
-            for b in coord_values[1]:
-                if a != blank and b != blank and a != b:
-                    target = (a, b)
-                    return frozenset(
-                        i for i in range(2) if target[i] == y1[i]
-                    )
-        codes = {v for v in (*coord_values[0], *coord_values[1]) if v != blank}
-        code = codes.pop()
+        a1, b1 = y1
+        a2, b2 = y2
+        if a1 != blank:
+            if b1 != blank and a1 != b1:
+                return answers[1][1]
+            if b2 != blank and a1 != b2:
+                return answers[1][0]
+        if a2 != blank:
+            if b1 != blank and a2 != b1:
+                return answers[0][1]
+            if b2 != blank and a2 != b2:
+                return answers[0][0]
         x1 = points[0]
-        in_a = x1 < m and bool((code >> x1) & 1)
-        target = (blank, code) if in_a else (code, blank)
-        return frozenset(i for i in range(2) if target[i] == y1[i])
+        code = a2 if a1 == blank else a1
+        in_a = x1 < m and (code >> x1) & 1 == 1
+        return answers[(a1 == blank) == in_a][(b1 != blank) == in_a]
 
     witness = Witness(flavor="natarajan", order=1, evaluator=evaluator,
                       provenance="gap_rule")

@@ -191,34 +191,44 @@ def _risk_counts(learner: Learner, points, f_values: Pattern, multisets):
     return total, tail
 
 
+def _first_hard_mixture(risk: Callable, n: int, g1: Pattern, g2: Pattern):
+    """The first mixture f of (g1, g2), in characteristic-vector order, whose
+    integer risk sums ``risk(f)`` (total wrong answers and tail sequences, as
+    ``_risk_counts`` gives them on n points) reach expected risk 1/4.
+    Returns (f, index set, total, tail, mixtures examined).  Labelings that
+    agree at some point are refused."""
+    if any(map(eq, g1, g2)):
+        raise PreconditionError("labelings must differ at every point")
+    bound = n ** (n // 2 + 1)
+    for examined, bits in enumerate(itertools.product((0, 1), repeat=n), 1):
+        index_set = frozenset(itertools.compress(range(n), bits))
+        f = mix_labelings(index_set, g1, g2)
+        total, tail = risk(f)
+        if 4 * total >= bound:
+            return f, index_set, total, tail, examined
+    raise NflFailureError(
+        "no mixture reached expected risk 1/4; the learner is not a "
+        "deterministic total map"
+    )
+
+
 def nfl_adversary(learner: Learner, points, g1: Pattern, g2: Pattern) -> AdversaryReport:
     """First mixture of (g1, g2) on which the learner's exact expected risk
     reaches 1/4; its uniform graph distribution realizes the target (risk 0)
     while the learner fails with probability at least 1/7."""
     points = _graph_points(points, g1, g2)
-    if any(map(eq, g1, g2)):
-        raise PreconditionError("labelings must differ at every point")
     n = len(points)
     m = n // 2
     multisets = _multisets(points, m) if learner.symmetric else None
-    examined = 0
-    for bits in itertools.product((0, 1), repeat=n):
-        examined += 1
-        index_set = frozenset(i for i, b in enumerate(bits) if b)
-        f = mix_labelings(index_set, g1, g2)
-        total, tail = _risk_counts(learner, points, f, multisets)
-        if 4 * total >= n ** (m + 1):
-            tail_probability = Fraction(tail, n ** m)
-            return AdversaryReport(
-                points=points,
-                f_values=f,
-                index_set=index_set,
-                expected_risk=Fraction(total, n ** (m + 1)),
-                tail_probability=tail_probability,
-                mixtures_examined=examined,
-                markov_flag=tail_probability < Fraction(1, 7),
-            )
-    raise NflFailureError(
-        "no mixture reached expected risk 1/4; the learner is not a "
-        "deterministic total map"
+    f, index_set, total, tail, examined = _first_hard_mixture(
+        lambda f: _risk_counts(learner, points, f, multisets), n, g1, g2)
+    tail_probability = Fraction(tail, n ** m)
+    return AdversaryReport(
+        points=points,
+        f_values=f,
+        index_set=index_set,
+        expected_risk=Fraction(total, n ** (m + 1)),
+        tail_probability=tail_probability,
+        mixtures_examined=examined,
+        markov_flag=tail_probability < Fraction(1, 7),
     )

@@ -19,6 +19,7 @@ from .core import (
     HypothesisClass,
     PreconditionError,
     RepresentationError,
+    _check_window,
     _first_outside,
     class_from_tables,
     restrict,
@@ -155,8 +156,7 @@ def failing_psi_class(family: PsiFamily, window: int):
     if ok:
         raise PreconditionError("family distinguishes every pair; no hard class exists")
     y1, y2 = pair
-    if window < 0:
-        raise PreconditionError("window must be a natural")
+    _check_window(window)
     rows = itertools.product((y1, y2), repeat=window + 1)
     cls = class_from_tables(rows, num_labels=family.num_labels)
 

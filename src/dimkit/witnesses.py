@@ -27,7 +27,9 @@ from .core import (
     PreconditionError,
     RepresentationError,
     ShatteredError,
+    _check_int,
     _check_window,
+    _first_outside,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     restrict,
 )
@@ -77,6 +79,7 @@ class Witness:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise PreconditionError(f"unknown witness flavor {self.flavor!r}")
+        _check_int(self.order, "order")
         if self.order < 0:
             raise PreconditionError("order must be a natural")
         if (self.flavor == "psi") != (self.psi is not None):
@@ -111,8 +114,12 @@ class Witness:
         order = sorted(range(len(points)), key=lambda i: points[i])
         pts = tuple(points[i] for i in order)
         payload = tuple(tuple(arg[i] for i in order) for arg in payload)
-        if self.flavor != "psi" and not all(isinstance(v, int) for arg in payload for v in arg):
-            raise PreconditionError(f"{self.flavor} witness labelings must hold integer labels")
+        if self.flavor != "psi":
+            labels = tuple(itertools.chain.from_iterable(payload))
+            j = _first_outside(labels, 0, None)
+            if j is not None:
+                raise PreconditionError(
+                    f"{self.flavor} witness labelings must hold natural labels, got {labels[j]!r}")
         if self.flavor == "natarajan":
             g1, g2 = payload
             if any(a == b for a, b in zip(g1, g2)):
@@ -397,22 +404,35 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
     actually learns at accuracy 1/8 and confidence 1/7 cannot realize f, so
     the index set of g1-coordinates inside f is a valid exclusion.  When
     ``h_check`` is given, the exclusion is re-verified per input.
+
+    The evaluator runs the adversary's mixture walk (``nfl._first_hard_mixture``)
+    and keeps, for the point tuple it was last asked about, the sample
+    multisets and the integer risk sums of each mixture reached there.
+    Inputs on the same points keep reaching the same mixtures, so when the
+    inputs come grouped by point tuple, as in ``validate_witness``, each
+    mixture's risk is summed once, and the memo never holds more than one
+    point tuple's mixtures.  This relies on the learner being a
+    deterministic total map, as ``nfl_adversary`` already does.
     """
+    _check_int(m, "sample size")
     if m < 1:
         raise PreconditionError("sample size must be positive")
     order = 2 * m - 1
     behaviors_at = None if h_check is None else cache(lambda points: restrict(h_check, points))
+    last = {}  # the point tuple last asked about -> its memoized risk sums per mixture
 
     def evaluator(points, g1, g2):
-        report = nfl.nfl_adversary(learner, points, g1, g2)
-        index_set = frozenset(
-            i for i in range(len(points)) if report.f_values[i] == g1[i]
-        )
-        if behaviors_at is not None:
-            if report.f_values in behaviors_at(points).pattern_set:
-                raise ExclusionFailure(
-                    f"class realizes the hard labeling {report.f_values} on {points}"
-                )
+        points = nfl._graph_points(points, g1, g2)
+        risk = last.get(points)
+        if risk is None:
+            multisets = nfl._multisets(points, len(points) // 2) if learner.symmetric else None
+            last.clear()
+            risk = last[points] = cache(
+                lambda f: nfl._risk_counts(learner, points, f, multisets))
+        f, index_set, *_ = nfl._first_hard_mixture(risk, len(points), g1, g2)
+        if behaviors_at is not None and f in behaviors_at(points).pattern_set:
+            raise ExclusionFailure(f"class realizes the hard labeling {f} on {points}")
+        # g1 and g2 differ everywhere, so f takes g1 exactly on its index set
         return index_set
 
     return Witness(flavor="natarajan", order=order, evaluator=evaluator,
@@ -423,6 +443,8 @@ def sauer_crossover(witness_order: int, num_labels: int) -> int:
     """Smallest k with k^(d+1) * q^(2(d+1)) < 2^k, where d is the witness
     order and q the alphabet size: from that arity on, binary patterns
     outnumber the growth bound on behaviors.  Exact integers."""
+    _check_int(witness_order, "order")
+    _check_int(num_labels, "number of labels")
     if num_labels < 2:
         raise PreconditionError("need at least two labels")
     if witness_order < 0:

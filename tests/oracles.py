@@ -364,6 +364,26 @@ def nfl_adversary(learner, points, g1, g2):
     return None
 
 
+def gap_rule(m, points, y1, y2):
+    """The bundled gap witness's two-case rule, label pair by label pair:
+    the first mixture (a, b), a from {y1[0], y2[0]} and b from {y1[1],
+    y2[1]}, with two distinct non-blank codes; otherwise the one code A
+    present, against blank at the coordinate that the first point's
+    membership in A picks.  Returns the index set of y1's labels in the
+    target."""
+    blank = 1 << m
+    for a in (y1[0], y2[0]):
+        for b in (y1[1], y2[1]):
+            if a != blank and b != blank and a != b:
+                return frozenset(i for i, t in enumerate((a, b)) if t == y1[i])
+    codes = {v for v in (*y1, *y2) if v != blank}
+    code = codes.pop()
+    x1 = points[0]
+    in_a = x1 < m and bool((code >> x1) & 1)
+    target = (blank, code) if in_a else (code, blank)
+    return frozenset(i for i in range(2) if target[i] == y1[i])
+
+
 def erm(cls, sample):
     """Unmemoised minimum empirical risk, ties to the canonical order."""
     return min(cls.hypotheses, key=lambda h: (empirical_risk(h, sample), h.sort_key()))

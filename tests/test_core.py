@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -403,3 +404,36 @@ def test_entry_errors_name_the_entry():
         with pytest.raises(dk.RepresentationError) as err:
             build()
         assert str(err.value) == message
+
+
+def _exact_int_calls():
+    """(argument, call) pairs, each call taking one count or window that
+    should be an exact int."""
+    three = dk.class_from_tables([(0, 1, 2), (1, 1, 0), (2, 0, 1)], num_labels=3)
+    natarajan = dk.canonical_witness(three, "natarajan", 1)
+    learner = dk.constant_learner(0, num_labels=3, window=2)
+    family = dk.PsiFamily(members=dk.psi.all_encoders(2)[:1], num_labels=2)
+    return [
+        ("Witness.order", lambda v: dk.Witness("graph", v, lambda *a: ())),
+        ("witness_from_learner.m", lambda v: dk.witness_from_learner(learner, v)),
+        ("sauer_crossover.order", lambda v: dk.sauer_crossover(v, 3)),
+        ("sauer_crossover.labels", lambda v: dk.sauer_crossover(1, v)),
+        ("validate_witness.window", lambda v: dk.validate_witness(natarajan, three, v)),
+        ("exact_dimension.window", lambda v: dk.exact_dimension(three, "natarajan", window=v)),
+        ("constant_learner.window", lambda v: dk.constant_learner(0, num_labels=3, window=v)),
+        ("gap_class.m", dk.gap_class),
+        ("full_class.n", lambda v: dk.full_class(v, 2)),
+        ("full_class.labels", lambda v: dk.full_class(2, v)),
+        ("failing_psi_class.window", lambda v: dk.psi.failing_psi_class(family, v)),
+    ]
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1"])
+@pytest.mark.parametrize("call", _exact_int_calls(), ids=lambda c: c[0])
+def test_counts_and_windows_refuse_values_that_are_not_exact_ints(call, bad):
+    """A float, a bool or a str where a count or a window belongs raises
+    PreconditionError naming the value, never a raw TypeError, and a bool
+    is not read as 0 or 1."""
+    _, make = call
+    with pytest.raises(dk.PreconditionError, match=f" {re.escape(repr(bad))} is not an exact int$"):
+        make(bad)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import dimkit as dk
@@ -36,6 +38,26 @@ def test_gap_witness_validates_exhaustively(m):
     entry = dk.gap_class(m)
     report = dk.validate_witness(entry.witness, entry.cls, m - 1)
     assert report.valid
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gap_witness_matches_the_two_case_rule(m):
+    """The comparison rule equals the label-pair loop of
+    ``oracles.gap_rule`` on every input with differing pairs, on points up
+    to m + 1 (the first point past the domain too), and answers with one of
+    four frozensets."""
+    evaluator = dk.gap_class(m).witness.evaluator
+    labels = range((1 << m) + 1)
+    pairs = [(a, b) for a in labels for b in labels if a != b]
+    answers = {}
+    for points in itertools.combinations(range(m + 2), 2):
+        for (a1, a2), (b1, b2) in itertools.product(pairs, repeat=2):
+            y1, y2 = (a1, b1), (a2, b2)
+            got = evaluator(points, y1, y2)
+            assert got == oracles.gap_rule(m, points, y1, y2), (points, y1, y2)
+            answers.setdefault(got, set()).add(id(got))
+    assert sorted(map(sorted, answers)) == [[], [0], [0, 1], [1]]
+    assert all(len(ids) == 1 for ids in answers.values())
 
 
 def test_gap_class_hypotheses_are_membership_tables():

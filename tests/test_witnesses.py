@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dimkit as dk
+from dimkit import nfl
 from dimkit.psi import STAR
 from dimkit.witnesses import witness_inputs
 from corpus import random_table_class
@@ -656,7 +657,8 @@ def test_canonical_cells_are_cached_per_point_tuple():
     input, with point tuples interleaved and each input asked twice, with
     encoders over the class alphabet that are not in the family, and with
     graph labels one below and one above the alphabet, on random classes
-    and on a one-label class."""
+    and on a one-label class.  ``Witness.evaluate`` refuses a negative
+    label, so the evaluator itself answers those inputs."""
     from oracles import first_missing_agreement, first_missing_image
 
     rng = random.Random(1621)
@@ -680,11 +682,16 @@ def test_canonical_cells_are_cached_per_point_tuple():
                           for psibar in itertools.product(encoders, repeat=order + 1)]
             rng.shuffle(cases)
             for w, points, row, expected in cases + cases[::-1]:
+                answer = w.evaluate
+                if w is graph and min(row) < 0:
+                    with pytest.raises(dk.PreconditionError, match="natural labels, got -1$"):
+                        w.evaluate(points, row)
+                    answer = w.evaluator
                 if expected is None:
                     with pytest.raises(dk.ShatteredError):
-                        w.evaluate(points, row)
+                        answer(points, row)
                 else:
-                    assert w.evaluate(points, row) == expected
+                    assert answer(points, row) == expected
 
 
 def test_learner_witness_at_m3_matches_reference():
@@ -701,3 +708,94 @@ def test_learner_witness_at_m3_matches_reference():
     assert {v.reason for v in fast.violations} == {"exclusion_failure"}
     slow = validate_witness_reference(make(), cls, 5)
     assert fast == slow and repr(fast) == repr(slow)
+
+
+def _learner_cases():
+    """(name, learner factory, check class, m) on seeded table classes: ERM
+    over the class, and memorizing and constant learners, at m = 1 and 2."""
+    rng = random.Random(2014)
+    cases = []
+    for m, q in ((1, 3), (1, 2), (2, 2)):
+        n = 2 * m + 1
+        for k in range(2):
+            cls = random_table_class(rng, n, q, 6)
+            cases += [
+                (f"erm-m{m}-q{q}-{k}", lambda cls=cls: dk.erm_learner(cls), cls, m),
+                (f"memorize-m{m}-q{q}-{k}",
+                 lambda q=q, n=n: dk.memorizing_learner(1, num_labels=q, window=n - 1), cls, m),
+                (f"const-m{m}-q{q}-{k}",
+                 lambda q=q, n=n: dk.constant_learner(0, num_labels=q, window=n - 1), cls, m),
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("case", _learner_cases(), ids=lambda c: c[0])
+def test_learner_witness_matches_the_fraction_adversary(case):
+    """Per input, in shuffled order across point tuples and each asked
+    twice, the learner witness answers the index set of the oracle
+    adversary's mixture, or raises ExclusionFailure exactly when the check
+    class realizes it; and its validation equals the reference loop's."""
+    from oracles import nfl_adversary, validate_witness_reference
+    from dimkit.witnesses import ExclusionFailure
+
+    _, make, cls, m = case
+    window = cls.domain_size - 1
+    w = dk.witness_from_learner(make(), m, h_check=cls)
+    inputs = [(points, g1, g2)
+              for points in itertools.combinations(range(window + 1), 2 * m)
+              for g1, g2 in witness_inputs(w, cls.num_labels)]
+    random.Random(len(inputs)).shuffle(inputs)
+    for points, g1, g2 in inputs + inputs[::-1]:
+        f, index_set, *_ = nfl_adversary(make(), points, g1, g2)
+        if f in dk.restrict(cls, points).pattern_set:
+            with pytest.raises(ExclusionFailure):
+                w.evaluate(points, g1, g2)
+        else:
+            assert w.evaluate(points, g1, g2) == index_set
+    fast = dk.validate_witness(dk.witness_from_learner(make(), m, h_check=cls), cls, window)
+    slow = validate_witness_reference(dk.witness_from_learner(make(), m, h_check=cls),
+                                      cls, window)
+    assert fast == slow and repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("m, symmetric", [(1, True), (2, True), (2, False)])
+def test_learner_witness_sums_each_mixture_risk_once(m, symmetric):
+    """A counting learner: validating the learner witness runs it once per
+    multiset (or sequence) of each distinct (point tuple, mixture) that the
+    adversary reaches, and not once per input that reaches it."""
+    from oracles import nfl_adversary
+
+    window, q = 2 * m, 2
+    cls = dk.full_class(window + 1, q)
+    inner = dk.memorizing_learner(0, num_labels=q, window=window)
+    calls = []
+    counting = dk.Learner("count", lambda s: calls.append(s) or inner(s), symmetric=symmetric)
+    report = dk.validate_witness(dk.witness_from_learner(counting, m), cls, window)
+    reached, walked = set(), 0
+    w = dk.witness_from_learner(inner, m)
+    for points in itertools.combinations(range(window + 1), 2 * m):
+        for g1, g2 in witness_inputs(w, q):
+            examined = nfl_adversary(inner, points, g1, g2)[4]
+            walked += examined
+            for bits in itertools.islice(itertools.product((0, 1), repeat=2 * m), examined):
+                index_set = frozenset(itertools.compress(range(2 * m), bits))
+                reached.add((points, dk.mix_labelings(index_set, g1, g2)))
+    per_mixture = len(nfl._multisets(range(2 * m), m)) if symmetric else (2 * m) ** m
+    assert len(calls) == len(reached) * per_mixture
+    assert len(reached) < walked
+
+
+@pytest.mark.parametrize("flavor, payload, shown", [
+    ("natarajan", ((True, 3), (2, 8)), "True"),
+    ("natarajan", ((0, 1), (2, False)), "False"),
+    ("natarajan", ((0, -1), (2, 8)), "-1"),
+    ("graph", ((1, True),), "True"),
+    ("graph", ((-2, 1),), "-2"),
+])
+def test_evaluate_refuses_bool_and_negative_labels(flavor, payload, shown):
+    """``Witness.evaluate`` takes natural labels only; a bool is not read as
+    0 or 1 and a negative label is not passed on to the evaluator."""
+    w = dk.gap_class(3).witness if flavor == "natarajan" else dk.Witness(
+        "graph", 1, lambda points, f: frozenset())
+    with pytest.raises(dk.PreconditionError, match=f"natural labels, got {shown}$"):
+        w.evaluate((0, 1), *payload)

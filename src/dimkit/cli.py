@@ -8,12 +8,13 @@ excluded from the stability guarantee).
 
 A report holds, by exact type, only None, bool, int and str; lists, tuples,
 dicts with str keys and frozensets of ints; and Fraction, PsiFunction,
-ShatterCertificate, Hypothesis and PairEntry.  Anything else, subclasses
-included, raises SchemaError: "floats are banned from reports" for a float,
-"cannot serialize ..." otherwise.  `canonical_json` writes a report in one
-pass, as the text ``json.dumps`` gives for its `jsonable` conversion.  The
-argument parser is built once per process, on first use, and each
-subcommand's handler is looked up by name at each dispatch.
+ShatterCertificate, Hypothesis, PairEntry and PairEntries (as the list of
+its entries).  Anything else, subclasses included, raises SchemaError:
+"floats are banned from reports" for a float, "cannot serialize ..."
+otherwise.  `canonical_json` writes a report in one pass, as the text
+``json.dumps`` gives for its `jsonable` conversion.  The argument parser is
+built once per process, on first use, and each subcommand's handler is
+looked up by name at each dispatch.
 
 Exit codes: 0 success, 1 verified-negative result (invalid witness, family
 that fails to distinguish, refutation that does not go through), 2 usage or
@@ -52,7 +53,7 @@ from .dimensions import (
     exact_dimension,
     sauer_natarajan_check,
 )
-from .psi import STAR, PairEntry, PsiFamily, PsiFunction
+from .psi import STAR, PairEntries, PairEntry, PsiFamily, PsiFunction
 
 
 class SchemaError(ValueError):
@@ -100,6 +101,8 @@ def jsonable(obj):
     if kind is PairEntry:
         return {"psi1": jsonable(obj.psi1), "psi2": jsonable(obj.psi2),
                 "subclasses": jsonable(obj.subclasses)}
+    if kind is PairEntries:
+        return [jsonable(e) for e in obj]
     raise _rejected(obj)
 
 
@@ -161,6 +164,26 @@ def _pair_entry(obj, memo) -> str:
             f'"subclasses":{_encode(obj.subclasses, memo)}}}')
 
 
+def _pair_entries(obj, memo) -> str:
+    # each table's text and each image pair's subclasses text is encoded
+    # once; tails[i] holds the text after the psi1 field of each entry whose
+    # first table has image i, in table order, so an entry is a psi1 head
+    # followed by one of these
+    second = [(f'"psi2":{_encode(t, memo)},"subclasses":', j)
+              for t, j in zip(obj.tables, obj.of2)]
+    tails = []
+    for row in obj.decided:
+        subclasses = [None if found is None else _encode(found, memo) + "}" for found in row]
+        tails.append([psi2 + subclasses[j] for psi2, j in second
+                      if subclasses[j] is not None])
+    parts = []
+    for t1, i in zip(obj.tables, obj.of1):
+        if tails[i]:
+            head = f'{{"psi1":{_encode(t1, memo)},'
+            parts.append(head + ("," + head).join(tails[i]))
+    return "[" + ",".join(parts) + "]"
+
+
 def _sequence(obj, memo) -> str:
     if _PLAIN.issuperset(map(type, obj)):
         return _raw(list(obj))
@@ -197,13 +220,14 @@ def _hypothesis(obj, memo) -> str:
 
 
 # Written afresh at each occurrence: scalars, and parts that are cheap or,
-# like the entries of a refute-ds report, occur once each.
+# like a PairEntry, occur once each.
 _UNSHARED = {bool: _scalar, int: _scalar, str: _scalar, type(None): _scalar,
              Fraction: _fraction, PairEntry: _pair_entry}
 # Encoded once per call and reused by id.
 _SHARED = {list: _sequence, tuple: _sequence, dict: _mapping,
            frozenset: _frozenset, PsiFunction: _psi_table,
-           ShatterCertificate: _certificate, Hypothesis: _hypothesis}
+           ShatterCertificate: _certificate, Hypothesis: _hypothesis,
+           PairEntries: _pair_entries}
 
 
 def digest(payload) -> str:
@@ -593,13 +617,21 @@ def _cmd_distinguisher(args) -> Outcome:
     return Outcome(0 if ok else 1, result, [], inputs)
 
 
+# the most shattering table pairs a refute-ds report lists
+_ENTRY_BUDGET = 10 ** 6
+
+
 def _cmd_refute_ds(args) -> Outcome:
     cls, _ = _load_class(args.class_file)
     report = psi.refute_ds_expressibility(cls)
+    count = len(report.entries)
+    if count > _ENTRY_BUDGET:
+        raise PreconditionError(f"the report would list {count} shattering encoder "
+                                f"pairs, above the budget of {_ENTRY_BUDGET}")
     result = {
         "verdict": report.verdict,
         "pairs_examined": report.pairs_examined,
-        "shattering_pairs": len(report.entries),
+        "shattering_pairs": count,
         "entries": report.entries,
     }
     inputs = {"class": class_to_file(cls)}

@@ -12,6 +12,8 @@ search refuting that DS-shattering is induced by any such family.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -196,13 +198,62 @@ class PairEntry:
 
 
 @dataclass(frozen=True)
+class PairEntries(Sequence):
+    """The shattering encoder pairs of a refutation, held by image: the
+    encoder tables, each table's image index at point 0 (``of1``) and at
+    point 1 (``of2``), and for each image pair ``decided[i][j]``, None when
+    the pair does not shatter the domain, else the ``subclasses`` that every
+    table pair with those images shares.
+
+    As a sequence it is one `PairEntry` per shattering table pair, in table
+    order (first table, then second), built only when read; its length is
+    counted by image pair."""
+
+    tables: tuple[PsiFunction, ...]
+    of1: tuple[int, ...]
+    of2: tuple[int, ...]
+    decided: tuple[tuple[Optional[tuple], ...], ...]
+
+    def __post_init__(self):
+        n1, n2 = Counter(self.of1), Counter(self.of2)
+        object.__setattr__(self, "_len", sum(
+            n1[i] * n2[j] for i, row in enumerate(self.decided)
+            for j, found in enumerate(row) if found is not None))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        second = list(zip(self.tables, self.of2))
+        rows = [[(t2, found[j]) for t2, j in second if found[j] is not None]
+                for found in self.decided]
+        for t1, i in zip(self.tables, self.of1):
+            for t2, found in rows[i]:
+                yield PairEntry(psi1=t1, psi2=t2, subclasses=found)
+
+    def __getitem__(self, k):
+        # by expansion: nothing reads entries by position
+        return tuple(self)[k]
+
+
+@dataclass(frozen=True)
 class RefutationReport:
     verdict: str  # "refuted" | "not_refuted" | "vacuous"
     pairs_examined: int
-    entries: tuple[PairEntry, ...]
+    entries: PairEntries
 
     def distinct_subclasses(self) -> set:
-        return {s for e in self.entries for s in e.subclasses}
+        """Every subclass of some entry, read by realized image pair."""
+        e = self.entries
+        realized = set(e.of2)
+        return {s for i in set(e.of1) for j, found in enumerate(e.decided[i])
+                if found and j in realized for s in found}
+
+
+# Refutation budgets, each checked before the work it bounds: at most
+# 3^_MAX_LABELS encoder tables, and at most _IMAGE_PAIR_BUDGET image pairs.
+_MAX_LABELS = 10
+_IMAGE_PAIR_BUDGET = 10 ** 6
 
 
 def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
@@ -217,8 +268,9 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
 
     An encoder acts here only through its image, its values on the labels
     the behaviors realize at its coordinate, so each pair of images is
-    decided once and its answer (one shared ``subclasses`` tuple) is handed
-    to every table pair with those images, in table order.
+    decided once; the report's entries hold these answers by image pair
+    (see `PairEntries`).  More than 3^10 encoder tables, or more than 10^6
+    image pairs, raise PreconditionError.
     """
     from .dimensions import _pseudo_cube_core, exact_dimension
 
@@ -226,6 +278,10 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
         raise PreconditionError("need an explicit class on exactly two points")
     if exact_dimension(cls, "ds").value != 2:
         raise PreconditionError("class must have DS dimension exactly 2")
+    q = cls.num_labels
+    if q > _MAX_LABELS:
+        raise PreconditionError(f"refutation enumerates 3^{q} encoder tables, above "
+                                f"the budget of 3^{_MAX_LABELS} = {3 ** _MAX_LABELS}")
     behaviors = restrict(cls, (0, 1))
     bit = {p: 1 << j for j, p in enumerate(behaviors.pattern_set)}
 
@@ -235,29 +291,27 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
                    for subset in itertools.combinations(behaviors.patterns, 4)
                    if not _pseudo_cube_core(subset)]
 
-    tables = all_encoders(cls.num_labels)
-    binary = list(map(_binary_table("psi", cls.num_labels), tables))
+    tables = all_encoders(q)
+    binary = list(map(_binary_table("psi", q), tables))
     images1, of1 = _images(binary, behaviors.index[0])
     images2, of2 = _images(binary, behaviors.index[1])
-    # hits[i]: (second table, subclasses) for every table pair whose first
-    # encoder has image i and that shatters the domain, in table order.
-    hits = []
-    for a in images1:
-        decided = [_shattered_subclasses(a, b, ds1_subsets) for b in images2]
-        hits.append([(t2, decided[j]) for t2, j in zip(tables, of2)
-                     if decided[j] is not None])
-    entries = [PairEntry(psi1=t1, psi2=t2, subclasses=found)
-               for t1, i in zip(tables, of1) for t2, found in hits[i]]
-
-    if not entries:
+    count = len(images1) * len(images2)
+    if count > _IMAGE_PAIR_BUDGET:
+        raise PreconditionError(f"refutation decides {count} encoder image pairs, "
+                                f"above the budget of {_IMAGE_PAIR_BUDGET}")
+    decided = tuple(tuple(_shattered_subclasses(a, b, ds1_subsets) for b in images2)
+                    for a in images1)
+    # every image is some table's, so every image pair is some table pair's
+    found = [s for row in decided for s in row if s is not None]
+    if not found:
         verdict = "vacuous"
-    elif all(e.subclasses for e in entries):
+    elif all(found):
         verdict = "refuted"
     else:
         verdict = "not_refuted"
     return RefutationReport(verdict=verdict,
                             pairs_examined=len(tables) ** 2,
-                            entries=tuple(entries))
+                            entries=PairEntries(tables, tuple(of1), tuple(of2), decided))
 
 
 def _binary_table(flavor: str, num_labels: int) -> Callable[..., dict[int, int]]:

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,8 @@ from dimkit.cli import (
     parse_class_file,
     parse_psi_file,
 )
-from dimkit.psi import PairEntry
+from dimkit import psi
+from dimkit.psi import PairEntries, PairEntry, RefutationReport
 from oracles import canonical_json as reference_json
 from oracles import refute_ds_reference
 
@@ -730,6 +732,20 @@ _LEAVES = st.one_of(
 )
 
 
+@st.composite
+def _pair_entries(draw, children):
+    # a refutation report's entries held by image, small enough to be drawn
+    # whole: any tables, each given an image index per point, and per image
+    # pair no entry (None) or a subclasses tuple shared by its table pairs
+    tables = tuple(draw(st.lists(_PSI, min_size=1, max_size=5)))
+    images = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    of1, of2 = (tuple(draw(st.lists(st.integers(0, n - 1), min_size=len(tables),
+                                    max_size=len(tables)))) for n in images)
+    cell = st.none() | st.lists(children, max_size=3).map(tuple)
+    decided = tuple(tuple(draw(cell) for _ in range(images[1])) for _ in range(images[0]))
+    return PairEntries(tables, of1, of2, decided)
+
+
 def _nested(children):
     return st.one_of(
         st.lists(children, max_size=4),
@@ -739,6 +755,7 @@ def _nested(children):
                   points=st.lists(st.integers(0, 12), max_size=3).map(tuple),
                   payload=children),
         st.builds(PairEntry, psi1=_PSI, psi2=_PSI, subclasses=children),
+        _pair_entries(children),
         # the same object three times
         children.map(lambda v: [v, {"again": v}, (v,)]),
     )
@@ -748,6 +765,32 @@ def _nested(children):
 @given(st.recursive(_LEAVES, _nested, max_leaves=24))
 def test_canonical_json_equals_two_pass_reference(value):
     assert canonical_json(value) == reference_json(value)
+
+
+@given(_pair_entries(st.lists(st.integers(0, 3), max_size=2).map(tuple)))
+def test_grouped_entries_count_and_subclasses_as_their_expansion(entries):
+    # drawn images may have no table, which the count and the subclasses skip
+    expanded = list(entries)
+    assert len(entries) == len(expanded)
+    report = RefutationReport(verdict="refuted", pairs_examined=0, entries=entries)
+    assert report.distinct_subclasses() == {s for e in expanded for s in e.subclasses}
+
+
+def test_grouped_entries_serialize_as_their_expansion():
+    # table 2 is the only one with image 1 at point 0, which shatters with
+    # no image at point 1; tables 0 and 1 share image 0 at point 0, and
+    # tables 0 and 2 image 1 at point 1, whose pair with image 0 has no
+    # subclasses
+    t0, t1, t2 = (dk.PsiFunction(table=t) for t in ((0, 1), (1, dk.STAR), (dk.STAR, 0)))
+    found = (((0, 1), (1, 0)),)
+    entries = PairEntries((t0, t1, t2), of1=(0, 0, 1), of2=(1, 0, 1),
+                          decided=((found, ()), (None, None)))
+    want = [PairEntry(psi1=t, psi2=u, subclasses=f)
+            for t in (t0, t1) for u, f in ((t0, ()), (t1, found), (t2, ()))]
+    assert list(entries) == want and len(entries) == 6
+    assert jsonable(entries) == jsonable(want)
+    assert canonical_json(entries) == canonical_json(want) == reference_json(entries)
+    assert canonical_json([entries, {"again": entries}]) == reference_json([want, {"again": want}])
 
 
 class _Label(enum.IntEnum):
@@ -817,6 +860,52 @@ def test_six_cycle_refute_report_is_pinned(capsys, c6_file):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "ad0d297d3f148a1e231e7348b1c944d1d3c465420e5b014a64b71f2982af52e4"
+
+
+def _grid_class_file(tmp_path, q):
+    # two points, five hypotheses, DS dimension 2, three labels realized at
+    # each point: 3^(q-3) tables share each image
+    path = tmp_path / f"grid{q}.json"
+    path.write_text(json.dumps({"labels": q, "domain": 2, "hypotheses": [
+        [0, 0], [0, 1], [1, 0], [1, 1], [q - 1, q - 1]]}))
+    return str(path)
+
+
+def test_q7_refute_report_is_pinned(capsys, tmp_path):
+    # 236,196 entries, a size the perfbench deck does not reach
+    assert dispatch(["refute-ds", "--class", _grid_class_file(tmp_path, 7)]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "4ee8a6bfd4b728b933c03f2f6d2b9364f1cc2f3b81a5755aa3742a8d8d867589"
+
+
+def test_refute_report_over_the_entry_budget_exits_2(capsys, tmp_path):
+    started = time.monotonic()
+    assert dispatch(["refute-ds", "--class", _grid_class_file(tmp_path, 8)]) == 2
+    assert time.monotonic() - started < 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "2125764 shattering encoder pairs, above the budget of 1000000" in err
+
+
+def test_refute_report_over_the_table_budget_exits_2(capsys, tmp_path):
+    assert dispatch(["refute-ds", "--class", _grid_class_file(tmp_path, 11)]) == 2
+    assert "3^11 encoder tables" in capsys.readouterr().err
+
+
+def test_refute_command_builds_no_pair_entry(monkeypatch, capsys, c6_file):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return PairEntry(*args, **kwargs)
+
+    monkeypatch.setattr(psi, "PairEntry", counted)
+    assert dispatch(["refute-ds", "--class", c6_file]) == 0
+    assert capsys.readouterr().out and built == []
+    # the count sees entries that are read from the report
+    next(iter(psi.refute_ds_expressibility(dk.six_cycle_class().cls).entries))
+    assert built == [1]
 
 
 SMALL_TABLE = {"labels": 3, "domain": 4, "hypotheses": [

@@ -4,6 +4,7 @@ import pytest
 
 import dimkit as dk
 from corpus import ds2_pair_corpus
+from dimkit import psi
 from dimkit.psi import STAR, all_encoders
 from oracles import refute_ds_reference
 
@@ -137,8 +138,11 @@ def test_refutation_by_image_pairs_matches_table_pair_reference():
         assert got.verdict == want.verdict
         verdicts.add(got.verdict)
         assert got.pairs_examined == want.pairs_examined == 9 ** cls.num_labels
-        assert [(e.psi1, e.psi2, e.subclasses) for e in got.entries] == \
+        expanded = list(got.entries)
+        assert len(got.entries) == len(expanded)
+        assert [(e.psi1, e.psi2, e.subclasses) for e in expanded] == \
             [(e.psi1, e.psi2, e.subclasses) for e in want.entries]
+        assert got.distinct_subclasses() == {s for e in expanded for s in e.subclasses}
         pats = dk.restrict(cls, (0, 1)).patterns
         at = [{p[i] for p in pats} for i in (0, 1)]
         collapsed += any(len(labels) < cls.num_labels for labels in at)
@@ -147,6 +151,24 @@ def test_refutation_by_image_pairs_matches_table_pair_reference():
     # all, and in many some label is realized at one point only
     assert 0 < collapsed < len(classes) and one_sided >= 10
     assert verdicts == {"refuted", "not_refuted"}
+
+
+def test_entries_index_like_their_expansion():
+    entries = dk.refute_ds_expressibility(dk.full_class(2, 2)).entries
+    expanded = tuple(entries)
+    assert (entries[0], entries[-1]) == (expanded[0], expanded[-1])
+    assert entries[1:9:3] == expanded[1:9:3]
+    with pytest.raises(IndexError):
+        entries[len(expanded)]
+
+
+def test_refute_refuses_image_pairs_over_budget(monkeypatch):
+    # the six-cycle realizes all 3 labels at each point: 27 x 27 image pairs
+    monkeypatch.setattr(psi, "_IMAGE_PAIR_BUDGET", 728)
+    with pytest.raises(dk.PreconditionError, match="decides 729 encoder image pairs"):
+        dk.refute_ds_expressibility(dk.six_cycle_class().cls)
+    monkeypatch.setattr(psi, "_IMAGE_PAIR_BUDGET", 729)
+    assert dk.refute_ds_expressibility(dk.six_cycle_class().cls).verdict == "refuted"
 
 
 def test_encoder_enumeration_is_complete_and_ordered():

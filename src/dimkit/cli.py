@@ -28,12 +28,14 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring
+from operator import itemgetter
 from typing import Optional
 
 from . import embedding, gallery, nfl, psi, witnesses
@@ -45,6 +47,7 @@ from .core import (
     PreconditionError,
     RepresentationError,
     ShatteredError,
+    _checked_rows,
 )
 from .dimensions import (
     KINDS,
@@ -67,8 +70,9 @@ def canonical_json(obj) -> str:
 
     A part that occurs more than once in ``obj`` (the same object, not an
     equal copy) is encoded once and its text reused.  Objects with fixed
-    keys are written with the keys already in sorted order, and rows and
-    maps of plain scalars go to the stdlib C encoder in one call each.
+    keys are written with the keys already in sorted order.  Rows and maps
+    of plain scalars, and lists nested only of those (a class file's rows),
+    go to the stdlib C encoder in one call each.
     """
     return _encode(obj, {})
 
@@ -185,9 +189,37 @@ def _pair_entries(obj, memo) -> str:
 
 
 def _sequence(obj, memo) -> str:
-    if _PLAIN.issuperset(map(type, obj)):
-        return _raw(list(obj))
+    if _all_plain(obj) if type(obj) is list else _PLAIN.issuperset(map(type, obj)):
+        return _raw(obj)
     return "[" + ",".join([_encode(v, memo) for v in obj]) + "]"
+
+
+# the nesting below a list that _all_plain reads before it gives up
+_PLAIN_DEPTH = 6
+_NESTED = _PLAIN | {list, dict}
+
+
+def _all_plain(values: list) -> bool:
+    """Whether every value, and everything inside it, is of a plain type, a
+    list, or a dict with str keys (by exact type), so that the C encoder
+    writes ``values`` as ``canonical_json`` would.  Read level by level at
+    C speed: the types of all values of a level, then the keys of its dicts,
+    then the items of its lists and dicts as the next level.  Beyond
+    ``_PLAIN_DEPTH`` levels the answer is no, so a deep or cyclic value goes
+    the general way."""
+    for _ in range(_PLAIN_DEPTH):
+        types = set(map(type, values))
+        if types <= _PLAIN:
+            return True
+        if not types <= _NESTED:
+            return False
+        lists = values if types == {list} else [v for v in values if type(v) is list]
+        dicts = values if types == {dict} else [v for v in values if type(v) is dict]
+        if not _STR.issuperset(map(type, itertools.chain.from_iterable(dicts))):
+            return False
+        values = [*itertools.chain.from_iterable(lists),
+                  *itertools.chain.from_iterable(map(dict.values, dicts))]
+    return False
 
 
 def _mapping(obj, memo) -> str:
@@ -245,19 +277,20 @@ def class_to_file(cls: HypothesisClass) -> dict:
         return {
             "labels": cls.num_labels,
             "domain": cls.domain_size,
-            "hypotheses": [list(h.table) for h in cls.hypotheses],
+            "hypotheses": list(map(list, cls.rows)),
         }
     return {
         "labels": cls.num_labels,
         "domain": "nat",
-        "hypotheses": [
-            {"support": {str(x): y for x, y in h.support}} for h in cls.hypotheses
-        ],
+        "hypotheses": [{"support": {str(x): y for x, y in row}} for row in cls.rows],
     }
 
 
 def class_from_file(doc: dict):
-    """Build (class, gallery entry or None) from a parsed class file."""
+    """Build (class, gallery entry or None) from a parsed class file.  The
+    loader checks the file's shape (see ``_file_rows``) and hands the rows
+    to the ``HypothesisClass`` constructor, which checks their labels and
+    points; its error names the row."""
     if not isinstance(doc, dict):
         raise SchemaError("class file must be a JSON object")
     if "gallery" in doc:
@@ -277,47 +310,68 @@ def class_from_file(doc: dict):
     rows = doc.get("hypotheses")
     if not isinstance(rows, list) or not rows:
         raise SchemaError("field 'hypotheses': expected a nonempty array")
-    nat = domain == "nat"
-    if not nat and (type(domain) is not int or domain < 1):
+    if domain == "nat":
+        domain = None
+    elif type(domain) is not int or domain < 1:
         raise SchemaError("field 'domain': expected a positive integer or 'nat'")
-    hyps = []
+    try:
+        rows, error = _file_rows(rows, domain)
+        if error is not None:
+            # a well-formed row before the malformed one fails first on its entries
+            _checked_rows(rows, labels, domain)
+            raise error
+        return HypothesisClass(num_labels=labels, domain_size=domain, rows=rows), None
+    except RepresentationError as err:
+        raise SchemaError(str(err)) from err
+
+
+def _file_rows(rows: list, domain: Optional[int]) -> tuple[list, Optional[SchemaError]]:
+    """The class rows of a file's hypotheses, up to the first malformed one,
+    and that one's error (None if there is none).  A row over a finite
+    domain is an array of length ``domain``; one over the naturals (domain
+    None) is {"support": {key: label}}, taken as its (point, label) pairs.
+    A key is a point in the one form ``class_to_file`` writes: no sign but a
+    minus, no leading zero, no space, underscore or non-ASCII digit.  Every
+    row is checked at once at C speed, and only when that fails one by one."""
+    if domain is not None:
+        if {list}.issuperset(map(type, rows)) and {domain}.issuperset(map(len, rows)):
+            return rows, None
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != domain:
+                return rows[:i], SchemaError(f"hypotheses[{i}]: expected a row of length {domain}")
+        return rows, None
+    try:
+        if {dict}.issuperset(map(type, rows)):
+            supports = list(map(itemgetter("support"), rows))
+            if {dict}.issuperset(map(type, supports)):
+                keys = list(itertools.chain.from_iterable(supports))
+                points = list(map(int, keys))
+                if list(map(str, points)) == keys:
+                    pairs = iter(zip(points, itertools.chain.from_iterable(
+                        map(dict.values, supports))))
+                    return [tuple(itertools.islice(pairs, len(s))) for s in supports], None
+    except (KeyError, ValueError):  # a row with no support, or a key int() does not read
+        pass
+    parsed = []
     for i, row in enumerate(rows):
-        try:
-            if not nat:
-                if not isinstance(row, list) or len(row) != domain:
-                    raise SchemaError(f"hypotheses[{i}]: expected a row of length {domain}")
-                hyps.append(Hypothesis(num_labels=labels, table=tuple(row)))
-            elif not isinstance(row, dict) or "support" not in row:
-                raise SchemaError(f"hypotheses[{i}]: expected {{'support': ...}}")
-            elif not isinstance(row["support"], dict):
-                raise SchemaError(f"hypotheses[{i}].support: expected an object")
-            else:
-                hyps.append(Hypothesis(num_labels=labels,
-                                       support=_support_pairs(row["support"], i)))
-        except RepresentationError as err:
-            # the message starts at the entry: "[j]: ..." or "support[x]: ..."
-            raise SchemaError(f"hypotheses[{i}]{'.' if nat else ''}{err}") from err
-    cls = HypothesisClass(num_labels=labels, domain_size=None if nat else domain,
-                          hypotheses=tuple(hyps))
-    return cls, None
-
-
-def _support_pairs(support: dict, i: int) -> list:
-    """The (point, label) pairs of the support object of hypotheses[i].  A
-    key is a point in the one form ``class_to_file`` writes: no sign but a
-    minus, no leading zero, no space, underscore or non-ASCII digit."""
-    pairs = []
-    for key, label in support.items():
-        try:
-            point = int(key)
-            canonical = str(point) == key
-        except ValueError:  # not an integer, or too long for int()
-            canonical = False
-        if not canonical:
-            raise SchemaError(
+        if not isinstance(row, dict) or "support" not in row:
+            return parsed, SchemaError(f"hypotheses[{i}]: expected {{'support': ...}}")
+        support = row["support"]
+        if not isinstance(support, dict):
+            return parsed, SchemaError(f"hypotheses[{i}].support: expected an object")
+        key = next((key for key in support if not _canonical_point(key)), None)
+        if key is not None:
+            return parsed, SchemaError(
                 f"hypotheses[{i}].support: key {key!r} is not a canonical decimal integer")
-        pairs.append((point, label))
-    return pairs
+        parsed.append(tuple(zip(map(int, support), support.values())))
+    return parsed, None
+
+
+def _canonical_point(key: str) -> bool:
+    try:
+        return str(int(key)) == key
+    except ValueError:  # not an integer, or too long for int()
+        return False
 
 
 def _read_json(path: str, build):

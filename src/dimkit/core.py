@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 # A labeled sample: ((point, label), ...), repeats allowed.
@@ -74,6 +75,7 @@ class Hypothesis:
     support: Optional[tuple[tuple[int, int], ...]] = None
 
     def __post_init__(self):
+        _check_int(self.num_labels, "alphabet size")
         if self.num_labels < 1:
             raise RepresentationError("alphabet must contain label 0")
         if (self.table is None) == (self.support is None):
@@ -88,7 +90,10 @@ class Hypothesis:
             return
         # a support holds few pairs, for which a loop is faster than C-speed scans
         pairs = tuple(self.support)
-        for x, y in pairs:
+        for pair in pairs:
+            if type(pair) is not tuple and type(pair) is not list or len(pair) != 2:
+                raise RepresentationError(f"support: {pair!r} is not a (point, label) pair")
+            x, y = pair
             if type(x) is not int or x < 0:
                 raise RepresentationError(f"support[{x!r}]: point is not a natural")
             if type(y) is not int or not 1 <= y <= top:
@@ -147,61 +152,100 @@ def truncate(h: Hypothesis, m: int) -> Hypothesis:
     return Hypothesis(num_labels=h.num_labels, support=pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class HypothesisClass:
     """A set of hypotheses, either explicit or exposed through a behavior
     oracle mapping a point tuple T to the set of realized label tuples.
 
-    Explicit bodies are stored duplicate-free in canonical (lexicographic)
-    order so that every downstream search is deterministic.
+    An explicit class owns its members as ``rows``: each member's table over
+    a finite domain, or its support pairs sorted by point over the naturals,
+    stored duplicate-free in canonical (lexicographic) order so that every
+    downstream search is deterministic.  It is given either ``hypotheses``
+    or the rows themselves, which the constructor checks all at once as the
+    ``Hypothesis`` constructor checks one (see ``_checked_rows``).  The
+    ``Hypothesis`` objects are built from the rows when ``hypotheses`` is
+    first read.  Equality and hashing go by the rows, which determine the
+    hypotheses; the repr lists the hypotheses.
     """
 
     num_labels: int
-    domain_size: Optional[int] = None
-    hypotheses: Optional[tuple[Hypothesis, ...]] = None
-    behavior_fn: Optional[Callable[[tuple[int, ...]], Iterable[Pattern]]] = None
+    domain_size: Optional[int]
+    rows: Optional[tuple[tuple, ...]]
+    behavior_fn: Optional[Callable[[tuple[int, ...]], Iterable[Pattern]]]
 
-    def __post_init__(self):
-        if (self.hypotheses is None) == (self.behavior_fn is None):
-            raise RepresentationError("exactly one of hypotheses/behavior_fn required")
-        if self.hypotheses is not None:
-            hyps = tuple(self.hypotheses)
-            if not hyps:
+    def __init__(self, num_labels: int, domain_size: Optional[int] = None,
+                 hypotheses: Optional[Iterable[Hypothesis]] = None,
+                 behavior_fn: Optional[Callable[[tuple[int, ...]], Iterable[Pattern]]] = None,
+                 *, rows: Optional[Iterable[Iterable]] = None):
+        _check_int(num_labels, "alphabet size")
+        if num_labels < 1:
+            raise RepresentationError("alphabet must contain label 0")
+        if domain_size is not None:
+            _check_int(domain_size, "domain size")
+            if domain_size < 1:
+                raise RepresentationError(f"domain size {domain_size} is not positive")
+        if sum(v is not None for v in (hypotheses, rows, behavior_fn)) != 1:
+            raise RepresentationError("exactly one of hypotheses/rows/behavior_fn required")
+        if hypotheses is not None:
+            rows = _hypothesis_rows(tuple(hypotheses), num_labels, domain_size)
+        elif rows is not None:
+            rows = _checked_rows(tuple(rows), num_labels, domain_size)
+        if rows is not None:
+            if not rows:
                 raise RepresentationError("explicit class must be nonempty")
-            for h in hyps:
-                if h.num_labels != self.num_labels:
-                    raise RepresentationError("alphabet mismatch inside class")
-                if self.domain_size is not None and h.table is None:
-                    raise RepresentationError("finite-domain class expects table hypotheses")
-                if self.domain_size is None and h.support is None:
-                    raise RepresentationError("class over the naturals expects finite-support hypotheses")
-                if h.table is not None and len(h.table) != self.domain_size:
-                    raise RepresentationError("table length differs from domain size")
-            first = {}
-            dupes = [i for i, h in enumerate(hyps) if first.setdefault(h.sort_key(), i) != i]
-            if dupes:
+            if len(set(rows)) < len(rows):
+                first = {}
+                dupes = [i for i, r in enumerate(rows) if first.setdefault(r, i) != i]
                 raise RepresentationError(f"duplicate hypotheses at indices {dupes}")
-            object.__setattr__(
-                self, "hypotheses", tuple(sorted(hyps, key=Hypothesis.sort_key))
-            )
+            rows = tuple(sorted(rows))
+        for name, value in (("num_labels", num_labels), ("domain_size", domain_size),
+                            ("rows", rows), ("behavior_fn", behavior_fn)):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        return (f"HypothesisClass(num_labels={self.num_labels!r}, "
+                f"domain_size={self.domain_size!r}, hypotheses={self.hypotheses!r}, "
+                f"behavior_fn={self.behavior_fn!r})")
+
+    @cached_property
+    def hypotheses(self) -> Optional[tuple[Hypothesis, ...]]:
+        """The members in class order, built from the rows on first read;
+        None for an oracle class."""
+        if self.rows is None:
+            return None
+        if self.domain_size is not None:
+            return tuple(Hypothesis(num_labels=self.num_labels, table=r) for r in self.rows)
+        return tuple(Hypothesis(num_labels=self.num_labels, support=r) for r in self.rows)
 
     @property
     def is_explicit(self) -> bool:
-        return self.hypotheses is not None
+        return self.rows is not None
 
     def enumerate(self) -> Iterator[Hypothesis]:
-        if self.hypotheses is None:
+        if self.rows is None:
             raise RepresentationError("class exposes no hypothesis enumerator")
         return iter(self.hypotheses)
 
     @cached_property
     def _columns(self) -> dict[int, tuple[int, ...]]:
-        """Per point, the label of every hypothesis there, in class order.  A
-        table class fills every point at once, from its rows; a class over
-        the naturals fills a point in the first time it is used."""
-        if self.domain_size is not None and self.hypotheses is not None:
-            return dict(enumerate(zip(*(h.table for h in self.hypotheses))))
-        return {}
+        """Per point, the label of every member there, in class order.  A
+        table class fills every point at once by zipping its rows; a class
+        over the naturals fills every support point at once, in one pass over
+        its pairs, and ``_checked_columns`` gives any other point the all-zero
+        column the first time it is used."""
+        if self.rows is None:
+            return {}
+        if self.domain_size is not None:
+            return dict(enumerate(zip(*self.rows)))
+        columns = {}
+        zeros = [0] * len(self.rows)
+        for j, row in enumerate(self.rows):
+            for x, y in row:
+                column = columns.get(x)
+                if column is None:
+                    column = columns[x] = zeros.copy()
+                column[j] = y
+        return {x: tuple(column) for x, column in columns.items()}
 
     @cached_property
     def _masks(self) -> dict[int, dict[int, int]]:
@@ -212,24 +256,84 @@ class HypothesisClass:
 
     def support_bound(self) -> Optional[int]:
         """Largest support point over an explicit class on the naturals."""
-        if self.hypotheses is None or self.domain_size is not None:
+        if self.rows is None or self.domain_size is not None:
             return None
-        bounds = [m for h in self.hypotheses if (m := max_support(h)) is not None]
-        return max(bounds) if bounds else None
+        return max((row[-1][0] for row in self.rows if row), default=None)
+
+
+def _hypothesis_rows(hyps: tuple, num_labels: int, domain_size: Optional[int]) -> tuple:
+    """The rows of ``Hypothesis`` objects, each checked to be one and to fit
+    the class: its alphabet, its representation and its table length."""
+    for i, h in enumerate(hyps):
+        if not isinstance(h, Hypothesis):
+            raise RepresentationError(f"hypotheses[{i}]: {h!r} is not a Hypothesis")
+        if h.num_labels != num_labels:
+            raise RepresentationError("alphabet mismatch inside class")
+        if domain_size is not None and h.table is None:
+            raise RepresentationError("finite-domain class expects table hypotheses")
+        if domain_size is None and h.support is None:
+            raise RepresentationError("class over the naturals expects finite-support hypotheses")
+        if h.table is not None and len(h.table) != domain_size:
+            raise RepresentationError("table length differs from domain size")
+    if domain_size is not None:
+        return tuple(h.table for h in hyps)
+    return tuple(h.support for h in hyps)
+
+
+def _checked_rows(rows: tuple, num_labels: int, domain_size: Optional[int]) -> tuple:
+    """The rows of an explicit class (each a tuple or list) as tuples, each
+    support's pairs sorted by point, each checked as the ``Hypothesis`` constructor checks a table or a
+    support, and a table's length against ``domain_size``.  The rows are
+    checked all at once at C speed: the row and pair types and lengths, then
+    all labels (and support points) with one ``_first_outside`` each.  Only
+    when that fails are they checked one by one, and the first failing row's
+    error is raised with the row named: "hypotheses[i][j]: ..." or
+    "hypotheses[i].support[x]: ..."."""
+    top = num_labels - 1
+    if {tuple, list}.issuperset(map(type, rows)):
+        if domain_size is not None:
+            rows = tuple(map(tuple, rows))
+            if {domain_size}.issuperset(map(len, rows)) and _first_outside(
+                    tuple(itertools.chain.from_iterable(rows)), 0, top) is None:
+                return rows
+        else:
+            pairs = tuple(itertools.chain.from_iterable(rows))
+            if {tuple}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs)) and (
+                    _first_outside(tuple(map(itemgetter(0), pairs)), 0, None) is None
+                    and _first_outside(tuple(map(itemgetter(1), pairs)), 1, top) is None
+                    and list(map(len, map(dict, rows))) == list(map(len, rows))):
+                return tuple(map(tuple, map(sorted, rows)))
+    checked = []
+    for i, row in enumerate(rows):
+        if type(row) is not tuple and type(row) is not list:
+            raise RepresentationError(f"hypotheses[{i}]: {row!r} is not a tuple or list")
+        try:
+            if domain_size is None:
+                checked.append(Hypothesis(num_labels=num_labels, support=row).support)
+                continue
+            table = Hypothesis(num_labels=num_labels, table=row).table
+        except RepresentationError as err:
+            # the message starts at the entry: "[j]: ..." or "support[x]: ..."
+            raise RepresentationError(
+                f"hypotheses[{i}]{'' if domain_size else '.'}{err}") from err
+        if len(table) != domain_size:
+            raise RepresentationError(
+                f"hypotheses[{i}]: table length {len(table)} differs from domain size {domain_size}")
+        checked.append(table)
+    return tuple(checked)
 
 
 def class_from_tables(rows: Iterable[Iterable[int]], num_labels: int) -> HypothesisClass:
-    hyps = tuple(Hypothesis(num_labels=num_labels, table=r) for r in rows)
-    if not hyps:
+    rows = tuple(map(tuple, rows))
+    if not rows:
         raise RepresentationError("explicit class must be nonempty")
-    return HypothesisClass(num_labels=num_labels, domain_size=len(hyps[0].table), hypotheses=hyps)
+    return HypothesisClass(num_labels=num_labels, domain_size=len(rows[0]), rows=rows)
 
 
 def class_from_supports(supports: Iterable[dict[int, int] | Iterable[tuple[int, int]]],
                         num_labels: int) -> HypothesisClass:
-    hyps = tuple(Hypothesis(num_labels=num_labels, support=s.items() if isinstance(s, dict) else s)
-                 for s in supports)
-    return HypothesisClass(num_labels=num_labels, domain_size=None, hypotheses=hyps)
+    return HypothesisClass(num_labels=num_labels, rows=[
+        tuple(s.items()) if isinstance(s, dict) else tuple(s) for s in supports])
 
 
 @dataclass(frozen=True)
@@ -278,12 +382,12 @@ def _checked_columns(cls: HypothesisClass, points: Iterable[int]) -> tuple[tuple
                           else f"point {points[j]!r} outside domain [0,{cls.domain_size})")
     if len(set(points)) != len(points):
         raise PreconditionError(f"duplicate points in {points}")
-    if cls.hypotheses is None:
+    if cls.rows is None:
         return points, None
     columns = cls._columns
     for x in points:
         if x not in columns:
-            columns[x] = tuple(h(x) for h in cls.hypotheses)
+            columns[x] = (0,) * len(cls.rows)
     return points, columns
 
 

@@ -111,8 +111,8 @@ def _cells(cls, points):
     all members.  The members are an explicit class's hypotheses, read from
     its cached per-point masks with no projection, or else the behaviors of
     ``restrict``.  The points are checked as ``restrict`` checks them."""
-    if cls.hypotheses is not None:
-        return _hypothesis_masks(cls, points), (1 << len(cls.hypotheses)) - 1
+    if cls.rows is not None:
+        return _hypothesis_masks(cls, points), (1 << len(cls.rows)) - 1
     behaviors = restrict(cls, points)
     return behaviors.index, (1 << len(behaviors.pattern_set)) - 1
 
@@ -283,7 +283,7 @@ def _default_window(cls: HypothesisClass) -> int:
     naturals."""
     if cls.domain_size is not None:
         return cls.domain_size - 1
-    if cls.hypotheses is not None:
+    if cls.rows is not None:
         bound = cls.support_bound()
         return 0 if bound is None else bound
     raise PreconditionError("oracle classes need an explicit window")
@@ -319,11 +319,10 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
         window = _default_window(cls)
     else:
         _check_int(window, "window")
-        if cls.domain_size is None and cls.hypotheses is not None and not any(
-            x <= window for h in cls.hypotheses for x, _ in (h.support or ())
-        ) and any(h.support for h in cls.hypotheses):
+        if cls.domain_size is None and cls.rows is not None and min(
+                (row[0][0] for row in cls.rows if row), default=window) > window:
             warning = "window contains no support point of the class"
-    if cls.domain_size is not None or cls.hypotheses is not None:
+    if cls.domain_size is not None or cls.rows is not None:
         window = min(window, _default_window(cls))
     _check_window(window)
     pts = range(window + 1)
@@ -374,6 +373,8 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     one binary encoder per point, and their image of the class must cover
     {0,1}^n.  A payload of the wrong shape or type for its kind does not
     verify."""
+    if not isinstance(cert, ShatterCertificate):
+        raise PreconditionError(f"{type(cert).__name__} is not a ShatterCertificate")
     if cert.kind not in _PAYLOAD_SIZE:
         raise PreconditionError(f"unknown certificate kind {cert.kind!r}")
     points, payload = cert.points, cert.payload

@@ -38,6 +38,7 @@ from .core import (
     Pattern,
     PreconditionError,
     Sample,
+    _check_int,
     _check_window,
     _first_outside,
     empirical_risk,
@@ -265,10 +266,14 @@ def uc_sample_size(num_hypotheses: int, eps: Fraction, delta: Fraction) -> int:
     Exact: the smallest integer m with m eps^2 / 2 >= ln(2N/delta).  The
     logarithm of a rational above 1 is irrational, so 2 ln(2N/delta)/eps^2
     is never an integer, and rational bounds on it are refined until they
-    leave no integer between them."""
+    leave no integer between them.  N is an exact int, and eps and delta are
+    Fractions: a float is not read as the rational it approximates."""
+    _check_int(num_hypotheses, "number of hypotheses")
+    for name, value in (("eps", eps), ("delta", delta)):
+        if type(value) is not Fraction:
+            raise PreconditionError(f"{name} {value!r} is not a Fraction")
     if num_hypotheses < 1 or not 0 < eps < 1 or not 0 < delta < 1:
         raise PreconditionError("need N >= 1 and eps, delta in (0, 1)")
-    eps, delta = Fraction(eps), Fraction(delta)
     scale = 2 / (eps * eps)
     terms = 8
     while True:

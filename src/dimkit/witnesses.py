@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from operator import and_, eq, getitem
 from typing import Callable, Optional
 
@@ -353,11 +353,13 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
     the class does not realize.  Raises ShatteredError at evaluation time on
     inputs where every candidate is realized.
 
-    The evaluators cache the behaviors per point tuple.  The graph and psi
-    flavors share one evaluator, which also caches each coordinate's cells
-    there, per label or encoder as first asked for, so an encoder outside
-    the family, or a graph label outside the alphabet, is answered too."""
-    behaviors_at = cache(lambda points: restrict(cls, points))
+    The evaluators keep the behaviors of the point tuple last asked about,
+    and no other: ``validate_witness`` and the good-pattern exclusion ask
+    about each tuple's inputs one after another.  The graph and psi flavors
+    share one evaluator, which also keeps that tuple's cells per coordinate,
+    per label or encoder as first asked for, so an encoder outside the
+    family, or a graph label outside the alphabet, is answered too."""
+    behaviors_at = lru_cache(maxsize=1)(lambda points: restrict(cls, points))
 
     if flavor == "natarajan":
         def evaluator(points, g1, g2):
@@ -379,7 +381,8 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
             if psi.num_labels != cls.num_labels:
                 raise RepresentationError("family alphabet differs from class alphabet")
         table_of = _binary_table(flavor, cls.num_labels)
-        cells_at = cache(lambda points: _cell_tables(behaviors_at(points), table_of))
+        cells_at = lru_cache(maxsize=1)(
+            lambda points: _cell_tables(behaviors_at(points), table_of))
         graph = flavor == "graph"
         missing = "every agreement set realized" if graph else "every binary pattern covered"
 
@@ -407,18 +410,19 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
 
     The evaluator runs the adversary's mixture walk (``nfl._first_hard_mixture``)
     and keeps, for the point tuple it was last asked about, the sample
-    multisets and the integer risk sums of each mixture reached there.
-    Inputs on the same points keep reaching the same mixtures, so when the
-    inputs come grouped by point tuple, as in ``validate_witness``, each
-    mixture's risk is summed once, and the memo never holds more than one
-    point tuple's mixtures.  This relies on the learner being a
+    multisets and the integer risk sums of each mixture reached there, and
+    with ``h_check`` its behaviors.  Inputs on the same points keep reaching
+    the same mixtures, so when the inputs come grouped by point tuple, as in
+    ``validate_witness``, each mixture's risk is summed once, and the memo
+    never holds more than one point tuple's mixtures.  This relies on the learner being a
     deterministic total map, as ``nfl_adversary`` already does.
     """
     _check_int(m, "sample size")
     if m < 1:
         raise PreconditionError("sample size must be positive")
     order = 2 * m - 1
-    behaviors_at = None if h_check is None else cache(lambda points: restrict(h_check, points))
+    behaviors_at = None if h_check is None else lru_cache(maxsize=1)(
+        lambda points: restrict(h_check, points))
     last = {}  # the point tuple last asked about -> its memoized risk sums per mixture
 
     def evaluator(points, g1, g2):

@@ -7,8 +7,17 @@ import json
 from fractions import Fraction
 from types import SimpleNamespace
 
-from dimkit import PreconditionError, ShatteredError, empirical_risk, mix_labelings, restrict
-from dimkit.cli import jsonable
+from dimkit import (
+    Hypothesis,
+    HypothesisClass,
+    PreconditionError,
+    RepresentationError,
+    ShatteredError,
+    empirical_risk,
+    mix_labelings,
+    restrict,
+)
+from dimkit.cli import SchemaError, jsonable
 from dimkit.psi import PairEntry, all_encoders, apply_encoders
 from dimkit.witnesses import ExclusionFailure, WitnessReport, WitnessViolation
 
@@ -455,3 +464,48 @@ def canonical_json(obj):
     converted copy, then the stdlib encoder sorts keys and writes it."""
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False, allow_nan=False)
+
+
+def class_from_file_reference(doc):
+    """The class of an explicit class file, one ``Hypothesis`` per row: the
+    loader as it was before rows were checked in bulk.  Each row's shape, its
+    support keys and then its entries are checked before the next row's, and
+    a row's entry error is reported with the row put first."""
+    labels = doc.get("labels")
+    if type(labels) is not int or labels < 1:
+        raise SchemaError("field 'labels': expected a positive integer")
+    domain = doc.get("domain")
+    rows = doc.get("hypotheses")
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError("field 'hypotheses': expected a nonempty array")
+    nat = domain == "nat"
+    if not nat and (type(domain) is not int or domain < 1):
+        raise SchemaError("field 'domain': expected a positive integer or 'nat'")
+    hyps = []
+    for i, row in enumerate(rows):
+        try:
+            if not nat:
+                if not isinstance(row, list) or len(row) != domain:
+                    raise SchemaError(f"hypotheses[{i}]: expected a row of length {domain}")
+                hyps.append(Hypothesis(num_labels=labels, table=tuple(row)))
+            elif not isinstance(row, dict) or "support" not in row:
+                raise SchemaError(f"hypotheses[{i}]: expected {{'support': ...}}")
+            elif not isinstance(row["support"], dict):
+                raise SchemaError(f"hypotheses[{i}].support: expected an object")
+            else:
+                pairs = []
+                for key, label in row["support"].items():
+                    try:
+                        point = int(key)
+                        canonical = str(point) == key
+                    except ValueError:  # not an integer, or too long for int()
+                        canonical = False
+                    if not canonical:
+                        raise SchemaError(f"hypotheses[{i}].support: key {key!r} "
+                                          "is not a canonical decimal integer")
+                    pairs.append((point, label))
+                hyps.append(Hypothesis(num_labels=labels, support=pairs))
+        except RepresentationError as err:
+            raise SchemaError(f"hypotheses[{i}]{'.' if nat else ''}{err}") from err
+    return HypothesisClass(num_labels=labels, domain_size=None if nat else domain,
+                           hypotheses=tuple(hyps))

@@ -29,6 +29,7 @@ from dimkit.cli import (
 from dimkit import psi
 from dimkit.psi import PairEntries, PairEntry, RefutationReport
 from oracles import canonical_json as reference_json
+from oracles import class_from_file_reference
 from oracles import refute_ds_reference
 
 
@@ -179,6 +180,82 @@ def test_psi_file_bad_symbol(capsys, tmp_path):
         with pytest.raises(SchemaError, match=field):
             parse_psi_file(str(path))
         assert_usage_error(capsys, "distinguisher", "--psi", str(path))
+
+
+# labels, entries and support keys a class file may hold, good and bad
+BAD_ENTRIES = [True, False, 1.0, 0.5, "1", None, -1]
+KEYS = ["0", "1", "2", "3", "10", "-1", "01", "+1", " 1", "1_0", "-0", "", "a", "1.0"]
+
+
+@st.composite
+def table_rows(draw, q, n):
+    """A row of length n over 0..q-1 (duplicates likely), or now and then a
+    short, long or non-list row, or one with a bad entry."""
+    row = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    flaw = draw(st.sampled_from(["none"] * 12 + ["entry", "range", "short", "long", "type"]))
+    if flaw == "entry":
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+    elif flaw == "range":
+        row[draw(st.integers(0, n - 1))] = q + draw(st.integers(0, 2))
+    elif flaw in ("short", "long"):
+        row = row[:-1] if flaw == "short" else row + [0]
+    elif flaw == "type":
+        row = draw(st.sampled_from([5, "01", {"support": {}}, None, tuple(row)]))
+    return row
+
+
+@st.composite
+def support_rows(draw, q):
+    """{"support": {key: label}} over a few points (duplicate rows likely),
+    or now and then a non-canonical key, a bad label, or a malformed row."""
+    keys = draw(st.lists(st.sampled_from(KEYS[:5]), max_size=3, unique=True))
+    support = {k: draw(st.integers(1, q - 1)) for k in keys} if q > 1 else {}
+    flaw = draw(st.sampled_from(["none"] * 12 + ["key", "label", "range", "row", "object"]))
+    if flaw == "key":
+        support[draw(st.sampled_from(KEYS[5:]))] = 1
+    elif flaw in ("label", "range"):
+        bad = draw(st.sampled_from(BAD_ENTRIES + [0]) if flaw == "label"
+                   else st.integers(q, q + 2))
+        support[draw(st.sampled_from(KEYS[:5]))] = bad
+    elif flaw == "row":
+        return draw(st.sampled_from([[], 3, {"supports": {}}, {"support": []}]))
+    elif flaw == "object":
+        return {"support": support, "extra": 1}
+    return {"support": dict(sorted(support.items(), key=lambda kv: draw(st.integers(0, 3))))}
+
+
+@st.composite
+def class_documents(draw):
+    q = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        rows = draw(st.lists(table_rows(q, n), min_size=1, max_size=7))
+        return {"labels": q, "domain": n, "hypotheses": rows}
+    rows = draw(st.lists(support_rows(q), min_size=1, max_size=7))
+    return {"labels": q, "domain": "nat", "hypotheses": rows}
+
+
+def _loaded(load, doc):
+    try:
+        cls = load(doc)
+    except (SchemaError, dk.RepresentationError) as err:
+        return type(err), str(err)
+    return cls, cls.hypotheses, class_to_file(cls), canonical_json(class_to_file(cls))
+
+
+@settings(max_examples=400)
+@given(class_documents())
+def test_class_loader_matches_the_row_by_row_reference(doc):
+    """The loader checks rows in bulk and the class builds hypotheses on first
+    read; the reference builds one Hypothesis per row.  They give the same
+    class, hypotheses in the same order, class_to_file and canonical text, or
+    the same error text, the loader's always a SchemaError."""
+    got = _loaded(lambda d: cli.class_from_file(copy.deepcopy(d))[0], doc)
+    want = _loaded(class_from_file_reference, doc)
+    if isinstance(want[0], type):
+        assert got == (SchemaError, want[1])
+    else:
+        assert got == want
 
 
 # ---------------------------------------------------------------- commands
@@ -825,9 +902,10 @@ _POINT = collections.namedtuple("point", "x y")
     (object(), "cannot serialize object"),
 ])
 def test_values_outside_the_report_vocabulary_are_rejected(value, message):
-    # on their own, nested, and shared: the memo must not let a second
+    # on their own, nested (also in lists and dicts only, which the C encoder
+    # could write in one call), and shared: the memo must not let a second
     # occurrence through
-    for payload in (value, [1, {"k": (value,)}], [value, value]):
+    for payload in (value, [1, {"k": (value,)}], [[1], {"k": [value]}], [value, value]):
         for convert in (canonical_json, jsonable):
             with pytest.raises(SchemaError, match=f"^{message}"):
                 convert(payload)

@@ -95,13 +95,14 @@ def test_restrict_matches_reference_on_one_class_object(cls, calls):
 @given(explicit_classes())
 def test_cached_columns_and_masks_match_the_hypotheses(cls):
     # a table class fills every column from its rows at once; a class over
-    # the naturals fills a column the first time a point is used
+    # the naturals fills every support point's column at once, and any other
+    # point's the first time it is used
     hyps = cls.hypotheses
     if cls.domain_size is not None:
         assert set(cls._columns) == set(range(cls.domain_size))
         points = tuple(range(cls.domain_size))
     else:
-        assert cls._columns == {}
+        assert set(cls._columns) == {x for h in hyps for x, _ in h.support}
         points = tuple(range(7))
     masks = _hypothesis_masks(cls, points)
     for x, column_masks in zip(points, masks):
@@ -437,3 +438,83 @@ def test_counts_and_windows_refuse_values_that_are_not_exact_ints(call, bad):
     _, make = call
     with pytest.raises(dk.PreconditionError, match=f" {re.escape(repr(bad))} is not an exact int$"):
         make(bad)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dk.Hypothesis(num_labels=True, table=(0,)), "alphabet size True is not an exact int"),
+    (lambda: dk.Hypothesis(num_labels=2.5, table=(0,)), "alphabet size 2.5 is not an exact int"),
+    (lambda: dk.Hypothesis(num_labels="3", table=(0,)), "alphabet size '3' is not an exact int"),
+    (lambda: dk.HypothesisClass(num_labels=2.0, domain_size=1, rows=[(0,)]),
+     "alphabet size 2.0 is not an exact int"),
+    (lambda: dk.HypothesisClass(num_labels=2, domain_size=2.0, rows=[(0, 1)]),
+     "domain size 2.0 is not an exact int"),
+    (lambda: dk.HypothesisClass(num_labels=2, domain_size=True, rows=[(0,)]),
+     "domain size True is not an exact int"),
+    (lambda: dk.HypothesisClass(num_labels=2, domain_size=1, hypotheses=((0,),)),
+     "hypotheses[0]: (0,) is not a Hypothesis"),
+    (lambda: dk.class_from_tables([[]], 2), "domain size 0 is not positive"),
+    (lambda: dk.HypothesisClass(num_labels=0, behavior_fn=lambda pts: ()),
+     "alphabet must contain label 0"),
+], ids=["label True", "labels 2.5", "labels '3'", "class labels 2.0", "domain 2.0",
+        "domain True", "row (0,)", "empty domain", "no label 0"])
+def test_class_constructors_refuse_values_outside_their_domain(build, message):
+    """Each raises one of dimkit's errors naming the value, never a raw
+    TypeError or AttributeError, and an empty domain is refused as the
+    class file loader refuses it."""
+    with pytest.raises(DIMKIT_ERRORS) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_rows_and_hypotheses_build_the_same_class():
+    rows = [(2, 0), (0, 1), (1, 1)]
+    hyps = [dk.Hypothesis(num_labels=3, table=r) for r in rows]
+    by_rows = dk.class_from_tables(rows, 3)
+    by_hyps = dk.HypothesisClass(num_labels=3, domain_size=2, hypotheses=hyps)
+    assert by_rows == by_hyps and hash(by_rows) == hash(by_hyps)
+    assert by_rows.rows == by_hyps.rows == ((0, 1), (1, 1), (2, 0))
+    assert by_rows.hypotheses == by_hyps.hypotheses == tuple(sorted(hyps, key=dk.Hypothesis.sort_key))
+    assert repr(by_rows) == repr(by_hyps)
+    supports = [{4: 1, 0: 2}, {}, {3: 1}]
+    by_rows = dk.class_from_supports(supports, 3)
+    by_hyps = dk.HypothesisClass(num_labels=3, hypotheses=[
+        dk.Hypothesis(num_labels=3, support=s.items()) for s in supports])
+    assert by_rows == by_hyps and by_rows.rows == ((), ((0, 2), (4, 1)), ((3, 1),))
+    # a row's error names the row, as the class file loader reports it
+    for build, message in (
+        (lambda: dk.class_from_tables([(0, 1), (1, 5)], 3), "hypotheses[1][1]: label 5 outside 0..2"),
+        (lambda: dk.class_from_tables([(0, 1), (1,)], 3),
+         "hypotheses[1]: table length 1 differs from domain size 2"),
+        (lambda: dk.class_from_supports([{}, {2: 1, 4: 3}], 3),
+         "hypotheses[1].support[4]: label 3 outside 1..2"),
+        (lambda: dk.class_from_supports([{}, ((2, 1), (2, 2))], 3),
+         "hypotheses[1].support[2]: duplicate point"),
+        (lambda: dk.class_from_tables([(0, 1), (1, 0), (0, 1)], 3),
+         "duplicate hypotheses at indices [2]"),
+        (lambda: dk.HypothesisClass(num_labels=2, domain_size=1, rows=[(0,), 5]),
+         "hypotheses[1]: 5 is not a tuple or list"),
+        (lambda: dk.class_from_supports([{}, [(1,)]], 2),
+         "hypotheses[1].support: (1,) is not a (point, label) pair"),
+    ):
+        with pytest.raises(dk.RepresentationError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_verify_certificate_refuses_what_is_not_a_certificate():
+    with pytest.raises(dk.PreconditionError, match="^str is not a ShatterCertificate$"):
+        dk.verify_certificate("junk", dk.full_class(2, 2))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((True, Fraction(1, 4), Fraction(1, 5)), "number of hypotheses True is not an exact int"),
+    ((1, "a", Fraction(1, 10)), "eps 'a' is not a Fraction"),
+    ((1, 0.1, Fraction(1, 10)), "eps 0.1 is not a Fraction"),
+    ((1, Fraction(1, 10), 0.5), "delta 0.5 is not a Fraction"),
+    ((1, Fraction(1, 10), 1), "delta 1 is not a Fraction"),
+])
+def test_uc_sample_size_takes_an_exact_int_and_fractions(args, message):
+    # a float eps of 0.1 would be read as 3602879701896397/2^55, not 1/10
+    with pytest.raises(dk.PreconditionError) as err:
+        dk.uc_sample_size(*args)
+    assert str(err.value) == message

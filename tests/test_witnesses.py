@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -799,3 +800,31 @@ def test_evaluate_refuses_bool_and_negative_labels(flavor, payload, shown):
         "graph", 1, lambda points, f: frozenset())
     with pytest.raises(dk.PreconditionError, match=f"natural labels, got {shown}$"):
         w.evaluate((0, 1), *payload)
+
+
+# ------------------------------------------------------ memory over a window
+
+def _live_behavior_sets():
+    return sum(isinstance(o, dk.BehaviorSet) for o in gc.get_objects())
+
+
+def test_witnesses_keep_only_the_last_point_tuples_behaviors():
+    """validate_witness visits each point tuple's inputs one after another,
+    so an evaluator keeps one tuple's behaviors, not all C(301, 2) of them
+    over the window [0, 300] of a two-hypothesis class on the naturals."""
+    cls = dk.class_from_supports([{}, {300: 1}], num_labels=2)
+    gc.collect()
+    before = _live_behavior_sets()
+    w = dk.canonical_witness(cls, "natarajan", 1)
+    report = dk.validate_witness(w, cls, 300)
+    assert report.valid and report.checked_inputs == 180_600
+    assert _live_behavior_sets() - before == 1
+    del w
+    for w in (dk.canonical_witness(cls, "graph", 1),
+              dk.witness_from_learner(dk.constant_learner(0, num_labels=2, window=40), 1,
+                                      h_check=cls)):
+        gc.collect()
+        before = _live_behavior_sets()
+        dk.validate_witness(w, cls, 40)
+        assert _live_behavior_sets() - before == 1, w.provenance
+        del w

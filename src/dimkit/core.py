@@ -82,14 +82,14 @@ class Hypothesis:
             raise RepresentationError("exactly one of table/support required")
         top = self.num_labels - 1
         if self.table is not None:
-            table = tuple(self.table)
+            table = _as_tuple(self.table, "table")
             j = _first_outside(table, 0, top)
             if j is not None:
                 raise RepresentationError(f"[{j}]: label {table[j]!r} outside 0..{top}")
             object.__setattr__(self, "table", table)
             return
         # a support holds few pairs, for which a loop is faster than C-speed scans
-        pairs = tuple(self.support)
+        pairs = _as_tuple(self.support, "support")
         for pair in pairs:
             if type(pair) is not tuple and type(pair) is not list or len(pair) != 2:
                 raise RepresentationError(f"support: {pair!r} is not a (point, label) pair")
@@ -187,9 +187,9 @@ class HypothesisClass:
         if sum(v is not None for v in (hypotheses, rows, behavior_fn)) != 1:
             raise RepresentationError("exactly one of hypotheses/rows/behavior_fn required")
         if hypotheses is not None:
-            rows = _hypothesis_rows(tuple(hypotheses), num_labels, domain_size)
+            rows = _hypothesis_rows(_as_tuple(hypotheses, "hypotheses"), num_labels, domain_size)
         elif rows is not None:
-            rows = _checked_rows(tuple(rows), num_labels, domain_size)
+            rows = _checked_rows(_as_tuple(rows, "hypotheses"), num_labels, domain_size)
         if rows is not None:
             if not rows:
                 raise RepresentationError("explicit class must be nonempty")
@@ -324,7 +324,8 @@ def _checked_rows(rows: tuple, num_labels: int, domain_size: Optional[int]) -> t
 
 
 def class_from_tables(rows: Iterable[Iterable[int]], num_labels: int) -> HypothesisClass:
-    rows = tuple(map(tuple, rows))
+    rows = tuple(_as_tuple(row, f"hypotheses[{i}]")
+                 for i, row in enumerate(_as_tuple(rows, "hypotheses")))
     if not rows:
         raise RepresentationError("explicit class must be nonempty")
     return HypothesisClass(num_labels=num_labels, domain_size=len(rows[0]), rows=rows)
@@ -333,7 +334,8 @@ def class_from_tables(rows: Iterable[Iterable[int]], num_labels: int) -> Hypothe
 def class_from_supports(supports: Iterable[dict[int, int] | Iterable[tuple[int, int]]],
                         num_labels: int) -> HypothesisClass:
     return HypothesisClass(num_labels=num_labels, rows=[
-        tuple(s.items()) if isinstance(s, dict) else tuple(s) for s in supports])
+        tuple(s.items()) if isinstance(s, dict) else _as_tuple(s, f"hypotheses[{i}]")
+        for i, s in enumerate(_as_tuple(supports, "hypotheses"))])
 
 
 @dataclass(frozen=True)
@@ -344,9 +346,8 @@ class BehaviorSet:
     patterns: tuple[Pattern, ...]
 
     def __post_init__(self):
-        for p in self.patterns:
-            if len(p) != len(self.points):
-                raise RepresentationError("pattern arity differs from |points|")
+        if not {len(self.points)}.issuperset(map(len, self.patterns)):
+            raise RepresentationError("pattern arity differs from |points|")
 
     @cached_property
     def pattern_set(self) -> frozenset:
@@ -440,6 +441,16 @@ def _first_outside(values: tuple, low: int, high: Optional[int]) -> Optional[int
         return None
     return next(j for j, v in enumerate(values)
                 if type(v) is not int or v < low or high is not None and v > high)
+
+
+def _as_tuple(value, what: str) -> tuple:
+    """``value`` as a tuple; a value that is not iterable raises
+    RepresentationError naming it."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise RepresentationError(f"{what}: {value!r} is not iterable") from None
+    return tuple(items)
 
 
 def _check_int(value, what: str) -> None:

@@ -13,7 +13,11 @@ orders throughout).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -194,37 +198,101 @@ def is_g_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]
         lambda got: (got,))
 
 
+@cache
+def _line_keys(n: int) -> tuple:
+    """Per coordinate i, a C-level map from a pattern to its line key at i:
+    the pattern with coordinate i left out (``()`` when n is 1)."""
+    keys = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        keys.append(itemgetter(*others) if others else itemgetter(slice(0)))
+    return tuple(keys)
+
+
 def is_pseudo_cube(patterns) -> bool:
-    """True iff every pattern has, at every coordinate, a neighbor in the set
-    differing there and only there."""
+    """True iff the set is nonempty and every pattern has, at every
+    coordinate, a neighbor in the set differing there and only there: at
+    each coordinate every line (the patterns equal off it) has two or more
+    members."""
     pats = set(patterns)
     if len({len(p) for p in pats}) > 1:
         raise PreconditionError("mixed arities in pattern set")
-    return bool(pats) and _pseudo_cube_core(pats) == pats
+    if not pats:
+        return False
+    keys = _line_keys(len(next(iter(pats))))
+    return all(1 not in Counter(map(key, pats)).values() for key in keys)
+
+
+# sweeps per coordinate before the worklist peel takes over
+_SWEEP_ROUNDS = 3
 
 
 def _pseudo_cube_core(patterns) -> frozenset:
-    """Peel off patterns lacking some coordinate neighbor until none is left.
+    """The largest pseudo-cube inside the set (empty iff there is none).
+
     A pattern's line at coordinate i is the set of patterns equal to it off
-    i; it has a neighbor there iff that line has two members.  Deleting a
-    pattern can leave only its line-mates short, so only they are rechecked
-    (k-core style peeling, linear in |P|·n).  The neighbor property is closed
-    under unions, so what remains is the union of all pseudo-cubes inside the
-    set (itself a pseudo-cube), empty iff no pseudo-cube exists."""
+    i; it has a neighbor there iff that line has two members.  The neighbor
+    property is closed under unions, so the patterns left once no lone
+    pattern remains are the union of all pseudo-cubes inside the set: the
+    unique greatest fixed point, whatever the order of the drops.
+
+    - Sweeps: one whole coordinate at a time, at C speed, the live patterns
+      are projected off it with one ``itemgetter``, their line keys counted,
+      and only patterns whose line has two or more members kept.  The
+      coordinates take turns until n sweeps in a row drop nothing; then
+      every line of the live set has two members, so it is the core.
+    - Cut: a nonempty pseudo-cube on n coordinates has at least 2^n
+      patterns (every line has two members, and the projection off a
+      coordinate is again a pseudo-cube), and the core lies inside the live
+      set, so fewer live patterns than that means an empty core.
+    - Fallback: a chain that loses only its ends in each sweep would take
+      about |P| sweeps, so after ``_SWEEP_ROUNDS`` sweeps per coordinate the
+      survivors go to ``_peel``, which rechecks only the lines of each
+      dropped pattern.  Sweeps and peel each compute O(|P|·n) line keys, so
+      the whole stays linear in |P|·n."""
+    live = set(patterns)
+    if not live:
+        return frozenset()
+    n = len(next(iter(live)))
+    need = 1 << n
+    if len(live) < need:
+        return frozenset()
+    keys = _line_keys(n)
+    live = list(live)
+    quiet = sweeps = 0
+    while quiet < n:
+        if sweeps == _SWEEP_ROUNDS * n:
+            return _peel(live, keys)
+        lines = list(map(keys[sweeps % n], live))
+        sweeps += 1
+        counts = Counter(lines)
+        if 1 not in counts.values():
+            quiet += 1
+            continue
+        quiet = 0
+        live = list(compress(live, map((1).__lt__, map(counts.__getitem__, lines))))
+        if len(live) < need:
+            return frozenset()
+    return frozenset(live)
+
+
+def _peel(patterns, keys) -> frozenset:
+    """The pseudo-cube core by worklist peeling: drop a pattern whose line
+    has one member, then recheck only the lines of the patterns dropped
+    (k-core style, linear in |P|·n)."""
     alive = set(patterns)
-    n = len(next(iter(alive))) if alive else 0
     lines = {}
-    for p in alive:
-        for i in range(n):
-            lines.setdefault((i, p[:i] + p[i + 1:]), set()).add(p)
+    for i, key in enumerate(keys):
+        for p in alive:
+            lines.setdefault((i, key(p)), set()).add(p)
     dead = [line.pop() for line in lines.values() if len(line) == 1]
     while dead:
         p = dead.pop()
         if p not in alive:
             continue
         alive.remove(p)
-        for i in range(n):
-            line = lines[(i, p[:i] + p[i + 1:])]
+        for i, key in enumerate(keys):
+            line = lines[(i, key(p))]
             line.discard(p)
             if len(line) == 1:
                 dead.append(line.pop())

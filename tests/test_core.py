@@ -466,6 +466,28 @@ def test_class_constructors_refuse_values_outside_their_domain(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: dk.Hypothesis(num_labels=2, table=5), "table: 5 is not iterable"),
+    (lambda: dk.Hypothesis(num_labels=2, support=5), "support: 5 is not iterable"),
+    (lambda: dk.class_from_tables([5], 2), "hypotheses[0]: 5 is not iterable"),
+    (lambda: dk.class_from_tables([(0,), 5], 2), "hypotheses[1]: 5 is not iterable"),
+    (lambda: dk.class_from_tables(5, 2), "hypotheses: 5 is not iterable"),
+    (lambda: dk.class_from_supports([{}, 5], 2), "hypotheses[1]: 5 is not iterable"),
+    (lambda: dk.class_from_supports(5, 2), "hypotheses: 5 is not iterable"),
+    (lambda: dk.HypothesisClass(num_labels=2, domain_size=1, rows=5),
+     "hypotheses: 5 is not iterable"),
+    (lambda: dk.HypothesisClass(num_labels=2, domain_size=1, hypotheses=5),
+     "hypotheses: 5 is not iterable"),
+], ids=["table 5", "support 5", "table row 5", "second table row 5", "tables 5",
+        "support row 5", "supports 5", "rows 5", "hypotheses 5"])
+def test_members_that_are_not_iterable_are_refused_by_name(build, message):
+    """A table, support or member list that is not iterable raises
+    RepresentationError where it enters, not a raw TypeError."""
+    with pytest.raises(dk.RepresentationError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_rows_and_hypotheses_build_the_same_class():
     rows = [(2, 0), (0, 1), (1, 1)]
     hyps = [dk.Hypothesis(num_labels=3, table=r) for r in rows]

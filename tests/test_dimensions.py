@@ -66,6 +66,95 @@ def test_six_cycle_minus_one_peels_to_nothing():
         assert not oracles.pseudo_cube(rest)
 
 
+def _boxes_and_noise(rng, n, q):
+    """Up to about 300 patterns: a few product boxes (pseudo-cubes when
+    every side has two labels), some with a pattern taken out, plus noise."""
+    pats = set()
+    for _ in range(rng.randint(0, 3)):
+        box = set(itertools.product(*(rng.sample(range(q), rng.randint(1, q))
+                                      for _ in range(n))))
+        if box and rng.random() < 0.3:
+            box.discard(rng.choice(sorted(box)))
+        pats |= box
+    universe = q ** n
+    for _ in range(rng.randint(0, min(40, universe))):
+        pats.add(tuple(rng.randrange(q) for _ in range(n)))
+    return sorted(pats)[:300]
+
+
+@pytest.mark.parametrize("rounds", [0, 1, dimensions._SWEEP_ROUNDS])
+def test_core_matches_the_worklist_peel_and_the_union_oracle(rounds, monkeypatch):
+    # 0 rounds hands every input to the fallback peel, 1 round most of them
+    monkeypatch.setattr(dimensions, "_SWEEP_ROUNDS", rounds)
+    rng = random.Random(2314)
+    nonempty = 0
+    for _ in range(400):
+        n, q = rng.randint(1, 5), rng.randint(2, 5)
+        pats = _boxes_and_noise(rng, n, q)
+        rng.shuffle(pats)
+        core = _pseudo_cube_core(pats)
+        assert core == oracles.pseudo_cube_core_reference(pats), (n, q, pats)
+        nonempty += bool(core)
+        assert dk.is_pseudo_cube(core) == bool(core)
+        if len(pats) <= 10:
+            assert core == oracles.pseudo_cube_union(pats), pats
+        if len(pats) <= 60:  # the direct definition is quadratic
+            assert dk.is_pseudo_cube(pats) == oracles.pseudo_cube(pats), pats
+    assert 100 < nonempty < 400
+
+
+def _counting_peel(monkeypatch):
+    calls = []
+    peel = dimensions._peel
+
+    def spy(patterns, keys):
+        calls.append(len(patterns))
+        return peel(patterns, keys)
+
+    monkeypatch.setattr(dimensions, "_peel", spy)
+    return calls
+
+
+def test_staircase_peels_to_nothing_through_the_fallback(monkeypatch):
+    # each sweep of coordinate 0 or 1 drops only the two ends of the chain
+    stairs = [(k, k + d) for k in range(10_000) for d in (0, 1)]
+    calls = _counting_peel(monkeypatch)
+    assert _pseudo_cube_core(stairs) == frozenset()
+    assert len(calls) == 1 and calls[0] > 19_000
+
+
+def test_long_even_cycle_stays_whole(monkeypatch):
+    # the six-cycle widened to 2·10^4 patterns: (2k, 2k+1) ~ (2k+2, 2k+1)
+    m = 10_000
+    cycle = [(2 * k, 2 * k + 1) for k in range(m)]
+    cycle += [((2 * k + 2) % (2 * m), 2 * k + 1) for k in range(m)]
+    calls = _counting_peel(monkeypatch)
+    assert _pseudo_cube_core(cycle) == frozenset(cycle)
+    assert dk.is_pseudo_cube(cycle)
+    assert calls == []
+    # one pattern out, and the rest is a chain that peels away end by end
+    assert _pseudo_cube_core(cycle[1:]) == frozenset()
+    assert not dk.is_pseudo_cube(cycle[1:])
+
+
+def test_core_of_small_arities():
+    assert _pseudo_cube_core([]) == frozenset()
+    assert _pseudo_cube_core([()]) == {()}
+    assert _pseudo_cube_core([(3,)]) == frozenset()
+    assert _pseudo_cube_core([(0,), (2,), (0,)]) == {(0,), (2,)}
+    # fewer than 2^n patterns cannot hold a pseudo-cube
+    assert _pseudo_cube_core([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == frozenset()
+
+
+def test_is_pseudo_cube_edge_cases():
+    assert not dk.is_pseudo_cube(set())
+    assert dk.is_pseudo_cube({()})
+    assert dk.is_pseudo_cube({(0,), (1,)})
+    assert not dk.is_pseudo_cube({(1,)})
+    with pytest.raises(dk.PreconditionError):
+        dk.is_pseudo_cube({(0, 1), (0, 1, 2)})
+
+
 # ------------------------------------------------------ shattering checks
 
 def test_full_class_is_n_shattered_with_smallest_pair():

@@ -39,3 +39,22 @@ def test_seed_1_reports_match_the_recorded_digests(name, tmp_path, monkeypatch):
             drift.append(op.key)
     assert len(recorded) == len({op.input_id for _, op in deck.ops()})
     assert drift == []
+
+
+@pytest.mark.parametrize("name", ["dims", "refute"])
+def test_seed_2_reports_pass_the_benchmark_checks(name, tmp_path, monkeypatch):
+    """The seed-2 decks of the workloads that decide DS shattering: every
+    op's exit code and report pass the benchmark's own check, with one
+    check context per round, as a measured run keeps it."""
+    deck, shared = workloads.build(name, 2)
+    workloads.write_files(deck, shared, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    failures = []
+    for first, op in deck.ops():
+        if first:
+            ctx = {}
+        _, _, report, code, tb = worker.run_op(cli.dispatch, op)
+        why = worker.failure(workloads, op, code, report, tb, ctx)
+        if why is not None:
+            failures.append(f"{op.key}: {why}")
+    assert failures == []

@@ -11,8 +11,9 @@ dicts with str keys and frozensets of ints; and Fraction, PsiFunction,
 ShatterCertificate, Hypothesis, PairEntry and PairEntries (as the list of
 its entries).  Anything else, subclasses included, raises SchemaError:
 "floats are banned from reports" for a float, "cannot serialize ..."
-otherwise.  `canonical_json` writes a report in one pass, as the text
-``json.dumps`` gives for its `jsonable` conversion.  The argument parser is
+otherwise.  `jsonable` is the one per-type conversion to plain JSON, and
+`canonical_json` writes the text ``json.dumps`` gives for it, by hand only
+for dicts, plain lists and PairEntries.  The argument parser is
 built once per process, on first use, and each subcommand's handler is
 looked up by name at each dispatch.
 
@@ -64,22 +65,26 @@ class SchemaError(ValueError):
 
 
 def canonical_json(obj) -> str:
-    """The canonical text of a report value, written in one pass: exactly
-    ``json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"),
-    ensure_ascii=False, allow_nan=False)``, without the converted copy.
-
-    A part that occurs more than once in ``obj`` (the same object, not an
-    equal copy) is encoded once and its text reused.  Objects with fixed
-    keys are written with the keys already in sorted order.  Rows and maps
-    of plain scalars, and lists nested only of those (a class file's rows),
-    go to the stdlib C encoder in one call each.
-    """
-    return _encode(obj, {})
+    """Exactly ``json.dumps(jsonable(obj), sort_keys=True, separators=(",",
+    ":"), ensure_ascii=False, allow_nan=False)``.  A dict is written key by
+    key in sorted order, a list or tuple nested only of plain values (a
+    class file's rows) by the stdlib C encoder in one call, and PairEntries
+    by image pair; anything else is converted by `jsonable` first."""
+    kind = type(obj)
+    if kind is dict:
+        _only(_STR, obj, " as a dict key")
+        return "{" + ",".join([f"{encode_basestring(k)}:{canonical_json(obj[k])}"
+                               for k in sorted(obj)]) + "}"
+    if (kind is list or kind is tuple) and _all_plain(obj):
+        return _raw(obj)
+    if kind is PairEntries:
+        return _pair_entries(obj)
+    return _raw(jsonable(obj))
 
 
 def jsonable(obj):
-    """Convert a report value to plain JSON structures: the reference for
-    `canonical_json`, over the same vocabulary (see the module docstring)."""
+    """Convert a report value to plain JSON structures: the one per-type
+    conversion, over the vocabulary of the module docstring."""
     kind = type(obj)
     if kind in _PLAIN:
         return obj
@@ -94,7 +99,7 @@ def jsonable(obj):
     if kind is Fraction:
         return {"num": obj.numerator, "den": obj.denominator}
     if kind is PsiFunction:
-        return ["*" if v == STAR else str(v) for v in obj.table]
+        return _symbols(obj)
     if kind is ShatterCertificate:
         return {"kind": obj.kind, "points": list(obj.points),
                 "payload": jsonable(obj.payload)}
@@ -127,6 +132,14 @@ def _only(types: frozenset, values, role: str) -> None:
         raise _rejected(next(v for v in values if type(v) not in types), role)
 
 
+_SYMBOLS = {0: "0", 1: "1", STAR: "*"}
+
+
+def _symbols(psi: PsiFunction) -> list:
+    """An encoder table as a report writes it, one symbol string per label."""
+    return list(map(_SYMBOLS.__getitem__, psi.table))
+
+
 # The stdlib C encoder with json.dumps's canonical settings, for values
 # that need no conversion; ``default`` raises json.dumps's TypeError.
 _c_encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring,
@@ -138,128 +151,59 @@ def _raw(value) -> str:
     return "".join(_c_encoder(value, 0))
 
 
-def _encode(obj, memo: dict) -> str:
-    done = memo.get(id(obj))
-    if done is not None:
-        return done[1]
-    kind = type(obj)
-    write = _UNSHARED.get(kind)
-    if write is not None:
-        return write(obj, memo)
-    write = _SHARED.get(kind)
-    if write is None:
-        raise _rejected(obj)
-    text = write(obj, memo)
-    # keeping obj alive keeps its id from being reused within this call
-    memo[id(obj)] = (obj, text)
-    return text
-
-
-def _scalar(obj, memo) -> str:
-    return _raw(obj)
-
-
-def _fraction(obj, memo) -> str:
-    return f'{{"den":{_raw(obj.denominator)},"num":{_raw(obj.numerator)}}}'
-
-
-def _pair_entry(obj, memo) -> str:
-    return (f'{{"psi1":{_encode(obj.psi1, memo)},"psi2":{_encode(obj.psi2, memo)},'
-            f'"subclasses":{_encode(obj.subclasses, memo)}}}')
-
-
-def _pair_entries(obj, memo) -> str:
-    # each table's text and each image pair's subclasses text is encoded
-    # once; tails[i] holds the text after the psi1 field of each entry whose
-    # first table has image i, in table order, so an entry is a psi1 head
-    # followed by one of these
-    second = [(f'"psi2":{_encode(t, memo)},"subclasses":', j)
-              for t, j in zip(obj.tables, obj.of2)]
+def _pair_entries(entries: PairEntries) -> str:
+    # each table's text (its symbols need no escaping) and each image pair's
+    # subclasses are written once, the subclasses in one C call each when all
+    # are plain; tails[i] holds the text after the psi1 field of each entry
+    # whose first table has image i, in table order, so an entry is a psi1
+    # head followed by one of these
+    tables = ['["' + '","'.join(_symbols(t)) + '"]' if type(t) is PsiFunction
+              else canonical_json(t) for t in entries.tables]
+    cells = [found for row in entries.decided for found in row if found is not None]
+    texts = iter(map(_raw if _all_plain(cells) else canonical_json, cells))
+    second = [(f'"psi2":{text},"subclasses":', j) for text, j in zip(tables, entries.of2)]
     tails = []
-    for row in obj.decided:
-        subclasses = [None if found is None else _encode(found, memo) + "}" for found in row]
+    for row in entries.decided:
+        subclasses = [None if found is None else next(texts) + "}" for found in row]
         tails.append([psi2 + subclasses[j] for psi2, j in second
                       if subclasses[j] is not None])
     parts = []
-    for t1, i in zip(obj.tables, obj.of1):
+    for text, i in zip(tables, entries.of1):
         if tails[i]:
-            head = f'{{"psi1":{_encode(t1, memo)},'
+            head = f'{{"psi1":{text},'
             parts.append(head + ("," + head).join(tails[i]))
     return "[" + ",".join(parts) + "]"
 
 
-def _sequence(obj, memo) -> str:
-    if _all_plain(obj) if type(obj) is list else _PLAIN.issuperset(map(type, obj)):
-        return _raw(obj)
-    return "[" + ",".join([_encode(v, memo) for v in obj]) + "]"
-
-
 # the nesting below a list that _all_plain reads before it gives up
 _PLAIN_DEPTH = 6
-_NESTED = _PLAIN | {list, dict}
+_SEQUENCES = frozenset({list, tuple})
+_NESTED = _PLAIN | _SEQUENCES | {dict}
 
 
-def _all_plain(values: list) -> bool:
-    """Whether every value, and everything inside it, is of a plain type, a
-    list, or a dict with str keys (by exact type), so that the C encoder
-    writes ``values`` as ``canonical_json`` would.  Read level by level at
-    C speed: the types of all values of a level, then the keys of its dicts,
-    then the items of its lists and dicts as the next level.  Beyond
-    ``_PLAIN_DEPTH`` levels the answer is no, so a deep or cyclic value goes
-    the general way."""
+def _all_plain(values) -> bool:
+    """Whether every one of ``values`` (a list or tuple), and everything
+    inside it, is of a plain type, a list, a tuple, or a dict with str keys
+    (by exact type), so that the C encoder writes ``values`` as
+    ``canonical_json`` would.  Read level by level at C speed: the types of
+    all values of a level, then the keys of its dicts, then the items of its
+    lists, tuples and dicts as the next level.  Beyond ``_PLAIN_DEPTH``
+    levels the answer is no, so a deep or cyclic value goes the general
+    way."""
     for _ in range(_PLAIN_DEPTH):
         types = set(map(type, values))
         if types <= _PLAIN:
             return True
         if not types <= _NESTED:
             return False
-        lists = values if types == {list} else [v for v in values if type(v) is list]
-        dicts = values if types == {dict} else [v for v in values if type(v) is dict]
+        lists = values if types <= _SEQUENCES else [v for v in values if type(v) in _SEQUENCES]
+        dicts = (values if types == {dict} else [v for v in values if type(v) is dict]
+                 if dict in types else ())
         if not _STR.issuperset(map(type, itertools.chain.from_iterable(dicts))):
             return False
         values = [*itertools.chain.from_iterable(lists),
                   *itertools.chain.from_iterable(map(dict.values, dicts))]
     return False
-
-
-def _mapping(obj, memo) -> str:
-    _only(_STR, obj, " as a dict key")
-    if _PLAIN.issuperset(map(type, obj.values())):
-        return _raw(obj)
-    return "{" + ",".join([f"{encode_basestring(k)}:{_encode(obj[k], memo)}"
-                           for k in sorted(obj)]) + "}"
-
-
-def _frozenset(obj, memo) -> str:
-    _only(_INT, obj, " in a frozenset")
-    return _raw(sorted(obj))
-
-
-def _psi_table(obj, memo) -> str:
-    return "[" + ",".join(['"*"' if v == STAR else encode_basestring(str(v))
-                           for v in obj.table]) + "]"
-
-
-def _certificate(obj, memo) -> str:
-    return (f'{{"kind":{_raw(obj.kind)},"payload":{_encode(obj.payload, memo)},'
-            f'"points":{_raw(list(obj.points))}}}')
-
-
-def _hypothesis(obj, memo) -> str:
-    if obj.table is not None:
-        return f'{{"table":{_raw(list(obj.table))}}}'
-    return f'{{"support":{_raw({str(x): y for x, y in obj.support})}}}'
-
-
-# Written afresh at each occurrence: scalars, and parts that are cheap or,
-# like a PairEntry, occur once each.
-_UNSHARED = {bool: _scalar, int: _scalar, str: _scalar, type(None): _scalar,
-             Fraction: _fraction, PairEntry: _pair_entry}
-# Encoded once per call and reused by id.
-_SHARED = {list: _sequence, tuple: _sequence, dict: _mapping,
-           frozenset: _frozenset, PsiFunction: _psi_table,
-           ShatterCertificate: _certificate, Hypothesis: _hypothesis,
-           PairEntries: _pair_entries}
 
 
 def digest(payload) -> str:

@@ -400,7 +400,15 @@ def restrict(cls: HypothesisClass, points: Iterable[int]) -> BehaviorSet:
     if columns is not None:
         pats = set(zip(*[columns[x] for x in points])) if points else {()}
     else:
-        pats = set(map(tuple, cls.behavior_fn(points)))
+        answer = _as_tuple(cls.behavior_fn(points), "oracle answer")
+        try:
+            pats = set(map(tuple, answer))
+        except TypeError:
+            # name a behavior that is not iterable; an error the oracle
+            # raises while one is read propagates as it is
+            for behavior in answer:
+                _as_tuple(behavior, "oracle behavior")
+            raise
         arities = set(map(len, pats)) - {len(points)}
         if arities:
             raise RepresentationError(f"oracle produced arity {min(arities)} for {len(points)} points")
@@ -441,6 +449,15 @@ def _first_outside(values: tuple, low: int, high: Optional[int]) -> Optional[int
         return None
     return next(j for j, v in enumerate(values)
                 if type(v) is not int or v < low or high is not None and v > high)
+
+
+def _naturals(points) -> tuple:
+    """``points`` as a tuple, each checked to be a natural (an exact int)."""
+    points = tuple(points)
+    j = _first_outside(points, 0, None)
+    if j is not None:
+        raise DomainError(f"point {points[j]!r} is not a natural")
+    return points
 
 
 def _as_tuple(value, what: str) -> tuple:
@@ -519,7 +536,11 @@ def mix_labelings(index_set: Iterable[int], y1: Pattern, y2: Pattern) -> Pattern
     if len(y1) != len(y2):
         raise PreconditionError("labelings must share arity")
     chosen = set(index_set)
+    # a loop, not _first_outside: the sets the adversary passes have a few
+    # members, where one call costs more than the whole loop
     for i in chosen:
+        if type(i) is not int:
+            raise PreconditionError(f"index {i!r} is not an exact int")
         if not 0 <= i < len(y1):
             raise PreconditionError(f"index {i} outside arity {len(y1)}")
     return tuple(y1[i] if i in chosen else y2[i] for i in range(len(y1)))

@@ -472,6 +472,7 @@ class SauerReport:
 def sauer_natarajan_check(cls: HypothesisClass, points, d: int) -> SauerReport:
     """Check |H|_T| <= |T|^d * q^(2d), the growth bound for classes whose
     Natarajan dimension is at most d.  Exact integers."""
+    _check_int(d, "d")
     points = _check_points(points)
     if d < 0:
         raise PreconditionError("d must be a natural")

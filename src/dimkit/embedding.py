@@ -32,7 +32,6 @@ from operator import getitem
 from .core import (
     BehaviorSet,
     BudgetError,
-    DomainError,
     Hypothesis,
     HypothesisClass,
     Pattern,
@@ -41,6 +40,7 @@ from .core import (
     _check_int,
     _check_window,
     _first_outside,
+    _naturals,
     empirical_risk,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
@@ -162,11 +162,10 @@ def good_patterns(spec: GoodFunctionSpec, points) -> BehaviorSet:
     """The behavior oracle v(T): good patterns over [0, max(T)] projected to
     T and deduplicated.  Contains every behavior of any class the witness is
     valid for."""
-    points = tuple(points)
-    j = _first_outside(points, 0, None)
-    if j is not None:
-        raise DomainError(f"point {points[j]!r} is not a natural")
-    points = tuple(sorted(set(points)))
+    points = _naturals(points)
+    if len(set(points)) != len(points):
+        raise PreconditionError(f"duplicate points in {points}")
+    points = tuple(sorted(points))
     if not points:
         raise PreconditionError("need at least one point")
     window = points[-1]
@@ -221,7 +220,7 @@ def erm_augmented(spec: GoodFunctionSpec, sample: Sample) -> tuple[Hypothesis, F
     j = _first_outside(labels, 0, spec.num_labels - 1)
     if j is not None:
         raise PreconditionError(f"sample label {labels[j]!r} outside the alphabet")
-    behaviors = good_patterns(spec, (x for x, _ in sample))
+    behaviors = good_patterns(spec, set(_naturals(x for x, _ in sample)))
     points = behaviors.points
     position = {x: i for i, x in enumerate(points)}
     best_pattern = None

@@ -29,6 +29,7 @@ from operator import eq
 from typing import Callable
 
 from .core import (
+    DomainError,
     FiniteDistribution,
     Hypothesis,
     HypothesisClass,
@@ -126,7 +127,7 @@ class AdversaryReport:
 
 
 def _graph_points(points, *labelings) -> tuple[int, ...]:
-    """The points as a tuple: an even, positive number of distinct points,
+    """The points as a tuple: an even, positive number of distinct naturals,
     each labeled by an exact int that is a natural in every one of the
     labelings."""
     points = tuple(points)
@@ -136,7 +137,12 @@ def _graph_points(points, *labelings) -> tuple[int, ...]:
         raise PreconditionError("duplicate points")
     if any(len(g) != len(points) for g in labelings):
         raise PreconditionError("labelings must cover the points")
-    if _first_outside(tuple(itertools.chain.from_iterable(labelings)), 0, None) is not None:
+    # the points and the labels in one check: the learner witness runs this
+    # once per input
+    j = _first_outside((*points, *itertools.chain.from_iterable(labelings)), 0, None)
+    if j is not None:
+        if j < len(points):
+            raise DomainError(f"point {points[j]!r} is not a natural")
         raise PreconditionError("labels must be naturals")
     return points
 

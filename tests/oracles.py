@@ -219,6 +219,13 @@ def first_shattered(cls, kind, window, size, family=None):
     return None
 
 
+def _excluded(answer, g1, g2):
+    """The labeling a natarajan witness answer excludes: g1 at each position
+    the answer holds, read by membership as the witness reads it (so an
+    answer of bools holds position 1 if it holds True), g2 elsewhere."""
+    return mix_labelings({i for i in range(len(g1)) if i in answer}, g1, g2)
+
+
 def good_patterns_bruteforce(spec, points):
     """Full pattern sweep over [0, max(T)] with direct witness exclusion, as
     opposed to the library's prefix-extension search."""
@@ -239,7 +246,7 @@ def good_patterns_bruteforce(spec, points):
                     for combo in itertools.product(per_coord, repeat=arity):
                         y1 = tuple(c[0] for c in combo)
                         y2 = tuple(c[1] for c in combo)
-                        if restricted == mix_labelings(w.evaluate(subset, y1, y2), y1, y2):
+                        if restricted == _excluded(w.evaluate(subset, y1, y2), y1, y2):
                             good = False
                             break
                 else:
@@ -281,7 +288,7 @@ def validate_witness_reference(witness, cls, window):
                         reason="shattered" if isinstance(err, ShatteredError)
                         else "exclusion_failure"))
                     continue
-                excluded = mix_labelings(index_set, g1, g2)
+                excluded = _excluded(index_set, g1, g2)
                 if excluded in pats:
                     violations.append(WitnessViolation(
                         points=points, payload=(g1, g2),

@@ -490,6 +490,15 @@ def test_embed_negative_point_exits_two(capsys, tmp_path, argv):
     assert capsys.readouterr().err == "error: point -1 is not a natural\n"
 
 
+def test_embed_behaviors_refuses_duplicate_points(capsys, three_file):
+    # --points 1,1 once answered for the one point 1, a different question
+    argv = ["embed", "behaviors", "--class", three_file, "--witness", "natarajan:1",
+            "--points", "1,1"]
+    assert_usage_error(capsys, *argv)
+    dispatch(argv)
+    assert capsys.readouterr().err == "error: duplicate points in (1, 1)\n"
+
+
 def test_sauer_command(capsys, three_file):
     code, report = run(capsys, "sauer", "--class", three_file,
                        "--points", "0,1", "--d", "1")
@@ -875,9 +884,28 @@ class _Label(enum.IntEnum):
 
 
 def test_canonical_json_orders_keys_and_members_like_the_reference():
-    # keys sort as strings, frozenset members as numbers
-    for value, text in (({"10": 0, "9": 1, "True": 2}, '{"10":0,"9":1,"True":2}'),
-                        (frozenset({10, 9, 100}), "[9,10,100]")):
+    # keys sort as strings, frozenset members as numbers; one literal text
+    # per report type pins the conversion that the writer and the
+    # reference share
+    t0, t1 = dk.PsiFunction(table=(0, 1, dk.STAR)), dk.PsiFunction(table=(1, dk.STAR, 0))
+    psi0, psi1 = '["0","1","*"]', '["1","*","0"]'
+    for value, text in (
+            ({"10": 0, "9": 1, "True": 2}, '{"10":0,"9":1,"True":2}'),
+            (frozenset({10, 9, 100}), "[9,10,100]"),
+            (Fraction(-3, 4), '{"den":4,"num":-3}'),
+            (t0, psi0),
+            (dk.Hypothesis(num_labels=3, table=(0, 2, 1)), '{"table":[0,2,1]}'),
+            (dk.Hypothesis(num_labels=3, support=((10, 2), (9, 1))),
+             '{"support":{"10":2,"9":1}}'),
+            (dk.ShatterCertificate(kind="ds", points=(0, 1), payload=((0, 1), (1, 0))),
+             '{"kind":"ds","payload":[[0,1],[1,0]],"points":[0,1]}'),
+            (PairEntry(psi1=t0, psi2=t1, subclasses=(((0, 1), (1, 0)),)),
+             f'{{"psi1":{psi0},"psi2":{psi1},"subclasses":[[[0,1],[1,0]]]}}'),
+            # t0 alone has image 0 at point 0, which shatters with image 0
+            # at point 1, the image of both tables
+            (PairEntries((t0, t1), of1=(0, 1), of2=(0, 0), decided=(((("x",),),), (None,))),
+             f'[{{"psi1":{psi0},"psi2":{psi0},"subclasses":[["x"]]}},'
+             f'{{"psi1":{psi0},"psi2":{psi1},"subclasses":[["x"]]}}]')):
         assert canonical_json(value) == reference_json(value) == text
 
 
@@ -903,8 +931,7 @@ _POINT = collections.namedtuple("point", "x y")
 ])
 def test_values_outside_the_report_vocabulary_are_rejected(value, message):
     # on their own, nested (also in lists and dicts only, which the C encoder
-    # could write in one call), and shared: the memo must not let a second
-    # occurrence through
+    # could write in one call), and shared
     for payload in (value, [1, {"k": (value,)}], [[1], {"k": [value]}], [value, value]):
         for convert in (canonical_json, jsonable):
             with pytest.raises(SchemaError, match=f"^{message}"):

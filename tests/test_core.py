@@ -61,6 +61,30 @@ def test_oracle_class_arity_mismatch_is_representation_error():
         dk.restrict(bad, (0, 1))
 
 
+@pytest.mark.parametrize("answer, message", [
+    ([(0,), 5], "oracle behavior: 5 is not iterable"),
+    (7, "oracle answer: 7 is not iterable"),
+])
+def test_oracle_answer_that_is_not_iterable_is_refused_by_name(answer, message):
+    bad = dk.HypothesisClass(num_labels=2, behavior_fn=lambda pts: answer)
+    with pytest.raises(dk.RepresentationError, match=f"^{message}$"):
+        dk.restrict(bad, (0,))
+
+
+def test_oracle_errors_propagate_as_raised():
+    def behaviors(pts):
+        yield (0,)
+        raise TypeError("the oracle's own")
+
+    def pattern(pts):
+        yield 0
+        raise TypeError("the oracle's own")
+
+    for fn in (behaviors, lambda pts: [(0,), pattern(pts)]):
+        with pytest.raises(TypeError, match="the oracle's own"):
+            dk.restrict(dk.HypothesisClass(num_labels=2, behavior_fn=fn), (0,))
+
+
 @st.composite
 def explicit_classes(draw):
     """A table class, or a class over the naturals with supports in [0, 5]."""
@@ -219,6 +243,19 @@ def test_mix_single_index():
 def test_mix_rejects_arity_mismatch():
     with pytest.raises(dk.PreconditionError):
         dk.mix_labelings({0}, (0,), (1, 1))
+
+
+@pytest.mark.parametrize("index_set, message", [
+    ({-1}, "index -1 outside arity 2"),
+    ({2}, "index 2 outside arity 2"),
+    ({"a"}, "index 'a' is not an exact int"),
+    ({True}, "index True is not an exact int"),
+    ({1.0}, "index 1.0 is not an exact int"),
+])
+def test_mix_refuses_indices_outside_the_arity(index_set, message):
+    # {True} once read True as index 1, and {"a"} raised a raw TypeError
+    with pytest.raises(dk.PreconditionError, match=f"^{re.escape(message)}$"):
+        dk.mix_labelings(index_set, (0, 1), (1, 0))
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.sets(
@@ -426,6 +463,7 @@ def _exact_int_calls():
         ("full_class.n", lambda v: dk.full_class(v, 2)),
         ("full_class.labels", lambda v: dk.full_class(2, v)),
         ("failing_psi_class.window", lambda v: dk.psi.failing_psi_class(family, v)),
+        ("sauer_natarajan_check.d", lambda v: dk.sauer_natarajan_check(three, (0, 1), v)),
     ]
 
 

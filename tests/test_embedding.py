@@ -26,6 +26,21 @@ def three_hyp_spec():
 
 # ------------------------------------------------------------ good patterns
 
+def test_good_patterns_refuse_duplicate_points_and_sort_the_rest():
+    # (1, 1) once answered for the one point 1
+    _, spec = three_hyp_spec()
+    with pytest.raises(dk.PreconditionError, match=r"^duplicate points in \(1, 1\)$"):
+        dk.good_patterns(spec, (1, 1))
+    assert dk.good_patterns(spec, (1, 0)) == dk.good_patterns(spec, (0, 1))
+    assert dk.good_patterns(spec, (1, 0)).points == (0, 1)
+
+
+def test_augmented_erm_reads_a_sample_with_repeated_points():
+    _, spec = three_hyp_spec()
+    h, risk = dk.erm_augmented(spec, ((1, 2), (0, 2), (1, 2)))
+    assert h.support == ((0, 2), (1, 2)) and risk == 0
+
+
 def test_singleton_base_admits_only_the_zero_pattern():
     _, spec = singleton_spec()
     assert dk.good_patterns(spec, (0, 1)).patterns == ((0, 0),)

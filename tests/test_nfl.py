@@ -80,6 +80,14 @@ def test_adversary_rejects_bad_inputs():
         dk.nfl_adversary(learner, (0, 1), (0, 0), (1, 0))
 
 
+def test_adversary_rejects_points_that_are_not_naturals():
+    # ("a", "b") once raised a raw TypeError while the multisets were sorted
+    learner = dk.constant_learner(0, num_labels=3, window=3)
+    for points, shown in ((("a", "b"), "'a'"), ((0, -1), "-1"), ((0, True), "True")):
+        with pytest.raises(dk.DomainError, match=f"^point {shown} is not a natural$"):
+            dk.nfl_adversary(learner, points, (0, 1), (1, 0))
+
+
 @pytest.mark.parametrize("g1, g2", [((-1, -1), (1, 1)), ((0, 1), (1, -2))])
 def test_adversary_rejects_negative_labels(g1, g2):
     learner = dk.constant_learner(0, num_labels=2, window=1)

@@ -41,11 +41,11 @@ def test_seed_1_reports_match_the_recorded_digests(name, tmp_path, monkeypatch):
     assert drift == []
 
 
-@pytest.mark.parametrize("name", ["dims", "refute"])
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
 def test_seed_2_reports_pass_the_benchmark_checks(name, tmp_path, monkeypatch):
-    """The seed-2 decks of the workloads that decide DS shattering: every
-    op's exit code and report pass the benchmark's own check, with one
-    check context per round, as a measured run keeps it."""
+    """Every seed-2 deck: each op's exit code and report pass the
+    benchmark's own check, with one check context per round, as a measured
+    run keeps it."""
     deck, shared = workloads.build(name, 2)
     workloads.write_files(deck, shared, str(tmp_path))
     monkeypatch.chdir(tmp_path)

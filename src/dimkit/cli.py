@@ -13,9 +13,8 @@ its entries).  Anything else, subclasses included, raises SchemaError:
 "floats are banned from reports" for a float, "cannot serialize ..."
 otherwise.  `jsonable` is the one per-type conversion to plain JSON, and
 `canonical_json` writes the text ``json.dumps`` gives for it, by hand only
-for dicts, plain lists and PairEntries.  The argument parser is
-built once per process, on first use, and each subcommand's handler is
-looked up by name at each dispatch.
+for dicts, plain lists and PairEntries.  The argument parser is built
+once per process, on first use.
 
 Exit codes: 0 success, 1 verified-negative result (invalid witness, family
 that fails to distinguish, refutation that does not go through), 2 usage or
@@ -57,7 +56,7 @@ from .dimensions import (
     exact_dimension,
     sauer_natarajan_check,
 )
-from .psi import STAR, PairEntries, PairEntry, PsiFamily, PsiFunction
+from .psi import PairEntries, PairEntry, PsiFamily, PsiFunction
 
 
 class SchemaError(ValueError):
@@ -99,7 +98,7 @@ def jsonable(obj):
     if kind is Fraction:
         return {"num": obj.numerator, "den": obj.denominator}
     if kind is PsiFunction:
-        return _symbols(obj)
+        return list(map(_SYMBOLS.__getitem__, obj.table))
     if kind is ShatterCertificate:
         return {"kind": obj.kind, "points": list(obj.points),
                 "payload": jsonable(obj.payload)}
@@ -132,12 +131,7 @@ def _only(types: frozenset, values, role: str) -> None:
         raise _rejected(next(v for v in values if type(v) not in types), role)
 
 
-_SYMBOLS = {0: "0", 1: "1", STAR: "*"}
-
-
-def _symbols(psi: PsiFunction) -> list:
-    """An encoder table as a report writes it, one symbol string per label."""
-    return list(map(_SYMBOLS.__getitem__, psi.table))
+_SYMBOLS = "01*"  # an encoder's symbols as written, indexed by 0, 1 and STAR (2)
 
 
 # The stdlib C encoder with json.dumps's canonical settings, for values
@@ -157,18 +151,19 @@ def _pair_entries(entries: PairEntries) -> str:
     # are plain; tails[i] holds the text after the psi1 field of each entry
     # whose first table has image i, in table order, so an entry is a psi1
     # head followed by one of these
-    tables = ['["' + '","'.join(_symbols(t)) + '"]' if type(t) is PsiFunction
-              else canonical_json(t) for t in entries.tables]
+    q = entries.num_labels
+    tables = ['["' + '","'.join(t) + '"]' for t in itertools.product(_SYMBOLS, repeat=q)]
     cells = [found for row in entries.decided for found in row if found is not None]
     texts = iter(map(_raw if _all_plain(cells) else canonical_json, cells))
-    second = [(f'"psi2":{text},"subclasses":', j) for text, j in zip(tables, entries.of2)]
+    second = [(f'"psi2":{text},"subclasses":', j)
+              for text, j in zip(tables, psi._image_numbers(q, entries.labels2))]
     tails = []
     for row in entries.decided:
         subclasses = [None if found is None else next(texts) + "}" for found in row]
         tails.append([psi2 + subclasses[j] for psi2, j in second
                       if subclasses[j] is not None])
     parts = []
-    for text, i in zip(tables, entries.of1):
+    for text, i in zip(tables, psi._image_numbers(q, entries.labels1)):
         if tails[i]:
             head = f'{{"psi1":{text},'
             parts.append(head + ("," + head).join(tails[i]))
@@ -674,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--psi")
     p.add_argument("--window", type=int)
-    p.set_defaults(handler="_cmd_dim")
+    p.set_defaults(handler=_cmd_dim)
 
     p = sub.add_parser("witness", help="witness construction and checking")
     wsub = p.add_subparsers(dest="action", required=True)
@@ -687,21 +682,21 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "check":
             wp.add_argument("--window", type=int)
         wp.add_argument("--bundled", action="store_true")
-        wp.set_defaults(handler="_cmd_witness")
+        wp.set_defaults(handler=_cmd_witness)
     wp = wsub.add_parser("from-learner")
     wp.add_argument("--learner", required=True)
     wp.add_argument("--m", type=int, required=True)
     wp.add_argument("--window", type=int)
     wp.add_argument("--labels", type=int)
     wp.add_argument("--check-class", dest="check_class")
-    wp.set_defaults(handler="_cmd_witness_from_learner")
+    wp.set_defaults(handler=_cmd_witness_from_learner)
 
     p = sub.add_parser("nfl", help="no-free-lunch adversary")
     p.add_argument("--learner", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
-    p.set_defaults(handler="_cmd_nfl")
+    p.set_defaults(handler=_cmd_nfl)
 
     p = sub.add_parser("embed", help="augmented class: behaviors, ERM")
     esub = p.add_subparsers(dest="mode", required=True)
@@ -711,21 +706,21 @@ def build_parser() -> argparse.ArgumentParser:
         ep.add_argument("--witness", required=True, help="FLAVOR:ORDER, e.g. natarajan:1")
         ep.add_argument("--psi")
         ep.add_argument(option, required=True)
-    p.set_defaults(handler="_cmd_embed")
+    p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("distinguisher", help="does the family separate all label pairs")
     p.add_argument("--psi", required=True)
-    p.set_defaults(handler="_cmd_distinguisher")
+    p.set_defaults(handler=_cmd_distinguisher)
 
     p = sub.add_parser("refute-ds", help="exhaustive DS-expressibility refutation")
     p.add_argument("--class", dest="class_file", required=True)
-    p.set_defaults(handler="_cmd_refute_ds")
+    p.set_defaults(handler=_cmd_refute_ds)
 
     p = sub.add_parser("sauer", help="growth bound check")
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler="_cmd_sauer")
+    p.set_defaults(handler=_cmd_sauer)
 
     p = sub.add_parser("gallery", help="canonical classes")
     gsub = p.add_subparsers(dest="action", required=True)
@@ -733,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp = gsub.add_parser("emit")
     gp.add_argument("name")
     gp.add_argument("--params", help="JSON object of constructor parameters")
-    p.set_defaults(handler="_cmd_gallery")
+    p.set_defaults(handler=_cmd_gallery)
 
     return parser
 
@@ -750,9 +745,7 @@ def dispatch(argv) -> int:
         return err.code if err.code else 0
     started = time.monotonic()
     try:
-        # the handler is looked up by name at each call, not bound in the
-        # parser, so the module's current function runs
-        outcome = globals()[args.handler](args)
+        outcome = args.handler(args)
     except (SchemaError, DomainError, PreconditionError, RepresentationError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

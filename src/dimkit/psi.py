@@ -12,7 +12,6 @@ search refuting that DS-shattering is induced by any such family.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -200,34 +199,32 @@ class PairEntry:
 @dataclass(frozen=True)
 class PairEntries(Sequence):
     """The shattering encoder pairs of a refutation, held by image: the
-    encoder tables, each table's image index at point 0 (``of1``) and at
-    point 1 (``of2``), and for each image pair ``decided[i][j]``, None when
-    the pair does not shatter the domain, else the ``subclasses`` that every
-    table pair with those images shares.
+    labels realized at point 0 (``labels1``) and at point 1 (``labels2``),
+    and for each image pair ``decided[i][j]`` (images numbered as
+    `_image_numbers` gives them), None when the pair does not shatter the
+    domain, else the ``subclasses`` that every table pair with those images
+    shares.
 
     As a sequence it is one `PairEntry` per shattering table pair, in table
     order (first table, then second), built only when read; its length is
-    counted by image pair."""
+    counted by image pair, each image at r realized labels being 3^(q - r)
+    tables'."""
 
-    tables: tuple[PsiFunction, ...]
-    of1: tuple[int, ...]
-    of2: tuple[int, ...]
+    num_labels: int
+    labels1: tuple[int, ...]
+    labels2: tuple[int, ...]
     decided: tuple[tuple[Optional[tuple], ...], ...]
 
-    def __post_init__(self):
-        n1, n2 = Counter(self.of1), Counter(self.of2)
-        object.__setattr__(self, "_len", sum(
-            n1[i] * n2[j] for i, row in enumerate(self.decided)
-            for j, found in enumerate(row) if found is not None))
-
     def __len__(self) -> int:
-        return self._len
+        shattering = sum(found is not None for row in self.decided for found in row)
+        return shattering * 3 ** (2 * self.num_labels - len(self.labels1) - len(self.labels2))
 
     def __iter__(self):
-        second = list(zip(self.tables, self.of2))
+        tables = all_encoders(self.num_labels)
+        second = list(zip(tables, _image_numbers(self.num_labels, self.labels2)))
         rows = [[(t2, found[j]) for t2, j in second if found[j] is not None]
                 for found in self.decided]
-        for t1, i in zip(self.tables, self.of1):
+        for t1, i in zip(tables, _image_numbers(self.num_labels, self.labels1)):
             for t2, found in rows[i]:
                 yield PairEntry(psi1=t1, psi2=t2, subclasses=found)
 
@@ -243,15 +240,13 @@ class RefutationReport:
     entries: PairEntries
 
     def distinct_subclasses(self) -> set:
-        """Every subclass of some entry, read by realized image pair."""
-        e = self.entries
-        realized = set(e.of2)
-        return {s for i in set(e.of1) for j, found in enumerate(e.decided[i])
-                if found and j in realized for s in found}
+        """Every subclass of some entry (every image is some table's)."""
+        return {s for row in self.entries.decided for found in row if found for s in found}
 
 
 # Refutation budgets, each checked before the work it bounds: at most
-# 3^_MAX_LABELS encoder tables, and at most _IMAGE_PAIR_BUDGET image pairs.
+# 3^_MAX_LABELS encoder tables (in the expansion of the entries, which keeps
+# their length index-sized), and at most _IMAGE_PAIR_BUDGET image pairs.
 _MAX_LABELS = 10
 _IMAGE_PAIR_BUDGET = 10 ** 6
 
@@ -260,17 +255,17 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
     """Show that no encoder family expresses DS-shattering on this class.
 
     Requires an explicit two-point class of DS dimension 2.  Every encoder
-    pair over the alphabet is enumerated; for each pair that shatters the
+    pair over the alphabet is considered; for each pair that shatters the
     domain, the search looks for a 4-hypothesis subclass of DS dimension 1
     that the same pair shatters.  Any such subclass is a counterexample to
     the pair computing the DS dimension, so the verdict is "refuted" when
     every shattering pair admits one.
 
-    An encoder acts here only through its image, its values on the labels
-    the behaviors realize at its coordinate, so each pair of images is
-    decided once; the report's entries hold these answers by image pair
-    (see `PairEntries`).  More than 3^10 encoder tables, or more than 10^6
-    image pairs, raise PreconditionError.
+    An encoder acts here only through its image, its values on the r labels
+    the behaviors realize at its coordinate, so the 3^r images of each point
+    are enumerated and each pair decided once; the entries hold the answers
+    by image pair (see `PairEntries`).  More than 3^10 encoder tables, or
+    more than 10^6 image pairs, raise PreconditionError.
     """
     from .dimensions import _pseudo_cube_core, exact_dimension
 
@@ -283,6 +278,11 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
         raise PreconditionError(f"refutation enumerates 3^{q} encoder tables, above "
                                 f"the budget of 3^{_MAX_LABELS} = {3 ** _MAX_LABELS}")
     behaviors = restrict(cls, (0, 1))
+    labels1, labels2 = (tuple(sorted(column)) for column in behaviors.index)
+    count = 3 ** (len(labels1) + len(labels2))
+    if count > _IMAGE_PAIR_BUDGET:
+        raise PreconditionError(f"refutation decides {count} encoder image pairs, "
+                                f"above the budget of {_IMAGE_PAIR_BUDGET}")
     bit = {p: 1 << j for j, p in enumerate(behaviors.pattern_set)}
 
     # 4-subsets of behaviors with DS dimension exactly 1, precomputed once,
@@ -291,17 +291,9 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
                    for subset in itertools.combinations(behaviors.patterns, 4)
                    if not _pseudo_cube_core(subset)]
 
-    tables = all_encoders(q)
-    binary = list(map(_binary_table("psi", q), tables))
-    images1, of1 = _images(binary, behaviors.index[0])
-    images2, of2 = _images(binary, behaviors.index[1])
-    count = len(images1) * len(images2)
-    if count > _IMAGE_PAIR_BUDGET:
-        raise PreconditionError(f"refutation decides {count} encoder image pairs, "
-                                f"above the budget of {_IMAGE_PAIR_BUDGET}")
+    images2 = _images(behaviors.index[1], labels2)
     decided = tuple(tuple(_shattered_subclasses(a, b, ds1_subsets) for b in images2)
-                    for a in images1)
-    # every image is some table's, so every image pair is some table pair's
+                    for a in _images(behaviors.index[0], labels1))
     found = [s for row in decided for s in row if s is not None]
     if not found:
         verdict = "vacuous"
@@ -309,9 +301,8 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
         verdict = "refuted"
     else:
         verdict = "not_refuted"
-    return RefutationReport(verdict=verdict,
-                            pairs_examined=len(tables) ** 2,
-                            entries=PairEntries(tables, tuple(of1), tuple(of2), decided))
+    return RefutationReport(verdict=verdict, pairs_examined=9 ** q,
+                            entries=PairEntries(q, labels1, labels2, decided))
 
 
 def _binary_table(flavor: str, num_labels: int) -> Callable[..., dict[int, int]]:
@@ -339,12 +330,24 @@ def _encoder_image(column: dict[int, int], table: dict[int, int]) -> tuple[int, 
     return halves[0], halves[1]
 
 
-def _images(tables, column) -> tuple[list, list[int]]:
-    """Each binary table's image on one coordinate: the distinct images in
-    order of first occurrence, and each table's image index."""
-    index: dict[tuple[int, int], int] = {}
-    of = [index.setdefault(_encoder_image(column, t), len(index)) for t in tables]
-    return list(index), of
+def _images(column, labels) -> list[tuple[int, int]]:
+    """The `_encoder_image` on one coordinate of each {0,1,*} table over the
+    ``labels`` realized there, the tables in product order."""
+    images = [(0, 0)]
+    for v in labels:
+        m = column[v]
+        images = [image for zero, one in images
+                  for image in ((zero | m, one), (zero, one | m), (zero, one))]
+    return images
+
+
+def _image_numbers(num_labels: int, labels) -> list[int]:
+    """Each table's image index in `_images` over ``labels``, the tables in
+    `all_encoders` order: its values on ``labels`` read in base 3, which is
+    also the order in which the images first occur among the tables."""
+    weight = {v: 3 ** k for k, v in enumerate(reversed(labels))}
+    return list(map(sum, itertools.product(
+        *((0, w, STAR * w) for w in (weight.get(v, 0) for v in range(num_labels))))))
 
 
 def _shattered_subclasses(a, b, ds1_subsets) -> Optional[tuple]:

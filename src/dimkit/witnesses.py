@@ -306,7 +306,9 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
     which the good-pattern exclusion (``embedding._excluded_on``) shares: an
     answer equal to one seen before, and of the exact type a well-formed one
     has (a frozenset, or a tuple for psi), is one dict lookup; any other
-    goes through ``Witness._checked_answer``."""
+    goes through ``Witness._checked_answer``.  Any exception the evaluator
+    raises other than ShatteredError and ExclusionFailure is the caller's
+    error and propagates unchanged."""
     _check_window(window)
     if witness.flavor == "psi" and witness.psi.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")

@@ -18,7 +18,7 @@ from dimkit import (
     restrict,
 )
 from dimkit.cli import SchemaError, jsonable
-from dimkit.psi import PairEntry, all_encoders, apply_encoders
+from dimkit.psi import PairEntry, _binary_table, _encoder_image, all_encoders, apply_encoders
 from dimkit.witnesses import ExclusionFailure, WitnessReport, WitnessViolation
 
 
@@ -490,6 +490,18 @@ def refute_ds_reference(cls):
         verdict = "not_refuted"
     return SimpleNamespace(verdict=verdict, pairs_examined=len(tables) ** 2,
                            entries=tuple(entries))
+
+
+def image_numbering_reference(column, num_labels):
+    """Every encoder table's image on one coordinate of a behavior index
+    (label -> bitmask of the behaviors with that label there), numbered by
+    first occurrence over `all_encoders`: the distinct images in that
+    order, and each table's image index."""
+    table_of = _binary_table("psi", num_labels)
+    index = {}
+    of = [index.setdefault(_encoder_image(column, table_of(t)), len(index))
+          for t in all_encoders(num_labels)]
+    return list(index), of
 
 
 def canonical_json(obj):

@@ -354,7 +354,7 @@ def _recording_namespace(reads: set):
 
 
 # read by dispatch rather than by a handler: the subcommand words, the
-# handler's name, --timing
+# handler itself, --timing
 DISPATCH_FIELDS = {"command", "action", "handler", "timing"}
 
 
@@ -369,7 +369,7 @@ def test_every_parsed_option_is_read(workdir):
         fields = set(vars(args)) - DISPATCH_FIELDS
         reads.clear()  # drop the parser's own reads
         with contextlib.redirect_stdout(io.StringIO()):
-            getattr(cli, args.handler)(args)
+            args.handler(args)
         if fields - reads:
             unread.append((argv[:2], sorted(fields - reads)))
     assert not unread

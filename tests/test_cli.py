@@ -821,15 +821,16 @@ _LEAVES = st.one_of(
 @st.composite
 def _pair_entries(draw, children):
     # a refutation report's entries held by image, small enough to be drawn
-    # whole: any tables, each given an image index per point, and per image
-    # pair no entry (None) or a subclasses tuple shared by its table pairs
-    tables = tuple(draw(st.lists(_PSI, min_size=1, max_size=5)))
-    images = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    of1, of2 = (tuple(draw(st.lists(st.integers(0, n - 1), min_size=len(tables),
-                                    max_size=len(tables)))) for n in images)
+    # whole: at most two labels, any of them realized at each point, and per
+    # image pair no entry (None) or a subclasses tuple shared by its table
+    # pairs
+    q = draw(st.integers(1, 2))
+    labels1, labels2 = (tuple(sorted(draw(st.sets(st.integers(0, q - 1)))))
+                        for _ in range(2))
     cell = st.none() | st.lists(children, max_size=3).map(tuple)
-    decided = tuple(tuple(draw(cell) for _ in range(images[1])) for _ in range(images[0]))
-    return PairEntries(tables, of1, of2, decided)
+    decided = tuple(tuple(draw(cell) for _ in range(3 ** len(labels2)))
+                    for _ in range(3 ** len(labels1)))
+    return PairEntries(q, labels1, labels2, decided)
 
 
 def _nested(children):
@@ -855,7 +856,7 @@ def test_canonical_json_equals_two_pass_reference(value):
 
 @given(_pair_entries(st.lists(st.integers(0, 3), max_size=2).map(tuple)))
 def test_grouped_entries_count_and_subclasses_as_their_expansion(entries):
-    # drawn images may have no table, which the count and the subclasses skip
+    # each image is shared by 3^(q - r) tables, which the count multiplies out
     expanded = list(entries)
     assert len(entries) == len(expanded)
     report = RefutationReport(verdict="refuted", pairs_examined=0, entries=entries)
@@ -863,16 +864,14 @@ def test_grouped_entries_count_and_subclasses_as_their_expansion(entries):
 
 
 def test_grouped_entries_serialize_as_their_expansion():
-    # table 2 is the only one with image 1 at point 0, which shatters with
-    # no image at point 1; tables 0 and 1 share image 0 at point 0, and
-    # tables 0 and 2 image 1 at point 1, whose pair with image 0 has no
-    # subclasses
-    t0, t1, t2 = (dk.PsiFunction(table=t) for t in ((0, 1), (1, dk.STAR), (dk.STAR, 0)))
+    # one label, realized at point 0 only: the three tables are the three
+    # images at point 0 and share the one image at point 1; table 0's pairs
+    # have subclasses, table 1's have none, and table 2's do not shatter
+    t0, t1, t2 = (dk.PsiFunction(table=(t,)) for t in (0, 1, dk.STAR))
     found = (((0, 1), (1, 0)),)
-    entries = PairEntries((t0, t1, t2), of1=(0, 0, 1), of2=(1, 0, 1),
-                          decided=((found, ()), (None, None)))
+    entries = PairEntries(1, labels1=(0,), labels2=(), decided=((found,), ((),), (None,)))
     want = [PairEntry(psi1=t, psi2=u, subclasses=f)
-            for t in (t0, t1) for u, f in ((t0, ()), (t1, found), (t2, ()))]
+            for t, f in ((t0, found), (t1, ())) for u in (t0, t1, t2)]
     assert list(entries) == want and len(entries) == 6
     assert jsonable(entries) == jsonable(want)
     assert canonical_json(entries) == canonical_json(want) == reference_json(entries)
@@ -901,9 +900,11 @@ def test_canonical_json_orders_keys_and_members_like_the_reference():
              '{"kind":"ds","payload":[[0,1],[1,0]],"points":[0,1]}'),
             (PairEntry(psi1=t0, psi2=t1, subclasses=(((0, 1), (1, 0)),)),
              f'{{"psi1":{psi0},"psi2":{psi1},"subclasses":[[[0,1],[1,0]]]}}'),
-            # t0 alone has image 0 at point 0, which shatters with image 0
-            # at point 1, the image of both tables
-            (PairEntries((t0, t1), of1=(0, 1), of2=(0, 0), decided=(((("x",),),), (None,))),
+            # with all three labels realized at both points each table is
+            # its own image, its values read in base 3: t0 is 5 and t1 is 15
+            (PairEntries(3, (0, 1, 2), (0, 1, 2), tuple(
+                tuple((("x",),) if i == 5 and j in (5, 15) else None for j in range(27))
+                for i in range(27))),
              f'[{{"psi1":{psi0},"psi2":{psi0},"subclasses":[["x"]]}},'
              f'{{"psi1":{psi0},"psi2":{psi1},"subclasses":[["x"]]}}]')):
         assert canonical_json(value) == reference_json(value) == text
@@ -993,6 +994,20 @@ def test_refute_report_over_the_entry_budget_exits_2(capsys, tmp_path):
     assert "2125764 shattering encoder pairs, above the budget of 1000000" in err
 
 
+def test_refute_image_pairs_over_budget_exit_2_before_the_work(capsys, tmp_path):
+    # all 100 hypotheses over 10 labels: 3^20 image pairs, refused before
+    # the C(100, 4) candidate subclasses are built
+    path = tmp_path / "full10.json"
+    path.write_text(json.dumps({"labels": 10, "domain": 2, "hypotheses": [
+        [a, b] for a in range(10) for b in range(10)]}))
+    started = time.monotonic()
+    assert dispatch(["refute-ds", "--class", str(path)]) == 2
+    assert time.monotonic() - started < 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "decides 3486784401 encoder image pairs, above the budget of 1000000" in err
+
+
 def test_refute_report_over_the_table_budget_exits_2(capsys, tmp_path):
     assert dispatch(["refute-ds", "--class", _grid_class_file(tmp_path, 11)]) == 2
     assert "3^11 encoder tables" in capsys.readouterr().err
@@ -1006,8 +1021,14 @@ def test_refute_command_builds_no_pair_entry(monkeypatch, capsys, c6_file):
         return PairEntry(*args, **kwargs)
 
     monkeypatch.setattr(psi, "PairEntry", counted)
+    # nor any encoder table: the decision reads images, the report text
+    # writes tables from their symbols
+    tables = []
+    post_init = psi.PsiFunction.__post_init__
+    monkeypatch.setattr(psi.PsiFunction, "__post_init__",
+                        lambda self: tables.append(1) or post_init(self))
     assert dispatch(["refute-ds", "--class", c6_file]) == 0
-    assert capsys.readouterr().out and built == []
+    assert capsys.readouterr().out and built == [] and tables == []
     # the count sees entries that are read from the report
     next(iter(psi.refute_ds_expressibility(dk.six_cycle_class().cls).entries))
     assert built == [1]
@@ -1050,10 +1071,10 @@ def test_dispatch_carries_no_value_to_the_next_call(capsys, three_file, psin3_fi
 
 @pytest.mark.parametrize("error", [dk.ConsistencyError, dk.NflFailureError])
 def test_broken_invariant_exits_three(capsys, monkeypatch, c6_file, error):
-    def broken(args):
+    def broken(cls):
         raise error("adversary found no mixture")
 
-    monkeypatch.setattr(cli, "_cmd_refute_ds", broken)
+    monkeypatch.setattr(psi, "refute_ds_expressibility", broken)
     code = dispatch(["refute-ds", "--class", c6_file])
     captured = capsys.readouterr()
     assert code == 3

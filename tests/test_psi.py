@@ -6,7 +6,7 @@ import dimkit as dk
 from corpus import ds2_pair_corpus
 from dimkit import psi
 from dimkit.psi import STAR, all_encoders
-from oracles import refute_ds_reference
+from oracles import image_numbering_reference, refute_ds_reference
 
 
 def indicator_of_zero(q):
@@ -169,6 +169,23 @@ def test_refute_refuses_image_pairs_over_budget(monkeypatch):
         dk.refute_ds_expressibility(dk.six_cycle_class().cls)
     monkeypatch.setattr(psi, "_IMAGE_PAIR_BUDGET", 729)
     assert dk.refute_ds_expressibility(dk.six_cycle_class().cls).verdict == "refuted"
+
+
+def test_images_are_numbered_by_first_occurrence_over_all_tables():
+    # a column holds disjoint nonempty behavior masks, one per realized label
+    rng = random.Random(25)
+    for q in range(1, 6):
+        for _ in range(12):
+            labels = tuple(sorted(rng.sample(range(q), rng.randint(0, q))))
+            owners = list(labels) + [rng.choice(labels) for _ in labels if rng.random() < 0.5]
+            rng.shuffle(owners)
+            column = {}
+            for j, v in enumerate(owners):
+                column[v] = column.get(v, 0) | 1 << j
+            images, of = image_numbering_reference(column, q)
+            assert psi._images(column, labels) == images
+            assert psi._image_numbers(q, labels) == of
+            assert len(images) == 3 ** len(labels)
 
 
 def test_encoder_enumeration_is_complete_and_ordered():

@@ -116,6 +116,20 @@ def test_validate_surfaces_shattered_inputs():
     assert any(v.reason == "shattered" for v in report.violations)
 
 
+def test_validate_lets_other_evaluator_errors_propagate():
+    # only ShatteredError and ExclusionFailure are violations: any other
+    # error a user evaluator raises is the caller's, and comes out unchanged
+    boom = ZeroDivisionError("division by zero in a user evaluator")
+
+    def evaluator(points, g1, g2):
+        raise boom
+
+    w = dk.Witness(flavor="natarajan", order=1, evaluator=evaluator)
+    with pytest.raises(ZeroDivisionError) as err:
+        dk.validate_witness(w, three_hyp(), 1)
+    assert err.value is boom
+
+
 def test_validate_rejects_negative_window():
     cls = three_hyp()
     w = dk.canonical_witness(cls, "natarajan", 1)

@@ -142,7 +142,8 @@ def max_support(h: Hypothesis) -> Optional[int]:
 
 
 def truncate(h: Hypothesis, m: int) -> Hypothesis:
-    """Zero out every point above ``m``; result has finite support."""
+    """Zero out every point above ``m``, a natural; result has finite support."""
+    _check_int(m, "truncation point")
     if m < 0:
         raise PreconditionError("truncation point must be a natural")
     if h.table is not None:

@@ -4,16 +4,19 @@ Five flavors are supported: vc (binary alphabets only), natarajan, graph,
 ds, and psi (parameterized by a family of {0,1,*}-valued label encoders).
 vc, natarajan and graph shattering are psi-shattering for the identity,
 pair-selector and indicator encoders, so those four flavors share one
-coverage search, which also re-checks their certificates; ds uses the
-pseudo-cube core.  Every positive answer comes with a certificate that
-re-verifies against the class; every search is deterministic (lexicographic
-orders throughout).
+coverage search; ds uses the pseudo-cube core.  ``exact_dimension`` walks
+each size's candidate subsets as one prefix tree, so that on an explicit
+class candidates with the same leading points share the coverage search's
+states over those points.  Every positive answer comes with a certificate
+that re-verifies against the class's behaviors, independently of the
+searches; every search is deterministic (lexicographic orders throughout).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
@@ -64,49 +67,56 @@ def _coverage_search(index, full, coord_choices):
     encodes to nothing).  Returns the chosen metas (first in lexicographic
     choice order) or None.
 
-    Each table becomes its image on ``index[i]``, the masks of the members
-    it sends to 0 and of those it sends to 1 (a table with an empty half
-    never covers and is dropped).  The search state at depth d is one cell
-    per prefix code of length d, the bitmask of the members whose encoded
-    prefix is that code.  Cells of hypotheses are nonempty exactly when
-    some behavior has their code, so both kinds of member cover alike.
-    After the choice at depth d each cell must hold at least 2^(n-d-1)
-    members: a member encodes to one code only, and each of the cell's
-    2^(n-d-1) completions needs its own.  Counted in hypotheses, several of
-    which may share a behavior, the bound is weaker, but a cell with fewer
-    hypotheses than that has fewer behaviors too, so it still cuts only
-    branches that cannot cover.  The tables keep their order, so the first
-    covering choice tuple is the one the full product would give.
-    """
+    Each table becomes its image on ``index[i]`` (``_table_images``), and
+    the search chains one ``_extend`` step per coordinate from the single
+    state whose one cell is ``full``.  The chain is lazy, so it runs as a
+    depth-first search that stops at the first cover."""
     n = len(coord_choices)
-    if not n:
-        return ()
-    levels = []
-    for column, choices in zip(index, coord_choices):
-        level = []
-        for table, meta in choices:
-            zero, one = _encoder_image(column, table)
-            if zero and one:
-                level.append((zero, one, meta))
-        levels.append(level)
-    chosen = []
+    levels = [_table_images(column, choices) for column, choices in zip(index, coord_choices)]
+    if not all(levels):
+        return None
+    states = [((), [full])]
+    for depth, images in enumerate(levels):
+        states = _extend(states, images, 1 << (n - depth - 1))
+    return next((metas for metas, _ in states), None)
 
-    def rec(depth, cells):
-        need = 1 << (n - depth - 1)
-        for zero, one, meta in levels[depth]:
+
+def _table_images(column, choices):
+    """Each (table, meta) pair's image on one coordinate (label -> bitmask of
+    the members with that label), as (zero, one, meta): the masks of the
+    members the table sends to 0 and to 1.  A table with an empty half never
+    covers and is dropped."""
+    images = []
+    for table, meta in choices:
+        zero, one = _encoder_image(column, table)
+        if zero and one:
+            images.append((zero, one, meta))
+    return images
+
+
+def _extend(states, images, need):
+    """The coverage search's one step, lazily: each search state (metas,
+    cells) over a prefix of coordinates, extended by each table image of the
+    next coordinate, states outer and images inner, so that the results keep
+    lexicographic choice order.
+
+    A state's cells are one per prefix code of length d, each the
+    bitmask of the members whose encoded prefix is that code; a table splits
+    each cell into its members coded 0 and those coded 1.  Cells of
+    hypotheses are nonempty exactly when some behavior has their code, so
+    both kinds of member cover alike.  A state survives only if every cell
+    holds at least ``need`` members, 2^(n-d-1) after the choice at depth d
+    of an n-point search: a member encodes to one code only, and each of the
+    cell's 2^(n-d-1) completions needs its own.  Counted in hypotheses,
+    several of which may share a behavior, the bound is weaker, but a cell
+    with fewer hypotheses than that has fewer behaviors too, so it still cuts
+    only choices that cannot cover."""
+    for metas, cells in states:
+        for zero, one, meta in images:
             nxt = list(map(zero.__and__, cells))
             nxt.extend(map(one.__and__, cells))
-            if min(map(int.bit_count, nxt)) < need:
-                continue
-            chosen.append(meta)
-            if depth + 1 == n or rec(depth + 1, nxt):
-                return True
-            chosen.pop()
-        return False
-
-    if rec(0, [full]):
-        return tuple(chosen)
-    return None
+            if min(map(int.bit_count, nxt)) >= need:
+                yield metas + (meta,), nxt
 
 
 def _cells(cls, points):
@@ -148,31 +158,58 @@ def _check_points(points):
     return points
 
 
-def _encoded_search(cls, points, kind, encoders, payload) -> Optional[ShatterCertificate]:
-    """Certificate that ``points`` (already checked) is shattered, from the
-    coverage search over the (table, meta) pairs ``encoders(vals)`` builds
-    from the sorted labels ``vals`` realized at each coordinate, built once
-    per distinct ``vals`` and cut down by ``_distinct_tables``.
-    ``payload(metas)`` turns the chosen metas into the certificate payload."""
+def _choices(encoders, lists, column):
+    """The (table, meta) pairs tried at a coordinate whose label masks are
+    ``column``: ``_distinct_tables`` of ``encoders`` on its sorted realized
+    labels, built once per distinct labels and kept in ``lists``."""
+    vals = tuple(sorted(column))
+    if vals not in lists:
+        lists[vals] = _distinct_tables(encoders(vals))
+    return lists[vals]
+
+
+def _coverage_kind(cls, kind, family):
+    """The coverage search's (encoders, payload) for a kind other than ds:
+    ``encoders(vals)`` builds the (table, meta) pairs of a coordinate whose
+    realized labels are the sorted ``vals``, and ``payload(metas)`` turns the
+    chosen metas into the certificate payload.  Refuses vc on a non-binary
+    alphabet, and a Ψ family over another alphabet than the class."""
+    if kind == "vc":
+        if cls.num_labels != 2:
+            raise PreconditionError("vc shattering requires a binary alphabet")
+        return lambda vals: [({0: 0, 1: 1}, None)], lambda got: ()
+    if kind == "natarajan":
+        table_of = _binary_table("natarajan", cls.num_labels)
+        return (lambda vals: [(table_of(pair), pair) for pair in itertools.combinations(vals, 2)],
+                lambda got: tuple(zip(*got)))
+    if kind == "graph":
+        return (lambda vals: [({v: int(v == k) for v in vals}, k) for k in vals],
+                lambda got: (got,))
+    if family.num_labels != cls.num_labels:
+        raise RepresentationError("family alphabet differs from class alphabet")
+    table_of = _binary_table("psi", cls.num_labels)
+    tables = [(table_of(psi), psi) for psi in family.members]
+    return (lambda vals: [({v: b for v, b in table.items() if v in vals}, psi)
+                          for table, psi in tables],
+            lambda got: (got,))
+
+
+def _encoded_search(cls, points, kind, family=None) -> Optional[ShatterCertificate]:
+    """Certificate that ``points`` is shattered under a coverage kind, from
+    the coverage search over the (table, meta) pairs of ``_coverage_kind``
+    at each coordinate (see ``_choices``)."""
+    encoders, payload = _coverage_kind(cls, kind, family)
+    points = _check_points(points)
     index, full = _cells(cls, points)
     lists = {}
-    choices = []
-    for column in index:
-        vals = tuple(sorted(column))
-        if vals not in lists:
-            lists[vals] = _distinct_tables(encoders(vals))
-        choices.append(lists[vals])
-    got = _coverage_search(index, full, choices) if all(choices) else None
+    got = _coverage_search(index, full, [_choices(encoders, lists, column) for column in index])
     if got is None:
         return None
     return ShatterCertificate(kind=kind, points=points, payload=payload(got))
 
 
 def is_vc_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
-    if cls.num_labels != 2:
-        raise PreconditionError("vc shattering requires a binary alphabet")
-    return _encoded_search(cls, _check_points(points), "vc",
-                           lambda vals: [({0: 0, 1: 1}, None)], lambda got: ())
+    return _encoded_search(cls, points, "vc")
 
 
 def is_n_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
@@ -180,11 +217,7 @@ def is_n_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]
     values realized at each coordinate, whose 2^n mixtures are all realized.
     Each pair is tried once, as the canonical half {a: 1, b: 0} with a < b of
     the Ψ_N encoders, so (g1, g2) is the lexicographically first answer."""
-    table_of = _binary_table("natarajan", cls.num_labels)
-    return _encoded_search(
-        cls, _check_points(points), "natarajan",
-        lambda vals: [(table_of(pair), pair) for pair in itertools.combinations(vals, 2)],
-        lambda got: tuple(zip(*got)))
+    return _encoded_search(cls, points, "natarajan")
 
 
 def is_g_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
@@ -192,10 +225,7 @@ def is_g_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]
     exhaust the powerset of coordinates, via the Ψ_G indicator encoders of
     the realized labels.  Any working f is itself realized (take the full
     agreement set), so the first f found is the first working pattern."""
-    return _encoded_search(
-        cls, _check_points(points), "graph",
-        lambda vals: [({v: int(v == k) for v in vals}, k) for k in vals],
-        lambda got: (got,))
+    return _encoded_search(cls, points, "graph")
 
 
 @cache
@@ -319,16 +349,7 @@ def is_psi_shattered(cls: HypothesisClass, points, family: PsiFamily) -> Optiona
     one (flipping a coordinate's bit permutes {0,1}^n), and the swap is
     lexicographically smaller, so the first certificate, payload included,
     is the one the full product would give."""
-    points = _check_points(points)
-    if family.num_labels != cls.num_labels:
-        raise RepresentationError("family alphabet differs from class alphabet")
-    table_of = _binary_table("psi", cls.num_labels)
-    tables = [(table_of(psi), psi) for psi in family.members]
-
-    def encoders(vals):
-        return [({v: b for v, b in table.items() if v in vals}, psi) for table, psi in tables]
-
-    return _encoded_search(cls, points, "psi", encoders, lambda got: (got,))
+    return _encoded_search(cls, points, "psi", family)
 
 
 def _shatter(cls, points, kind, family):
@@ -357,6 +378,74 @@ def _default_window(cls: HypothesisClass) -> int:
     raise PreconditionError("oracle classes need an explicit window")
 
 
+def _coverage_steps(cls, kind, family):
+    """The walk's (root, grow, leaf) for a coverage kind on an explicit class.
+
+    A node's ``_extend`` states are held as a ``tee`` head: a reader iterates
+    a copy from the first state, and each state is computed once, when first
+    read, and kept while the node is on the walk's path.  So the first leaf
+    under a node does only the depth-first search's work, and later leaves
+    reuse it.  Each point's table images are built on first use, from its
+    cached hypothesis masks, and kept for the call."""
+    encoders, payload = _coverage_kind(cls, kind, family)
+    lists, images = {}, {}
+
+    def images_at(x):
+        if x not in images:
+            (column,) = _hypothesis_masks(cls, (x,))
+            images[x] = _table_images(column, _choices(encoders, lists, column))
+        return images[x]
+
+    def grow(states, node, need):
+        (head,) = itertools.tee(_extend(copy(states), images_at(node[-1]), need), 1)
+        return None if next(copy(head), None) is None else head
+
+    def leaf(states, node):
+        first = next(_extend(copy(states), images_at(node[-1]), 1), None)
+        if first is None:
+            return None
+        return ShatterCertificate(kind=kind, points=node, payload=payload(first[0]))
+
+    (root,) = itertools.tee([((), [(1 << len(cls.rows)) - 1])], 1)
+    return root, grow, leaf
+
+
+def _first_shattered(size, top, below, failed, root, grow, leaf):
+    """The lexicographically first shattered ``size``-subset of [0, top], or
+    None, by a depth-first walk of the candidates' prefix tree in
+    lexicographic order.
+
+    The node of the leading points p_0 < ... < p_d carries the states
+    ``grow(parent states, node, 2^(size-d-1))`` returns, or None when no
+    candidate under it can be shattered; a leaf (a whole candidate) is
+    tested by ``leaf(parent states, node)``, which returns its certificate
+    or None.  A node that is itself, or has a face (one point fewer) that
+    is, in ``below``, the nodes of the previous size known to have no
+    shattered superset of that size, is skipped without a test: a shattered
+    superset here would have one there.  Every node whose subtree yields
+    nothing is added to ``failed``: its candidates were all tested or
+    skipped, and any other superset of it comes earlier in lexicographic
+    order, so none of its supersets of this size is shattered."""
+    def visit(prefix, states):
+        left = size - len(prefix) - 1  # points still to come below each child
+        for x in range(prefix[-1] + 1 if prefix else 0, top + 1 - left):
+            node = prefix + (x,)
+            if below and (node in below or any(node[:i] + node[i + 1:] in below
+                                               for i in range(len(node)))):
+                found = None
+            elif left:
+                child = grow(states, node, 1 << left)
+                found = None if child is None else visit(node, child)
+            else:
+                found = leaf(states, node)
+            if found is not None:
+                return found
+            failed.add(node)
+        return None
+
+    return visit((), root)
+
+
 def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily] = None,
                     window: Optional[int] = None) -> DimensionResult:
     """Largest d such that some d-subset of [0, window] is shattered.
@@ -369,13 +458,21 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     enumerated (sys.maxsize or more) is refused, and so is a support point
     that large when it sets the window.  Sizes increase until the
     first size with no shattered subset (all five flavors are downward
-    monotone).  Ties go to the lexicographically first subset.  On an
-    explicit class the coverage kinds read each candidate's cells from the
-    class's cached per-point hypothesis masks, with no projection; DS, and
-    every kind on an oracle class, project the candidate with ``restrict``.
-    A candidate with a face (a subset one point smaller) known not to be
-    shattered is skipped without a test, which by monotonicity never skips
-    a shattered one.
+    monotone).  Ties go to the lexicographically first subset.
+
+    Each size walks its candidates depth-first as one prefix tree, in
+    lexicographic order (``_first_shattered``).  For a coverage kind on an
+    explicit class a node carries every coverage-search state over its
+    leading points, pruned at the size's bound, and its children extend
+    them, so candidates that share leading points share those states; the
+    cells come from the class's cached per-point hypothesis masks, with no
+    projection, and a node with no state fails every candidate under it at
+    once.  A leaf's first passing state is the certificate the single-subset
+    search would give.  DS, and every kind on an oracle class, test each
+    candidate at the leaves with the predicate of its kind, which projects
+    it with ``restrict``.  A node with a face known to have no shattered
+    superset of the previous size is skipped, which by monotonicity never
+    skips a shattered candidate.
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown dimension kind {kind!r}")
@@ -393,20 +490,22 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     if cls.domain_size is not None or cls.rows is not None:
         window = min(window, _default_window(cls))
     _check_window(window)
-    pts = range(window + 1)
+    if cls.rows is not None and kind != "ds":
+        root, grow, leaf = _coverage_steps(cls, kind, psi)
+    else:
+        root = ()
+
+        def grow(states, node, need):
+            return states
+
+        def leaf(states, node):
+            return _shatter(cls, node, kind, psi)
+
     best = DimensionResult(value=0, certificate=None, warning=warning)
-    failed = set()  # subsets of the previous size known not to be shattered
+    failed = set()  # nodes of the previous size known to have no shattered superset
     for size in range(1, window + 2):
-        found = None
         below, failed = failed, set()
-        for points in itertools.combinations(pts, size):
-            if below and any(points[:i] + points[i + 1:] in below for i in range(size)):
-                failed.add(points)
-                continue
-            found = _shatter(cls, points, kind, psi)
-            if found is not None:
-                break
-            failed.add(points)
+        found = _first_shattered(size, window, below, failed, root, grow, leaf)
         if found is None:
             break
         best = DimensionResult(value=size, certificate=found, warning=warning)
@@ -436,11 +535,13 @@ def _well_typed(kind: str, payload: tuple) -> bool:
 
 
 def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
-    """Re-check a certificate against the class it allegedly shatters.  A DS
-    cube must be a pseudo-cube of realized patterns; every other kind names
-    one binary encoder per point, and their image of the class must cover
-    {0,1}^n.  A payload of the wrong shape or type for its kind does not
-    verify."""
+    """Re-check a certificate against the class it allegedly shatters, on
+    the class's behaviors on its points (``restrict``), independently of the
+    searches that find certificates.  A DS cube must be a pseudo-cube of
+    realized patterns; every other kind names one binary table per point
+    (``psi._binary_table``), and the codes of the behaviors with no star
+    under them must be all of {0,1}^n.  A payload of the wrong shape or type
+    for its kind does not verify."""
     if not isinstance(cert, ShatterCertificate):
         raise PreconditionError(f"{type(cert).__name__} is not a ShatterCertificate")
     if cert.kind not in _PAYLOAD_SIZE:
@@ -448,18 +549,19 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     points, payload = cert.points, cert.payload
     if len(payload) != _PAYLOAD_SIZE[cert.kind] or not _well_typed(cert.kind, payload):
         return False
+    behaviors = restrict(cls, points).pattern_set
     if cert.kind == "ds":
         (cube,) = payload
-        return set(cube) <= restrict(cls, points).pattern_set and is_pseudo_cube(cube)
-    index, full = _cells(cls, points)
+        return set(cube) <= behaviors and is_pseudo_cube(cube)
     if any(len(part) != len(points) for part in payload):
         return False
     if cert.kind == "vc":
         tables = [{0: 0, 1: 1}] * len(points)
     else:
         coords = zip(*payload) if cert.kind == "natarajan" else payload[0]
-        tables = map(_binary_table(cert.kind, cls.num_labels), coords)
-    return _coverage_search(index, full, [[(t, None)] for t in tables]) is not None
+        tables = list(map(_binary_table(cert.kind, cls.num_labels), coords))
+    codes = {tuple(map(dict.get, tables, p)) for p in behaviors}
+    return sum(None not in code for code in codes) == 1 << len(points)
 
 
 @dataclass(frozen=True)

@@ -445,21 +445,45 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
                    provenance="from_learner")
 
 
+# the largest witness order sauer_crossover takes: at this order its integers
+# already have about 200,000 bits for small alphabets
+_MAX_SAUER_ORDER = 10_000
+
+
 def sauer_crossover(witness_order: int, num_labels: int) -> int:
     """Smallest k with k^(d+1) * q^(2(d+1)) < 2^k, where d is the witness
     order and q the alphabet size: from that arity on, binary patterns
-    outnumber the growth bound on behaviors.  Exact integers."""
+    outnumber the growth bound on behaviors.  Exact integers.
+
+    With e = d + 1, log(k^e q^(2e) / 2^k) is concave in k and positive at
+    k = 1 (q^(2e) >= 4), so the inequality fails on an interval [1, K] and
+    holds from K + 1 on: doubling finds a k where it holds, and bisection
+    between that k and half of it finds the first.  An order above
+    ``_MAX_SAUER_ORDER`` is refused before any power is taken."""
     _check_int(witness_order, "order")
     _check_int(num_labels, "number of labels")
     if num_labels < 2:
         raise PreconditionError("need at least two labels")
     if witness_order < 0:
         raise PreconditionError("order must be a natural")
+    if witness_order > _MAX_SAUER_ORDER:
+        raise PreconditionError(f"order {witness_order} exceeds the budget of {_MAX_SAUER_ORDER}")
     e = witness_order + 1
-    k = 1
-    while k ** e * num_labels ** (2 * e) >= 2 ** k:
-        k += 1
-    return k
+    growth = num_labels ** (2 * e)
+
+    def below(k):
+        return k ** e * growth >= 2 ** k
+
+    low, high = 1, 2
+    while below(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if below(mid):
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 def psi_witness_from_natarajan(witness: Witness, family: PsiFamily,

@@ -292,6 +292,12 @@ def test_truncate_keeps_boundary():
     assert dk.truncate(h, 0).support == ((0, 1),)
 
 
+def test_truncate_refuses_a_negative_point():
+    h = dk.Hypothesis(num_labels=2, support=((0, 1),))
+    with pytest.raises(dk.PreconditionError, match="truncation point must be a natural"):
+        dk.truncate(h, -1)
+
+
 def test_max_support_of_zero_is_none():
     assert dk.max_support(dk.Hypothesis(num_labels=2, support=())) is None
 
@@ -464,6 +470,7 @@ def _exact_int_calls():
         ("full_class.labels", lambda v: dk.full_class(2, v)),
         ("failing_psi_class.window", lambda v: dk.psi.failing_psi_class(family, v)),
         ("sauer_natarajan_check.d", lambda v: dk.sauer_natarajan_check(three, (0, 1), v)),
+        ("truncate.m", lambda v: dk.truncate(dk.Hypothesis(num_labels=2, support=((0, 1),)), v)),
     ]
 
 

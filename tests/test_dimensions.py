@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -379,18 +380,93 @@ def test_exact_dimension_matches_bruteforce_on_wide_windows(monkeypatch):
     assert pruned > 0
 
 
+def test_prefix_walk_matches_bruteforce_where_whole_prefixes_die(monkeypatch):
+    """Seeded explicit classes, dense and over the naturals, with windows of
+    up to 17 points and few hypotheses, so that many prefix nodes have no
+    search state left: the value, the certificate's points and its payload
+    equal the brute-force ones for every coverage kind."""
+    dead, walk = [], dimensions._first_shattered
+
+    def spy(size, top, below, failed, root, grow, leaf):
+        def counted(states, node, need):
+            child = grow(states, node, need)
+            dead.append(child is None)
+            return child
+        return walk(size, top, below, failed, root, counted, leaf)
+    monkeypatch.setattr(dimensions, "_first_shattered", spy)
+    rng = random.Random(26)
+    for q, trials, widest in ((2, 12, 16), (3, 6, 12), (4, 3, 6), (5, 2, 5)):
+        for _ in range(trials):
+            top = rng.randint(3, widest)
+            count = rng.randint(2, 7)
+            if rng.random() < 0.5:
+                rows = {tuple(rng.randrange(q) for _ in range(top + 1)) for _ in range(count)}
+                cls = dk.class_from_tables(sorted(rows), num_labels=q)
+            else:
+                cls = _sparse_class(rng, top, q, count)
+            top = dimensions._default_window(cls)
+            for kind, fam in _coverage_kinds(q) + [("psi", _random_psi_family(rng, q))]:
+                res = dk.exact_dimension(cls, kind, psi=fam)
+                value = oracles.dimension(cls, kind, top, fam)
+                assert res.value == value, (kind, fam, cls)
+                if value:
+                    pts = oracles.first_shattered(cls, kind, top, value, fam)
+                    assert res.certificate.points == pts, (kind, fam, cls)
+                    assert res.certificate.payload == oracles.first_certificate(
+                        cls, pts, kind, fam), (kind, fam, cls)
+    assert sum(dead) > len(dead) // 2
+
+
+def test_prefix_walk_builds_each_table_image_once(monkeypatch):
+    # each point's images are built on its first use and kept for the call,
+    # not rebuilt for every candidate that contains the point
+    built = Counter()
+    image = dimensions._encoder_image
+    monkeypatch.setattr(dimensions, "_encoder_image", lambda column, table: built.update(
+        [(id(column), tuple(sorted(table.items())))]) or image(column, table))
+    rng = random.Random(1994)
+    for _ in range(6):
+        q = rng.choice((2, 3))
+        rows = {tuple(rng.randrange(q) for _ in range(8)) for _ in range(rng.randint(8, 24))}
+        cls = dk.class_from_tables(sorted(rows), num_labels=q)
+        for kind, fam in _coverage_kinds(q):
+            built.clear()
+            dk.exact_dimension(cls, kind, psi=fam)
+            assert built and max(built.values()) == 1, (kind, rows)
+
+
+def _spy_on_leaves(monkeypatch):
+    """The candidates the prefix walk tests at its leaves, in order."""
+    leaves, walk = [], dimensions._first_shattered
+
+    def spy(size, top, below, failed, root, grow, leaf):
+        return walk(size, top, below, failed, root, grow,
+                    lambda states, node: leaves.append(node) or leaf(states, node))
+    monkeypatch.setattr(dimensions, "_first_shattered", spy)
+    return leaves
+
+
 def test_face_pruning_skips_subsets_with_an_unshattered_face(monkeypatch):
-    # point 0 is constant, so every pair containing it has an unshattered
-    # face (0,) and is skipped; the certificate is still the first pair
-    calls = []
+    # point 0 is constant, so every candidate containing it has the
+    # unshattered face (0,) and is skipped; the certificate is still the
+    # first pair.  DS and oracle classes test each leaf with _shatter, and
+    # the walk tests the leaves of an explicit class on its own states
+    tested = []
     shatter = dimensions._shatter
     monkeypatch.setattr(dimensions, "_shatter",
-                        lambda *a: calls.append(a[1]) or shatter(*a))
-    cls = dk.class_from_tables([(0, a, b) for a in (0, 1) for b in (0, 1)], num_labels=2)
-    res = dk.exact_dimension(cls, "natarajan")
-    assert res.value == 2 and res.certificate.points == (1, 2)
-    assert calls == [(0,), (1,), (1, 2)]  # (0, 1, 2) has the skipped face (0, 1)
-    assert not oracles.n_shattered(cls, (0, 1))
+                        lambda *a: tested.append(a[1]) or shatter(*a))
+    leaves = _spy_on_leaves(monkeypatch)
+    rows = [(0, a, b) for a in (0, 1) for b in (0, 1)]
+    explicit = dk.class_from_tables(rows, num_labels=2)
+    for cls, kind, window in ((explicit, "natarajan", None), (explicit, "ds", None),
+                              (_oracle_class(rows, 2), "natarajan", 2)):
+        del tested[:], leaves[:]
+        res = dk.exact_dimension(cls, kind, window=window)
+        assert res.value == 2 and res.certificate.points == (1, 2)
+        # (0, 1, 2) has the skipped face (0, 1)
+        assert leaves == [(0,), (1,), (1, 2)], kind
+        assert tested == ([] if cls is explicit and kind != "ds" else leaves), kind
+    assert not oracles.n_shattered(explicit, (0, 1))
 
 
 def test_monotonicity_of_shattering():
@@ -721,11 +797,35 @@ def test_coverage_kinds_do_not_project_explicit_classes(monkeypatch):
             if kind == "ds" or cls is oracle:
                 assert restricts == tested and tested, (kind, window)
             else:
-                assert restricts == [] and tested, kind
-    cert = dk.is_n_shattered(explicit, (0, 1, 2))
+                assert restricts == tested == [], kind
     del restricts[:]
-    assert dk.verify_certificate(cert, explicit) and restricts == []
-    assert dk.verify_certificate(cert, oracle) and restricts == [(0, 1, 2)]
+    cert = dk.is_n_shattered(explicit, (0, 1, 2))
+    assert restricts == []
+    # the certificate check projects every class, independently of the masks
+    assert dk.verify_certificate(cert, explicit) and restricts == [(0, 1, 2)]
+    assert dk.verify_certificate(cert, oracle) and restricts == [(0, 1, 2)] * 2
+
+
+def test_verify_certificate_rejects_certificates_found_on_corrupted_masks(monkeypatch):
+    # with bit 0 ORed into every mask, hypothesis 0 takes every label at
+    # every point and fills any missing code, so the search finds wrong
+    # certificates; the check reads the class's behaviors instead
+    rows = [(0, 0), (0, 1), (1, 0)]
+    cls = dk.class_from_tables(rows, num_labels=2)
+    kinds = _coverage_kinds(2)
+    assert {dk.exact_dimension(cls, kind, psi=fam).value for kind, fam in kinds} == {1}
+    masks = dimensions._hypothesis_masks
+    monkeypatch.setattr(dimensions, "_hypothesis_masks", lambda cls, pts: tuple(
+        {v: m | 1 for v, m in column.items()} for column in masks(cls, pts)))
+    certs = [dk.exact_dimension(cls, kind, psi=fam).certificate for kind, fam in kinds]
+    assert [cert.points for cert in certs] == [(0, 1)] * len(kinds)
+
+    def engine(*args):
+        raise AssertionError("the certificate check ran the coverage engine")
+    for name in ("_coverage_search", "_cells", "_hypothesis_masks"):
+        monkeypatch.setattr(dimensions, name, engine)
+    for cert in certs:
+        assert not dk.verify_certificate(cert, cls), cert
 
 
 def test_shattering_of_an_oracle_class_with_no_behaviors():

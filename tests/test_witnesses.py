@@ -272,6 +272,26 @@ def test_sauer_crossover_brute_force_and_monotone():
             assert dk.sauer_crossover(order + 1, q) >= dk.sauer_crossover(order, q)
 
 
+def test_sauer_crossover_bisection_equals_the_linear_scan():
+    # the scan for order d may start at the answer for d - 1: the left side
+    # grows with the order, so every smaller k still fails the inequality
+    for q in range(2, 6):
+        k = 1
+        for order in range(301):
+            e = order + 1
+            while k ** e * q ** (2 * e) >= 2 ** k:
+                k += 1
+            assert dk.sauer_crossover(order, q) == k, (order, q)
+
+
+def test_sauer_crossover_refuses_an_order_over_its_budget():
+    top = dk.witnesses._MAX_SAUER_ORDER
+    assert dk.sauer_crossover(top, 2) > dk.sauer_crossover(top - 1, 2)
+    for order in (top + 1, 10 ** 6):
+        with pytest.raises(dk.PreconditionError, match=f"order {order} exceeds the budget"):
+            dk.sauer_crossover(order, 3)
+
+
 def test_psi_witness_from_natarajan_singleton():
     cls = dk.class_from_supports([{}], num_labels=2)
     w0 = dk.canonical_witness(cls, "natarajan", 0)

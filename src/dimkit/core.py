@@ -360,9 +360,10 @@ class BehaviorSet:
         with that label there; bit j stands for the j-th behavior in the
         iteration order of ``pattern_set``.  Read by witness validation
         and the canonical witnesses (``witnesses``), by the DS refutation
-        (``psi``), and by the coverage search behind vc, Natarajan, graph
-        and Ψ shattering on oracle classes only: on an explicit class that
-        search reads per-hypothesis masks instead (``_hypothesis_masks``)."""
+        (``psi``), and by the single-subset vc, Natarajan, graph and Ψ
+        predicates on oracle classes only, as the members of their coverage
+        walk: on an explicit class the walk reads per-hypothesis masks
+        instead (``_hypothesis_masks``)."""
         index = tuple({} for _ in self.points)
         for j, p in enumerate(self.pattern_set):
             for column, v in zip(index, p):
@@ -489,9 +490,14 @@ def _check_window(window: int) -> None:
 
 
 def empirical_risk(h: Hypothesis, sample: Sample) -> Fraction:
-    """Fraction of sample pairs the hypothesis mislabels."""
+    """Fraction of sample pairs the hypothesis mislabels.  A sample label
+    outside the hypothesis's alphabet is refused, not counted as a miss."""
     if not sample:
         raise PreconditionError("empirical risk of an empty sample")
+    labels = tuple(y for _, y in sample)
+    j = _first_outside(labels, 0, h.num_labels - 1)
+    if j is not None:
+        raise PreconditionError(f"sample label {labels[j]!r} outside the alphabet")
     wrong = sum(1 for x, y in sample if h(x) != y)
     return Fraction(wrong, len(sample))
 
@@ -499,12 +505,12 @@ def empirical_risk(h: Hypothesis, sample: Sample) -> Fraction:
 @dataclass(frozen=True)
 class FiniteDistribution:
     """Finite-support distribution over (point, label) pairs with exact
-    rational weights summing to 1."""
+    rational weights (ints or Fractions, never converted) summing to 1."""
 
     atoms: tuple[tuple[tuple[int, int], Fraction], ...]
 
     def __post_init__(self):
-        atoms = tuple(((x, y), Fraction(w)) for (x, y), w in self.atoms)
+        atoms = tuple(((x, y), w) for (x, y), w in self.atoms)
         keys = [k for k, _ in atoms]
         j = _first_outside(tuple(itertools.chain.from_iterable(keys)), 0, None)
         if j is not None:
@@ -512,11 +518,13 @@ class FiniteDistribution:
         if len(set(keys)) != len(keys):
             raise RepresentationError("duplicate atoms")
         for _, w in atoms:
+            if type(w) is not int and not isinstance(w, Fraction):
+                raise RepresentationError(f"weight {w!r} is not an exact int or Fraction")
             if w <= 0:
                 raise RepresentationError("weights must be positive")
         if sum(w for _, w in atoms) != 1:
             raise RepresentationError("weights must sum to exactly 1")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", tuple((k, Fraction(w)) for k, w in atoms))
 
     @staticmethod
     def uniform_on_graph(points: Iterable[int], values: Iterable[int]) -> "FiniteDistribution":

@@ -4,19 +4,19 @@ Five flavors are supported: vc (binary alphabets only), natarajan, graph,
 ds, and psi (parameterized by a family of {0,1,*}-valued label encoders).
 vc, natarajan and graph shattering are psi-shattering for the identity,
 pair-selector and indicator encoders, so those four flavors share one
-coverage search; ds uses the pseudo-cube core.  ``exact_dimension`` walks
-each size's candidate subsets as one prefix tree, so that on an explicit
-class candidates with the same leading points share the coverage search's
-states over those points.  Every positive answer comes with a certificate
-that re-verifies against the class's behaviors, independently of the
-searches; every search is deterministic (lexicographic orders throughout).
+coverage driver, a walk of a prefix tree of candidates; ds uses the
+pseudo-cube core.  ``exact_dimension`` walks each size's subsets of the
+window as one tree, so on an explicit class candidates with the same leading
+points share their coverage states; a single-subset predicate walks its one
+candidate.  Every positive answer comes with a certificate that re-verifies
+against the class's behaviors, independently of the searches; every search
+is deterministic (lexicographic orders throughout).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from copy import copy
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
@@ -55,32 +55,6 @@ class DimensionResult:
     warning: Optional[str] = None
 
 
-def _coverage_search(index, full, coord_choices):
-    """Pick one binary encoder per coordinate so that the encoded members of
-    a class cover all 2^n binary tuples.
-
-    ``index[i]`` maps each label at coordinate i to the bitmask of the
-    members with that label there, and ``full`` is the mask of all members:
-    the hypotheses of an explicit class or the behaviors of an oracle class
-    (see ``_cells``).  ``coord_choices[i]`` is a list of (table, meta) where
-    table maps a label to 0/1 (a member with a label the table does not map
-    encodes to nothing).  Returns the chosen metas (first in lexicographic
-    choice order) or None.
-
-    Each table becomes its image on ``index[i]`` (``_table_images``), and
-    the search chains one ``_extend`` step per coordinate from the single
-    state whose one cell is ``full``.  The chain is lazy, so it runs as a
-    depth-first search that stops at the first cover."""
-    n = len(coord_choices)
-    levels = [_table_images(column, choices) for column, choices in zip(index, coord_choices)]
-    if not all(levels):
-        return None
-    states = [((), [full])]
-    for depth, images in enumerate(levels):
-        states = _extend(states, images, 1 << (n - depth - 1))
-    return next((metas for metas, _ in states), None)
-
-
 def _table_images(column, choices):
     """Each (table, meta) pair's image on one coordinate (label -> bitmask of
     the members with that label), as (zero, one, meta): the masks of the
@@ -95,7 +69,7 @@ def _table_images(column, choices):
 
 
 def _extend(states, images, need):
-    """The coverage search's one step, lazily: each search state (metas,
+    """One coverage step, lazily: each search state (metas,
     cells) over a prefix of coordinates, extended by each table image of the
     next coordinate, states outer and images inner, so that the results keep
     lexicographic choice order.
@@ -117,18 +91,6 @@ def _extend(states, images, need):
             nxt.extend(map(one.__and__, cells))
             if min(map(int.bit_count, nxt)) >= need:
                 yield metas + (meta,), nxt
-
-
-def _cells(cls, points):
-    """The coverage search's input on ``points``: per point, each label there
-    mapped to the bitmask of the members with that label, and the mask of
-    all members.  The members are an explicit class's hypotheses, read from
-    its cached per-point masks with no projection, or else the behaviors of
-    ``restrict``.  The points are checked as ``restrict`` checks them."""
-    if cls.rows is not None:
-        return _hypothesis_masks(cls, points), (1 << len(cls.rows)) - 1
-    behaviors = restrict(cls, points)
-    return behaviors.index, (1 << len(behaviors.pattern_set)) - 1
 
 
 def _distinct_tables(choices):
@@ -169,7 +131,7 @@ def _choices(encoders, lists, column):
 
 
 def _coverage_kind(cls, kind, family):
-    """The coverage search's (encoders, payload) for a kind other than ds:
+    """The coverage driver's (encoders, payload) for a kind other than ds:
     ``encoders(vals)`` builds the (table, meta) pairs of a coordinate whose
     realized labels are the sorted ``vals``, and ``payload(metas)`` turns the
     chosen metas into the certificate payload.  Refuses vc on a non-binary
@@ -196,16 +158,18 @@ def _coverage_kind(cls, kind, family):
 
 def _encoded_search(cls, points, kind, family=None) -> Optional[ShatterCertificate]:
     """Certificate that ``points`` is shattered under a coverage kind, from
-    the coverage search over the (table, meta) pairs of ``_coverage_kind``
-    at each coordinate (see ``_choices``)."""
-    encoders, payload = _coverage_kind(cls, kind, family)
+    the walk over that one candidate, whose members are an explicit class's
+    hypotheses (no projection) or else the behaviors of ``restrict``."""
+    coverage = _coverage_kind(cls, kind, family)
     points = _check_points(points)
-    index, full = _cells(cls, points)
-    lists = {}
-    got = _coverage_search(index, full, [_choices(encoders, lists, column) for column in index])
-    if got is None:
-        return None
-    return ShatterCertificate(kind=kind, points=points, payload=payload(got))
+    if cls.rows is not None:
+        index, members = _hypothesis_masks(cls, points), len(cls.rows)
+    else:
+        behaviors = restrict(cls, points)
+        index, members = behaviors.index, len(behaviors.pattern_set)
+    steps = _coverage_steps(kind, *coverage, dict(zip(points, index)).__getitem__,
+                            (1 << members) - 1)
+    return _first_shattered(len(points), points, (), set(), *steps)
 
 
 def is_vc_shattered(cls: HypothesisClass, points) -> Optional[ShatterCertificate]:
@@ -378,44 +342,45 @@ def _default_window(cls: HypothesisClass) -> int:
     raise PreconditionError("oracle classes need an explicit window")
 
 
-def _coverage_steps(cls, kind, family):
-    """The walk's (root, grow, leaf) for a coverage kind on an explicit class.
+def _coverage_steps(kind, encoders, payload, column_at, full):
+    """The walk's (root, grow, leaf) for a coverage kind, from the (encoders,
+    payload) of ``_coverage_kind``, ``column_at(x)`` (each label at point x
+    mapped to the bitmask of the members with it) and ``full``, the mask of
+    all members, which is the root state's one cell.
 
     A node's ``_extend`` states are held as a ``tee`` head: a reader iterates
     a copy from the first state, and each state is computed once, when first
     read, and kept while the node is on the walk's path.  So the first leaf
     under a node does only the depth-first search's work, and later leaves
-    reuse it.  Each point's table images are built on first use, from its
-    cached hypothesis masks, and kept for the call."""
-    encoders, payload = _coverage_kind(cls, kind, family)
+    reuse it.  Each point's table images are built on first use."""
     lists, images = {}, {}
 
     def images_at(x):
         if x not in images:
-            (column,) = _hypothesis_masks(cls, (x,))
+            column = column_at(x)
             images[x] = _table_images(column, _choices(encoders, lists, column))
         return images[x]
 
     def grow(states, node, need):
-        (head,) = itertools.tee(_extend(copy(states), images_at(node[-1]), need), 1)
-        return None if next(copy(head), None) is None else head
+        (head,) = itertools.tee(_extend(states.__copy__(), images_at(node[-1]), need), 1)
+        return None if next(head.__copy__(), None) is None else head
 
     def leaf(states, node):
-        first = next(_extend(copy(states), images_at(node[-1]), 1), None)
+        first = next(_extend(states.__copy__(), images_at(node[-1]), 1), None)
         if first is None:
             return None
         return ShatterCertificate(kind=kind, points=node, payload=payload(first[0]))
 
-    (root,) = itertools.tee([((), [(1 << len(cls.rows)) - 1])], 1)
+    (root,) = itertools.tee([((), [full])], 1)
     return root, grow, leaf
 
 
-def _first_shattered(size, top, below, failed, root, grow, leaf):
-    """The lexicographically first shattered ``size``-subset of [0, top], or
-    None, by a depth-first walk of the candidates' prefix tree in
-    lexicographic order.
+def _first_shattered(size, pool, below, failed, root, grow, leaf):
+    """The first shattered ``size``-subset of the point sequence ``pool``
+    (one candidate when ``size`` is its length), or None, by a depth-first
+    walk of the candidates' prefix tree in the pool's order.
 
-    The node of the leading points p_0 < ... < p_d carries the states
+    The node of the leading points p_0, ..., p_d carries the states
     ``grow(parent states, node, 2^(size-d-1))`` returns, or None when no
     candidate under it can be shattered; a leaf (a whole candidate) is
     tested by ``leaf(parent states, node)``, which returns its certificate
@@ -424,18 +389,18 @@ def _first_shattered(size, top, below, failed, root, grow, leaf):
     shattered superset of that size, is skipped without a test: a shattered
     superset here would have one there.  Every node whose subtree yields
     nothing is added to ``failed``: its candidates were all tested or
-    skipped, and any other superset of it comes earlier in lexicographic
+    skipped, and any other superset of it comes earlier in the pool's
     order, so none of its supersets of this size is shattered."""
-    def visit(prefix, states):
+    def visit(start, prefix, states):
         left = size - len(prefix) - 1  # points still to come below each child
-        for x in range(prefix[-1] + 1 if prefix else 0, top + 1 - left):
-            node = prefix + (x,)
-            if below and (node in below or any(node[:i] + node[i + 1:] in below
-                                               for i in range(len(node)))):
+        for i in range(start, len(pool) - left):
+            node = prefix + (pool[i],)
+            if below and (node in below or any(node[:j] + node[j + 1:] in below
+                                               for j in range(len(node)))):
                 found = None
             elif left:
                 child = grow(states, node, 1 << left)
-                found = None if child is None else visit(node, child)
+                found = None if child is None else visit(i + 1, node, child)
             else:
                 found = leaf(states, node)
             if found is not None:
@@ -443,7 +408,7 @@ def _first_shattered(size, top, below, failed, root, grow, leaf):
             failed.add(node)
         return None
 
-    return visit((), root)
+    return visit(0, (), root)
 
 
 def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily] = None,
@@ -462,17 +427,17 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
 
     Each size walks its candidates depth-first as one prefix tree, in
     lexicographic order (``_first_shattered``).  For a coverage kind on an
-    explicit class a node carries every coverage-search state over its
-    leading points, pruned at the size's bound, and its children extend
-    them, so candidates that share leading points share those states; the
-    cells come from the class's cached per-point hypothesis masks, with no
-    projection, and a node with no state fails every candidate under it at
-    once.  A leaf's first passing state is the certificate the single-subset
-    search would give.  DS, and every kind on an oracle class, test each
-    candidate at the leaves with the predicate of its kind, which projects
-    it with ``restrict``.  A node with a face known to have no shattered
-    superset of the previous size is skipped, which by monotonicity never
-    skips a shattered candidate.
+    explicit class a node carries every coverage state over its leading
+    points, pruned at the size's bound, and its children extend them, so
+    candidates that share leading points share those states; the cells come
+    from the class's cached per-point hypothesis masks, with no projection,
+    and a node with no state fails every candidate under it at once.  A
+    leaf's first passing state is the certificate the single-subset
+    predicate, a walk of the same steps, gives.  DS, and every kind on an
+    oracle class, test each candidate at the leaves with the predicate of
+    its kind, which projects it with ``restrict``.  A node with a face known
+    to have no shattered superset of the previous size is skipped, which by
+    monotonicity never skips a shattered candidate.
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown dimension kind {kind!r}")
@@ -491,7 +456,9 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
         window = min(window, _default_window(cls))
     _check_window(window)
     if cls.rows is not None and kind != "ds":
-        root, grow, leaf = _coverage_steps(cls, kind, psi)
+        root, grow, leaf = _coverage_steps(kind, *_coverage_kind(cls, kind, psi),
+                                           lambda x: _hypothesis_masks(cls, (x,))[0],
+                                           (1 << len(cls.rows)) - 1)
     else:
         root = ()
 
@@ -505,7 +472,7 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     failed = set()  # nodes of the previous size known to have no shattered superset
     for size in range(1, window + 2):
         below, failed = failed, set()
-        found = _first_shattered(size, window, below, failed, root, grow, leaf)
+        found = _first_shattered(size, range(window + 1), below, failed, root, grow, leaf)
         if found is None:
             break
         best = DimensionResult(value=size, certificate=found, warning=warning)

@@ -135,8 +135,8 @@ class Witness:
 
     def _checked_answer(self, out, points):
         """Check the shape of an evaluator answer on ``points``: an index set
-        inside range(arity), or a 0/1 pattern of length arity.  Returns the
-        answer as a frozenset or a tuple."""
+        inside range(arity), or a 0/1 pattern of length arity, of exact ints
+        (not bools).  Returns the answer as a frozenset or a tuple."""
         try:
             if self.flavor == "psi":
                 out = tuple(out)
@@ -144,6 +144,7 @@ class Witness:
             else:
                 out = frozenset(out)
                 ok = out <= self._positions
+            ok = ok and {int}.issuperset(map(type, out))
         except TypeError:
             ok = False
         if not ok:
@@ -202,27 +203,6 @@ def _input_tables(witness: Witness, num_labels: int) -> list[dict[int, int]]:
     return list(map(_binary_table(witness.flavor, num_labels), _alphabet(witness, num_labels)))
 
 
-class _Cells(dict):
-    """One coordinate's memo: a payload coordinate mapped to its cell pair,
-    computed on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        cell = self[key] = self.make(key)
-        return cell
-
-
-def _cell_tables(behaviors: BehaviorSet, table_of: Callable) -> list[_Cells]:
-    """Per coordinate, a memo from a payload coordinate (a graph label or an
-    encoder) to the image of its binary table ``table_of`` there: the
-    bitmasks (over ``behaviors.index``) of the behaviors coded 0 and 1."""
-    return [_Cells(lambda s, column=column: _encoder_image(column, table_of(s)))
-            for column in behaviors.index]
-
-
 def _cell_rows(tables, behaviors: BehaviorSet):
     """Per input, in ``witness_inputs`` order, each coordinate's (code 0,
     code 1) cells in ``behaviors``: the image of the binary table (from
@@ -243,21 +223,22 @@ def _code_reader(witness: Witness) -> Callable:
     """``read(answer, points) -> (answer, code)`` for evaluator answers on
     ``points``, with a memo of the answers it has seen.  An answer of the
     exact type a well-formed one has (a frozenset, or a tuple for psi) that
-    equals one seen before costs one dict lookup of its 0/1 code; any other
-    goes through ``Witness._checked_answer``, which normalizes it or raises
+    equals one seen before, by value (``(True, 0)`` hits ``(1, 0)``), reads
+    as that answer and its 0/1 code in one dict lookup; any other goes
+    through ``Witness._checked_answer``, which normalizes it or raises
     PreconditionError."""
     flavor, arity = witness.flavor, witness.arity
     shape = tuple if flavor == "psi" else frozenset
-    codes = {}
+    seen = {}
 
     def read(out, points):
         if type(out) is shape:
             try:
-                return out, codes[out]
+                return seen[out]
             except (KeyError, TypeError):  # not seen yet, or unhashable entries
                 pass
         out = witness._checked_answer(out, points)
-        return out, codes.setdefault(out, _code(flavor, arity, out))
+        return seen.setdefault(out, (out, _code(flavor, arity, out)))
 
     return read
 
@@ -383,13 +364,14 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
             if psi.num_labels != cls.num_labels:
                 raise RepresentationError("family alphabet differs from class alphabet")
         table_of = _binary_table(flavor, cls.num_labels)
-        cells_at = lru_cache(maxsize=1)(
-            lambda points: _cell_tables(behaviors_at(points), table_of))
+        cells_at = lru_cache(maxsize=1)(lambda points: [
+            cache(lambda s, column=column: _encoder_image(column, table_of(s)))
+            for column in behaviors_at(points).index])
         graph = flavor == "graph"
         missing = "every agreement set realized" if graph else "every binary pattern covered"
 
         def evaluator(points, row):
-            code = _first_missing_code(list(map(getitem, cells_at(points), row)))
+            code = _first_missing_code([cell(s) for cell, s in zip(cells_at(points), row)])
             if code is None:
                 raise ShatteredError(missing, (points, row))
             return frozenset(itertools.compress(range(len(code)), code)) if graph else code

@@ -1,16 +1,40 @@
 """Seeded random class generators shared by the property and acceptance
 tests."""
 
-import itertools
 import random
+import sys
 
 from dimkit import class_from_supports, class_from_tables
 
 
+def _random_rows(rng, domain, num_labels, max_hypotheses):
+    """1 to ``max_hypotheses`` distinct rows of ``domain`` labels, drawn
+    uniformly without listing all q^domain of them: each row is an index
+    into their product order, decoded in base q.  ``random.sample`` picks
+    the same indices from a range as from a list of the same length, so
+    the draws are those of sampling the listed rows.  Past sys.maxsize rows
+    ``len(range)`` overflows, and distinct indices are drawn one at a time
+    with ``randrange``."""
+    total = num_labels ** domain
+    k = rng.randint(1, min(max_hypotheses, total))
+    if total <= sys.maxsize:
+        indices = rng.sample(range(total), k)
+    else:
+        indices = {}
+        while len(indices) < k:
+            indices[rng.randrange(total)] = None
+    rows = []
+    for i in indices:
+        row = []
+        for _ in range(domain):
+            i, v = divmod(i, num_labels)
+            row.append(v)
+        rows.append(tuple(reversed(row)))
+    return rows
+
+
 def random_table_class(rng, domain, num_labels, max_hypotheses):
-    all_rows = list(itertools.product(range(num_labels), repeat=domain))
-    k = rng.randint(1, min(max_hypotheses, len(all_rows)))
-    rows = rng.sample(all_rows, k)
+    rows = _random_rows(rng, domain, num_labels, max_hypotheses)
     return class_from_tables(rows, num_labels=num_labels)
 
 
@@ -26,9 +50,7 @@ def table_corpus(seed, count, *, max_domain=4, labels=(2, 3, 4), max_hypotheses=
 
 def random_support_class(rng, window, num_labels, max_hypotheses):
     """Explicit class over the naturals with supports inside [0, window]."""
-    all_rows = list(itertools.product(range(num_labels), repeat=window + 1))
-    k = rng.randint(1, min(max_hypotheses, len(all_rows)))
-    rows = rng.sample(all_rows, k)
+    rows = _random_rows(rng, window + 1, num_labels, max_hypotheses)
     supports = [
         tuple((x, v) for x, v in enumerate(row) if v != 0) for row in rows
     ]

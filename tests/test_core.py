@@ -585,3 +585,22 @@ def test_uc_sample_size_takes_an_exact_int_and_fractions(args, message):
     with pytest.raises(dk.PreconditionError) as err:
         dk.uc_sample_size(*args)
     assert str(err.value) == message
+
+
+def test_random_table_class_draws_without_listing_every_row():
+    """The corpus draws a class's rows as indices into the q^domain rows:
+    below sys.maxsize rows it picks the rows sampling the listed rows
+    would, and a 40-point class over three labels (3^40 > 2^63 rows, too
+    many to list) is drawn in one step."""
+    import random
+
+    from corpus import random_table_class
+
+    for seed in range(20):
+        rng, listed = random.Random(seed), random.Random(seed)
+        rows = list(itertools.product(range(3), repeat=4))
+        want = dk.class_from_tables(listed.sample(rows, listed.randint(1, 12)), num_labels=3)
+        assert random_table_class(rng, 4, 3, 12).hypotheses == want.hypotheses
+        assert rng.getstate() == listed.getstate()
+    wide = random_table_class(random.Random(1), 40, 3, 12)
+    assert wide.domain_size == 40 and 1 <= len(set(wide.rows)) == len(wide.rows) <= 12

@@ -387,12 +387,12 @@ def test_prefix_walk_matches_bruteforce_where_whole_prefixes_die(monkeypatch):
     equal the brute-force ones for every coverage kind."""
     dead, walk = [], dimensions._first_shattered
 
-    def spy(size, top, below, failed, root, grow, leaf):
+    def spy(size, pool, below, failed, root, grow, leaf):
         def counted(states, node, need):
             child = grow(states, node, need)
             dead.append(child is None)
             return child
-        return walk(size, top, below, failed, root, counted, leaf)
+        return walk(size, pool, below, failed, root, counted, leaf)
     monkeypatch.setattr(dimensions, "_first_shattered", spy)
     rng = random.Random(26)
     for q, trials, widest in ((2, 12, 16), (3, 6, 12), (4, 3, 6), (5, 2, 5)):
@@ -436,11 +436,15 @@ def test_prefix_walk_builds_each_table_image_once(monkeypatch):
 
 
 def _spy_on_leaves(monkeypatch):
-    """The candidates the prefix walk tests at its leaves, in order."""
+    """The candidates ``exact_dimension``'s prefix walks test at their
+    leaves, in order.  The one-candidate walks of the single-subset
+    predicates, which a leaf on an oracle class starts, go uncounted."""
     leaves, walk = [], dimensions._first_shattered
 
-    def spy(size, top, below, failed, root, grow, leaf):
-        return walk(size, top, below, failed, root, grow,
+    def spy(size, pool, below, failed, root, grow, leaf):
+        if type(pool) is not range:
+            return walk(size, pool, below, failed, root, grow, leaf)
+        return walk(size, pool, below, failed, root, grow,
                     lambda states, node: leaves.append(node) or leaf(states, node))
     monkeypatch.setattr(dimensions, "_first_shattered", spy)
     return leaves
@@ -552,90 +556,95 @@ def test_certificates_equal_first_bruteforce_certificate():
                     assert got == oracles.first_certificate(cls, pts, "psi", fam)
 
 
-def _random_partial_table(rng, q):
-    return {v: rng.randint(0, 1) for v in range(q) if rng.random() < 0.8}
+def _random_encoder(rng, q):
+    return tuple(rng.randint(0, 1) if rng.random() < 0.8 else dk.STAR for _ in range(q))
 
 
-def test_coverage_search_matches_product_and_cover():
+def _family_choices(fam):
+    """A family's (table, member) pairs as ``oracles.first_cover`` takes
+    them at each coordinate: the member's binary table, stars left out."""
+    return [({v: b for v, b in enumerate(psi.table) if b != dk.STAR}, psi) for psi in fam.members]
+
+
+def _drawn_class(pats, q):
+    """An oracle class whose behaviors on any points are ``pats``."""
+    return dk.HypothesisClass(num_labels=q, behavior_fn=lambda pts: pats)
+
+
+def _plant_cover(rng, pats, tables, labels):
+    """Add to ``pats`` a preimage, over ``labels``, of every code under
+    ``tables`` (one per coordinate)."""
+    for code in itertools.product((0, 1), repeat=len(tables)):
+        pats.add(tuple(rng.choice([v for v in labels if t.get(v) == c])
+                       for t, c in zip(tables, code)))
+
+
+def test_psi_shattering_matches_product_and_cover():
+    """Drawn behaviors on an oracle class, through ``is_psi_shattered`` on
+    a random point tuple, against the first cover of the full product of
+    the family's tables: random families with stars, complements, and
+    members that differ only at one label, which agree on every realized
+    label when the drawn patterns leave that label out.  Half the time a
+    cover is planted under one random table per coordinate."""
     rng = random.Random(2718)
     for _ in range(600):
         n = rng.randint(1, 4)
         q = rng.randint(2, 4)
-        choices = []
-        for _ in range(n):
-            tables = [_random_partial_table(rng, q) for _ in range(rng.randint(1, 3))]
-            # complements and copies of earlier tables, with the same labels
-            for t in list(tables):
-                if rng.random() < 0.4:
-                    tables.insert(rng.randint(0, len(tables)),
-                                  {v: 1 - b for v, b in t.items()})
-                if rng.random() < 0.2:
-                    tables.append(dict(t))
-            choices.append([(t, k) for k, t in enumerate(tables)])
-        cube = list(itertools.product(range(q), repeat=n))
+        fam = _random_psi_family(rng, q)
+        choices = [_family_choices(fam)] * n
+        labels = sorted(rng.sample(range(q), rng.randint(1, q)))
+        cube = list(itertools.product(labels, repeat=n))
         pats = set(rng.sample(cube, rng.randint(0, min(len(cube), 12))))
-        # half the time plant a preimage of every code under one random tuple
-        planted = [[t for t, _ in c if len(set(t.values())) == 2] for c in choices]
-        if rng.random() < 0.5 and all(planted):
-            planted = [rng.choice(ts) for ts in planted]
-            for code in itertools.product((0, 1), repeat=n):
-                pats.add(tuple(rng.choice([v for v, b in t.items() if b == c])
-                               for t, c in zip(planted, code)))
+        planted = [t for t, _ in choices[0] if {t.get(v) for v in labels} >= {0, 1}]
+        if rng.random() < 0.5 and planted:
+            _plant_cover(rng, pats, [rng.choice(planted) for _ in range(n)], labels)
         pats = tuple(sorted(pats))
-        behaviors = dk.BehaviorSet(points=tuple(range(n)), patterns=pats)
-        full = (1 << len(behaviors.pattern_set)) - 1
+        cls = _drawn_class(pats, q)
+        pts = tuple(rng.sample(range(8), n))
+        cert = dk.is_psi_shattered(cls, pts, fam)
         want = oracles.first_cover(pats, choices)
-        assert dimensions._coverage_search(behaviors.index, full, choices) == want, (pats, choices)
-        deduped = [dimensions._distinct_tables(c) for c in choices]
-        if all(deduped):
-            assert dimensions._coverage_search(behaviors.index, full, deduped) == want, \
-                (pats, choices)
-        else:
-            assert want is None
+        payload = None if want is None else (want,)
+        assert oracles.first_certificate(cls, pts, "psi", fam) == payload
+        assert cert == (None if payload is None else dk.ShatterCertificate(
+            kind="psi", points=pts, payload=payload)), (pats, fam)
 
 
-def test_coverage_search_counting_bound_prunes_dense_sets():
+def test_psi_shattering_counting_bound_prunes_dense_sets():
     """Dense pattern sets (at least 2^n of them) at arities 4-6, where the
     cells pass the emptiness test but not always the counting bound: some
     with a planted cover, some with every preimage of one code under the
-    planted tables removed.  Tables are partial, repeated and complemented."""
+    planted tables removed.  Members are partial and complemented."""
     rng = random.Random(4096)
     pruned = planted_found = 0
     for trial in range(60):
         n = rng.randint(4, 6)
         q = rng.randint(2, 3)
-        choices = []
-        for _ in range(n):
-            t = {}
-            while len(set(t.values())) < 2:
-                t = _random_partial_table(rng, q)
-            tables = [t, {v: 1 - b for v, b in t.items()}, _random_partial_table(rng, q)]
-            if rng.random() < 0.3:
-                tables.append(dict(t))
-            rng.shuffle(tables)
-            choices.append([(t, k) for k, t in enumerate(tables)])
+        t = ()
+        while not {0, 1} <= set(t):
+            t = _random_encoder(rng, q)
+        members = [t, tuple(b if b == dk.STAR else 1 - b for b in t), _random_encoder(rng, q)]
+        rng.shuffle(members)
+        fam = dk.PsiFamily(members=tuple(map(dk.PsiFunction, members)), num_labels=q)
+        choices = [_family_choices(fam)] * n
         cube = list(itertools.product(range(q), repeat=n))
         pats = set(rng.sample(cube, min(len(cube), (1 << n) + rng.randint(0, 1 << n))))
-        planted = [[t for t, _ in c if len(set(t.values())) == 2] for c in choices]
-        if all(planted):
-            planted = [rng.choice(ts) for ts in planted]
-            if trial % 2:
-                for code in itertools.product((0, 1), repeat=n):
-                    pats.add(tuple(rng.choice([v for v, b in t.items() if b == c])
-                                   for t, c in zip(planted, code)))
-            else:
-                hole = tuple(rng.randint(0, 1) for _ in range(n))
-                pats = {p for p in pats
-                        if tuple(t.get(v) for t, v in zip(planted, p)) != hole}
+        planted = [rng.choice([t for t, _ in choices[0] if len(set(t.values())) == 2])
+                   for _ in range(n)]
+        if trial % 2:
+            _plant_cover(rng, pats, planted, range(q))
+        else:
+            hole = tuple(rng.randint(0, 1) for _ in range(n))
+            pats = {p for p in pats if tuple(t.get(v) for t, v in zip(planted, p)) != hole}
         pats = tuple(sorted(pats))
-        behaviors = dk.BehaviorSet(points=tuple(range(n)), patterns=pats)
-        full = (1 << len(behaviors.pattern_set)) - 1
+        cls = _drawn_class(pats, q)
+        cert = dk.is_psi_shattered(cls, range(n), fam)
         want = oracles.first_cover(pats, choices)
-        assert dimensions._coverage_search(behaviors.index, full, choices) == want, (pats, choices)
+        assert (None if cert is None else cert.payload) == (
+            None if want is None else (want,)), (pats, fam)
         planted_found += want is not None
         # the bound is live: some first-level choice leaves every cell
         # nonempty yet one below the 2^(n-1) it needs
-        index = behaviors.index[0]
+        index = dk.restrict(cls, range(n)).index[0]
         for table, _ in choices[0]:
             cells = [sum(index.get(v, 0) for v, b in table.items() if b == c).bit_count()
                      for c in (0, 1)]
@@ -822,7 +831,7 @@ def test_verify_certificate_rejects_certificates_found_on_corrupted_masks(monkey
 
     def engine(*args):
         raise AssertionError("the certificate check ran the coverage engine")
-    for name in ("_coverage_search", "_cells", "_hypothesis_masks"):
+    for name in ("_first_shattered", "_coverage_steps", "_extend", "_hypothesis_masks"):
         monkeypatch.setattr(dimensions, name, engine)
     for cert in certs:
         assert not dk.verify_certificate(cert, cls), cert

@@ -135,14 +135,12 @@ NATARAJAN_ANSWERS = {
     "list": list,
     "tuple": tuple,
     "generator": lambda items: (i for i in items),
-    "bools": lambda items: frozenset(map(bool, items)),  # {False, True} == {0, 1}
     "mixed": lambda items: (set, frozenset, list)[sum(items) % 3](items),
 }
 PSI_ANSWERS = {
     "tuple": tuple,
     "list": list,
     "generator": lambda bits: (b for b in bits),
-    "bools": lambda bits: tuple(b == 1 for b in bits),
 }
 
 

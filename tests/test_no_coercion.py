@@ -5,13 +5,19 @@ constructors that take them refuse anything else, so ``int(1.9)`` or
 ``int("2")`` can never turn a bad entry into a good one.  A call ``int(...)``
 may only wrap a comparison, as in ``int(v == k)``, which turns a bool into a
 0/1 code, and ``map(int, ...)`` is not allowed at all.  ``cli.py`` parses
-argv strings, so it is exempt.
+argv strings, so it is exempt.  Nor is a label or a weight converted where
+it enters: ``empirical_risk`` refuses a sample label outside the alphabet,
+and ``FiniteDistribution`` a weight that is not an exact int or a Fraction.
 """
 
 import ast
 import pathlib
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+
+import dimkit as dk
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dimkit"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "cli.py")
@@ -48,3 +54,21 @@ def test_coercions_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_coerces_with_int(module):
     assert coercions((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("label", [9, -1, True, 1.0])
+def test_empirical_risk_refuses_a_label_outside_the_alphabet(label):
+    """A label the hypothesis cannot take is refused, not counted as a miss
+    (or, for a bool or a float equal to a label, as a hit)."""
+    h = dk.Hypothesis(num_labels=3, table=(1, 2))
+    with pytest.raises(dk.PreconditionError, match=f"sample label {label!r} outside"):
+        dk.empirical_risk(h, ((1, 2), (0, label)))
+
+
+@pytest.mark.parametrize("weight", [0.5, True, "1/2", Decimal("0.5")])
+def test_distribution_weights_are_not_converted(weight):
+    """A weight is an exact int or a Fraction; ``Fraction(0.5)`` would
+    convert a float exactly, and ``Fraction(True)`` a bool."""
+    with pytest.raises(dk.RepresentationError, match="is not an exact int or Fraction"):
+        dk.FiniteDistribution(atoms=(((0, 0), weight), ((1, 0), Fraction(1, 2))))
+    assert dk.FiniteDistribution(atoms=(((0, 0), 1),)).atoms == (((0, 0), Fraction(1)),)

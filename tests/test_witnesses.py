@@ -324,12 +324,10 @@ ANSWER_TYPES = {
     "list": list,
     "tuple": tuple,
     "generator": lambda items: (i for i in items),
-    "bools": lambda items: frozenset(map(bool, items)),  # {False, True} == {0, 1}
 }
 PSI_ANSWER_TYPES = {
     "list": list,
     "generator": lambda bits: (b for b in bits),
-    "bools": lambda bits: tuple(b == 1 for b in bits),
 }
 
 
@@ -587,7 +585,17 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("flavor, malformed, shown", MALFORMED)
+# answers that hold bools: True equals 1, but is not an index or a bit
+BOOLS = [
+    *(pytest.param(flavor, lambda: frozenset({False, True}), "frozenset({False, True})",
+                   id=f"{flavor}-bools") for flavor in ("natarajan", "graph")),
+    pytest.param("natarajan", lambda: [0, True], "frozenset({0, True})", id="natarajan-int-and-bool"),
+    pytest.param("psi", lambda: (True, False), "(True, False)", id="psi-bools"),
+    pytest.param("psi", lambda: [0, True], "(0, True)", id="psi-int-and-bool"),
+]
+
+
+@pytest.mark.parametrize("flavor, malformed, shown", MALFORMED + BOOLS)
 def test_malformed_answers_raise_one_message_everywhere(flavor, malformed, shown):
     """A malformed answer raises the same PreconditionError through
     validation (on the last point tuple, after well-formed answers), the
@@ -634,6 +642,22 @@ def test_malformed_answer_after_well_formed_ones_in_good_patterns(flavor, malfor
         dk.good_patterns(spec, (0, 1, 2))
     assert str(err.value) == _malformed_message(flavor, shown, (1, 2))
     assert {("excl", (0, 1)), ("excl", (0, 2))} <= spec._cache.keys()
+
+
+def test_code_memo_reads_an_equal_bool_answer_as_the_earlier_answer():
+    """The code memo compares answers by value and scans no members, so once
+    (1, 0) is seen, (True, False) is a hit: validation reads it as (1, 0)
+    and reports what an evaluator answering (1, 0) everywhere gets, while
+    the public evaluate, which keeps no memo, refuses it."""
+    def psi_witness(later):
+        return dk.Witness(flavor="psi", order=1, psi=dk.graph_family(2),
+                          evaluator=lambda pts, psibar: (1, 0) if pts == (0, 1) else later)
+
+    report = dk.validate_witness(psi_witness((True, False)), dk.full_class(3, 2), 2)
+    assert report.violations
+    assert repr(report) == repr(dk.validate_witness(psi_witness((1, 0)), dk.full_class(3, 2), 2))
+    with pytest.raises(dk.PreconditionError, match=r"answered \(True, False\)"):
+        psi_witness((True, False)).evaluate((1, 2), (dk.graph_family(2).members[0],) * 2)
 
 
 def test_first_missing_code_matches_brute_force():

@@ -489,15 +489,30 @@ def _check_window(window: int) -> None:
         raise PreconditionError(f"window {window} is too large to enumerate")
 
 
+# the most hypotheses a gallery class may enumerate
+_HYPOTHESIS_BUDGET = 1 << 20
+
+
+def _check_hypothesis_count(base: int, exponent: int) -> None:
+    """Refuse a class of base^exponent hypotheses above the budget, naming
+    the count, before any row is built; a power far past the budget is not
+    taken (base >= 2 and exponent past the budget's bit length)."""
+    if base > 1 and exponent >= _HYPOTHESIS_BUDGET.bit_length() or \
+            base ** exponent > _HYPOTHESIS_BUDGET:
+        raise PreconditionError(f"{base}^{exponent} hypotheses exceed the budget")
+
+
 def empirical_risk(h: Hypothesis, sample: Sample) -> Fraction:
     """Fraction of sample pairs the hypothesis mislabels.  A sample label
-    outside the hypothesis's alphabet is refused, not counted as a miss."""
+    outside the hypothesis's alphabet is refused, not counted as a miss, and
+    a point that is not a natural raises DomainError."""
     if not sample:
         raise PreconditionError("empirical risk of an empty sample")
     labels = tuple(y for _, y in sample)
     j = _first_outside(labels, 0, h.num_labels - 1)
     if j is not None:
         raise PreconditionError(f"sample label {labels[j]!r} outside the alphabet")
+    _naturals(x for x, _ in sample)
     wrong = sum(1 for x, y in sample if h(x) != y)
     return Fraction(wrong, len(sample))
 

@@ -134,25 +134,22 @@ def _coverage_kind(cls, kind, family):
     """The coverage driver's (encoders, payload) for a kind other than ds:
     ``encoders(vals)`` builds the (table, meta) pairs of a coordinate whose
     realized labels are the sorted ``vals``, and ``payload(metas)`` turns the
-    chosen metas into the certificate payload.  Refuses vc on a non-binary
-    alphabet, and a Ψ family over another alphabet than the class."""
+    chosen metas into the certificate payload.  The tables come from
+    ``psi._binary_table``, which refuses vc on a non-binary alphabet; graph
+    and Ψ tables keep only the realized labels.  A Ψ family over another
+    alphabet than the class is refused."""
+    if kind == "psi" and family.num_labels != cls.num_labels:
+        raise RepresentationError("family alphabet differs from class alphabet")
+    table_of = _binary_table(kind, cls.num_labels)
     if kind == "vc":
-        if cls.num_labels != 2:
-            raise PreconditionError("vc shattering requires a binary alphabet")
-        return lambda vals: [({0: 0, 1: 1}, None)], lambda got: ()
+        table = table_of(None)
+        return lambda vals: [(table, None)], lambda got: ()
     if kind == "natarajan":
-        table_of = _binary_table("natarajan", cls.num_labels)
         return (lambda vals: [(table_of(pair), pair) for pair in itertools.combinations(vals, 2)],
                 lambda got: tuple(zip(*got)))
-    if kind == "graph":
-        return (lambda vals: [({v: int(v == k) for v in vals}, k) for k in vals],
-                lambda got: (got,))
-    if family.num_labels != cls.num_labels:
-        raise RepresentationError("family alphabet differs from class alphabet")
-    table_of = _binary_table("psi", cls.num_labels)
-    tables = [(table_of(psi), psi) for psi in family.members]
-    return (lambda vals: [({v: b for v, b in table.items() if v in vals}, psi)
-                          for table, psi in tables],
+    coords = (lambda vals: vals) if kind == "graph" else (lambda vals: family.members)
+    return (lambda vals: [({v: b for v, b in table_of(c).items() if v in vals}, c)
+                          for c in coords(vals)],
             lambda got: (got,))
 
 
@@ -487,17 +484,18 @@ def _is_labeling(row) -> bool:
     return isinstance(row, (tuple, list)) and all(isinstance(v, int) for v in row)
 
 
-def _well_typed(kind: str, payload: tuple) -> bool:
+def _well_typed(kind: str, payload: tuple, cls: HypothesisClass) -> bool:
     """Whether each payload part has the type its kind takes: labelings
     for natarajan and graph, a collection of label tuples for ds, and
-    encoders for psi."""
+    encoders over the class's alphabet for psi."""
     if kind == "ds":
         (cube,) = payload
         return isinstance(cube, (tuple, list, set, frozenset)) and all(
             isinstance(p, tuple) and _is_labeling(p) for p in cube)
     if kind == "psi":
         return isinstance(payload[0], (tuple, list)) and all(
-            isinstance(psi, PsiFunction) for psi in payload[0])
+            isinstance(psi, PsiFunction) and psi.num_labels == cls.num_labels
+            for psi in payload[0])
     return all(map(_is_labeling, payload))
 
 
@@ -508,13 +506,16 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
     realized patterns; every other kind names one binary table per point
     (``psi._binary_table``), and the codes of the behaviors with no star
     under them must be all of {0,1}^n.  A payload of the wrong shape or type
-    for its kind does not verify."""
+    for its kind, encoders over another alphabet included, does not verify;
+    vc on a non-binary class is refused, as the search refuses it."""
     if not isinstance(cert, ShatterCertificate):
         raise PreconditionError(f"{type(cert).__name__} is not a ShatterCertificate")
     if cert.kind not in _PAYLOAD_SIZE:
         raise PreconditionError(f"unknown certificate kind {cert.kind!r}")
     points, payload = cert.points, cert.payload
-    if len(payload) != _PAYLOAD_SIZE[cert.kind] or not _well_typed(cert.kind, payload):
+    # built first, so that vc on a non-binary class is refused as the search refuses it
+    table_of = None if cert.kind == "ds" else _binary_table(cert.kind, cls.num_labels)
+    if len(payload) != _PAYLOAD_SIZE[cert.kind] or not _well_typed(cert.kind, payload, cls):
         return False
     behaviors = restrict(cls, points).pattern_set
     if cert.kind == "ds":
@@ -522,11 +523,9 @@ def verify_certificate(cert: ShatterCertificate, cls: HypothesisClass) -> bool:
         return set(cube) <= behaviors and is_pseudo_cube(cube)
     if any(len(part) != len(points) for part in payload):
         return False
-    if cert.kind == "vc":
-        tables = [{0: 0, 1: 1}] * len(points)
-    else:
-        coords = zip(*payload) if cert.kind == "natarajan" else payload[0]
-        tables = list(map(_binary_table(cert.kind, cls.num_labels), coords))
+    # a vc payload is empty, and its table reads no coordinate
+    coords = zip(*payload) if cert.kind == "natarajan" else payload[0] if payload else points
+    tables = list(map(table_of, coords))
     codes = {tuple(map(dict.get, tables, p)) for p in behaviors}
     return sum(None not in code for code in codes) == 1 << len(points)
 

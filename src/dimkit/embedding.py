@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import getitem
@@ -56,15 +56,20 @@ class GoodFunctionSpec:
 
     witness: Witness
     num_labels: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_int(self.num_labels, "number of labels")
         if self.num_labels < 1:
             raise PreconditionError("good functions need at least one label")
         if self.witness.flavor not in ("natarajan", "psi"):
             raise PreconditionError("good functions need a natarajan or psi witness")
         if self.witness.psi is not None and self.witness.psi.num_labels != self.num_labels:
             raise PreconditionError("witness family alphabet differs from num_labels")
+
+    @cached_property
+    def _cache(self) -> dict:
+        """The good-pattern memo: exclusion sets by subset and good windows."""
+        return {}
 
     @cached_property
     def _read(self):
@@ -246,6 +251,7 @@ def agnostic_learner(spec: GoodFunctionSpec):
 def realizable_enumeration_erm(enumerator, sample: Sample, budget: int) -> Hypothesis:
     """First enumerated hypothesis with zero empirical risk.  The unbounded
     procedure does not halt on non-realizable input, hence the budget."""
+    _check_int(budget, "budget")
     for count, h in enumerate(enumerator):
         if count >= budget:
             break

@@ -9,6 +9,7 @@ from typing import Optional
 from .core import (
     HypothesisClass,
     PreconditionError,
+    _check_hypothesis_count,
     _check_int,
     class_from_tables,
 )
@@ -30,8 +31,7 @@ def full_class(n: int, num_labels: int) -> HypothesisClass:
     _check_int(num_labels, "number of labels")
     if n < 1 or num_labels < 1:
         raise PreconditionError("need n >= 1 and at least one label")
-    if num_labels ** n > 1 << 20:
-        raise PreconditionError(f"{num_labels}^{n} hypotheses exceed the budget")
+    _check_hypothesis_count(num_labels, n)
     rows = itertools.product(range(num_labels), repeat=n)
     return class_from_tables(rows, num_labels=num_labels)
 

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from operator import eq
 from typing import Callable
 
@@ -156,17 +156,11 @@ def exact_expected_risk(learner: Learner, points, f_values: Pattern, m: int):
     points = _graph_points(points, f_values)
     if len(points) != 2 * m:
         raise PreconditionError(f"need exactly {2 * m} points, got {len(points)}")
-    f = dict(zip(points, f_values))
     risks = [Fraction(wrong, len(points)) for wrong in range(len(points) + 1)]
-    table = []
-    total = 0
-    for seq in itertools.product(points, repeat=m):
-        sample = tuple((x, f[x]) for x in seq)
-        h = learner(sample)
-        wrong = sum(1 for x in points if h(x) != f[x])
-        table.append((seq, risks[wrong]))
-        total += wrong
-    return Fraction(total, len(points) ** (m + 1)), tuple(table)
+    seqs = tuple(itertools.product(points, repeat=m))
+    wrong = [_risk_counts(learner, points, f_values, ((seq, 1),))[0] for seq in seqs]
+    return (Fraction(sum(wrong), len(points) ** (m + 1)),
+            tuple(zip(seqs, map(risks.__getitem__, wrong))))
 
 
 def _multisets(points, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -197,37 +191,51 @@ def _risk_counts(learner: Learner, points, f_values: Pattern, multisets):
     return total, tail
 
 
-def _first_hard_mixture(risk: Callable, n: int, g1: Pattern, g2: Pattern):
-    """The first mixture f of (g1, g2), in characteristic-vector order, whose
-    integer risk sums ``risk(f)`` (total wrong answers and tail sequences, as
-    ``_risk_counts`` gives them on n points) reach expected risk 1/4.
-    Returns (f, index set, total, tail, mixtures examined).  Labelings that
-    agree at some point are refused."""
-    if any(map(eq, g1, g2)):
-        raise PreconditionError("labelings must differ at every point")
-    bound = n ** (n // 2 + 1)
-    for examined, bits in enumerate(itertools.product((0, 1), repeat=n), 1):
-        index_set = frozenset(itertools.compress(range(n), bits))
-        f = mix_labelings(index_set, g1, g2)
-        total, tail = risk(f)
-        if 4 * total >= bound:
-            return f, index_set, total, tail, examined
-    raise NflFailureError(
-        "no mixture reached expected risk 1/4; the learner is not a "
-        "deterministic total map"
-    )
+def _mixture_search(learner: Learner) -> Callable:
+    """``search(points, g1, g2)``: the first mixture f of (g1, g2), in
+    characteristic-vector order, whose integer risk sums against the learner
+    (``_risk_counts``) reach expected risk 1/4, as (points, f, index set,
+    total, tail, mixtures examined).  The input is checked as
+    ``_graph_points`` checks it, and labelings that agree at some point are
+    refused.  A ``Learner`` carries no alphabet, so a label is only checked
+    to be a natural: one that no hypothesis outputs is always a mistake.
+
+    The memo keeps, for the point tuple last asked about, the sample
+    multisets and each mixture's risk sums, so inputs grouped by point
+    tuple, as ``validate_witness`` gives them, sum each mixture's risk once.
+    This relies on the learner being a deterministic total map."""
+
+    @lru_cache(maxsize=1)
+    def risk_at(points):
+        multisets = _multisets(points, len(points) // 2) if learner.symmetric else None
+        return cache(lambda f: _risk_counts(learner, points, f, multisets))
+
+    def search(points, g1: Pattern, g2: Pattern):
+        points = _graph_points(points, g1, g2)
+        if any(map(eq, g1, g2)):
+            raise PreconditionError("labelings must differ at every point")
+        risk, n = risk_at(points), len(points)
+        for examined, bits in enumerate(itertools.product((0, 1), repeat=n), 1):
+            index_set = frozenset(itertools.compress(range(n), bits))
+            f = mix_labelings(index_set, g1, g2)
+            total, tail = risk(f)
+            if 4 * total >= n ** (n // 2 + 1):
+                return points, f, index_set, total, tail, examined
+        raise NflFailureError(
+            "no mixture reached expected risk 1/4; the learner is not a "
+            "deterministic total map"
+        )
+
+    return search
 
 
 def nfl_adversary(learner: Learner, points, g1: Pattern, g2: Pattern) -> AdversaryReport:
     """First mixture of (g1, g2) on which the learner's exact expected risk
     reaches 1/4; its uniform graph distribution realizes the target (risk 0)
     while the learner fails with probability at least 1/7."""
-    points = _graph_points(points, g1, g2)
+    points, f, index_set, total, tail, examined = _mixture_search(learner)(points, g1, g2)
     n = len(points)
     m = n // 2
-    multisets = _multisets(points, m) if learner.symmetric else None
-    f, index_set, total, tail, examined = _first_hard_mixture(
-        lambda f: _risk_counts(learner, points, f, multisets), n, g1, g2)
     tail_probability = Fraction(tail, n ** m)
     return AdversaryReport(
         points=points,

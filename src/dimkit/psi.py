@@ -20,6 +20,9 @@ from .core import (
     HypothesisClass,
     PreconditionError,
     RepresentationError,
+    _as_tuple,
+    _check_hypothesis_count,
+    _check_int,
     _check_window,
     _first_outside,
     class_from_tables,
@@ -31,12 +34,13 @@ STAR = 2  # third symbol of the {0, 1, *} output code
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """A total map from labels 0..q-1 to {0, 1, *}, stored as a table."""
+    """A total map from labels 0..q-1 to {0, 1, *}, stored as a table.  A
+    call refuses a label outside 0..q-1 rather than wrap a negative index."""
 
     table: tuple[int, ...]
 
     def __post_init__(self):
-        table = tuple(self.table)
+        table = _as_tuple(self.table, "table")
         if not table:
             raise RepresentationError("encoder needs a nonempty alphabet")
         j = _first_outside(table, 0, STAR)
@@ -49,6 +53,8 @@ class PsiFunction:
         return len(self.table)
 
     def __call__(self, y: int) -> int:
+        if type(y) is not int or not 0 <= y < len(self.table):
+            raise PreconditionError(f"label {y!r} outside the encoder's alphabet")
         return self.table[y]
 
 
@@ -60,12 +66,15 @@ class PsiFamily:
     num_labels: int
 
     def __post_init__(self):
-        members = tuple(self.members)
+        _check_int(self.num_labels, "number of labels")
+        members = _as_tuple(self.members, "members")
         if not members:
             raise RepresentationError("family must be nonempty")
         seen = set()
         kept = []
         for m in members:
+            if not isinstance(m, PsiFunction):
+                raise RepresentationError(f"family member {m!r} is not a PsiFunction")
             if m.num_labels != self.num_labels:
                 raise RepresentationError("family members disagree on the alphabet")
             if m.table not in seen:
@@ -106,6 +115,7 @@ def apply_encoders(psibar, pattern) -> tuple[int, ...]:
 def graph_family(num_labels: int) -> PsiFamily:
     """One indicator encoder per label (1 on the label, 0 elsewhere); the
     induced dimension is the graph dimension."""
+    _check_int(num_labels, "number of labels")
     if num_labels < 2:
         raise PreconditionError("need at least two labels")
     members = tuple(
@@ -118,6 +128,7 @@ def graph_family(num_labels: int) -> PsiFamily:
 def natarajan_family(num_labels: int) -> PsiFamily:
     """One encoder per ordered label pair (k, k'): 1 on k, 0 on k', star
     elsewhere; the induced dimension is the Natarajan dimension."""
+    _check_int(num_labels, "number of labels")
     if num_labels < 2:
         raise PreconditionError("need at least two labels")
     members = []
@@ -158,6 +169,7 @@ def failing_psi_class(family: PsiFamily, window: int):
         raise PreconditionError("family distinguishes every pair; no hard class exists")
     y1, y2 = pair
     _check_window(window)
+    _check_hypothesis_count(2, window + 1)
     rows = itertools.product((y1, y2), repeat=window + 1)
     cls = class_from_tables(rows, num_labels=family.num_labels)
 
@@ -306,11 +318,16 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
 
 
 def _binary_table(flavor: str, num_labels: int) -> Callable[..., dict[int, int]]:
-    """The map from one payload coordinate of a natarajan, graph or psi
+    """The map from one payload coordinate of a vc, natarajan, graph or psi
     witness or certificate to its binary table (label -> 0/1, stars
-    omitted): a natarajan pair (a, b) codes a as 1 and b as 0, a graph label
-    k is its indicator over the alphabet (all 0 for a label outside it), and
-    an encoder keeps its non-star values."""
+    omitted): vc codes each label as itself, on a binary alphabet only
+    (whatever the coordinate), a natarajan pair (a, b) codes a as 1 and b
+    as 0, a graph label k is its indicator over the alphabet (all 0 for a
+    label outside it), and an encoder keeps its non-star values."""
+    if flavor == "vc":
+        if num_labels != 2:
+            raise PreconditionError("vc shattering requires a binary alphabet")
+        return lambda _: {0: 0, 1: 1}
     if flavor == "natarajan":
         return lambda pair: {pair[0]: 1, pair[1]: 0}
     if flavor == "graph":

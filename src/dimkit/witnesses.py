@@ -84,6 +84,8 @@ class Witness:
             raise PreconditionError("order must be a natural")
         if (self.flavor == "psi") != (self.psi is not None):
             raise PreconditionError("psi flavor carries a family, others do not")
+        if self.psi is not None and not isinstance(self.psi, PsiFamily):
+            raise PreconditionError(f"psi {self.psi!r} is not a PsiFamily")
         if self.pair_symmetric and self.flavor != "natarajan":
             raise PreconditionError("only a natarajan witness can be pair-symmetric")
 
@@ -177,6 +179,7 @@ def witness_inputs(witness: Witness, num_labels: int):
     """Every canonical payload of the witness's flavor over labels
     0..num_labels-1, in product order: (g1, g2) pairs that differ at every
     coordinate, (f,) labelings, or (psibar,) encoder tuples."""
+    _check_int(num_labels, "number of labels")
     return _inputs_over(witness, _alphabet(witness, num_labels))
 
 
@@ -392,14 +395,9 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
     the index set of g1-coordinates inside f is a valid exclusion.  When
     ``h_check`` is given, the exclusion is re-verified per input.
 
-    The evaluator runs the adversary's mixture walk (``nfl._first_hard_mixture``)
-    and keeps, for the point tuple it was last asked about, the sample
-    multisets and the integer risk sums of each mixture reached there, and
-    with ``h_check`` its behaviors.  Inputs on the same points keep reaching
-    the same mixtures, so when the inputs come grouped by point tuple, as in
-    ``validate_witness``, each mixture's risk is summed once, and the memo
-    never holds more than one point tuple's mixtures.  This relies on the learner being a
-    deterministic total map, as ``nfl_adversary`` already does.
+    The evaluator runs the adversary's search and shares its memo
+    (``nfl._mixture_search``); with ``h_check`` it keeps the behaviors of
+    the point tuple last asked about.
     """
     _check_int(m, "sample size")
     if m < 1:
@@ -407,17 +405,10 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
     order = 2 * m - 1
     behaviors_at = None if h_check is None else lru_cache(maxsize=1)(
         lambda points: restrict(h_check, points))
-    last = {}  # the point tuple last asked about -> its memoized risk sums per mixture
+    search = nfl._mixture_search(learner)
 
     def evaluator(points, g1, g2):
-        points = nfl._graph_points(points, g1, g2)
-        risk = last.get(points)
-        if risk is None:
-            multisets = nfl._multisets(points, len(points) // 2) if learner.symmetric else None
-            last.clear()
-            risk = last[points] = cache(
-                lambda f: nfl._risk_counts(learner, points, f, multisets))
-        f, index_set, *_ = nfl._first_hard_mixture(risk, len(points), g1, g2)
+        points, f, index_set, *_ = search(points, g1, g2)
         if behaviors_at is not None and f in behaviors_at(points).pattern_set:
             raise ExclusionFailure(f"class realizes the hard labeling {f} on {points}")
         # g1 and g2 differ everywhere, so f takes g1 exactly on its index set

@@ -710,6 +710,22 @@ def test_failing_psi_rows_keep_family_field_names(capsys):
     assert "family[1][1]: expected '0', '1' or '*'" in capsys.readouterr().err
 
 
+def test_failing_psi_past_the_hypothesis_budget_exits_two(capsys, tmp_path):
+    """Window 25 would build 2^26 rows; the budget that ``full_class`` keeps
+    refuses it before any row is built, from the command line and from a
+    class file alike.  It used to die with a MemoryError and exit 1."""
+    params = {"labels": 2, "family": [["0", "0"]], "window": 25}
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps({"gallery": "failing_psi", "params": params}))
+    for argv in (["gallery", "emit", "failing_psi", "--params", json.dumps(params)],
+                 ["dim", "--class", str(path), "--kind", "graph"]):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith("2^26 hypotheses exceed the budget\n")
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert dispatch(["frobnicate"]) == 2
     capsys.readouterr()

@@ -457,6 +457,7 @@ def _exact_int_calls():
     natarajan = dk.canonical_witness(three, "natarajan", 1)
     learner = dk.constant_learner(0, num_labels=3, window=2)
     family = dk.PsiFamily(members=dk.psi.all_encoders(2)[:1], num_labels=2)
+    h = dk.Hypothesis(num_labels=2, table=(0, 1))
     return [
         ("Witness.order", lambda v: dk.Witness("graph", v, lambda *a: ())),
         ("witness_from_learner.m", lambda v: dk.witness_from_learner(learner, v)),
@@ -471,6 +472,13 @@ def _exact_int_calls():
         ("failing_psi_class.window", lambda v: dk.psi.failing_psi_class(family, v)),
         ("sauer_natarajan_check.d", lambda v: dk.sauer_natarajan_check(three, (0, 1), v)),
         ("truncate.m", lambda v: dk.truncate(dk.Hypothesis(num_labels=2, support=((0, 1),)), v)),
+        ("graph_family.labels", dk.graph_family),
+        ("natarajan_family.labels", dk.natarajan_family),
+        ("witness_inputs.labels", lambda v: dk.witnesses.witness_inputs(natarajan, v)),
+        ("PsiFamily.labels", lambda v: dk.PsiFamily(family.members, v)),
+        ("realizable_enumeration_erm.budget",
+         lambda v: dk.realizable_enumeration_erm(iter((h,)), ((0, 0),), v)),
+        ("GoodFunctionSpec.labels", lambda v: dk.GoodFunctionSpec(natarajan, v)),
     ]
 
 

@@ -919,6 +919,23 @@ def test_corrupted_certificates_fail_verification():
     assert not dk.verify_certificate(dk.ShatterCertificate("ds", (0, 1), (not_cube,)), three)
 
 
+def test_verify_certificate_refuses_what_the_search_refuses():
+    """vc on a ternary class raises the search's PreconditionError, and
+    encoders over another alphabet than the class's do not verify, as the
+    search refuses their family; both used to verify."""
+    three = dk.full_class(2, 3)
+    with pytest.raises(dk.PreconditionError, match="^vc shattering requires a binary alphabet$"):
+        dk.exact_dimension(three, "vc")
+    with pytest.raises(dk.PreconditionError, match="^vc shattering requires a binary alphabet$"):
+        dk.verify_certificate(dk.ShatterCertificate("vc", (0,), ()), three)
+    binary = dk.full_class(2, 2)
+    assert dk.verify_certificate(dk.ShatterCertificate("vc", (0, 1), ()), binary)
+    same = dk.ShatterCertificate("psi", (0,), ((dk.PsiFunction(table=(0, 1)),),))
+    assert dk.verify_certificate(same, binary)
+    wider = dk.ShatterCertificate("psi", (0,), ((dk.PsiFunction(table=(0, 1, 1, 1)),),))
+    assert dk.verify_certificate(wider, binary) is False
+
+
 @pytest.mark.parametrize("kind, payload", [
     ("graph", ()), ("psi", ()), ("natarajan", ((0, 1),)), ("ds", ()), ("psi", ((0, 1),)),
     ("natarajan", ()), ("ds", ((), ())), ("vc", ((0, 1),)),

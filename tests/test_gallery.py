@@ -1,9 +1,11 @@
 import itertools
+import re
 
 import pytest
 
 import dimkit as dk
 import oracles
+from dimkit.core import _check_hypothesis_count
 
 
 def test_full_class_sizes_and_dims():
@@ -18,6 +20,20 @@ def test_full_class_sizes_and_dims():
 def test_full_class_budget_guard():
     with pytest.raises(dk.PreconditionError):
         dk.full_class(40, 3)
+
+
+def test_hypothesis_budget_takes_no_power_far_past_it():
+    """2^(10^12) would take minutes and gigabytes to compute; the budget
+    refuses it from the exponent alone, and 1^(10^12) is one hypothesis."""
+    family = dk.PsiFamily(members=(dk.PsiFunction(table=(0, 0)),), num_labels=2)
+    for build, count in ((lambda: dk.full_class(10 ** 12, 2), "2^1000000000000"),
+                         (lambda: dk.failing_psi_class(family, 10 ** 12), "2^1000000000001"),
+                         (lambda: dk.full_class(21, 2), "2^21"),
+                         (lambda: dk.full_class(13, 3), "3^13")):
+        with pytest.raises(dk.PreconditionError, match=rf"^{re.escape(count)} hypotheses exceed"):
+            build()
+    assert _check_hypothesis_count(2, 20) is None
+    assert _check_hypothesis_count(1, 10 ** 12) is None
 
 
 def test_gap_class_boundary_m1():

@@ -104,6 +104,18 @@ def test_adversary_rejects_labels_that_are_not_exact_ints(g1, g2):
         dk.nfl_adversary(learner, (0, 1), g1, g2)
 
 
+def test_adversary_labels_outside_the_learners_alphabet_are_mistakes():
+    """A ``Learner`` carries no alphabet, so a label no hypothesis outputs
+    is taken as given: it is always a mistake, and the adversary and the
+    learner witness answer on it."""
+    learner = dk.constant_learner(0, num_labels=3, window=3)
+    report = dk.nfl_adversary(learner, (0, 1), (0, 1), (5, 0))
+    assert report.f_values == (5, 0) and report.index_set == frozenset()
+    assert report.expected_risk == Fraction(1, 2)
+    witness = dk.witness_from_learner(learner, 1)
+    assert witness.evaluate((0, 1), (7, 0), (1, 2)) == frozenset()
+
+
 def _built_in_learners(num_labels, window):
     base = dk.class_from_supports([{0: 1}, {1: 1}], num_labels=num_labels)
     witness = dk.canonical_witness(base, "natarajan", 1)

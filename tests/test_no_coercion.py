@@ -72,3 +72,29 @@ def test_distribution_weights_are_not_converted(weight):
     with pytest.raises(dk.RepresentationError, match="is not an exact int or Fraction"):
         dk.FiniteDistribution(atoms=(((0, 0), weight), ((1, 0), Fraction(1, 2))))
     assert dk.FiniteDistribution(atoms=(((0, 0), 1),)).atoms == (((0, 0), Fraction(1)),)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: dk.PsiFamily((5,), 2), dk.RepresentationError,
+     "family member 5 is not a PsiFunction"),
+    (lambda: dk.PsiFamily(5, 2), dk.RepresentationError, "members: 5 is not iterable"),
+    (lambda: dk.PsiFunction(5), dk.RepresentationError, "table: 5 is not iterable"),
+    (lambda: dk.Witness("psi", 0, lambda points, psibar: (0,), psi=5), dk.PreconditionError,
+     "psi 5 is not a PsiFamily"),
+    (lambda: dk.empirical_risk(dk.Hypothesis(num_labels=2, table=(0, 1)), (("a", 1),)),
+     dk.DomainError, "point 'a' is not a natural"),
+    (lambda: dk.PsiFunction((0, 1))(-1), dk.PreconditionError,
+     "label -1 outside the encoder's alphabet"),
+    (lambda: dk.PsiFunction((0, 1))(5), dk.PreconditionError,
+     "label 5 outside the encoder's alphabet"),
+    (lambda: dk.PsiFunction((0, 1))(True), dk.PreconditionError,
+     "label True outside the encoder's alphabet"),
+], ids=["member 5", "members 5", "table 5", "witness psi 5", "point 'a'", "label -1",
+        "label 5", "label True"])
+def test_wrong_types_raise_a_dimkit_error_where_they_enter(build, error, message):
+    """Each raised AttributeError, TypeError or IndexError, or was accepted
+    and failed later; ``PsiFunction((0, 1))(-1)`` read the table from its
+    end."""
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message

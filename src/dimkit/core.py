@@ -378,7 +378,11 @@ def _checked_columns(cls: HypothesisClass, points: Iterable[int]) -> tuple[tuple
     """The points as a tuple, checked to be distinct points of the domain,
     and, for an explicit class, its cached columns with every one of them
     filled in (None for an oracle class)."""
-    points = tuple(points)
+    try:
+        points = tuple(points)
+    except TypeError:
+        _as_tuple(points, "points")  # names a value that is not iterable
+        raise
     j = _first_outside(points, 0, None if cls.domain_size is None else cls.domain_size - 1)
     if j is not None:
         raise DomainError(f"point {points[j]!r} is not a natural" if cls.domain_size is None
@@ -455,7 +459,7 @@ def _first_outside(values: tuple, low: int, high: Optional[int]) -> Optional[int
 
 def _naturals(points) -> tuple:
     """``points`` as a tuple, each checked to be a natural (an exact int)."""
-    points = tuple(points)
+    points = _as_tuple(points, "points")
     j = _first_outside(points, 0, None)
     if j is not None:
         raise DomainError(f"point {points[j]!r} is not a natural")
@@ -502,17 +506,27 @@ def _check_hypothesis_count(base: int, exponent: int) -> None:
         raise PreconditionError(f"{base}^{exponent} hypotheses exceed the budget")
 
 
-def empirical_risk(h: Hypothesis, sample: Sample) -> Fraction:
-    """Fraction of sample pairs the hypothesis mislabels.  A sample label
-    outside the hypothesis's alphabet is refused, not counted as a miss, and
-    a point that is not a natural raises DomainError."""
-    if not sample:
-        raise PreconditionError("empirical risk of an empty sample")
+def _sample_points(sample: Sample, num_labels: int) -> tuple:
+    """The points of a sample, in order, once every entry is checked to be a
+    (point, label) pair, every label to lie in 0..num_labels-1 (refused,
+    not counted as a miss) and every point to be a natural (DomainError);
+    the first value that is not is named."""
+    for pair in sample:
+        if type(pair) is not tuple and type(pair) is not list or len(pair) != 2:
+            raise PreconditionError(f"sample entry {pair!r} is not a (point, label) pair")
     labels = tuple(y for _, y in sample)
-    j = _first_outside(labels, 0, h.num_labels - 1)
+    j = _first_outside(labels, 0, num_labels - 1)
     if j is not None:
         raise PreconditionError(f"sample label {labels[j]!r} outside the alphabet")
-    _naturals(x for x, _ in sample)
+    return _naturals(x for x, _ in sample)
+
+
+def empirical_risk(h: Hypothesis, sample: Sample) -> Fraction:
+    """Fraction of sample pairs the hypothesis mislabels.  The sample is
+    checked by ``_sample_points``."""
+    if not sample:
+        raise PreconditionError("empirical risk of an empty sample")
+    _sample_points(sample, h.num_labels)
     wrong = sum(1 for x, y in sample if h(x) != y)
     return Fraction(wrong, len(sample))
 
@@ -525,7 +539,14 @@ class FiniteDistribution:
     atoms: tuple[tuple[tuple[int, int], Fraction], ...]
 
     def __post_init__(self):
-        atoms = tuple(((x, y), w) for (x, y), w in self.atoms)
+        atoms = []
+        for atom in _as_tuple(self.atoms, "atoms"):
+            try:
+                (x, y), w = atom
+            except (TypeError, ValueError):  # not a pair, or its key is not one
+                raise RepresentationError(
+                    f"atom {atom!r} is not a ((point, label), weight) pair") from None
+            atoms.append(((x, y), w))
         keys = [k for k, _ in atoms]
         j = _first_outside(tuple(itertools.chain.from_iterable(keys)), 0, None)
         if j is not None:
@@ -543,7 +564,7 @@ class FiniteDistribution:
 
     @staticmethod
     def uniform_on_graph(points: Iterable[int], values: Iterable[int]) -> "FiniteDistribution":
-        points, values = tuple(points), tuple(values)
+        points, values = _as_tuple(points, "points"), _as_tuple(values, "values")
         if not points or len(points) != len(values):
             raise RepresentationError("need one value per point, and at least one point")
         w = Fraction(1, len(points))
@@ -559,7 +580,11 @@ def mix_labelings(index_set: Iterable[int], y1: Pattern, y2: Pattern) -> Pattern
     """Componentwise selection: y1 at indices in the set, y2 elsewhere."""
     if len(y1) != len(y2):
         raise PreconditionError("labelings must share arity")
-    chosen = set(index_set)
+    try:
+        chosen = set(index_set)
+    except TypeError:
+        _as_tuple(index_set, "index set")  # names a value that is not iterable
+        raise
     # a loop, not _first_outside: the sets the adversary passes have a few
     # members, where one call costs more than the whole loop
     for i in chosen:

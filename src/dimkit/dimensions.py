@@ -27,6 +27,7 @@ from .core import (
     HypothesisClass,
     PreconditionError,
     RepresentationError,
+    _as_tuple,
     _check_int,
     _check_window,
     _hypothesis_masks,
@@ -112,7 +113,7 @@ def _distinct_tables(choices):
 
 
 def _check_points(points):
-    points = tuple(points)
+    points = _as_tuple(points, "points")
     if not points:
         raise PreconditionError("point tuple must be nonempty")
     if len(set(points)) != len(points):
@@ -204,8 +205,12 @@ def is_pseudo_cube(patterns) -> bool:
     """True iff the set is nonempty and every pattern has, at every
     coordinate, a neighbor in the set differing there and only there: at
     each coordinate every line (the patterns equal off it) has two or more
-    members."""
-    pats = set(patterns)
+    members.  Every pattern must be a tuple of labels."""
+    pats = _as_tuple(patterns, "patterns")
+    bad = next((p for p in pats if not (isinstance(p, tuple) and _is_labeling(p))), None)
+    if bad is not None:
+        raise PreconditionError(f"pattern {bad!r} is not a tuple of labels")
+    pats = set(pats)
     if len({len(p) for p in pats}) > 1:
         raise PreconditionError("mixed arities in pattern set")
     if not pats:

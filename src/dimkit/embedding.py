@@ -13,11 +13,12 @@ extending good prefixes one point at a time, checking only constraints that
 involve newly reachable subsets.  This enumerates exactly the survivors of
 the full pattern sweep (the test suite cross-checks both routes).
 
-A witness declared ``pair_symmetric`` (the canonical natarajan witness)
-excludes the same mixture on every orientation of the pairs (g1[i], g2[i]),
-so the exclusion reads it once per unordered pair tuple, and the first
-ShatteredError it meets is the one the ordered inputs give (see
-``_excluded_on``).
+What a witness excludes on a subset comes from ``witnesses``
+(``_exclusion_reader``), read once per subset.  A witness declared
+``pair_symmetric`` (the canonical natarajan witness) excludes the same
+mixture on every orientation of the pairs (g1[i], g2[i]), so the reader
+reads it once per unordered pair tuple, and the first ShatteredError it
+meets is the one the ordered inputs give.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import getitem
 
 from .core import (
     BehaviorSet,
@@ -39,13 +39,13 @@ from .core import (
     Sample,
     _check_int,
     _check_window,
-    _first_outside,
     _naturals,
+    _sample_points,
     empirical_risk,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
 from .nfl import Learner
-from .witnesses import Witness, _alphabet, _code_reader, _input_tables, _inputs_over
+from .witnesses import Witness, _exclusion_reader
 
 
 @dataclass(frozen=True)
@@ -68,76 +68,26 @@ class GoodFunctionSpec:
 
     @cached_property
     def _cache(self) -> dict:
-        """The good-pattern memo: exclusion sets by subset and good windows."""
+        """The good windows computed so far, by ("window", w)."""
         return {}
 
     @cached_property
-    def _read(self):
-        """The witness's code reader, whose memo every subset shares."""
-        return _code_reader(self.witness)
-
-    @cached_property
-    def _preimages(self) -> list[tuple[tuple[int, ...], tuple[int, ...], object]]:
-        """Per entry one payload coordinate can hold, in ``_alphabet`` order:
-        the labels its binary table codes 0, those it codes 1 (so a code bit
-        indexes the two), and the entry itself.  For a pair-symmetric witness
-        only the natarajan pairs (a, b) with a < b are kept."""
-        w, n = self.witness, self.num_labels
-        rows = [(*(tuple(v for v, b in table.items() if b == c) for c in (0, 1)), entry)
-                for entry, table in zip(_alphabet(w, n), _input_tables(w, n))]
-        if w.pair_symmetric:
-            rows = [row for row in rows if row[2][0] < row[2][1]]
-        return rows
-
-
-def _excluded_on(spec: GoodFunctionSpec, subset) -> frozenset:
-    """All restrictions to ``subset`` that agree with a witness-excluded
-    labeling, materialized once per subset and cached on the spec.
-
-    The evaluator is read on every input built from ``spec._preimages``, and
-    the answer's 0/1 code comes from ``spec._read``.  The code picks, per
-    coordinate, the labels that the binary table of the input's entry there
-    codes with that bit (for natarajan, the one label g1[i] or g2[i]); the
-    excluded labelings are the products of the distinct picks.
-
-    A pair-symmetric witness excludes the same mixture on every orientation
-    of the pairs, so it is read only on inputs with g1[i] < g2[i] at every
-    coordinate, and the result is that of all ordered inputs.  The first
-    ShatteredError is the same too: whether an input is shattered depends
-    only on its unordered pairs, so the shattered inputs are closed under
-    flipping any coordinate, and (a, b) comes before (b, a) in ``_alphabet``
-    when a < b.  The first shattered input in ordered product order thus
-    has g1[i] < g2[i] everywhere, and it is the first one read here."""
-    key = ("excl", subset)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
-    w = spec.witness
-    evaluator, read = w.evaluator, spec._read
-    rows = itertools.product(spec._preimages, repeat=w.arity)
-    payloads = _inputs_over(w, [entry for *_, entry in spec._preimages])
-    picks = set()
-    for row, payload in zip(rows, payloads):
-        _, code = read(evaluator(subset, *payload), subset)
-        picks.add(tuple(map(getitem, row, code)))
-    result = frozenset(itertools.chain.from_iterable(
-        itertools.starmap(itertools.product, picks)))
-    spec._cache[key] = result
-    return result
+    def _excluded(self):
+        """The witness's exclusion reader (``witnesses._exclusion_reader``),
+        memoized per subset."""
+        return _exclusion_reader(self.witness, self.num_labels)
 
 
 def _extension_ok(spec, pattern, old_top, new_point) -> bool:
     """Check the constraints a nonzero extension at ``new_point`` makes
-    reachable: subsets whose maximum exceeds the previous support top."""
-    arity = spec.witness.arity
-    if arity > new_point + 1:
-        return True
+    reachable: subsets whose maximum exceeds the previous support top, in
+    lexicographic order.  Generating every subset at C speed and skipping
+    the others costs less than walking only the reachable ones in Python."""
+    excluded, at = spec._excluded, pattern.__getitem__
     floor = -1 if old_top is None else old_top
-    for subset in itertools.combinations(range(new_point + 1), arity):
-        if subset[-1] > floor:
-            restricted = tuple(pattern[x] for x in subset)
-            if restricted in _excluded_on(spec, subset):
-                return False
+    for subset in itertools.combinations(range(new_point + 1), spec.witness.arity):
+        if subset[-1] > floor and tuple(map(at, subset)) in excluded(subset):
+            return False
     return True
 
 
@@ -221,11 +171,7 @@ def erm_augmented(spec: GoodFunctionSpec, sample: Sample) -> tuple[Hypothesis, F
     (lexicographically smallest on ties), extended by 0 elsewhere."""
     if not sample:
         raise PreconditionError("cannot minimize over an empty sample")
-    labels = tuple(y for _, y in sample)
-    j = _first_outside(labels, 0, spec.num_labels - 1)
-    if j is not None:
-        raise PreconditionError(f"sample label {labels[j]!r} outside the alphabet")
-    behaviors = good_patterns(spec, set(_naturals(x for x, _ in sample)))
+    behaviors = good_patterns(spec, set(_sample_points(sample, spec.num_labels)))
     points = behaviors.points
     position = {x: i for i, x in enumerate(points)}
     best_pattern = None

@@ -9,6 +9,7 @@ from typing import Optional
 from .core import (
     HypothesisClass,
     PreconditionError,
+    _HYPOTHESIS_BUDGET,
     _check_hypothesis_count,
     _check_int,
     class_from_tables,
@@ -26,12 +27,20 @@ class GalleryEntry:
 
 
 def full_class(n: int, num_labels: int) -> HypothesisClass:
-    """Every function from [0, n) to the alphabet: q^n hypotheses."""
+    """Every function from [0, n) to the alphabet: q^n hypotheses.  One label
+    passes the hypothesis budget for any n, so the q^n * n table entries are
+    bounded too, by those of full_class(20, 2), the largest class the budget
+    admits with q >= 2; both are checked before any row is built."""
     _check_int(n, "n")
     _check_int(num_labels, "number of labels")
     if n < 1 or num_labels < 1:
         raise PreconditionError("need n >= 1 and at least one label")
     _check_hypothesis_count(num_labels, n)
+    entries = num_labels ** n * n
+    budget = _HYPOTHESIS_BUDGET * (_HYPOTHESIS_BUDGET.bit_length() - 1)
+    if entries > budget:
+        raise PreconditionError(f"{num_labels}^{n} hypotheses over {n} points hold {entries} "
+                                f"table entries, above the budget of {budget}")
     rows = itertools.product(range(num_labels), repeat=n)
     return class_from_tables(rows, num_labels=num_labels)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -37,6 +38,8 @@ from .core import (
     Pattern,
     PreconditionError,
     Sample,
+    _as_tuple,
+    _check_int,
     _check_window,
     _first_outside,
     empirical_risk,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
@@ -129,13 +132,23 @@ class AdversaryReport:
 def _graph_points(points, *labelings) -> tuple[int, ...]:
     """The points as a tuple: an even, positive number of distinct naturals,
     each labeled by an exact int that is a natural in every one of the
-    labelings."""
-    points = tuple(points)
+    labelings.  A value that is not iterable, or a labeling with no length,
+    is named."""
+    try:
+        points = tuple(points)
+    except TypeError:
+        _as_tuple(points, "points")  # names a value that is not iterable
+        raise
     if len(points) % 2 or not points:
         raise PreconditionError("need an even, positive number of points")
     if len(set(points)) != len(points):
         raise PreconditionError("duplicate points")
-    if any(len(g) != len(points) for g in labelings):
+    try:
+        covered = all(len(g) == len(points) for g in labelings)
+    except TypeError:
+        g = next(g for g in labelings if not isinstance(g, Sized))
+        raise PreconditionError(f"labeling {g!r} is not a sequence") from None
+    if not covered:
         raise PreconditionError("labelings must cover the points")
     # the points and the labels in one check: the learner witness runs this
     # once per input
@@ -153,6 +166,7 @@ def exact_expected_risk(learner: Learner, points, f_values: Pattern, m: int):
 
     Returns the exact average and the full (sequence, risk) table.
     """
+    _check_int(m, "sample size")
     points = _graph_points(points, f_values)
     if len(points) != 2 * m:
         raise PreconditionError(f"need exactly {2 * m} points, got {len(points)}")

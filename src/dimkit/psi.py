@@ -279,17 +279,18 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
     by image pair (see `PairEntries`).  More than 3^10 encoder tables, or
     more than 10^6 image pairs, raise PreconditionError.
     """
-    from .dimensions import _pseudo_cube_core, exact_dimension
+    from .dimensions import _pseudo_cube_core
 
     if not cls.is_explicit or cls.domain_size != 2:
         raise PreconditionError("need an explicit class on exactly two points")
-    if exact_dimension(cls, "ds").value != 2:
+    behaviors = restrict(cls, (0, 1))
+    # DS dimension 2 on two points: the pair is DS-shattered (is_ds_shattered)
+    if not _pseudo_cube_core(behaviors.patterns):
         raise PreconditionError("class must have DS dimension exactly 2")
     q = cls.num_labels
     if q > _MAX_LABELS:
         raise PreconditionError(f"refutation enumerates 3^{q} encoder tables, above "
                                 f"the budget of 3^{_MAX_LABELS} = {3 ** _MAX_LABELS}")
-    behaviors = restrict(cls, (0, 1))
     labels1, labels2 = (tuple(sorted(column)) for column in behaviors.index)
     count = 3 ** (len(labels1) + len(labels2))
     if count > _IMAGE_PAIR_BUDGET:

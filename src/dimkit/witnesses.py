@@ -7,7 +7,9 @@ no hypothesis realizes on X; for the graph flavor it maps (X, f) to an index
 set no hypothesis matches exactly; for the psi flavor it maps (X, psibar) to
 a binary pattern outside the encoded behavior image.  Witnesses are never
 trusted: ``validate_witness`` re-checks the exclusion on every input of a
-finite window.
+finite window.  The good-pattern search (``embedding``) reads what a witness
+excludes through ``_exclusion_reader``, which reads the evaluator's answers
+through the checker's code reader.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     PreconditionError,
     RepresentationError,
     ShatteredError,
+    _as_tuple,
     _check_int,
     _check_window,
     _first_outside,
@@ -98,7 +101,7 @@ class Witness:
         return frozenset(range(self.arity))
 
     def evaluate(self, points, *payload):
-        points = tuple(points)
+        points = _as_tuple(points, "points")
         if len(points) != self.arity:
             raise PreconditionError(f"witness of order {self.order} takes {self.arity} points")
         if len(set(points)) != len(points):
@@ -214,22 +217,15 @@ def _cell_rows(tables, behaviors: BehaviorSet):
                                for column in behaviors.index))
 
 
-def _code(flavor: str, arity: int, answer) -> tuple[int, ...]:
-    """The 0/1 code of a well-formed answer: a pattern's bits, or an index
-    set's indicator."""
-    if flavor == "psi":
-        return tuple(int(b == 1) for b in answer)
-    return tuple(int(i in answer) for i in range(arity))
-
-
 def _code_reader(witness: Witness) -> Callable:
-    """``read(answer, points) -> (answer, code)`` for evaluator answers on
-    ``points``, with a memo of the answers it has seen.  An answer of the
-    exact type a well-formed one has (a frozenset, or a tuple for psi) that
-    equals one seen before, by value (``(True, 0)`` hits ``(1, 0)``), reads
-    as that answer and its 0/1 code in one dict lookup; any other goes
-    through ``Witness._checked_answer``, which normalizes it or raises
-    PreconditionError."""
+    """``read(answer, points) -> code``: the 0/1 code of an evaluator answer
+    on ``points`` (a pattern's bits, or an index set's indicator), with a
+    memo of the answers it has seen.  An answer of the exact type a
+    well-formed one has (a frozenset, or a tuple for psi) that equals one
+    seen before, by value (``(True, 0)`` hits ``(1, 0)``), reads as that
+    answer's code in one dict lookup; any other goes through
+    ``Witness._checked_answer``, which normalizes it or raises
+    PreconditionError.  A checked psi answer is its own code."""
     flavor, arity = witness.flavor, witness.arity
     shape = tuple if flavor == "psi" else frozenset
     seen = {}
@@ -241,9 +237,52 @@ def _code_reader(witness: Witness) -> Callable:
             except (KeyError, TypeError):  # not seen yet, or unhashable entries
                 pass
         out = witness._checked_answer(out, points)
-        return seen.setdefault(out, (out, _code(flavor, arity, out)))
+        return seen.setdefault(
+            out, out if flavor == "psi" else tuple(int(i in out) for i in range(arity)))
 
     return read
+
+
+def _exclusion_reader(witness: Witness, num_labels: int) -> Callable:
+    """``excluded(points) -> frozenset``: every labeling of the canonical
+    point tuple ``points`` that agrees with a labeling the witness excludes
+    there, over labels 0..num_labels-1, memoized per point tuple.
+
+    The evaluator is read on every input over ``_alphabet``, in product
+    order, and the answer's 0/1 code comes from one ``_code_reader`` that
+    every point tuple shares.  The code picks, per coordinate, the labels
+    that the binary table of the input's entry there codes with that bit
+    (for natarajan, the one label g1[i] or g2[i]); the excluded labelings
+    are the products of the distinct picks.  ShatteredError and
+    ExclusionFailure propagate, and nothing is memoized for that tuple.
+
+    A pair-symmetric witness excludes the same mixture on every orientation
+    of the pairs, so it is read only on inputs with g1[i] < g2[i] at every
+    coordinate, and the result is that of all ordered inputs.  The first
+    ShatteredError is the same too: whether an input is shattered depends
+    only on its unordered pairs, so the shattered inputs are closed under
+    flipping any coordinate, and (a, b) comes before (b, a) in ``_alphabet``
+    when a < b.  The first shattered input in ordered product order thus
+    has g1[i] < g2[i] everywhere, and it is the first one read here."""
+    evaluator, read = witness.evaluator, _code_reader(witness)
+    rows = [(entry, tuple(tuple(v for v, b in table.items() if b == c) for c in (0, 1)))
+            for entry, table in zip(_alphabet(witness, num_labels),
+                                    _input_tables(witness, num_labels))]
+    if witness.pair_symmetric:
+        rows = [row for row in rows if row[0][0] < row[0][1]]
+    entries = [entry for entry, _ in rows]
+    preimages = [halves for _, halves in rows]
+
+    @cache
+    def excluded(points) -> frozenset:
+        picks = set()
+        for payload, halves in zip(_inputs_over(witness, entries),
+                                   itertools.product(preimages, repeat=witness.arity)):
+            picks.add(tuple(map(getitem, halves, read(evaluator(points, *payload), points))))
+        return frozenset(itertools.chain.from_iterable(
+            itertools.starmap(itertools.product, picks)))
+
+    return excluded
 
 
 def _first_missing_code(cells, live: int = -1) -> Optional[tuple]:
@@ -287,7 +326,7 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
     once per point tuple.  The answer's 0/1 code selects one cell per
     coordinate, and the input fails when those cells share a behavior (for
     natarajan, the excluded mixture).  The code comes from ``_code_reader``,
-    which the good-pattern exclusion (``embedding._excluded_on``) shares: an
+    which the good-pattern exclusion (``_exclusion_reader``) shares: an
     answer equal to one seen before, and of the exact type a well-formed one
     has (a frozenset, or a tuple for psi), is one dict lookup; any other
     goes through ``Witness._checked_answer``.  Any exception the evaluator
@@ -320,11 +359,11 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
                     reason="shattered" if isinstance(err, ShatteredError)
                     else "exclusion_failure"))
                 continue
-            out, code = read(out, points)
+            code = read(out, points)
             live = reduce(and_, map(getitem, cells, code))
             if not live:
                 continue
-            hit = out if flavor == "psi" else next(itertools.islice(
+            hit = code if flavor == "psi" else next(itertools.islice(
                 realized, (live & -live).bit_length() - 1, None))
             violations.append(WitnessViolation(
                 points=points, payload=payload,

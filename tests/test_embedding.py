@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import dimkit as dk
 import oracles
 from corpus import random_support_class, random_table_class
-from dimkit.embedding import _excluded_on
+from dimkit.embedding import _extension_ok
 from dimkit.psi import STAR
 
 
@@ -80,18 +81,47 @@ def test_prefix_search_matches_full_enumeration_psi_flavor():
             oracles.good_patterns_bruteforce(spec, points)
 
 
+def test_extension_queries_exactly_the_subsets_past_the_old_top():
+    """With a reader that excludes nothing, an extension at ``new_point``
+    asks about every subset of [0, new_point] whose top lies above the old
+    support top, in lexicographic order, and about no other."""
+    for arity in range(1, 6):
+        for new_point in range(9):
+            for old_top in (None, *range(new_point)):
+                asked = []
+                spec = types.SimpleNamespace(
+                    witness=types.SimpleNamespace(arity=arity),
+                    _excluded=lambda subset: asked.append(subset) or frozenset())
+                assert _extension_ok(spec, (1,) * (new_point + 1), old_top, new_point)
+                floor = -1 if old_top is None else old_top
+                assert asked == [subset for subset in itertools.combinations(
+                    range(new_point + 1), arity) if subset[-1] > floor]
+
+
 def _exclusion_or_error(spec, subset):
     try:
-        return _excluded_on(spec, subset), None
+        return spec._excluded(subset), None
     except dk.ShatteredError as err:
         return None, (str(err), err.witness_input)
 
 
+def _counting(witness, **changes):
+    """The witness with ``changes``, and the list its evaluator appends each
+    input it reads to."""
+    reads = []
+
+    def evaluator(*args):
+        reads.append(args)
+        return witness.evaluator(*args)
+
+    return dataclasses.replace(witness, evaluator=evaluator, **changes), reads
+
+
 def test_pair_symmetric_exclusion_matches_the_ordered_loop():
-    """The canonical natarajan witness is read once per unordered pair tuple;
-    the ordered reference loop of the same witness, undeclared, reads every
-    orientation.  Both give the same exclusion, or the same first
-    ShatteredError, on every subset."""
+    """The canonical natarajan witness is read once per unordered pair tuple,
+    (q(q-1)/2)^arity inputs per subset; the same witness, undeclared, is read
+    on every orientation, (q(q-1))^arity inputs.  Both give the same
+    exclusion, or the same first ShatteredError, on every subset."""
     rng = random.Random(3141)
     compared = shattered = 0
     for _ in range(30):
@@ -99,15 +129,19 @@ def test_pair_symmetric_exclusion_matches_the_ordered_loop():
         cls = random_table_class(rng, 4, q, rng.choice((4, 16, 64, 256)))
         for order in (0, 1, 2):
             w = dk.canonical_witness(cls, "natarajan", order)
-            spec = dk.GoodFunctionSpec(witness=w, num_labels=q)
-            reference = dk.GoodFunctionSpec(
-                witness=dataclasses.replace(w, pair_symmetric=False), num_labels=q)
-            assert spec.witness.pair_symmetric
-            assert len(spec._preimages) == q * (q - 1) // 2
-            assert len(reference._preimages) == q * (q - 1)
+            assert w.pair_symmetric
+            declared, reads = _counting(w)
+            undeclared, reference_reads = _counting(w, pair_symmetric=False)
+            spec = dk.GoodFunctionSpec(witness=declared, num_labels=q)
+            reference = dk.GoodFunctionSpec(witness=undeclared, num_labels=q)
             for subset in itertools.combinations(range(4), order + 1):
+                reads.clear()
+                reference_reads.clear()
                 got = _exclusion_or_error(spec, subset)
                 assert got == _exclusion_or_error(reference, subset), (q, order, subset)
+                if got[1] is None:
+                    assert len(reads) == (q * (q - 1) // 2) ** (order + 1)
+                    assert len(reference_reads) == (q * (q - 1)) ** (order + 1)
                 compared += 1
                 shattered += got[1] is not None
     assert compared > 100 and 0 < shattered < compared

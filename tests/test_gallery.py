@@ -1,10 +1,12 @@
 import itertools
 import re
+import time
 
 import pytest
 
 import dimkit as dk
 import oracles
+from dimkit.cli import dispatch
 from dimkit.core import _check_hypothesis_count
 
 
@@ -34,6 +36,23 @@ def test_hypothesis_budget_takes_no_power_far_past_it():
             build()
     assert _check_hypothesis_count(2, 20) is None
     assert _check_hypothesis_count(1, 10 ** 12) is None
+
+
+def test_one_label_full_class_is_refused_by_its_table_entries(capsys):
+    """1^n is one hypothesis for any n, so it passes the hypothesis budget;
+    its one row of n entries is refused before it is built once n is above
+    the 20 * 2^20 entries of full_class(20, 2), the largest class the budget
+    admits with two labels or more."""
+    started = time.monotonic()
+    code = dispatch(["gallery", "emit", "full", "--params", '{"n": 200000000, "labels": 1}'])
+    captured = capsys.readouterr()
+    assert time.monotonic() - started < 5
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: 1^200000000 hypotheses over 200000000 points hold "
+                            "200000000 table entries, above the budget of 20971520\n")
+    with pytest.raises(dk.PreconditionError, match=r"^1\^20971521 hypotheses over"):
+        dk.full_class(20 * 2 ** 20 + 1, 1)
+    assert dk.full_class(20, 1).rows == ((0,) * 20,)
 
 
 def test_gap_class_boundary_m1():

@@ -8,6 +8,8 @@ may only wrap a comparison, as in ``int(v == k)``, which turns a bool into a
 argv strings, so it is exempt.  Nor is a label or a weight converted where
 it enters: ``empirical_risk`` refuses a sample label outside the alphabet,
 and ``FiniteDistribution`` a weight that is not an exact int or a Fraction.
+A point tuple, labeling or index set that is not iterable, and a sample
+entry or atom that is not a pair, raise a dimkit error naming the value.
 """
 
 import ast
@@ -95,6 +97,69 @@ def test_wrong_types_raise_a_dimkit_error_where_they_enter(build, error, message
     """Each raised AttributeError, TypeError or IndexError, or was accepted
     and failed later; ``PsiFunction((0, 1))(-1)`` read the table from its
     end."""
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
+def _spec():
+    cls = dk.class_from_supports([{0: 1}, {1: 2}], num_labels=3)
+    return dk.GoodFunctionSpec(witness=dk.canonical_witness(cls, "natarajan", 1), num_labels=3)
+
+
+_CLS = dk.full_class(2, 3)
+_LEARNER = dk.constant_learner(0, 3, 3)
+_H = dk.Hypothesis(num_labels=3, table=(0, 1))
+_NOT_ITERABLE = "points: 5 is not iterable"
+_NOT_A_PAIR = "sample entry {!r} is not a (point, label) pair"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: dk.restrict(_CLS, 5), dk.RepresentationError, _NOT_ITERABLE),
+    (lambda: dk.is_n_shattered(_CLS, 5), dk.RepresentationError, _NOT_ITERABLE),
+    (lambda: dk.is_ds_shattered(_CLS, 5), dk.RepresentationError, _NOT_ITERABLE),
+    (lambda: dk.is_psi_shattered(_CLS, 5, dk.natarajan_family(3)), dk.RepresentationError,
+     _NOT_ITERABLE),
+    (lambda: dk.sauer_natarajan_check(_CLS, 5, 1), dk.RepresentationError, _NOT_ITERABLE),
+    (lambda: dk.verify_certificate(dk.ShatterCertificate("vc", 5, ()), dk.full_class(2, 2)),
+     dk.RepresentationError, _NOT_ITERABLE),
+    (lambda: dk.good_patterns(_spec(), 5), dk.RepresentationError, _NOT_ITERABLE),
+    (lambda: dk.nfl_adversary(_LEARNER, 5, (0, 1), (1, 0)), dk.RepresentationError,
+     _NOT_ITERABLE),
+    (lambda: dk.nfl_adversary(_LEARNER, (0, 1), 5, (1, 0)), dk.PreconditionError,
+     "labeling 5 is not a sequence"),
+    (lambda: dk.exact_expected_risk(_LEARNER, 5, (0, 1), 1), dk.RepresentationError,
+     _NOT_ITERABLE),
+    (lambda: dk.FiniteDistribution.uniform_on_graph(5, (1,)), dk.RepresentationError,
+     _NOT_ITERABLE),
+    (lambda: _spec().witness.evaluate(5, (0, 1), (1, 0)), dk.RepresentationError,
+     _NOT_ITERABLE),
+    (lambda: dk.mix_labelings(3, (0, 1), (1, 0)), dk.RepresentationError,
+     "index set: 3 is not iterable"),
+    (lambda: dk.empirical_risk(_H, ((0,),)), dk.PreconditionError, _NOT_A_PAIR.format((0,))),
+    (lambda: dk.empirical_risk(_H, (5,)), dk.PreconditionError, _NOT_A_PAIR.format(5)),
+    (lambda: dk.empirical_risk(_H, ((0, 1, 2),)), dk.PreconditionError,
+     _NOT_A_PAIR.format((0, 1, 2))),
+    (lambda: dk.erm_augmented(_spec(), ((0,),)), dk.PreconditionError,
+     _NOT_A_PAIR.format((0,))),
+    (lambda: dk.erm_augmented(_spec(), (5,)), dk.PreconditionError, _NOT_A_PAIR.format(5)),
+    (lambda: dk.FiniteDistribution(((0, Fraction(1)),)), dk.RepresentationError,
+     "atom (0, Fraction(1, 1)) is not a ((point, label), weight) pair"),
+    (lambda: dk.exact_expected_risk(_LEARNER, (0, 1), (0, 1), 1.0), dk.PreconditionError,
+     "sample size 1.0 is not an exact int"),
+    (lambda: dk.exact_expected_risk(_LEARNER, (0, 1), (0, 1), True), dk.PreconditionError,
+     "sample size True is not an exact int"),
+    (lambda: dk.is_pseudo_cube([[0, 1], [1, 0]]), dk.PreconditionError,
+     "pattern [0, 1] is not a tuple of labels"),
+    (lambda: dk.is_pseudo_cube(5), dk.RepresentationError, "patterns: 5 is not iterable"),
+], ids=["restrict", "is_n_shattered", "is_ds_shattered", "is_psi_shattered", "sauer",
+        "verify_certificate", "good_patterns", "adversary points", "adversary labeling",
+        "expected risk points", "uniform_on_graph", "evaluate", "mix_labelings",
+        "risk (0,)", "risk 5", "risk (0, 1, 2)", "erm (0,)", "erm 5", "atom", "m 1.0",
+        "m True", "cube of lists", "cube 5"])
+def test_values_that_are_not_tuples_or_pairs_raise_a_dimkit_error(build, error, message):
+    """Each raised a TypeError or ValueError from inside the library, except
+    ``m=True``, which was read as a sample size of 1."""
     with pytest.raises(error) as err:
         build()
     assert str(err.value) == message

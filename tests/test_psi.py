@@ -3,7 +3,7 @@ import random
 import pytest
 
 import dimkit as dk
-from corpus import ds2_pair_corpus
+from corpus import ds2_pair_corpus, random_table_class
 from dimkit import psi
 from dimkit.psi import STAR, all_encoders
 from oracles import image_numbering_reference, refute_ds_reference
@@ -112,6 +112,27 @@ def test_refute_rejects_low_ds_dimension():
     three = dk.class_from_tables([(0, 1), (1, 0), (2, 2)], num_labels=3)
     with pytest.raises(dk.PreconditionError):
         dk.refute_ds_expressibility(three)
+
+
+def test_refute_reads_ds_dimension_2_off_the_pairs_core():
+    """On two points DS dimension 2 means the pair is DS-shattered, so the
+    refutation refuses exactly the classes exact_dimension puts below 2, and
+    it says so ahead of the label budget."""
+    rng = random.Random(5772)
+    refused = 0
+    for _ in range(60):
+        q = rng.randint(2, 4)
+        cls = random_table_class(rng, 2, q, rng.randint(1, q * q))
+        if dk.exact_dimension(cls, "ds").value == 2:
+            assert dk.refute_ds_expressibility(cls).pairs_examined == 9 ** q
+            continue
+        refused += 1
+        with pytest.raises(dk.PreconditionError, match="^class must have DS dimension exactly 2$"):
+            dk.refute_ds_expressibility(cls)
+    assert 0 < refused < 60
+    wide = dk.class_from_tables([(0, 1), (1, 0), (10, 10)], num_labels=11)
+    with pytest.raises(dk.PreconditionError, match="^class must have DS dimension exactly 2$"):
+        dk.refute_ds_expressibility(wide)
 
 
 def test_refute_rejects_wide_domains():

@@ -622,8 +622,12 @@ def test_malformed_answers_raise_one_message_everywhere(flavor, malformed, shown
 def test_malformed_answer_after_well_formed_ones_in_good_patterns(flavor, malformed, shown):
     """The good-pattern exclusion meets the malformed answer on (1, 2), after
     well-formed answers on (0, 1) and (0, 2) have filled its code memo, and
-    raises the message the public evaluate raises."""
+    raises the message the public evaluate raises.  The exclusions on (0, 1)
+    and (0, 2) stay cached: reading them again reads no input."""
+    reads = []
+
     def evaluator(pts, *payload):
+        reads.append(pts)
         if pts == (1, 2):
             return malformed()
         # each excludes only the labeling (1, 1), so the enumeration goes on
@@ -641,7 +645,9 @@ def test_malformed_answer_after_well_formed_ones_in_good_patterns(flavor, malfor
     with pytest.raises(dk.PreconditionError) as err:
         dk.good_patterns(spec, (0, 1, 2))
     assert str(err.value) == _malformed_message(flavor, shown, (1, 2))
-    assert {("excl", (0, 1)), ("excl", (0, 2))} <= spec._cache.keys()
+    reads.clear()
+    assert spec._excluded((0, 1)) and spec._excluded((0, 2))
+    assert reads == []
 
 
 def test_code_memo_reads_an_equal_bool_answer_as_the_earlier_answer():

@@ -13,8 +13,8 @@ its entries).  Anything else, subclasses included, raises SchemaError:
 "floats are banned from reports" for a float, "cannot serialize ..."
 otherwise.  `jsonable` is the one per-type conversion to plain JSON, and
 `canonical_json` writes the text ``json.dumps`` gives for it, by hand only
-for dicts, plain lists and PairEntries.  The argument parser is built
-once per process, on first use.
+for dicts, plain lists and PairEntries, as pieces joined once at the end.
+The argument parser is built once per process, on first use.
 
 Exit codes: 0 success, 1 verified-negative result (invalid witness, family
 that fails to distinguish, refutation that does not go through), 2 usage or
@@ -68,17 +68,32 @@ def canonical_json(obj) -> str:
     ":"), ensure_ascii=False, allow_nan=False)``.  A dict is written key by
     key in sorted order, a list or tuple nested only of plain values (a
     class file's rows) by the stdlib C encoder in one call, and PairEntries
-    by image pair; anything else is converted by `jsonable` first."""
+    by image pair; anything else is converted by `jsonable` first.  The
+    pieces go to one list, joined once, so no nested value's text is copied
+    into its parent's."""
+    out = []
+    _write(obj, out)
+    return "".join(out)
+
+
+def _write(obj, out: list) -> None:
+    """Append the pieces of ``canonical_json(obj)`` to ``out``."""
     kind = type(obj)
     if kind is dict:
         _only(_STR, obj, " as a dict key")
-        return "{" + ",".join([f"{encode_basestring(k)}:{canonical_json(obj[k])}"
-                               for k in sorted(obj)]) + "}"
-    if (kind is list or kind is tuple) and _all_plain(obj):
-        return _raw(obj)
-    if kind is PairEntries:
-        return _pair_entries(obj)
-    return _raw(jsonable(obj))
+        out.append("{")
+        sep = ""
+        for k in sorted(obj):
+            out.append(f"{sep}{encode_basestring(k)}:")
+            _write(obj[k], out)
+            sep = ","
+        out.append("}")
+    elif (kind is list or kind is tuple) and _all_plain(obj):
+        out += _c_encoder(obj, 0)
+    elif kind is PairEntries:
+        _pair_entries(obj, out)
+    else:
+        out += _c_encoder(jsonable(obj), 0)
 
 
 def jsonable(obj):
@@ -145,12 +160,12 @@ def _raw(value) -> str:
     return "".join(_c_encoder(value, 0))
 
 
-def _pair_entries(entries: PairEntries) -> str:
+def _pair_entries(entries: PairEntries, out: list) -> None:
     # each table's text (its symbols need no escaping) and each image pair's
     # subclasses are written once, the subclasses in one C call each when all
     # are plain; tails[i] holds the text after the psi1 field of each entry
-    # whose first table has image i, in table order, so an entry is a psi1
-    # head followed by one of these
+    # whose first table has image i, in table order (none for a row of None
+    # only), so an entry is a psi1 head followed by one of these
     q = entries.num_labels
     tables = ['["' + '","'.join(t) + '"]' for t in itertools.product(_SYMBOLS, repeat=q)]
     cells = [found for row in entries.decided for found in row if found is not None]
@@ -159,15 +174,20 @@ def _pair_entries(entries: PairEntries) -> str:
               for text, j in zip(tables, psi._image_numbers(q, entries.labels2))]
     tails = []
     for row in entries.decided:
+        if row.count(None) == len(row):
+            tails.append(())
+            continue
         subclasses = [None if found is None else next(texts) + "}" for found in row]
         tails.append([psi2 + subclasses[j] for psi2, j in second
                       if subclasses[j] is not None])
-    parts = []
+    out.append("[")
+    sep = ""
     for text, i in zip(tables, psi._image_numbers(q, entries.labels1)):
         if tails[i]:
             head = f'{{"psi1":{text},'
-            parts.append(head + ("," + head).join(tails[i]))
-    return "[" + ",".join(parts) + "]"
+            out += (sep, head, ("," + head).join(tails[i]))
+            sep = ","
+    out.append("]")
 
 
 # the nesting below a list that _all_plain reads before it gives up
@@ -763,7 +783,8 @@ def dispatch(argv) -> int:
     }
     if args.timing:
         report["runtime_ms"] = int((time.monotonic() - started) * 1000)
-    sys.stdout.write(canonical_json(report) + "\n")
+    sys.stdout.write(canonical_json(report))
+    sys.stdout.write("\n")
     return outcome.code
 
 

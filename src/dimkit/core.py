@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -578,12 +579,21 @@ def true_risk(h: Hypothesis, dist: FiniteDistribution) -> Fraction:
 
 def mix_labelings(index_set: Iterable[int], y1: Pattern, y2: Pattern) -> Pattern:
     """Componentwise selection: y1 at indices in the set, y2 elsewhere."""
-    if len(y1) != len(y2):
+    try:
+        same = len(y1) == len(y2)
+    except TypeError:
+        g = y1 if not isinstance(y1, Sized) else y2
+        raise PreconditionError(f"labeling {g!r} is not a sequence") from None
+    if not same:
         raise PreconditionError("labelings must share arity")
     try:
         chosen = set(index_set)
     except TypeError:
-        _as_tuple(index_set, "index set")  # names a value that is not iterable
+        # names a value that is not iterable, or a member that is not
+        # hashable, so not an exact int
+        for i in _as_tuple(index_set, "index set"):
+            if type(i) is not int:
+                raise PreconditionError(f"index {i!r} is not an exact int") from None
         raise
     # a loop, not _first_outside: the sets the adversary passes have a few
     # members, where one call costs more than the whole loop

@@ -141,7 +141,13 @@ def _graph_points(points, *labelings) -> tuple[int, ...]:
         raise
     if len(points) % 2 or not points:
         raise PreconditionError("need an even, positive number of points")
-    if len(set(points)) != len(points):
+    try:
+        distinct = len(set(points)) == len(points)
+    except TypeError:
+        # a point that is not hashable, so not a natural
+        j = _first_outside(points, 0, None)
+        raise DomainError(f"point {points[j]!r} is not a natural") from None
+    if not distinct:
         raise PreconditionError("duplicate points")
     try:
         covered = all(len(g) == len(points) for g in labelings)

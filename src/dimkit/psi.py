@@ -12,6 +12,7 @@ search refuting that DS-shattering is induced by any such family.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -215,7 +216,9 @@ class PairEntries(Sequence):
     and for each image pair ``decided[i][j]`` (images numbered as
     `_image_numbers` gives them), None when the pair does not shatter the
     domain, else the ``subclasses`` that every table pair with those images
-    shares.
+    shares.  A refutation decides only the pairs whose two images both split
+    (see `refute_ds_expressibility`); a first image that does not split has
+    a row of None only.
 
     As a sequence it is one `PairEntry` per shattering table pair, in table
     order (first table, then second), built only when read; its length is
@@ -228,7 +231,7 @@ class PairEntries(Sequence):
     decided: tuple[tuple[Optional[tuple], ...], ...]
 
     def __len__(self) -> int:
-        shattering = sum(found is not None for row in self.decided for found in row)
+        shattering = sum(len(row) - row.count(None) for row in self.decided)
         return shattering * 3 ** (2 * self.num_labels - len(self.labels1) - len(self.labels2))
 
     def __iter__(self):
@@ -258,9 +261,11 @@ class RefutationReport:
 
 # Refutation budgets, each checked before the work it bounds: at most
 # 3^_MAX_LABELS encoder tables (in the expansion of the entries, which keeps
-# their length index-sized), and at most _IMAGE_PAIR_BUDGET image pairs.
+# their length index-sized), _IMAGE_PAIR_BUDGET image pairs, and
+# _DECISION_BUDGET subset checks in the decision.
 _MAX_LABELS = 10
 _IMAGE_PAIR_BUDGET = 10 ** 6
+_DECISION_BUDGET = 10 ** 8
 
 
 def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
@@ -276,8 +281,14 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
     An encoder acts here only through its image, its values on the r labels
     the behaviors realize at its coordinate, so the 3^r images of each point
     are enumerated and each pair decided once; the entries hold the answers
-    by image pair (see `PairEntries`).  More than 3^10 encoder tables, or
-    more than 10^6 image pairs, raise PreconditionError.
+    by image pair (see `PairEntries`).  A pair shatters only if its four
+    code cells are all nonempty, and an image that does not split (no
+    behavior coded 0, or none coded 1, at its point) leaves two of them
+    empty; so only pairs of splitting images are decided, 3^r - 2^(r+1) + 1
+    images of each point, and every other pair is None.  More than 3^10
+    encoder tables, more than 10^6 image pairs, or more than 10^8 splitting
+    image pairs x C(|B|, 4) (|B| the behaviors on the two points) raise
+    PreconditionError.
     """
     from .dimensions import _pseudo_cube_core
 
@@ -296,6 +307,15 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
     if count > _IMAGE_PAIR_BUDGET:
         raise PreconditionError(f"refutation decides {count} encoder image pairs, "
                                 f"above the budget of {_IMAGE_PAIR_BUDGET}")
+    images1 = _images(behaviors.index[0], labels1)
+    images2 = _images(behaviors.index[1], labels2)
+    split2 = [(j, b) for j, b in enumerate(images2) if b[0] and b[1]]
+    count = (sum(1 for zero, one in images1 if zero and one) * len(split2)
+             * math.comb(len(behaviors.patterns), 4))
+    if count > _DECISION_BUDGET:
+        raise PreconditionError(f"refutation makes {count} subset checks (splitting image "
+                                f"pairs x 4-behavior subsets), above the budget of "
+                                f"{_DECISION_BUDGET}")
     bit = {p: 1 << j for j, p in enumerate(behaviors.pattern_set)}
 
     # 4-subsets of behaviors with DS dimension exactly 1, precomputed once,
@@ -304,9 +324,15 @@ def refute_ds_expressibility(cls: HypothesisClass) -> RefutationReport:
                    for subset in itertools.combinations(behaviors.patterns, 4)
                    if not _pseudo_cube_core(subset)]
 
-    images2 = _images(behaviors.index[1], labels2)
-    decided = tuple(tuple(_shattered_subclasses(a, b, ds1_subsets) for b in images2)
-                    for a in _images(behaviors.index[0], labels1))
+    undecided = (None,) * len(images2)
+
+    def decide(a):
+        found = list(undecided)
+        for j, b in split2:
+            found[j] = _shattered_subclasses(a, b, ds1_subsets)
+        return tuple(found)
+
+    decided = tuple(decide(a) if a[0] and a[1] else undecided for a in images1)
     found = [s for row in decided for s in row if s is not None]
     if not found:
         verdict = "vacuous"

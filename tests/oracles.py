@@ -18,7 +18,15 @@ from dimkit import (
     restrict,
 )
 from dimkit.cli import SchemaError, jsonable
-from dimkit.psi import PairEntry, _binary_table, _encoder_image, all_encoders, apply_encoders
+from dimkit.psi import (
+    PairEntry,
+    _binary_table,
+    _encoder_image,
+    _images,
+    _shattered_subclasses,
+    all_encoders,
+    apply_encoders,
+)
 from dimkit.witnesses import ExclusionFailure, WitnessReport, WitnessViolation
 
 
@@ -490,6 +498,21 @@ def refute_ds_reference(cls):
         verdict = "not_refuted"
     return SimpleNamespace(verdict=verdict, pairs_examined=len(tables) ** 2,
                            entries=tuple(entries))
+
+
+def decided_reference(cls):
+    """The refutation's ``decided`` table with every image pair decided, the
+    pairs whose images do not both split included: for each image at point
+    0 and each at point 1, `_shattered_subclasses` over the DS-1 subsets."""
+    behaviors = restrict(cls, (0, 1))
+    labels1, labels2 = (tuple(sorted(column)) for column in behaviors.index)
+    bit = {p: 1 << j for j, p in enumerate(behaviors.pattern_set)}
+    ds1_subsets = [(sum(bit[p] for p in subset), subset)
+                   for subset in itertools.combinations(behaviors.patterns, 4)
+                   if not pseudo_cube_core_reference(subset)]
+    images2 = _images(behaviors.index[1], labels2)
+    return tuple(tuple(_shattered_subclasses(a, b, ds1_subsets) for b in images2)
+                 for a in _images(behaviors.index[0], labels1))
 
 
 def image_numbering_reference(column, num_labels):

@@ -879,6 +879,29 @@ def test_grouped_entries_count_and_subclasses_as_their_expansion(entries):
     assert report.distinct_subclasses() == {s for e in expanded for s in e.subclasses}
 
 
+@st.composite
+def _split_entries(draw, children):
+    # as a refutation holds them: the images that do not split leave their
+    # rows and columns None throughout, each such row the one shared tuple
+    entries = draw(_pair_entries(children))
+    width = 3 ** len(entries.labels2)
+    dead_rows = draw(st.sets(st.integers(0, len(entries.decided) - 1)))
+    dead_columns = draw(st.sets(st.integers(0, width - 1)))
+    undecided = (None,) * width
+    decided = tuple(undecided if i in dead_rows else
+                    tuple(None if j in dead_columns else found for j, found in enumerate(row))
+                    for i, row in enumerate(entries.decided))
+    return PairEntries(entries.num_labels, entries.labels1, entries.labels2, decided)
+
+
+@given(_split_entries(st.lists(st.integers(0, 3), max_size=2).map(tuple)))
+def test_entries_with_undecided_rows_and_columns_count_and_serialize_as_their_expansion(
+        entries):
+    expanded = list(entries)
+    assert len(entries) == len(expanded)
+    assert canonical_json(entries) == reference_json(entries)
+
+
 def test_grouped_entries_serialize_as_their_expansion():
     # one label, realized at point 0 only: the three tables are the three
     # images at point 0 and share the one image at point 1; table 0's pairs
@@ -1022,6 +1045,20 @@ def test_refute_image_pairs_over_budget_exit_2_before_the_work(capsys, tmp_path)
     out, err = capsys.readouterr()
     assert out == ""
     assert "decides 3486784401 encoder image pairs, above the budget of 1000000" in err
+
+
+def test_refute_decisions_over_budget_exit_2_before_the_work(capsys, tmp_path):
+    # all 25 hypotheses over 5 labels: 180 x 180 splitting image pairs, each
+    # checked against C(25, 4) subsets, refused before those are built
+    path = tmp_path / "full5.json"
+    path.write_text(canonical_json(class_to_file(dk.full_class(2, 5))))
+    started = time.monotonic()
+    assert dispatch(["refute-ds", "--class", str(path)]) == 2
+    assert time.monotonic() - started < 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "makes 409860000 subset checks (splitting image pairs x 4-behavior subsets), " \
+        "above the budget of 100000000" in err
 
 
 def test_refute_report_over_the_table_budget_exits_2(capsys, tmp_path):

@@ -136,6 +136,12 @@ _NOT_A_PAIR = "sample entry {!r} is not a (point, label) pair"
      _NOT_ITERABLE),
     (lambda: dk.mix_labelings(3, (0, 1), (1, 0)), dk.RepresentationError,
      "index set: 3 is not iterable"),
+    (lambda: dk.mix_labelings([[0]], (0, 1), (1, 0)), dk.PreconditionError,
+     "index [0] is not an exact int"),
+    (lambda: dk.mix_labelings({0}, 5, (1, 0)), dk.PreconditionError,
+     "labeling 5 is not a sequence"),
+    (lambda: dk.nfl_adversary(_LEARNER, ([0], [1]), (0, 1), (1, 0)), dk.DomainError,
+     "point [0] is not a natural"),
     (lambda: dk.empirical_risk(_H, ((0,),)), dk.PreconditionError, _NOT_A_PAIR.format((0,))),
     (lambda: dk.empirical_risk(_H, (5,)), dk.PreconditionError, _NOT_A_PAIR.format(5)),
     (lambda: dk.empirical_risk(_H, ((0, 1, 2),)), dk.PreconditionError,
@@ -155,11 +161,13 @@ _NOT_A_PAIR = "sample entry {!r} is not a (point, label) pair"
 ], ids=["restrict", "is_n_shattered", "is_ds_shattered", "is_psi_shattered", "sauer",
         "verify_certificate", "good_patterns", "adversary points", "adversary labeling",
         "expected risk points", "uniform_on_graph", "evaluate", "mix_labelings",
+        "mix unhashable index", "mix labeling 5", "adversary unhashable points",
         "risk (0,)", "risk 5", "risk (0, 1, 2)", "erm (0,)", "erm 5", "atom", "m 1.0",
         "m True", "cube of lists", "cube 5"])
 def test_values_that_are_not_tuples_or_pairs_raise_a_dimkit_error(build, error, message):
     """Each raised a TypeError or ValueError from inside the library, except
-    ``m=True``, which was read as a sample size of 1."""
+    ``m=True``, which was read as a sample size of 1; an unhashable index or
+    point raised "unhashable type" from the set that checks it."""
     with pytest.raises(error) as err:
         build()
     assert str(err.value) == message

@@ -6,7 +6,7 @@ import dimkit as dk
 from corpus import ds2_pair_corpus, random_table_class
 from dimkit import psi
 from dimkit.psi import STAR, all_encoders
-from oracles import image_numbering_reference, refute_ds_reference
+from oracles import decided_reference, image_numbering_reference, refute_ds_reference
 
 
 def indicator_of_zero(q):
@@ -189,6 +189,38 @@ def test_refute_refuses_image_pairs_over_budget(monkeypatch):
     with pytest.raises(dk.PreconditionError, match="decides 729 encoder image pairs"):
         dk.refute_ds_expressibility(dk.six_cycle_class().cls)
     monkeypatch.setattr(psi, "_IMAGE_PAIR_BUDGET", 729)
+    assert dk.refute_ds_expressibility(dk.six_cycle_class().cls).verdict == "refuted"
+
+
+def test_split_image_pairs_decide_as_every_image_pair():
+    # None where a pair is skipped is None where it is decided, since a pair
+    # with an image that does not split leaves two code cells empty
+    classes = [dk.six_cycle_class().cls] + [dk.full_class(2, q) for q in (2, 3, 4)] \
+        + ds2_pair_corpus(5, 30)
+    for cls in classes:
+        assert dk.refute_ds_expressibility(cls).entries.decided == decided_reference(cls)
+
+
+def test_six_cycle_decides_only_its_144_split_image_pairs(monkeypatch):
+    # 27 images at each point, 12 of which split: 144 of the 729 pairs
+    calls = []
+    decide = psi._shattered_subclasses
+    monkeypatch.setattr(psi, "_shattered_subclasses",
+                        lambda *args: calls.append(1) or decide(*args))
+    decided = dk.refute_ds_expressibility(dk.six_cycle_class().cls).entries.decided
+    assert len(calls) == 144
+    assert (len(decided), len(decided[0])) == (27, 27)
+    # a first image that does not split shares one row of None
+    dead = [row for row in decided if row.count(None) == len(row)]
+    assert len(dead) == 15 and all(row is dead[0] for row in dead)
+
+
+def test_refute_refuses_decisions_over_budget(monkeypatch):
+    # the six-cycle: 12 x 12 splitting image pairs, and C(6, 4) = 15 subsets
+    monkeypatch.setattr(psi, "_DECISION_BUDGET", 2159)
+    with pytest.raises(dk.PreconditionError, match="makes 2160 subset checks"):
+        dk.refute_ds_expressibility(dk.six_cycle_class().cls)
+    monkeypatch.setattr(psi, "_DECISION_BUDGET", 2160)
     assert dk.refute_ds_expressibility(dk.six_cycle_class().cls).verdict == "refuted"
 
 

@@ -507,6 +507,16 @@ def _check_hypothesis_count(base: int, exponent: int) -> None:
         raise PreconditionError(f"{base}^{exponent} hypotheses exceed the budget")
 
 
+def _check_table_entries(entries: int, what: str) -> None:
+    """Refuse ``what``, holding ``entries`` table entries, above the entries
+    of full_class(20, 2), the largest class the hypothesis budget admits
+    with two or more labels, naming the count."""
+    budget = _HYPOTHESIS_BUDGET * (_HYPOTHESIS_BUDGET.bit_length() - 1)
+    if entries > budget:
+        raise PreconditionError(f"{what} hold {entries} table entries, "
+                                f"above the budget of {budget}")
+
+
 def _sample_points(sample: Sample, num_labels: int) -> tuple:
     """The points of a sample, in order, once every entry is checked to be a
     (point, label) pair, every label to lie in 0..num_labels-1 (refused,

@@ -60,11 +60,17 @@ def _table_images(column, choices):
     """Each (table, meta) pair's image on one coordinate (label -> bitmask of
     the members with that label), as (zero, one, meta): the masks of the
     members the table sends to 0 and to 1.  A table with an empty half never
-    covers and is dropped."""
-    images = []
+    covers and is dropped.  The label masks are disjoint and nonempty, so a
+    table whose image is, or swaps the halves of, an earlier kept one is that
+    table T, or 1-T, on the realized labels, and is dropped too: T and 1-T
+    cover or fail together with the same other choices (flipping a
+    coordinate's bit permutes {0,1}^n), so the first covering tuple is the
+    same as over the full list."""
+    images, seen = [], set()
     for table, meta in choices:
         zero, one = _encoder_image(column, table)
-        if zero and one:
+        if zero and one and (zero, one) not in seen:
+            seen.update(((zero, one), (one, zero)))
             images.append((zero, one, meta))
     return images
 
@@ -94,41 +100,13 @@ def _extend(states, images, need):
                 yield metas + (meta,), nxt
 
 
-def _distinct_tables(choices):
-    """The (table, meta) pairs whose table takes both values, without any
-    table equal to, or the complement of, an earlier one.  Flipping one
-    coordinate's bit permutes {0,1}^n, so a table and its complement cover
-    or fail together with the same other choices: a choice tuple that uses a
-    dropped table has an equivalent tuple earlier in lexicographic order, and
-    the first covering tuple is the same as over the full list."""
-    seen, kept = set(), []
-    for table, meta in choices:
-        key = tuple(table.items())
-        if key in seen or not 0 < sum(table.values()) < len(table):
-            continue
-        seen.add(key)
-        seen.add(tuple((v, 1 - b) for v, b in key))
-        kept.append((table, meta))
-    return kept
-
-
 def _check_points(points):
+    """The points as a nonempty tuple; ``restrict`` and ``_hypothesis_masks``
+    check that they are distinct naturals."""
     points = _as_tuple(points, "points")
     if not points:
         raise PreconditionError("point tuple must be nonempty")
-    if len(set(points)) != len(points):
-        raise PreconditionError(f"duplicate points in {points}")
     return points
-
-
-def _choices(encoders, lists, column):
-    """The (table, meta) pairs tried at a coordinate whose label masks are
-    ``column``: ``_distinct_tables`` of ``encoders`` on its sorted realized
-    labels, built once per distinct labels and kept in ``lists``."""
-    vals = tuple(sorted(column))
-    if vals not in lists:
-        lists[vals] = _distinct_tables(encoders(vals))
-    return lists[vals]
 
 
 def _coverage_kind(cls, kind, family):
@@ -136,11 +114,16 @@ def _coverage_kind(cls, kind, family):
     ``encoders(vals)`` builds the (table, meta) pairs of a coordinate whose
     realized labels are the sorted ``vals``, and ``payload(metas)`` turns the
     chosen metas into the certificate payload.  The tables come from
-    ``psi._binary_table``, which refuses vc on a non-binary alphabet; graph
-    and Ψ tables keep only the realized labels.  A Ψ family over another
-    alphabet than the class is refused."""
-    if kind == "psi" and family.num_labels != cls.num_labels:
-        raise RepresentationError("family alphabet differs from class alphabet")
+    ``psi._binary_table``, which refuses vc on a non-binary alphabet; a
+    table's image reads only the realized labels, so graph tables are the
+    indicators of those labels and Ψ tables are built once, from every
+    member.  A ``family`` that is not a PsiFamily, or is over another
+    alphabet than the class, is refused."""
+    if kind == "psi":
+        if not isinstance(family, PsiFamily):
+            raise PreconditionError(f"psi {family!r} is not a PsiFamily")
+        if family.num_labels != cls.num_labels:
+            raise RepresentationError("family alphabet differs from class alphabet")
     table_of = _binary_table(kind, cls.num_labels)
     if kind == "vc":
         table = table_of(None)
@@ -148,10 +131,10 @@ def _coverage_kind(cls, kind, family):
     if kind == "natarajan":
         return (lambda vals: [(table_of(pair), pair) for pair in itertools.combinations(vals, 2)],
                 lambda got: tuple(zip(*got)))
-    coords = (lambda vals: vals) if kind == "graph" else (lambda vals: family.members)
-    return (lambda vals: [({v: b for v, b in table_of(c).items() if v in vals}, c)
-                          for c in coords(vals)],
-            lambda got: (got,))
+    if kind == "graph":
+        return lambda vals: [(table_of(k), k) for k in vals], lambda got: (got,)
+    tables = [(table_of(m), m) for m in family.members]
+    return lambda vals: tables, lambda got: (got,)
 
 
 def _encoded_search(cls, points, kind, family=None) -> Optional[ShatterCertificate]:
@@ -207,9 +190,9 @@ def is_pseudo_cube(patterns) -> bool:
     each coordinate every line (the patterns equal off it) has two or more
     members.  Every pattern must be a tuple of labels."""
     pats = _as_tuple(patterns, "patterns")
-    bad = next((p for p in pats if not (isinstance(p, tuple) and _is_labeling(p))), None)
-    if bad is not None:
-        raise PreconditionError(f"pattern {bad!r} is not a tuple of labels")
+    for p in pats:
+        if not (isinstance(p, tuple) and _is_labeling(p)):
+            raise PreconditionError(f"pattern {p!r} is not a tuple of labels")
     pats = set(pats)
     if len({len(p) for p in pats}) > 1:
         raise PreconditionError("mixed arities in pattern set")
@@ -307,29 +290,15 @@ def is_psi_shattered(cls: HypothesisClass, points, family: PsiFamily) -> Optiona
     """Search for an encoder tuple from the family whose image of the class
     behaviors covers {0,1}^n.  Star outputs never count toward coverage.
 
-    At each coordinate only the first member of each set {T, 1-T} of tables
-    restricted to the realized labels is tried: under Ψ_N the members (k, k')
-    and (k', k) are complements, and members that differ only off the
-    realized labels restrict to the same table.  A covering tuple through a
-    later member stays covering when that member is swapped for the earlier
-    one (flipping a coordinate's bit permutes {0,1}^n), and the swap is
-    lexicographically smaller, so the first certificate, payload included,
-    is the one the full product would give."""
+    At each coordinate only the first member of each set {T, 1-T} of images
+    is tried (``_table_images``): under Ψ_N the members (k, k') and (k', k)
+    have swapped images, and members that differ only off the realized
+    labels have the same image.  A covering tuple through a later member
+    stays covering when that member is swapped for the earlier one (flipping
+    a coordinate's bit permutes {0,1}^n), and the swap is lexicographically
+    smaller, so the first certificate, payload included, is the one the full
+    product would give."""
     return _encoded_search(cls, points, "psi", family)
-
-
-def _shatter(cls, points, kind, family):
-    if kind == "vc":
-        return is_vc_shattered(cls, points)
-    if kind == "natarajan":
-        return is_n_shattered(cls, points)
-    if kind == "graph":
-        return is_g_shattered(cls, points)
-    if kind == "ds":
-        return is_ds_shattered(cls, points)
-    if kind == "psi":
-        return is_psi_shattered(cls, points, family)
-    raise PreconditionError(f"unknown dimension kind {kind!r}")
 
 
 def _default_window(cls: HypothesisClass) -> int:
@@ -355,12 +324,12 @@ def _coverage_steps(kind, encoders, payload, column_at, full):
     read, and kept while the node is on the walk's path.  So the first leaf
     under a node does only the depth-first search's work, and later leaves
     reuse it.  Each point's table images are built on first use."""
-    lists, images = {}, {}
+    images = {}
 
     def images_at(x):
         if x not in images:
             column = column_at(x)
-            images[x] = _table_images(column, _choices(encoders, lists, column))
+            images[x] = _table_images(column, encoders(sorted(column)))
         return images[x]
 
     def grow(states, node, need):
@@ -468,7 +437,9 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
             return states
 
         def leaf(states, node):
-            return _shatter(cls, node, kind, psi)
+            if kind == "ds":
+                return is_ds_shattered(cls, node)
+            return _encoded_search(cls, node, kind, psi)
 
     best = DimensionResult(value=0, certificate=None, warning=warning)
     failed = set()  # nodes of the previous size known to have no shattered superset

@@ -9,9 +9,9 @@ from typing import Optional
 from .core import (
     HypothesisClass,
     PreconditionError,
-    _HYPOTHESIS_BUDGET,
     _check_hypothesis_count,
     _check_int,
+    _check_table_entries,
     class_from_tables,
 )
 from .psi import PsiFamily, failing_psi_class, family_from_rows
@@ -36,11 +36,7 @@ def full_class(n: int, num_labels: int) -> HypothesisClass:
     if n < 1 or num_labels < 1:
         raise PreconditionError("need n >= 1 and at least one label")
     _check_hypothesis_count(num_labels, n)
-    entries = num_labels ** n * n
-    budget = _HYPOTHESIS_BUDGET * (_HYPOTHESIS_BUDGET.bit_length() - 1)
-    if entries > budget:
-        raise PreconditionError(f"{num_labels}^{n} hypotheses over {n} points hold {entries} "
-                                f"table entries, above the budget of {budget}")
+    _check_table_entries(num_labels ** n * n, f"{num_labels}^{n} hypotheses over {n} points")
     rows = itertools.product(range(num_labels), repeat=n)
     return class_from_tables(rows, num_labels=num_labels)
 

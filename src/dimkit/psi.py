@@ -24,6 +24,7 @@ from .core import (
     _as_tuple,
     _check_hypothesis_count,
     _check_int,
+    _check_table_entries,
     _check_window,
     _first_outside,
     class_from_tables,
@@ -115,10 +116,12 @@ def apply_encoders(psibar, pattern) -> tuple[int, ...]:
 
 def graph_family(num_labels: int) -> PsiFamily:
     """One indicator encoder per label (1 on the label, 0 elsewhere); the
-    induced dimension is the graph dimension."""
+    induced dimension is the graph dimension.  Its q * q table entries are
+    bounded by ``core._check_table_entries``."""
     _check_int(num_labels, "number of labels")
     if num_labels < 2:
         raise PreconditionError("need at least two labels")
+    _check_table_entries(num_labels * num_labels, f"{num_labels} encoders over {num_labels} labels")
     members = tuple(
         PsiFunction(table=tuple(1 if y == k else 0 for y in range(num_labels)))
         for k in range(num_labels)
@@ -128,10 +131,13 @@ def graph_family(num_labels: int) -> PsiFamily:
 
 def natarajan_family(num_labels: int) -> PsiFamily:
     """One encoder per ordered label pair (k, k'): 1 on k, 0 on k', star
-    elsewhere; the induced dimension is the Natarajan dimension."""
+    elsewhere; the induced dimension is the Natarajan dimension.  Its
+    q(q-1) * q table entries are bounded by ``core._check_table_entries``."""
     _check_int(num_labels, "number of labels")
     if num_labels < 2:
         raise PreconditionError("need at least two labels")
+    count = num_labels * (num_labels - 1)
+    _check_table_entries(count * num_labels, f"{count} encoders over {num_labels} labels")
     members = []
     for k in range(num_labels):
         for kp in range(num_labels):
@@ -146,6 +152,8 @@ def natarajan_family(num_labels: int) -> PsiFamily:
 def is_distinguisher(family: PsiFamily) -> tuple[bool, Optional[tuple[int, int]]]:
     """A family distinguishes (y, y') when some member maps them to 0 and 1
     (in either order).  Returns (True, None) or (False, first failing pair)."""
+    if not isinstance(family, PsiFamily):
+        raise PreconditionError(f"psi {family!r} is not a PsiFamily")
     for y in range(family.num_labels):
         for yp in range(y + 1, family.num_labels):
             if not any(

@@ -29,10 +29,10 @@ from .core import (
     PreconditionError,
     RepresentationError,
     ShatteredError,
-    _as_tuple,
     _check_int,
     _check_window,
     _first_outside,
+    _naturals,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     restrict,
 )
@@ -101,7 +101,7 @@ class Witness:
         return frozenset(range(self.arity))
 
     def evaluate(self, points, *payload):
-        points = _as_tuple(points, "points")
+        points = _naturals(points)
         if len(points) != self.arity:
             raise PreconditionError(f"witness of order {self.order} takes {self.arity} points")
         if len(set(points)) != len(points):
@@ -403,6 +403,8 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
         if flavor == "psi":
             if psi is None:
                 raise PreconditionError("psi flavor needs a family")
+            if not isinstance(psi, PsiFamily):
+                raise PreconditionError(f"psi {psi!r} is not a PsiFamily")
             if psi.num_labels != cls.num_labels:
                 raise RepresentationError("family alphabet differs from class alphabet")
         table_of = _binary_table(flavor, cls.num_labels)
@@ -512,6 +514,8 @@ def psi_witness_from_natarajan(witness: Witness, family: PsiFamily,
 
     if witness.flavor != "natarajan":
         raise PreconditionError("construction starts from a natarajan witness")
+    if not isinstance(family, PsiFamily):
+        raise PreconditionError(f"psi {family!r} is not a PsiFamily")
     if family.num_labels != cls.num_labels:
         raise PreconditionError("family alphabet differs from class alphabet")
     k_b = sauer_crossover(witness.order, cls.num_labels)

@@ -193,6 +193,24 @@ def first_cover(patterns, coord_choices):
     return None
 
 
+def distinct_tables(choices):
+    """The (table, meta) pairs whose table takes both values, without any
+    table equal to, or the complement of, an earlier one, the tables
+    compared as their (label, bit) items in order.  A table and its
+    complement cover or fail together with the same other choices, so over
+    tables restricted to a coordinate's realized labels the first covering
+    tuple is the same as over the full list."""
+    seen, kept = set(), []
+    for table, meta in choices:
+        key = tuple(table.items())
+        if key in seen or not 0 < sum(table.values()) < len(table):
+            continue
+        seen.add(key)
+        seen.add(tuple((v, 1 - b) for v, b in key))
+        kept.append((table, meta))
+    return kept
+
+
 def shattered(cls, points, kind, family=None):
     if kind == "vc":
         return vc_shattered(cls, points)

@@ -726,6 +726,18 @@ def test_failing_psi_past_the_hypothesis_budget_exits_two(capsys, tmp_path):
         assert captured.err.endswith("2^26 hypotheses exceed the budget\n")
 
 
+def test_builtin_family_past_the_table_entry_budget_exits_two(capsys, tmp_path):
+    """psi_N over 1000 labels would build about 10^9 table entries before any
+    alphabet check; the entry budget refuses it first, naming the count."""
+    path = tmp_path / "psin1000.json"
+    path.write_text(json.dumps({"labels": 1000, "builtin": "psi_N"}))
+    assert dispatch(["distinguisher", "--psi", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("999000 encoders over 1000 labels hold 999000000 table "
+                                 "entries, above the budget of 20971520\n")
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert dispatch(["frobnicate"]) == 2
     capsys.readouterr()

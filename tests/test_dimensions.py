@@ -332,9 +332,10 @@ def _oracle_class(rows, q):
 
 def test_exact_dimension_matches_bruteforce_on_wide_windows(monkeypatch):
     calls = []
-    shatter = dimensions._shatter
-    monkeypatch.setattr(dimensions, "_shatter",
-                        lambda *a: calls.append(a[1]) or shatter(*a))
+    for name in ("is_ds_shattered", "_encoded_search"):
+        shatter = getattr(dimensions, name)
+        monkeypatch.setattr(dimensions, name,
+                            lambda *a, shatter=shatter: calls.append(a[1]) or shatter(*a))
     rng = random.Random(4242)
     cases = []
     for _ in range(4):
@@ -453,12 +454,14 @@ def _spy_on_leaves(monkeypatch):
 def test_face_pruning_skips_subsets_with_an_unshattered_face(monkeypatch):
     # point 0 is constant, so every candidate containing it has the
     # unshattered face (0,) and is skipped; the certificate is still the
-    # first pair.  DS and oracle classes test each leaf with _shatter, and
-    # the walk tests the leaves of an explicit class on its own states
+    # first pair.  DS and oracle classes test each leaf with the predicate of
+    # their kind, and the walk tests the leaves of an explicit class on its
+    # own states
     tested = []
-    shatter = dimensions._shatter
-    monkeypatch.setattr(dimensions, "_shatter",
-                        lambda *a: tested.append(a[1]) or shatter(*a))
+    for name in ("is_ds_shattered", "_encoded_search"):
+        shatter = getattr(dimensions, name)
+        monkeypatch.setattr(dimensions, name,
+                            lambda *a, shatter=shatter: tested.append(a[1]) or shatter(*a))
     leaves = _spy_on_leaves(monkeypatch)
     rows = [(0, a, b) for a in (0, 1) for b in (0, 1)]
     explicit = dk.class_from_tables(rows, num_labels=2)
@@ -693,6 +696,63 @@ def _random_psi_family(rng, q):
     return dk.PsiFamily(members=tuple(dk.PsiFunction(table=t) for t in tables), num_labels=q)
 
 
+def _restricted_choices(kind, vals, fam):
+    """A coordinate's (table, meta) pairs with the graph and Ψ tables
+    restricted to its sorted realized labels ``vals``."""
+    if kind == "vc":
+        return [({0: 0, 1: 1}, None)]
+    if kind == "natarajan":
+        return [({a: 1, b: 0}, (a, b)) for a, b in itertools.combinations(vals, 2)]
+    if kind == "graph":
+        return [({v: int(v == k) for v in vals}, k) for k in vals]
+    return [({v: b for v, b in enumerate(m.table) if v in vals and b != dk.STAR}, m)
+            for m in fam.members]
+
+
+def _image(column, table):
+    """The masks of the members a binary table codes 0 and 1 at a column."""
+    return tuple(sum(column.get(v, 0) for v, b in table.items() if b == bit) for bit in (0, 1))
+
+
+def test_table_images_keep_the_reference_distinct_tables():
+    """``_table_images`` drops a table whose image equals, or swaps the
+    halves of, an earlier kept image.  It keeps the (zero, one, meta) of
+    exactly the tables ``oracles.distinct_tables`` keeps among the tables
+    restricted to the realized labels, in the same order: for every coverage
+    kind, on hypothesis masks and on behavior indexes, with random families
+    (stars, complements, members equal on the realized labels, members
+    constant off their stars) and alphabets of up to 30 labels of which a
+    few are realized."""
+    rng = random.Random(5150)
+    compared = dropped = 0
+    for _ in range(150):
+        q = rng.choice((2, 3, 4, 5, 30))
+        n = rng.randint(1, 4)
+        used = [rng.sample(range(q), rng.randint(1, min(q, 4))) for _ in range(n)]
+        rows = {tuple(map(rng.choice, used)) for _ in range(rng.randint(1, 12))}
+        cls = dk.class_from_tables(sorted(rows), num_labels=q)
+        pts = tuple(rng.sample(range(n), rng.randint(1, n)))
+        columns = dimensions._hypothesis_masks(cls, pts) + dk.restrict(cls, pts).index
+        kinds = [("natarajan", None), ("graph", None), ("psi", _random_psi_family(rng, q))]
+        if q <= 5:
+            kinds += [("psi", dk.natarajan_family(q)), ("psi", dk.graph_family(q))]
+        if q == 2:
+            kinds.append(("vc", None))
+        for kind, fam in kinds:
+            encoders, _ = dimensions._coverage_kind(cls, kind, fam)
+            for column in columns:
+                vals = sorted(column)
+                restricted = _restricted_choices(kind, vals, fam)
+                want = [_image(column, table) + (meta,)
+                        for table, meta in oracles.distinct_tables(restricted)
+                        if all(_image(column, table))]
+                got = dimensions._table_images(column, encoders(vals))
+                assert got == want, (kind, column)
+                compared += 1
+                dropped += len(want) < sum(all(_image(column, t)) for t, _ in restricted)
+    assert compared > 1000 and dropped > 100
+
+
 def test_psi_certificates_with_complementary_and_restricted_equal_members():
     rng = random.Random(31415)
     for _ in range(150):
@@ -755,7 +815,7 @@ def test_hypothesis_masks_and_behavior_masks_give_the_same_answers():
             res = dk.exact_dimension(explicit, kind, psi=fam)
             assert res == dk.exact_dimension(oracle, kind, psi=fam), (kind, rows)
             for pts in itertools.combinations(range(n), 2):
-                certs = [dimensions._shatter(c, pts, kind, fam) for c in (explicit, oracle)]
+                certs = [dimensions._encoded_search(c, pts, kind, fam) for c in (explicit, oracle)]
                 assert certs[0] == certs[1]
                 want = oracles.first_certificate(explicit, pts, kind, fam)
                 assert (None if certs[0] is None else certs[0].payload) == want, (kind, pts)
@@ -790,11 +850,13 @@ def test_coverage_kinds_do_not_project_explicit_classes(monkeypatch):
     # DS projects them, once per tested candidate; oracle classes are
     # projected for every kind
     restricts, tested = [], []
-    restrict, shatter = dimensions.restrict, dimensions._shatter
+    restrict = dimensions.restrict
     monkeypatch.setattr(dimensions, "restrict",
                         lambda cls, pts: restricts.append(pts) or restrict(cls, pts))
-    monkeypatch.setattr(dimensions, "_shatter",
-                        lambda *a: tested.append(a[1]) or shatter(*a))
+    for name in ("is_ds_shattered", "_encoded_search"):
+        shatter = getattr(dimensions, name)
+        monkeypatch.setattr(dimensions, name,
+                            lambda *a, shatter=shatter: tested.append(a[1]) or shatter(*a))
     # the full cube on points 0-2, with point 3 a copy of point 0
     rows = [r + (r[0],) for r in itertools.product((0, 1), repeat=3)]
     explicit = dk.class_from_tables(rows, num_labels=2)

@@ -171,3 +171,71 @@ def test_values_that_are_not_tuples_or_pairs_raise_a_dimkit_error(build, error, 
     with pytest.raises(error) as err:
         build()
     assert str(err.value) == message
+
+
+_ROWS = [(0, 1), (1, 0), (1, 1), (2, 2)]
+_CLASSES = {
+    "table": dk.class_from_tables(_ROWS, num_labels=3),
+    "support": dk.class_from_supports([{0: 1}, {1: 2}], num_labels=3),
+    "oracle": dk.HypothesisClass(num_labels=3, behavior_fn=lambda pts: {
+        tuple(r[x] for x in pts) for r in _ROWS}),
+}
+_PREDICATES = {
+    "is_n_shattered": lambda cls, pts: dk.is_n_shattered(cls, pts),
+    "is_g_shattered": lambda cls, pts: dk.is_g_shattered(cls, pts),
+    "is_ds_shattered": lambda cls, pts: dk.is_ds_shattered(cls, pts),
+    "is_psi_shattered": lambda cls, pts: dk.is_psi_shattered(cls, pts, dk.graph_family(3)),
+    "sauer": lambda cls, pts: dk.sauer_natarajan_check(cls, pts, 1),
+}
+
+
+@pytest.mark.parametrize("predicate", sorted(_PREDICATES))
+@pytest.mark.parametrize("kind", sorted(_CLASSES))
+def test_single_subset_predicates_name_an_unhashable_or_bad_point(kind, predicate):
+    """``(0, [1])`` raised "unhashable type" from the duplicate check; the
+    points are now checked to be naturals first, so a tuple that is both
+    duplicated and holds a bad point is refused for the point."""
+    cls, check = _CLASSES[kind], _PREDICATES[predicate]
+    with pytest.raises(dk.DomainError, match=r"point \[1\] "):
+        check(cls, (0, [1]))
+    with pytest.raises(dk.DomainError, match="point -1 "):
+        check(cls, (-1, -1))
+    with pytest.raises(dk.PreconditionError, match=r"duplicate points in \(0, 0\)"):
+        check(cls, (0, 0))
+
+
+@pytest.mark.parametrize("points, bad", [(("a", 0), "'a'"), ((None, 0), "None"),
+                                         ((0, [1]), "[1]"), ((-1, 0), "-1"),
+                                         ((0.5, 1), "0.5"), ((True, 0), "True")])
+def test_witness_evaluate_names_a_point_that_is_not_a_natural(points, bad):
+    """A str or None point raised TypeError from the canonicalizing sort, an
+    unhashable one from the duplicate check, and the gap witness answered on
+    a negative, float or bool point."""
+    with pytest.raises(dk.DomainError) as err:
+        dk.gap_class(3).witness.evaluate(points, (0, 1), (1, 0))
+    assert str(err.value) == f"point {bad} is not a natural"
+
+
+_PAIR = dk.class_from_tables(_ROWS, num_labels=3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dk.is_pseudo_cube([None]), "pattern None is not a tuple of labels"),
+    (lambda: dk.is_pseudo_cube([(0,), None]), "pattern None is not a tuple of labels"),
+    (lambda: dk.exact_dimension(_PAIR, "psi", psi=(1, 2)), "psi (1, 2) is not a PsiFamily"),
+    (lambda: dk.exact_dimension(_CLASSES["oracle"], "psi", psi=(1, 2), window=1),
+     "psi (1, 2) is not a PsiFamily"),
+    (lambda: dk.is_psi_shattered(_PAIR, (0, 1), (1, 2)), "psi (1, 2) is not a PsiFamily"),
+    (lambda: dk.canonical_witness(_PAIR, "psi", 1, psi=(1, 2)), "psi (1, 2) is not a PsiFamily"),
+    (lambda: dk.is_distinguisher((1, 2)), "psi (1, 2) is not a PsiFamily"),
+    (lambda: dk.psi_witness_from_natarajan(dk.gap_class(3).witness, (1, 2), _PAIR),
+     "psi (1, 2) is not a PsiFamily"),
+], ids=["cube [None]", "cube [(0,), None]", "dimension", "oracle dimension",
+        "is_psi_shattered", "canonical_witness", "is_distinguisher", "from natarajan"])
+def test_none_patterns_and_foreign_families_raise_a_precondition_error(build, message):
+    """A None pattern raised TypeError, as it met the None sentinel of the
+    pattern check, and a family that is not a PsiFamily AttributeError
+    'num_labels'."""
+    with pytest.raises(dk.PreconditionError) as err:
+        build()
+    assert str(err.value) == message

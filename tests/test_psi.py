@@ -22,6 +22,20 @@ def test_family_sizes():
         assert len(dk.natarajan_family(q)) == q * (q - 1)
 
 
+def test_builtin_families_are_refused_past_the_table_entry_budget():
+    """psi_N over q labels holds q(q-1) * q table entries and psi_G q * q;
+    both are refused, naming the count, above the 20 * 2^20 entries that
+    ``full_class`` keeps, before any member is built."""
+    for build, q, message in (
+            (dk.natarajan_family, 277, "76452 encoders over 277 labels hold 21177204"),
+            (dk.graph_family, 4580, "4580 encoders over 4580 labels hold 20976400"),
+            (dk.natarajan_family, 10 ** 9, f"{10 ** 18 - 10 ** 9} encoders over {10 ** 9}")):
+        with pytest.raises(dk.PreconditionError) as err:
+            build(q)
+        assert str(err.value).startswith(message)
+        assert str(err.value).endswith("table entries, above the budget of 20971520")
+
+
 def test_graph_family_has_no_star():
     for m in dk.graph_family(3).members:
         assert STAR not in m.table

@@ -137,11 +137,15 @@ def _coverage_kind(cls, kind, family):
     return lambda vals: tables, lambda got: (got,)
 
 
-def _encoded_search(cls, points, kind, family=None) -> Optional[ShatterCertificate]:
+def _encoded_search(cls, points, kind, family=None,
+                    coverage=None) -> Optional[ShatterCertificate]:
     """Certificate that ``points`` is shattered under a coverage kind, from
     the walk over that one candidate, whose members are an explicit class's
-    hypotheses (no projection) or else the behaviors of ``restrict``."""
-    coverage = _coverage_kind(cls, kind, family)
+    hypotheses (no projection) or else the behaviors of ``restrict``.
+    ``coverage`` is the kind's (encoders, payload) from ``_coverage_kind``,
+    built here unless the caller built it already."""
+    if coverage is None:
+        coverage = _coverage_kind(cls, kind, family)
     points = _check_points(points)
     if cls.rows is not None:
         index, members = _hypothesis_masks(cls, points), len(cls.rows)
@@ -406,9 +410,11 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     leaf's first passing state is the certificate the single-subset
     predicate, a walk of the same steps, gives.  DS, and every kind on an
     oracle class, test each candidate at the leaves with the predicate of
-    its kind, which projects it with ``restrict``.  A node with a face known
-    to have no shattered superset of the previous size is skipped, which by
-    monotonicity never skips a shattered candidate.
+    its kind, which projects it with ``restrict``; a coverage kind's tables
+    (``_coverage_kind``) are built once per call, before the walk, and
+    handed to every leaf.  A node with a face known to have no shattered
+    superset of the previous size is skipped, which by monotonicity never
+    skips a shattered candidate.
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown dimension kind {kind!r}")
@@ -426,8 +432,9 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
     if cls.domain_size is not None or cls.rows is not None:
         window = min(window, _default_window(cls))
     _check_window(window)
+    coverage = None if kind == "ds" else _coverage_kind(cls, kind, psi)
     if cls.rows is not None and kind != "ds":
-        root, grow, leaf = _coverage_steps(kind, *_coverage_kind(cls, kind, psi),
+        root, grow, leaf = _coverage_steps(kind, *coverage,
                                            lambda x: _hypothesis_masks(cls, (x,))[0],
                                            (1 << len(cls.rows)) - 1)
     else:
@@ -439,7 +446,7 @@ def exact_dimension(cls: HypothesisClass, kind: str, *, psi: Optional[PsiFamily]
         def leaf(states, node):
             if kind == "ds":
                 return is_ds_shattered(cls, node)
-            return _encoded_search(cls, node, kind, psi)
+            return _encoded_search(cls, node, kind, psi, coverage)
 
     best = DimensionResult(value=0, certificate=None, warning=warning)
     failed = set()  # nodes of the previous size known to have no shattered superset

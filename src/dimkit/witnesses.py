@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, reduce
-from operator import and_, eq, getitem
+from functools import cache, cached_property, lru_cache, partial, reduce
+from operator import and_, eq, getitem, itemgetter
 from typing import Callable, Optional
 
 from . import nfl
@@ -188,11 +188,13 @@ def witness_inputs(witness: Witness, num_labels: int):
 
 def _inputs_over(witness: Witness, alphabet):
     """Every payload whose coordinates hold entries of ``alphabet``, in
-    product order."""
-    rows = itertools.product(alphabet, repeat=witness.arity)
+    product order, as a lazy stream of C iterators that holds no payload
+    but the one it yields: memory is O(1) in the number of inputs.  A
+    natarajan payload (g1, g2) pairs the product of the entries' first
+    labels with the product of their second labels, which step in lockstep."""
     if witness.flavor == "natarajan":
-        return map(tuple, itertools.starmap(zip, rows))
-    return zip(rows)
+        return zip(*(itertools.product(half, repeat=witness.arity) for half in zip(*alphabet)))
+    return zip(itertools.product(alphabet, repeat=witness.arity))
 
 
 def _alphabet(witness: Witness, num_labels: int):
@@ -218,15 +220,25 @@ def _cell_rows(tables, behaviors: BehaviorSet):
 
 
 def _code_reader(witness: Witness) -> Callable:
-    """``read(answer, points) -> code``: the 0/1 code of an evaluator answer
-    on ``points`` (a pattern's bits, or an index set's indicator), with a
-    memo of the answers it has seen.  An answer of the exact type a
-    well-formed one has (a frozenset, or a tuple for psi) that equals one
-    seen before, by value (``(True, 0)`` hits ``(1, 0)``), reads as that
-    answer's code in one dict lookup; any other goes through
-    ``Witness._checked_answer``, which normalizes it or raises
-    PreconditionError.  A checked psi answer is its own code."""
-    flavor, arity = witness.flavor, witness.arity
+    """``codes(points, inputs)``: the 0/1 code of the evaluator's answer on
+    ``points`` with each payload of ``inputs`` (a pattern's bits, or an
+    index set's indicator), as a lazy pipeline of C iterators,
+    ``map(read, starmap(partial(evaluator, points), inputs), repeat(points))``.
+
+    The pipeline calls the evaluator once per input, in the order of
+    ``inputs``, and reads each answer before the next call, so nothing is
+    read ahead and a malformed answer raises before the next input is
+    evaluated.  It keeps no state of its own: after the evaluator raises on
+    an input, the next read goes on with the next input.
+
+    ``read`` keeps a memo of the answers it has seen, which every point
+    tuple shares.  An answer of the exact type a well-formed one has (a
+    frozenset, or a tuple for psi) that equals one seen before, by value
+    (``(True, 0)`` hits ``(1, 0)``), reads as that answer's code in one dict
+    lookup; any other goes through ``Witness._checked_answer``, which
+    normalizes it or raises PreconditionError.  A checked psi answer is its
+    own code."""
+    flavor, arity, evaluator = witness.flavor, witness.arity, witness.evaluator
     shape = tuple if flavor == "psi" else frozenset
     seen = {}
 
@@ -240,7 +252,18 @@ def _code_reader(witness: Witness) -> Callable:
         return seen.setdefault(
             out, out if flavor == "psi" else tuple(int(i in out) for i in range(arity)))
 
-    return read
+    def codes(points, inputs):
+        return map(read, itertools.starmap(partial(evaluator, points), inputs),
+                   itertools.repeat(points))
+
+    return codes
+
+
+def _stopped(points) -> RuntimeError:
+    """The error for an evaluator that raised StopIteration on ``points``,
+    which a C iterator takes for the end of its inputs (as PEP 479 turns it
+    into a RuntimeError in a generator)."""
+    return RuntimeError(f"witness evaluator raised StopIteration on points {points}")
 
 
 def _exclusion_reader(witness: Witness, num_labels: int) -> Callable:
@@ -248,13 +271,15 @@ def _exclusion_reader(witness: Witness, num_labels: int) -> Callable:
     point tuple ``points`` that agrees with a labeling the witness excludes
     there, over labels 0..num_labels-1, memoized per point tuple.
 
-    The evaluator is read on every input over ``_alphabet``, in product
-    order, and the answer's 0/1 code comes from one ``_code_reader`` that
-    every point tuple shares.  The code picks, per coordinate, the labels
-    that the binary table of the input's entry there codes with that bit
-    (for natarajan, the one label g1[i] or g2[i]); the excluded labelings
-    are the products of the distinct picks.  ShatteredError and
-    ExclusionFailure propagate, and nothing is memoized for that tuple.
+    The evaluator is read on every input over ``_alphabet`` through one
+    ``_code_reader`` pipeline per point tuple: once per input, in product
+    order, each answer read before the next call, with memory O(1) in the
+    number of inputs.  The answer-code memo is shared by every point tuple.
+    The code picks, per coordinate, the labels that the binary table of the
+    input's entry there codes with that bit (for natarajan, the one label
+    g1[i] or g2[i]); the excluded labelings are the products of the distinct
+    picks.  ShatteredError and ExclusionFailure propagate, and nothing is
+    memoized for that tuple.
 
     A pair-symmetric witness excludes the same mixture on every orientation
     of the pairs, so it is read only on inputs with g1[i] < g2[i] at every
@@ -264,7 +289,7 @@ def _exclusion_reader(witness: Witness, num_labels: int) -> Callable:
     flipping any coordinate, and (a, b) comes before (b, a) in ``_alphabet``
     when a < b.  The first shattered input in ordered product order thus
     has g1[i] < g2[i] everywhere, and it is the first one read here."""
-    evaluator, read = witness.evaluator, _code_reader(witness)
+    codes = _code_reader(witness)
     rows = [(entry, tuple(tuple(v for v, b in table.items() if b == c) for c in (0, 1)))
             for entry, table in zip(_alphabet(witness, num_labels),
                                     _input_tables(witness, num_labels))]
@@ -275,10 +300,13 @@ def _exclusion_reader(witness: Witness, num_labels: int) -> Callable:
 
     @cache
     def excluded(points) -> frozenset:
-        picks = set()
-        for payload, halves in zip(_inputs_over(witness, entries),
-                                   itertools.product(preimages, repeat=witness.arity)):
-            picks.add(tuple(map(getitem, halves, read(evaluator(points, *payload), points))))
+        # the halves of each input's entries, read before its code, then a
+        # marker that is read only when the inputs run out
+        halves = itertools.chain(itertools.product(preimages, repeat=witness.arity), (None,))
+        picks = set(map(tuple, map(map, itertools.repeat(getitem), halves,
+                                   codes(points, _inputs_over(witness, entries)))))
+        if next(halves, halves) is not halves:
+            raise _stopped(points)
         return frozenset(itertools.chain.from_iterable(
             itertools.starmap(itertools.product, picks)))
 
@@ -325,50 +353,63 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
     Each payload entry's binary table is built once per call, and its cells
     once per point tuple.  The answer's 0/1 code selects one cell per
     coordinate, and the input fails when those cells share a behavior (for
-    natarajan, the excluded mixture).  The code comes from ``_code_reader``,
-    which the good-pattern exclusion (``_exclusion_reader``) shares: an
-    answer equal to one seen before, and of the exact type a well-formed one
-    has (a frozenset, or a tuple for psi), is one dict lookup; any other
-    goes through ``Witness._checked_answer``.  Any exception the evaluator
-    raises other than ShatteredError and ExclusionFailure is the caller's
-    error and propagates unchanged."""
+    natarajan, the excluded mixture).
+
+    Each point tuple's inputs run through one lazy pipeline of C
+    iterators: the ``_code_reader`` codes (which the good-pattern exclusion,
+    ``_exclusion_reader``, reads too), each input's live behaviors (the AND
+    of its selected cells), and a filter that passes only the inputs with a
+    live behavior, zipped with a second payload stream that steps in
+    lockstep.  So the evaluator is called once per input, in product order,
+    each answer is read before the next call, and only violations reach
+    Python; memory is O(1) in the number of inputs.  When the evaluator
+    raises ShatteredError or ExclusionFailure, the violation is recorded
+    with the next payload of the second stream (zip read none for that
+    input), and the same pipeline goes on with the next input.  Any other
+    exception the evaluator raises is the caller's error and propagates
+    unchanged; a StopIteration, which would end the pipeline early, is
+    refused with a RuntimeError.  A realized pattern's detail is the first
+    live behavior, or for psi its code through the payload's encoders,
+    which is the answer."""
     _check_window(window)
     if witness.flavor == "psi" and witness.psi.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
-    count = (math.comb(window + 1, witness.arity)
-             * len(_alphabet(witness, cls.num_labels)) ** witness.arity)
+    alphabet = _alphabet(witness, cls.num_labels)
+    count = math.comb(window + 1, witness.arity) * len(alphabet) ** witness.arity
     if count > _VALIDATION_BUDGET:
         raise PreconditionError(f"validating on [0, {window}] takes {count} witness inputs, "
                                 f"above the budget of {_VALIDATION_BUDGET}")
-    flavor, evaluator = witness.flavor, witness.evaluator
-    read = _code_reader(witness)
+    flavor, codes = witness.flavor, _code_reader(witness)
     tables = _input_tables(witness, cls.num_labels)
-    checked = 0
     violations = []
     for points in itertools.combinations(range(window + 1), witness.arity):
         behaviors = restrict(cls, points)
-        realized = behaviors.pattern_set
-        for cells, payload in zip(_cell_rows(tables, behaviors),
-                                  witness_inputs(witness, cls.num_labels)):
-            checked += 1
+        lives = map(reduce, itertools.repeat(and_),
+                    map(map, itertools.repeat(getitem), _cell_rows(tables, behaviors),
+                        codes(points, _inputs_over(witness, alphabet))))
+        payloads = _inputs_over(witness, alphabet)
+        hits = filter(itemgetter(0), zip(lives, payloads))
+        while True:
             try:
-                out = evaluator(points, *payload)
-            except (ShatteredError, ExclusionFailure) as err:
-                violations.append(WitnessViolation(
-                    points=points, payload=payload,
-                    reason="shattered" if isinstance(err, ShatteredError)
-                    else "exclusion_failure"))
-                continue
-            code = read(out, points)
-            live = reduce(and_, map(getitem, cells, code))
-            if not live:
-                continue
-            hit = code if flavor == "psi" else next(itertools.islice(
-                realized, (live & -live).bit_length() - 1, None))
-            violations.append(WitnessViolation(
-                points=points, payload=payload,
-                reason="excluded_pattern_realized", detail=hit))
-    return WitnessReport(checked_inputs=checked, violations=tuple(violations))
+                for live, payload in hits:
+                    hit = next(itertools.islice(
+                        behaviors.pattern_set, (live & -live).bit_length() - 1, None))
+                    violations.append(WitnessViolation(
+                        points=points, payload=payload, reason="excluded_pattern_realized",
+                        detail=tuple(psi.table[v] for psi, v in zip(payload[0], hit))
+                        if flavor == "psi" else hit))
+            except ShatteredError:
+                reason = "shattered"
+            except ExclusionFailure:
+                reason = "exclusion_failure"
+            else:
+                break
+            # zip read no payload for the input that raised: it is the next
+            violations.append(WitnessViolation(points=points, payload=next(payloads),
+                                               reason=reason))
+        if next(payloads, None) is not None:
+            raise _stopped(points)
+    return WitnessReport(checked_inputs=count, violations=tuple(violations))
 
 
 def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,

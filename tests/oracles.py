@@ -287,10 +287,27 @@ def good_patterns_bruteforce(spec, points):
     return tuple(sorted({tuple(p[x] for x in points) for p in survivors}))
 
 
+def witness_inputs_reference(witness, num_labels):
+    """Every canonical payload over labels 0..num_labels-1, in product
+    order, as a product over the per-coordinate alphabet: each natarajan
+    row of (a, b) pairs is transposed into (g1, g2)."""
+    labels = range(num_labels)
+    if witness.flavor == "natarajan":
+        pairs = [(a, b) for a in labels for b in labels if a != b]
+        return [tuple(zip(*row)) for row in itertools.product(pairs, repeat=witness.arity)]
+    alphabet = labels if witness.flavor == "graph" else witness.psi.members
+    return [(row,) for row in itertools.product(alphabet, repeat=witness.arity)]
+
+
+def _raised(err):
+    return "shattered" if isinstance(err, ShatteredError) else "exclusion_failure"
+
+
 def validate_witness_reference(witness, cls, window):
     """The validation loop through the public ``Witness.evaluate``, which
     re-canonicalizes every input, with unsorted mixtures and one pass over
-    the behaviors per graph input."""
+    the behaviors per graph input.  ShatteredError and ExclusionFailure are
+    violations for every flavor."""
     if window < 0:
         raise PreconditionError("window must be a natural")
     arity = witness.arity
@@ -310,9 +327,7 @@ def validate_witness_reference(witness, cls, window):
                     index_set = witness.evaluate(points, g1, g2)
                 except (ShatteredError, ExclusionFailure) as err:
                     violations.append(WitnessViolation(
-                        points=points, payload=(g1, g2),
-                        reason="shattered" if isinstance(err, ShatteredError)
-                        else "exclusion_failure"))
+                        points=points, payload=(g1, g2), reason=_raised(err)))
                     continue
                 excluded = _excluded(index_set, g1, g2)
                 if excluded in pats:
@@ -324,9 +339,9 @@ def validate_witness_reference(witness, cls, window):
                 checked += 1
                 try:
                     index_set = witness.evaluate(points, f)
-                except ShatteredError:
+                except (ShatteredError, ExclusionFailure) as err:
                     violations.append(WitnessViolation(
-                        points=points, payload=(f,), reason="shattered"))
+                        points=points, payload=(f,), reason=_raised(err)))
                     continue
                 mask = sum(1 << i for i in index_set)
                 hit = next(
@@ -343,9 +358,9 @@ def validate_witness_reference(witness, cls, window):
                 checked += 1
                 try:
                     pattern = witness.evaluate(points, psibar)
-                except ShatteredError:
+                except (ShatteredError, ExclusionFailure) as err:
                     violations.append(WitnessViolation(
-                        points=points, payload=(psibar,), reason="shattered"))
+                        points=points, payload=(psibar,), reason=_raised(err)))
                     continue
                 images = {apply_encoders(psibar, p) for p in pats}
                 if tuple(pattern) in images:

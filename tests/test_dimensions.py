@@ -877,6 +877,32 @@ def test_coverage_kinds_do_not_project_explicit_classes(monkeypatch):
     assert dk.verify_certificate(cert, oracle) and restricts == [(0, 1, 2)] * 2
 
 
+def test_oracle_dimension_builds_coverage_tables_once_per_call(monkeypatch):
+    # every leaf of an oracle class's walk tests its candidate with the
+    # tables built once, before the walk, and finds the brute-force answer
+    calls = []
+    coverage_kind = dimensions._coverage_kind
+    monkeypatch.setattr(dimensions, "_coverage_kind",
+                        lambda *a: calls.append(a[1]) or coverage_kind(*a))
+    rng = random.Random(89)
+    for _ in range(3):
+        q, n = rng.choice((2, 3)), rng.randint(4, 5)
+        rows = rng.sample(list(itertools.product(range(q), repeat=n)), rng.randint(8, 20))
+        oracle = _oracle_class(rows, q)
+        for kind, fam in _coverage_kinds(q):
+            del calls[:]
+            res = dk.exact_dimension(oracle, kind, psi=fam, window=n - 1)
+            assert calls == [kind]
+            assert res.value == oracles.dimension(oracle, kind, n - 1, fam), (kind, rows)
+            cert = res.certificate
+            if res.value:
+                points = oracles.first_shattered(oracle, kind, n - 1, res.value, fam)
+                assert cert.points == points
+                assert cert.payload == oracles.first_certificate(oracle, points, kind, fam)
+            else:
+                assert cert is None
+
+
 def test_verify_certificate_rejects_certificates_found_on_corrupted_masks(monkeypatch):
     # with bit 0 ORed into every mask, hypothesis 0 takes every label at
     # every point and fills any missing code, so the search finds wrong

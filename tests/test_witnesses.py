@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import dimkit as dk
 from dimkit import nfl
 from dimkit.psi import STAR
-from dimkit.witnesses import witness_inputs
+from dimkit.witnesses import ExclusionFailure, witness_inputs
 from corpus import random_table_class
 
 
@@ -892,3 +892,203 @@ def test_witnesses_keep_only_the_last_point_tuples_behaviors():
         dk.validate_witness(w, cls, 40)
         assert _live_behavior_sets() - before == 1, w.provenance
         del w
+
+
+def test_validation_memory_stays_flat_in_the_number_of_inputs():
+    """One point tuple with 27,000 natarajan inputs: a list of its payloads
+    would take megabytes, and a list of references to its codes 216 KB,
+    while the pipeline holds one input at a time."""
+    import tracemalloc
+
+    cls = dk.class_from_tables([(0, 0, 0)], num_labels=6)
+    w = dk.Witness(flavor="natarajan", order=2, evaluator=lambda pts, g1, g2: frozenset())
+    dk.validate_witness(w, cls, 2)  # warm the caches a first call fills
+    tracemalloc.start()
+    try:
+        report = dk.validate_witness(w, cls, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.checked_inputs == 27_000
+    # the excluded labeling is g2, realized only when g2 is all zeros
+    assert len(report.violations) == 5 ** 3
+    assert peak < 100_000, peak
+
+
+# ------------------------------------------------------- the input stream
+
+@pytest.mark.parametrize("flavor", ["natarajan", "graph", "psi"])
+def test_witness_inputs_match_the_transposed_product(flavor):
+    """The payload stream equals a product over the per-coordinate
+    alphabet, each natarajan row of pairs transposed into (g1, g2); with
+    fewer than two labels no natarajan pair differs, so the stream is
+    empty."""
+    from oracles import witness_inputs_reference
+
+    for q in range(5):
+        families = [None]
+        if flavor == "psi":  # an encoder needs a label
+            families = [dk.natarajan_family(q), dk.graph_family(q)] if q >= 2 else [
+                dk.PsiFamily(tuple(map(dk.PsiFunction, [(0,), (1,), (STAR,)])), 1)] * q
+        for fam, order in itertools.product(families, range(4)):
+            w = dk.Witness(flavor=flavor, order=order, evaluator=lambda *a: frozenset(), psi=fam)
+            got = list(witness_inputs(w, q))
+            assert got == witness_inputs_reference(w, q), (q, order)
+            if flavor == "natarajan" and q < 2:
+                assert got == []
+
+
+# ------------------------------------------------- the call-order contract
+
+class _Scripted:
+    """A recording evaluator: call n (from 0) logs its (points, payload),
+    then raises ``script[n]`` (an exception class or instance) when n is in
+    the script, and otherwise returns ``answer(n, points, payload)``."""
+
+    def __init__(self, answer, script=()):
+        self.answer, self.script, self.log = answer, dict(script), []
+
+    def __call__(self, points, *payload):
+        n = len(self.log)
+        self.log.append((points, payload))
+        if n in self.script:
+            err = self.script[n]
+            raise err("scripted") if isinstance(err, type) else err
+        return self.answer(n, points, payload)
+
+
+def _by_call(flavor, arity):
+    """Answers that vary with the call number, so that some exclude a
+    realized labeling and some do not."""
+    if flavor == "psi":
+        return lambda n, points, payload: tuple((n >> i) & 1 for i in range(arity))
+    return lambda n, points, payload: frozenset(i for i in range(arity) if (n >> i) & 1)
+
+
+CONTRACT_CASES = [("natarajan", None), ("graph", None), ("psi", "N"), ("psi", "G")]
+
+
+def _contract_setup(flavor, fam_kind):
+    """(class, window, witness factory, every (points, payload) in order,
+    inputs per point tuple) on an order-1 witness over three labels."""
+    from oracles import witness_inputs_reference
+
+    cls = random_table_class(random.Random(31), 4, 3, 10)
+    fam = None if fam_kind is None else (
+        dk.natarajan_family(3) if fam_kind == "N" else dk.graph_family(3))
+
+    def make(evaluator):
+        return dk.Witness(flavor=flavor, order=1, evaluator=evaluator, psi=fam)
+
+    payloads = witness_inputs_reference(make(None), 3)
+    inputs = [(points, payload) for points in itertools.combinations(range(4), 2)
+              for payload in payloads]
+    return cls, 3, make, inputs, len(payloads)
+
+
+@pytest.mark.parametrize("flavor, fam_kind", CONTRACT_CASES)
+def test_validation_calls_each_input_once_in_order_and_resumes_after_raises(flavor, fam_kind):
+    """Raises on the first input, on consecutive inputs, across the boundary
+    of two point tuples and on the last input: every input still reaches
+    the evaluator exactly once, in the reference loop's order, and the
+    report is the reference's."""
+    from oracles import validate_witness_reference
+
+    cls, window, make, inputs, per = _contract_setup(flavor, fam_kind)
+    last = len(inputs) - 1
+    script = {0: dk.ShatteredError, 5: ExclusionFailure, 6: dk.ShatteredError,
+              7: ExclusionFailure, per - 1: ExclusionFailure, per: dk.ShatteredError,
+              last - 1: dk.ShatteredError, last: ExclusionFailure}
+    fast_ev, slow_ev = _Scripted(_by_call(flavor, 2), script), _Scripted(_by_call(flavor, 2), script)
+    fast = dk.validate_witness(make(fast_ev), cls, window)
+    slow = validate_witness_reference(make(slow_ev), cls, window)
+    assert fast_ev.log == slow_ev.log == inputs
+    assert repr(fast) == repr(slow)
+    assert {v.reason for v in fast.violations} == {
+        "shattered", "exclusion_failure", "excluded_pattern_realized"}
+    raised = [inputs.index((v.points, v.payload)) for v in fast.violations
+              if v.reason != "excluded_pattern_realized"]
+    assert raised == sorted(script)
+
+
+@pytest.mark.parametrize("flavor, fam_kind", CONTRACT_CASES)
+def test_validation_reads_no_answer_ahead_of_a_raise(flavor, fam_kind):
+    """A malformed answer right after a raise stops validation with the
+    evaluator called once per input up to it, and so does any error other
+    than the two violations, as in the reference loop."""
+    from oracles import validate_witness_reference
+
+    cls, window, make, inputs, per = _contract_setup(flavor, fam_kind)
+    bad = (5,) * 2 if flavor == "psi" else frozenset({5})
+    for j in (1, 7, per, len(inputs) - 1):
+        ev = _Scripted(lambda n, points, payload, j=j: bad if n == j else
+                       _by_call(flavor, 2)(n, points, payload), {j - 1: dk.ShatteredError})
+        with pytest.raises(dk.PreconditionError, match="witness answered"):
+            dk.validate_witness(make(ev), cls, window)
+        assert ev.log == inputs[:j + 1]
+        boom = ValueError("a user evaluator's own error")
+        for validate in (dk.validate_witness, validate_witness_reference):
+            ev = _Scripted(_by_call(flavor, 2), {j - 1: ExclusionFailure, j: boom})
+            with pytest.raises(ValueError) as err:
+                validate(make(ev), cls, window)
+            assert err.value is boom and ev.log == inputs[:j + 1]
+
+
+@pytest.mark.parametrize("flavor, fam_kind", CONTRACT_CASES)
+def test_validation_refuses_an_evaluator_that_raises_stop_iteration(flavor, fam_kind):
+    """A C iterator takes a StopIteration for the end of its inputs; the
+    inputs left unread show it, on the last input too, and validation
+    raises instead of reporting on part of the window."""
+    cls, window, make, inputs, per = _contract_setup(flavor, fam_kind)
+    for j in (0, per - 1, per, len(inputs) - 1):
+        ev = _Scripted(_by_call(flavor, 2), {j: StopIteration})
+        with pytest.raises(RuntimeError, match="raised StopIteration on points"):
+            dk.validate_witness(make(ev), cls, window)
+        assert ev.log == inputs[:j + 1]
+
+
+def _by_input(flavor):
+    """Answers that depend on the input only, as the brute-force good
+    patterns read them in their own order.  A natarajan answer excludes,
+    per coordinate, the larger or the smaller label of the pair by the
+    point's parity, so it is pair-symmetric."""
+    if flavor == "psi":
+        return lambda n, points, payload: tuple(
+            (x + psi.table[0]) % 2 for x, psi in zip(points, payload[0]))
+    return lambda n, points, payload: frozenset(
+        i for i, (x, a, b) in enumerate(zip(points, *payload)) if (a > b) == x % 2)
+
+
+@pytest.mark.parametrize("flavor, symmetric", [("natarajan", False), ("natarajan", True),
+                                               ("psi", False)])
+def test_exclusion_reader_calls_each_input_once_in_order(flavor, symmetric):
+    """Good patterns ask about each subset once; the exclusion reader reads
+    that subset's inputs (for a pair-symmetric witness, those with
+    g1[i] < g2[i]) once each, in product order, and a raise on any input
+    propagates at once."""
+    from oracles import good_patterns_bruteforce, witness_inputs_reference
+
+    fam = dk.graph_family(2) if flavor == "psi" else None
+
+    def make(evaluator):
+        return dk.Witness(flavor=flavor, order=1, evaluator=evaluator, psi=fam,
+                          pair_symmetric=symmetric)
+
+    payloads = [p for p in witness_inputs_reference(make(None), 2)
+                if not symmetric or all(a < b for a, b in zip(*p))]
+    ev = _Scripted(_by_input(flavor))
+    spec = dk.GoodFunctionSpec(witness=make(ev), num_labels=2)
+    got = dk.good_patterns(spec, (0, 1, 2, 3))
+    want = good_patterns_bruteforce(dk.GoodFunctionSpec(witness=make(_Scripted(
+        _by_input(flavor))), num_labels=2), (0, 1, 2, 3))
+    assert got.patterns == want
+    subsets = list(dict.fromkeys(points for points, _ in ev.log))
+    assert len(subsets) > 1
+    assert ev.log == [(points, p) for points in subsets for p in payloads]
+    for j in (0, len(payloads) - 1, len(payloads)):
+        for err in (dk.ShatteredError, ExclusionFailure, StopIteration):
+            ev = _Scripted(_by_input(flavor), {j: err})
+            spec = dk.GoodFunctionSpec(witness=make(ev), num_labels=2)
+            with pytest.raises(RuntimeError if err is StopIteration else err):
+                dk.good_patterns(spec, (0, 1, 2, 3))
+            assert len(ev.log) == j + 1

@@ -447,6 +447,34 @@ def _bitmask(flags: bytes) -> int:
     return sum(int.from_bytes(flags[r::8], "little") << r for r in range(8))
 
 
+class _Table(dict):
+    """A lookup table that computes a missing entry as ``fill(key)``, so a
+    hit (``table[key]``, or ``map(getitem, ...)`` over many keys) is one
+    lookup in C and only a miss runs Python.  Built over ``keys``, it holds
+    their entries and computes any other key's on each miss without storing
+    it; built without, it stores each entry as first asked for, so its keys
+    must come from a bounded set."""
+
+    __slots__ = ("fill", "store")
+
+    def __init__(self, fill: Callable, keys: Optional[Iterable] = None):
+        super().__init__(() if keys is None else ((key, fill(key)) for key in keys))
+        self.fill, self.store = fill, keys is None
+
+    def __missing__(self, key):
+        value = self.fill(key)
+        if self.store:
+            self[key] = value
+        return value
+
+
+def _index_sets() -> _Table:
+    """A table from each 0/1 code (ints or bools) to its index set, the
+    frozenset of the positions of its 1s: one frozenset per code, so at most
+    2^n of them for codes of length n."""
+    return _Table(lambda code: frozenset(itertools.compress(range(len(code)), code)))
+
+
 def _first_outside(values: tuple, low: int, high: Optional[int]) -> Optional[int]:
     """The index of the first value that is not an exact int (bool, float and
     str are not) in low..high, unbounded above for None; None if there is

@@ -26,7 +26,7 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from operator import eq
+from operator import eq, getitem
 from typing import Callable
 
 from .core import (
@@ -42,8 +42,9 @@ from .core import (
     _check_int,
     _check_window,
     _first_outside,
+    _index_sets,
     empirical_risk,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
-    mix_labelings,
+    mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
 )
 
 
@@ -223,24 +224,29 @@ def _mixture_search(learner: Learner) -> Callable:
     The memo keeps, for the point tuple last asked about, the sample
     multisets and each mixture's risk sums, so inputs grouped by point
     tuple, as ``validate_witness`` gives them, sum each mixture's risk once.
-    This relies on the learner being a deterministic total map."""
+    This relies on the learner being a deterministic total map.  The index
+    set answered for each characteristic vector is built once per search."""
 
     @lru_cache(maxsize=1)
     def risk_at(points):
         multisets = _multisets(points, len(points) // 2) if learner.symmetric else None
         return cache(lambda f: _risk_counts(learner, points, f, multisets))
 
+    index_sets = _index_sets()
+
     def search(points, g1: Pattern, g2: Pattern):
         points = _graph_points(points, g1, g2)
         if any(map(eq, g1, g2)):
             raise PreconditionError("labelings must differ at every point")
         risk, n = risk_at(points), len(points)
+        threshold = n ** (n // 2 + 1)
+        # bit 1 takes g1 and bit 0 takes g2, as mix_labelings(index set, g1, g2)
+        pairs = tuple(zip(g2, g1))
         for examined, bits in enumerate(itertools.product((0, 1), repeat=n), 1):
-            index_set = frozenset(itertools.compress(range(n), bits))
-            f = mix_labelings(index_set, g1, g2)
+            f = tuple(map(getitem, pairs, bits))
             total, tail = risk(f)
-            if 4 * total >= n ** (n // 2 + 1):
-                return points, f, index_set, total, tail, examined
+            if 4 * total >= threshold:
+                return points, f, index_sets[bits], total, tail, examined
         raise NflFailureError(
             "no mixture reached expected risk 1/4; the learner is not a "
             "deterministic total map"

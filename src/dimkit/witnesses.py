@@ -29,9 +29,11 @@ from .core import (
     PreconditionError,
     RepresentationError,
     ShatteredError,
+    _Table,
     _check_int,
     _check_window,
     _first_outside,
+    _index_sets,
     _naturals,
     mix_labelings,  # noqa: F401  (bound here for perfbench/tracing.py to wrap)
     restrict,
@@ -48,6 +50,15 @@ _BITS = frozenset((0, 1))
 class ExclusionFailure(RuntimeError):
     """A learner-built witness produced a labeling the class realizes, i.e.
     the learner does not actually learn the class at these parameters."""
+
+
+class _RealizedLabeling(ExclusionFailure):
+    """The check class realizes the hard labeling ``f`` on ``points``: the
+    two are kept as the arguments, and the message is formatted only when
+    read, as most of these errors become violations unread."""
+
+    def __str__(self):
+        return "class realizes the hard labeling {} on {}".format(*self.args)
 
 
 @dataclass(frozen=True)
@@ -421,24 +432,34 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
 
     The evaluators keep the behaviors of the point tuple last asked about,
     and no other: ``validate_witness`` and the good-pattern exclusion ask
-    about each tuple's inputs one after another.  The graph and psi flavors
-    share one evaluator, which also keeps that tuple's cells per coordinate,
-    per label or encoder as first asked for, so an encoder outside the
-    family, or a graph label outside the alphabet, is answered too."""
+    about each tuple's inputs one after another.  Each input's work is
+    lookups into tables built once per witness or per point tuple, none of
+    which grows with the number of inputs: an answer index set is one
+    frozenset per 0/1 code; the natarajan evaluator sorts each coordinate's
+    label pair through a table of the alphabet's pairs; the graph and psi
+    flavors share one evaluator, which builds each coordinate's cells once
+    per point tuple, for every label of the alphabet or encoder of the
+    family.  A pair with a label outside the alphabet, a graph label outside
+    it, or an encoder outside the family is answered too, computed on each
+    call and not stored."""
     behaviors_at = lru_cache(maxsize=1)(lambda points: restrict(cls, points))
+    index_sets = _index_sets()
 
     if flavor == "natarajan":
+        sorted_pairs = _Table(lambda pair: tuple(sorted(pair)),
+                              itertools.permutations(range(cls.num_labels), 2))
+
         def evaluator(points, g1, g2):
             # g1[i] != g2[i], so each mixture fixes its index set and the
             # product of the sorted coordinate pairs lists the mixtures in
             # lexicographic order; the mixture found reads only the unordered
             # pairs, so the witness is pair-symmetric
             realized = behaviors_at(points).pattern_set.__contains__
-            mixtures = itertools.product(*map(sorted, zip(g1, g2)))
+            mixtures = itertools.product(*map(sorted_pairs.__getitem__, zip(g1, g2)))
             mixture = next(itertools.filterfalse(realized, mixtures), None)
             if mixture is None:
                 raise ShatteredError("every mixture realized", (points, g1, g2))
-            return frozenset(itertools.compress(range(len(mixture)), map(eq, mixture, g1)))
+            return index_sets[tuple(map(eq, mixture, g1))]
 
     elif flavor in ("graph", "psi"):
         if flavor == "psi":
@@ -449,17 +470,18 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
             if psi.num_labels != cls.num_labels:
                 raise RepresentationError("family alphabet differs from class alphabet")
         table_of = _binary_table(flavor, cls.num_labels)
-        cells_at = lru_cache(maxsize=1)(lambda points: [
-            cache(lambda s, column=column: _encoder_image(column, table_of(s)))
-            for column in behaviors_at(points).index])
         graph = flavor == "graph"
+        entries = range(cls.num_labels) if graph else psi.members
+        cells_at = lru_cache(maxsize=1)(lambda points: [
+            _Table(lambda s, column=column: _encoder_image(column, table_of(s)), entries)
+            for column in behaviors_at(points).index])
         missing = "every agreement set realized" if graph else "every binary pattern covered"
 
         def evaluator(points, row):
-            code = _first_missing_code([cell(s) for cell, s in zip(cells_at(points), row)])
+            code = _first_missing_code(list(map(getitem, cells_at(points), row)))
             if code is None:
                 raise ShatteredError(missing, (points, row))
-            return frozenset(itertools.compress(range(len(code)), code)) if graph else code
+            return index_sets[code] if graph else code
 
     else:
         raise PreconditionError(f"unknown witness flavor {flavor!r}")
@@ -492,7 +514,7 @@ def witness_from_learner(learner, m: int, h_check: Optional[HypothesisClass] = N
     def evaluator(points, g1, g2):
         points, f, index_set, *_ = search(points, g1, g2)
         if behaviors_at is not None and f in behaviors_at(points).pattern_set:
-            raise ExclusionFailure(f"class realizes the hard labeling {f} on {points}")
+            raise _RealizedLabeling(f, points)
         # g1 and g2 differ everywhere, so f takes g1 exactly on its index set
         return index_set
 

@@ -245,8 +245,10 @@ def test_witness_from_learner_flags_exclusion_failures():
     # every mixture, so the evaluator must report the failure
     learner = dk.constant_learner(0, num_labels=2, window=1)
     w = dk.witness_from_learner(learner, 1, h_check=dk.full_class(2, 2))
-    with pytest.raises(ExclusionFailure):
+    with pytest.raises(ExclusionFailure) as err:
         w.evaluate((0, 1), (1, 1), (0, 0))
+    # the first mixture the constant learner misses half of: g2 at 0, g1 at 1
+    assert str(err.value) == "class realizes the hard labeling (0, 1) on (0, 1)"
 
 
 # ------------------------------------------------------------ the counting
@@ -447,7 +449,11 @@ def _star_family(rng, q):
 def test_natarajan_candidates_follow_sorted_mixtures():
     """Canonical answers on every input against the oracles: the first
     missing mixture in sorted order, and for the graph and psi flavors (psi_N,
-    psi_G and a family with stars) the first missing code in product order."""
+    psi_G and a family with stars) the first missing code in product order.
+    Natarajan labels go one past the class alphabet, so some pairs miss the
+    evaluator's table of sorted pairs; point tuples are interleaved, each
+    input is asked twice, and both ``Witness.evaluate`` and the evaluator
+    itself answer it."""
     from oracles import first_missing_agreement, first_missing_image, first_missing_mixture
 
     rng = random.Random(1618)
@@ -460,21 +466,24 @@ def test_natarajan_candidates_follow_sorted_mixtures():
             natarajan = dk.canonical_witness(cls, "natarajan", order)
             graph = dk.canonical_witness(cls, "graph", order)
             psis = [dk.canonical_witness(cls, "psi", order, psi=fam) for fam in families]
+            cases = []
             for points in itertools.combinations(range(3), order + 1):
                 pats = dk.restrict(cls, points).pattern_set
-                cases = [(natarajan, (g1, g2), first_missing_mixture(pats, g1, g2))
-                         for g1, g2 in witness_inputs(natarajan, q)]
-                cases += [(graph, (f,), first_missing_agreement(pats, f))
+                cases += [(natarajan, points, (g1, g2), first_missing_mixture(pats, g1, g2))
+                          for g1, g2 in witness_inputs(natarajan, q + 1)]
+                cases += [(graph, points, (f,), first_missing_agreement(pats, f))
                           for f in itertools.product(range(q), repeat=order + 1)]
-                cases += [(w, (psibar,), first_missing_image(pats, psibar))
+                cases += [(w, points, (psibar,), first_missing_image(pats, psibar))
                           for w in psis
                           for psibar in itertools.product(w.psi.members, repeat=order + 1)]
-                for w, payload, expected in cases:
+            rng.shuffle(cases)
+            for w, points, payload, expected in cases + cases[::-1]:
+                for answer in (w.evaluate, w.evaluator):
                     if expected is None:
                         with pytest.raises(dk.ShatteredError):
-                            w.evaluate(points, *payload)
+                            answer(points, *payload)
                     else:
-                        assert w.evaluate(points, *payload) == expected
+                        assert answer(points, *payload) == expected
 
 
 def test_counting_witness_answers_first_missing_image():
@@ -897,22 +906,58 @@ def test_witnesses_keep_only_the_last_point_tuples_behaviors():
 def test_validation_memory_stays_flat_in_the_number_of_inputs():
     """One point tuple with 27,000 natarajan inputs: a list of its payloads
     would take megabytes, and a list of references to its codes 216 KB,
-    while the pipeline holds one input at a time."""
+    while the pipeline holds one input at a time.  The canonical natarajan
+    and graph evaluators on the same tuple keep tables bounded by the
+    alphabet and 2^arity, not by the number of inputs."""
     import tracemalloc
 
     cls = dk.class_from_tables([(0, 0, 0)], num_labels=6)
     w = dk.Witness(flavor="natarajan", order=2, evaluator=lambda pts, g1, g2: frozenset())
-    dk.validate_witness(w, cls, 2)  # warm the caches a first call fills
+    natarajan = dk.canonical_witness(cls, "natarajan", 2)
+    graph = dk.canonical_witness(cls, "graph", 2)
+    # the excluded labeling is g2, realized only when g2 is all zeros; the
+    # canonical witnesses are valid
+    for witness, inputs, violations in ((w, 27_000, 5 ** 3), (natarajan, 27_000, 0),
+                                        (graph, 6 ** 3, 0)):
+        dk.validate_witness(witness, cls, 2)  # warm the caches a first call fills
+        tracemalloc.start()
+        try:
+            report = dk.validate_witness(witness, cls, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.checked_inputs == inputs
+        assert len(report.violations) == violations
+        assert peak < 100_000, (witness.provenance, peak)
+
+
+def test_labels_outside_the_alphabet_are_not_stored():
+    """1,000 distinct natarajan label pairs and graph labels outside the
+    alphabet are answered on the fly: storing them would take over 100 KB.
+    A first 3,000 calls fill what the interpreter keeps for reuse."""
+    import tracemalloc
+
+    cls = dk.class_from_tables([(0, 0, 0)], num_labels=6)
+    natarajan = dk.canonical_witness(cls, "natarajan", 2)
+    graph = dk.canonical_witness(cls, "graph", 2)
+    points = (0, 1, 2)
+
+    def ask(labels):
+        # the one behavior (0, 0, 0) is no mixture with a label outside at
+        # the first coordinate, and agrees with no graph label outside
+        for k in labels:
+            assert natarajan.evaluate(points, (k, 0, k + 1000), (k + 2000, 1, k)) == {0, 1}
+            assert graph.evaluate(points, (k, k + 1000, k + 2000)) == {2}
+
     tracemalloc.start()
     try:
-        report = dk.validate_witness(w, cls, 2)
-        _, peak = tracemalloc.get_traced_memory()
+        ask(range(10_000, 13_000))
+        before, _ = tracemalloc.get_traced_memory()
+        ask(range(6, 1006))
+        after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.checked_inputs == 27_000
-    # the excluded labeling is g2, realized only when g2 is all zeros
-    assert len(report.violations) == 5 ** 3
-    assert peak < 100_000, peak
+    assert after - before < 10_000, after - before
 
 
 # ------------------------------------------------------- the input stream

@@ -14,6 +14,7 @@ through the checker's code reader.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from typing import Callable, Optional
 
 from . import nfl
 from .core import (
-    BehaviorSet,
     ConsistencyError,
     HypothesisClass,
     PreconditionError,
@@ -194,7 +194,7 @@ def witness_inputs(witness: Witness, num_labels: int):
     0..num_labels-1, in product order: (g1, g2) pairs that differ at every
     coordinate, (f,) labelings, or (psibar,) encoder tuples."""
     _check_int(num_labels, "number of labels")
-    return _inputs_over(witness, _alphabet(witness, num_labels))
+    return _inputs_over(witness, _alphabet(witness.flavor, num_labels, witness.psi))
 
 
 def _inputs_over(witness: Witness, alphabet):
@@ -208,26 +208,13 @@ def _inputs_over(witness: Witness, alphabet):
     return zip(itertools.product(alphabet, repeat=witness.arity))
 
 
-def _alphabet(witness: Witness, num_labels: int):
-    """What one coordinate of a payload holds, in product order: a (g1, g2)
-    label pair that differs, a label, or an encoder."""
+def _alphabet(flavor: str, num_labels: int, psi: Optional[PsiFamily]):
+    """What one coordinate of a ``flavor`` payload holds, in product order:
+    a (g1, g2) label pair that differs, a label, or an encoder of ``psi``."""
     labels = range(num_labels)
-    if witness.flavor == "natarajan":
+    if flavor == "natarajan":
         return [(a, b) for a in labels for b in labels if a != b]
-    return labels if witness.flavor == "graph" else witness.psi.members
-
-
-def _input_tables(witness: Witness, num_labels: int) -> list[dict[int, int]]:
-    """The binary table of each entry of ``_alphabet``, in its order."""
-    return list(map(_binary_table(witness.flavor, num_labels), _alphabet(witness, num_labels)))
-
-
-def _cell_rows(tables, behaviors: BehaviorSet):
-    """Per input, in ``witness_inputs`` order, each coordinate's (code 0,
-    code 1) cells in ``behaviors``: the image of the binary table (from
-    ``_input_tables``) of the input's entry there."""
-    return itertools.product(*([_encoder_image(column, t) for t in tables]
-                               for column in behaviors.index))
+    return labels if flavor == "graph" else psi.members
 
 
 def _code_reader(witness: Witness) -> Callable:
@@ -283,10 +270,8 @@ def _exclusion_reader(witness: Witness, num_labels: int) -> Callable:
     there, over labels 0..num_labels-1, memoized per point tuple.
 
     The evaluator is read on every input over ``_alphabet`` through one
-    ``_code_reader`` pipeline per point tuple: once per input, in product
-    order, each answer read before the next call, with memory O(1) in the
-    number of inputs.  The answer-code memo is shared by every point tuple.
-    The code picks, per coordinate, the labels that the binary table of the
+    ``_code_reader`` pipeline per point tuple, which says how it is called
+    and what it keeps.  The code picks, per coordinate, the labels that the binary table of the
     input's entry there codes with that bit (for natarajan, the one label
     g1[i] or g2[i]); the excluded labelings are the products of the distinct
     picks.  ShatteredError and ExclusionFailure propagate, and nothing is
@@ -301,13 +286,11 @@ def _exclusion_reader(witness: Witness, num_labels: int) -> Callable:
     when a < b.  The first shattered input in ordered product order thus
     has g1[i] < g2[i] everywhere, and it is the first one read here."""
     codes = _code_reader(witness)
-    rows = [(entry, tuple(tuple(v for v, b in table.items() if b == c) for c in (0, 1)))
-            for entry, table in zip(_alphabet(witness, num_labels),
-                                    _input_tables(witness, num_labels))]
+    entries = _alphabet(witness.flavor, num_labels, witness.psi)
     if witness.pair_symmetric:
-        rows = [row for row in rows if row[0][0] < row[0][1]]
-    entries = [entry for entry, _ in rows]
-    preimages = [halves for _, halves in rows]
+        entries = [entry for entry in entries if entry[0] < entry[1]]
+    preimages = [tuple(tuple(v for v, b in table.items() if b == c) for c in (0, 1))
+                 for table in map(_binary_table(witness.flavor, num_labels), entries)]
 
     @cache
     def excluded(points) -> frozenset:
@@ -324,10 +307,10 @@ def _exclusion_reader(witness: Witness, num_labels: int) -> Callable:
     return excluded
 
 
-def _first_missing_code(cells, live: int = -1) -> Optional[tuple]:
-    """The lexicographically first 0/1 code that no behavior in ``live`` (a
-    bitmask, -1 for all) has, where a behavior has code c when it lies in
-    cells[i][c[i]] at every coordinate i; None when every code is had.
+def _first_missing_code(cells) -> Optional[tuple]:
+    """The lexicographically first 0/1 code that no behavior has, where a
+    behavior has code c when it lies in cells[i][c[i]] at every coordinate
+    i; None when every code is had.
 
     A depth-first search without recursion: ``masks[i]`` holds the behaviors
     that agree with the code up to coordinate i, and the coordinates after
@@ -335,7 +318,7 @@ def _first_missing_code(cells, live: int = -1) -> Optional[tuple]:
     answer as it stands."""
     last = len(cells) - 1
     code = [0] * len(cells)
-    masks = [live] * len(cells)
+    masks = [-1] * len(cells)
     i = 0 if cells else -1
     while i >= 0:
         rest = masks[i] & cells[i][code[i]]
@@ -367,10 +350,9 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
     natarajan, the excluded mixture).
 
     Each point tuple's inputs run through one lazy pipeline of C
-    iterators: the ``_code_reader`` codes (which the good-pattern exclusion,
-    ``_exclusion_reader``, reads too), each input's live behaviors (the AND
-    of its selected cells), and a filter that passes only the inputs with a
-    live behavior, zipped with a second payload stream that steps in
+    iterators: the ``_code_reader`` codes, each input's live behaviors (the
+    AND of its selected cells), and a filter that passes only the inputs
+    with a live behavior, zipped with a second payload stream that steps in
     lockstep.  So the evaluator is called once per input, in product order,
     each answer is read before the next call, and only violations reach
     Python; memory is O(1) in the number of inputs.  When the evaluator
@@ -385,18 +367,20 @@ def validate_witness(witness: Witness, cls: HypothesisClass, window: int) -> Wit
     _check_window(window)
     if witness.flavor == "psi" and witness.psi.num_labels != cls.num_labels:
         raise RepresentationError("family alphabet differs from class alphabet")
-    alphabet = _alphabet(witness, cls.num_labels)
+    alphabet = _alphabet(witness.flavor, cls.num_labels, witness.psi)
     count = math.comb(window + 1, witness.arity) * len(alphabet) ** witness.arity
     if count > _VALIDATION_BUDGET:
         raise PreconditionError(f"validating on [0, {window}] takes {count} witness inputs, "
                                 f"above the budget of {_VALIDATION_BUDGET}")
     flavor, codes = witness.flavor, _code_reader(witness)
-    tables = _input_tables(witness, cls.num_labels)
+    tables = list(map(_binary_table(flavor, cls.num_labels), alphabet))
     violations = []
     for points in itertools.combinations(range(window + 1), witness.arity):
         behaviors = restrict(cls, points)
         lives = map(reduce, itertools.repeat(and_),
-                    map(map, itertools.repeat(getitem), _cell_rows(tables, behaviors),
+                    map(map, itertools.repeat(getitem),
+                        itertools.product(*([_encoder_image(column, t) for t in tables]
+                                            for column in behaviors.index)),
                         codes(points, _inputs_over(witness, alphabet))))
         payloads = _inputs_over(witness, alphabet)
         hits = filter(itemgetter(0), zip(lives, payloads))
@@ -471,7 +455,7 @@ def canonical_witness(cls: HypothesisClass, flavor: str, order: int, *,
                 raise RepresentationError("family alphabet differs from class alphabet")
         table_of = _binary_table(flavor, cls.num_labels)
         graph = flavor == "graph"
-        entries = range(cls.num_labels) if graph else psi.members
+        entries = _alphabet(flavor, cls.num_labels, psi)
         cells_at = lru_cache(maxsize=1)(lambda points: [
             _Table(lambda s, column=column: _encoder_image(column, table_of(s)), entries)
             for column in behaviors_at(points).index])
@@ -548,19 +532,13 @@ def sauer_crossover(witness_order: int, num_labels: int) -> int:
     e = witness_order + 1
     growth = num_labels ** (2 * e)
 
-    def below(k):
-        return k ** e * growth >= 2 ** k
+    def holds(k):
+        return k ** e * growth < 2 ** k
 
-    low, high = 1, 2
-    while below(high):
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        if below(mid):
-            low = mid
-        else:
-            high = mid
-    return high
+    high = 2
+    while not holds(high):
+        high *= 2
+    return high // 2 + bisect.bisect_left(range(high // 2, high + 1), True, key=holds)
 
 
 def psi_witness_from_natarajan(witness: Witness, family: PsiFamily,
@@ -580,7 +558,7 @@ def psi_witness_from_natarajan(witness: Witness, family: PsiFamily,
     if not isinstance(family, PsiFamily):
         raise PreconditionError(f"psi {family!r} is not a PsiFamily")
     if family.num_labels != cls.num_labels:
-        raise PreconditionError("family alphabet differs from class alphabet")
+        raise RepresentationError("family alphabet differs from class alphabet")
     k_b = sauer_crossover(witness.order, cls.num_labels)
     spec = GoodFunctionSpec(witness=witness, num_labels=cls.num_labels)
     table_of = _binary_table("psi", cls.num_labels)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` (or scripts/run_acceptance.py)
-to see the per-criterion lines.  Every threshold is an exact rational
-comparison; time limits are asserted with monotonic clocks.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
+lines.  Every threshold is an exact rational comparison; time limits are
+asserted with monotonic clocks.
 """
 
 import itertools

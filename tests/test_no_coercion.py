@@ -10,6 +10,8 @@ it enters: ``empirical_risk`` refuses a sample label outside the alphabet,
 and ``FiniteDistribution`` a weight that is not an exact int or a Fraction.
 A point tuple, labeling or index set that is not iterable, and a sample
 entry or atom that is not a pair, raise a dimkit error naming the value.
+The refusals that no other test reaches are pinned in one table, each with
+its exact error class and message.
 """
 
 import ast
@@ -20,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 import dimkit as dk
+from dimkit import cli
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dimkit"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "cli.py")
@@ -239,3 +242,85 @@ def test_none_patterns_and_foreign_families_raise_a_precondition_error(build, me
     with pytest.raises(dk.PreconditionError) as err:
         build()
     assert str(err.value) == message
+
+
+_ORACLE = _CLASSES["oracle"]
+_GRAPH2 = dk.graph_family(2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dk.HypothesisClass(2), dk.RepresentationError,
+     "exactly one of hypotheses/rows/behavior_fn required"),
+    (lambda: dk.HypothesisClass(2, domain_size=1, rows=[]), dk.RepresentationError,
+     "explicit class must be nonempty"),
+    (lambda: dk.class_from_tables([], 2), dk.RepresentationError,
+     "explicit class must be nonempty"),
+    (lambda: dk.HypothesisClass(2, domain_size=2, hypotheses=[_H]), dk.RepresentationError,
+     "alphabet mismatch inside class"),
+    (lambda: dk.HypothesisClass(3, hypotheses=[_H]), dk.RepresentationError,
+     "class over the naturals expects finite-support hypotheses"),
+    (lambda: dk.HypothesisClass(3, domain_size=2, hypotheses=[
+        dk.Hypothesis(num_labels=3, support=())]), dk.RepresentationError,
+     "finite-domain class expects table hypotheses"),
+    (lambda: dk.HypothesisClass(3, domain_size=3, hypotheses=[_H]), dk.RepresentationError,
+     "table length differs from domain size"),
+    (lambda: dk.BehaviorSet(points=(0, 1), patterns=((0,),)), dk.RepresentationError,
+     "pattern arity differs from |points|"),
+    (lambda: dk.FiniteDistribution(atoms=(((0, 0), Fraction(3, 2)), ((1, 0), Fraction(-1, 2)))),
+     dk.RepresentationError, "weights must be positive"),
+    (lambda: _ORACLE.enumerate(), dk.RepresentationError,
+     "class exposes no hypothesis enumerator"),
+    (lambda: dk.exact_dimension(_PAIR, "xyz"), dk.PreconditionError,
+     "unknown dimension kind 'xyz'"),
+    (lambda: dk.verify_certificate(dk.ShatterCertificate("xyz", (0,), ()), _PAIR),
+     dk.PreconditionError, "unknown certificate kind 'xyz'"),
+    (lambda: dk.PsiFunction(table=()), dk.RepresentationError,
+     "encoder needs a nonempty alphabet"),
+    (lambda: dk.PsiFamily((), 2), dk.RepresentationError, "family must be nonempty"),
+    (lambda: dk.PsiFamily((dk.PsiFunction((0, 1)), dk.PsiFunction((0, 1, 1))), 2),
+     dk.RepresentationError, "family members disagree on the alphabet"),
+    (lambda: dk.graph_family(1), dk.PreconditionError, "need at least two labels"),
+    (lambda: dk.natarajan_family(1), dk.PreconditionError, "need at least two labels"),
+    (lambda: dk.Witness(flavor="xyz", order=0, evaluator=lambda points, f: ()),
+     dk.PreconditionError, "unknown witness flavor 'xyz'"),
+    (lambda: dk.gap_class(3).witness.evaluate((0,), (0,), (1,)), dk.PreconditionError,
+     "witness of order 1 takes 2 points"),
+    (lambda: dk.canonical_witness(_PAIR, "psi", 0, psi=dk.graph_family(3)).evaluate(
+        (0,), (_GRAPH2.members[0],)), dk.PreconditionError, "encoder alphabet mismatch"),
+    (lambda: dk.canonical_witness(_PAIR, "psi", 1), dk.PreconditionError,
+     "psi flavor needs a family"),
+    (lambda: dk.canonical_witness(_PAIR, "xyz", 1), dk.PreconditionError,
+     "unknown witness flavor 'xyz'"),
+    (lambda: dk.sauer_crossover(0, 1), dk.PreconditionError, "need at least two labels"),
+    (lambda: dk.sauer_crossover(-1, 3), dk.PreconditionError, "order must be a natural"),
+    (lambda: dk.psi_witness_from_natarajan(dk.gap_class(3).witness, _GRAPH2, _PAIR),
+     dk.RepresentationError, "family alphabet differs from class alphabet"),
+    (lambda: dk.GoodFunctionSpec(witness=dk.canonical_witness(_PAIR, "graph", 1), num_labels=3),
+     dk.PreconditionError, "good functions need a natarajan or psi witness"),
+    (lambda: dk.AugmentedClass(base=dk.class_from_supports([{0: 1}], num_labels=2),
+                               good=_spec()),
+     dk.PreconditionError, "alphabet mismatch between base and good functions"),
+    (lambda: dk.erm_augmented(_spec(), ()), dk.PreconditionError,
+     "cannot minimize over an empty sample"),
+    (lambda: dk.erm_learner(_ORACLE), dk.PreconditionError,
+     "erm_learner needs an explicit class"),
+    (lambda: dk.full_class(0, 2), dk.PreconditionError, "need n >= 1 and at least one label"),
+    (lambda: cli.class_to_file(_ORACLE), cli.SchemaError,
+     "only explicit classes serialize to class files"),
+], ids=["class without members", "class rows []", "tables []", "hypothesis alphabet",
+        "table over the naturals", "support on a finite domain", "table length",
+        "behavior arity", "negative weight", "oracle enumerate", "dimension kind",
+        "certificate kind", "encoder over no labels", "empty family", "family alphabets",
+        "graph family", "natarajan family", "witness flavor", "evaluate arity",
+        "evaluate encoder alphabet", "canonical psi without family", "canonical flavor",
+        "sauer labels", "sauer order", "from natarajan alphabet", "spec over graph",
+        "augmented alphabets", "erm empty sample", "erm oracle", "full class n 0",
+        "class_to_file oracle"])
+def test_refusals_raise_their_own_error_class(call, error, message):
+    """Refusals that no other test reaches, each with its exact error class:
+    ``psi_witness_from_natarajan`` refused a family over another alphabet
+    with PreconditionError, where every other entry point raises
+    RepresentationError."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (error, message)

@@ -6,7 +6,8 @@ import dimkit as dk
 from corpus import ds2_pair_corpus, random_table_class
 from dimkit import psi
 from dimkit.psi import STAR, all_encoders
-from oracles import decided_reference, image_numbering_reference, refute_ds_reference
+from oracles import (decided_reference, image_numbering_reference, pseudo_cube_core_reference,
+                     refute_ds_reference)
 
 
 def indicator_of_zero(q):
@@ -186,6 +187,27 @@ def test_refutation_by_image_pairs_matches_table_pair_reference():
     # all, and in many some label is realized at one point only
     assert 0 < collapsed < len(classes) and one_sided >= 10
     assert verdicts == {"refuted", "not_refuted"}
+
+
+def test_indicator_pairs_through_the_core_shatter_every_ds2_class():
+    """A core pattern (a, c) has neighbors (b, c), (a, d) and (b, d') with
+    d' != c, which the indicators of a and c code 01, 10 and 00: so every
+    DS-2 class has a shattering pair, and the refutation has entries."""
+    rng = random.Random(8128)
+    classes = ds2_pair_corpus(11, 12)
+    while len(classes) < 60:
+        q = rng.randint(2, 4)
+        cls = random_table_class(rng, 2, q, rng.randint(4, q * q))
+        if dk.exact_dimension(cls, "ds").value == 2:
+            classes.append(cls)
+    for cls in classes:
+        q = cls.num_labels
+        indicator = [dk.PsiFunction(tuple(int(v == k) for v in range(q))) for k in range(q)]
+        shattering = {(e.psi1, e.psi2) for e in dk.refute_ds_expressibility(cls).entries}
+        core = pseudo_cube_core_reference(dk.restrict(cls, (0, 1)).patterns)
+        assert core
+        for a, c in core:
+            assert (indicator[a], indicator[c]) in shattering
 
 
 def test_entries_index_like_their_expansion():

@@ -676,9 +676,9 @@ def test_code_memo_reads_an_equal_bool_answer_as_the_earlier_answer():
 
 
 def test_first_missing_code_matches_brute_force():
-    """The search against the first code, in product order, that no live
-    behavior has: random cells over up to 12 behaviors, random live masks,
-    and cells where every code is had."""
+    """The search against the first code, in product order, that no
+    behavior has: random cells over up to 12 behaviors, and cells where
+    every code is had."""
     from dimkit.witnesses import _first_missing_code
     from oracles import first_missing_code
 
@@ -693,16 +693,12 @@ def test_first_missing_code_matches_brute_force():
             owners += [rng.choice(owners) for _ in range(rng.randint(0, 4))]
             cells = [tuple(sum(1 << j for j, c in enumerate(owners) if c[i] == b)
                            for b in (0, 1)) for i in range(n)]
-            full = (1 << len(owners)) - 1
         else:
             full = (1 << rng.randint(1, 12)) - 1
             cells = [(rng.randint(0, full), rng.randint(0, full)) for _ in range(n)]
-        live = rng.choice((-1, full, rng.randint(0, full)))
-        expected = first_missing_code(cells, live)
+        expected = first_missing_code(cells)
         covered += expected is None
-        assert _first_missing_code(cells, live) == expected
-        if live == -1:
-            assert _first_missing_code(cells) == expected
+        assert _first_missing_code(cells) == expected
     assert covered >= 100
 
 

@@ -91,12 +91,21 @@ def _extend(states, images, need):
     cell's 2^(n-d-1) completions needs its own.  Counted in hypotheses,
     several of which may share a behavior, the bound is weaker, but a cell
     with fewer hypotheses than that has fewer behaviors too, so it still cuts
-    only choices that cannot cover."""
+    only choices that cannot cover.
+
+    A pair fails fast: its zero half, then its one half, is tested one cell
+    at a time by a lazy chain of C iterators, which stops at the first cell
+    with fewer than ``need`` members, and the child's cells are built only
+    for a pair that passes.  The test passes exactly when every cell of the
+    child holds ``need`` members, as the minimum over all its cells did, and
+    the pairs are taken in the same order, so the same states are yielded in
+    the same order."""
     for metas, cells in states:
         for zero, one, meta in images:
-            nxt = list(map(zero.__and__, cells))
-            nxt.extend(map(one.__and__, cells))
-            if min(map(int.bit_count, nxt)) >= need:
+            if all(map(need.__le__, map(int.bit_count, map(zero.__and__, cells)))) and all(
+                    map(need.__le__, map(int.bit_count, map(one.__and__, cells)))):
+                nxt = list(map(zero.__and__, cells))
+                nxt.extend(map(one.__and__, cells))
                 yield metas + (meta,), nxt
 
 

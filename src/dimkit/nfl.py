@@ -26,7 +26,7 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from operator import eq, getitem
+from operator import eq, getitem, ne
 from typing import Callable
 
 from .core import (
@@ -37,6 +37,7 @@ from .core import (
     NflFailureError,
     Pattern,
     PreconditionError,
+    RepresentationError,
     Sample,
     _as_tuple,
     _check_int,
@@ -66,9 +67,18 @@ class Learner:
         return self.fn(sample)
 
 
+def _check_learner(label, num_labels: int, window: int) -> None:
+    """Refuse a learner's window, alphabet or own label, naming the label as
+    the learner's: the hypothesis check would name its index in the table."""
+    _check_window(window)
+    Hypothesis(num_labels=num_labels, table=())  # checks the alphabet size
+    if _first_outside((label,), 0, num_labels - 1) is not None:
+        raise RepresentationError(f"learner label {label!r} outside 0..{num_labels - 1}")
+
+
 def constant_learner(value: int, num_labels: int, window: int) -> Learner:
     """Predicts ``value`` everywhere on [0, window], ignoring the sample."""
-    _check_window(window)
+    _check_learner(value, num_labels, window)
     h = Hypothesis(num_labels=num_labels, table=(value,) * (window + 1))
     return Learner(name=f"const:{value}", fn=lambda sample: h, symmetric=True)
 
@@ -78,12 +88,11 @@ def memorizing_learner(default: int, num_labels: int, window: int) -> Learner:
     sample labeled by one function every seen label of a point is the same,
     so the learner is symmetric there.  ``default`` and ``num_labels`` are
     checked at construction, as ``constant_learner`` checks them."""
-    _check_window(window)
-    Hypothesis(num_labels=num_labels, table=(default,))
+    _check_learner(default, num_labels, window)
 
     def fn(sample: Sample) -> Hypothesis:
         seen = dict(sample)
-        table = tuple(seen.get(x, default) for x in range(window + 1))
+        table = tuple(map(seen.get, range(window + 1), itertools.repeat(default)))
         return Hypothesis(num_labels=num_labels, table=table)
 
     return Learner(name=f"memorize:{default}", fn=fn, symmetric=True)
@@ -199,13 +208,12 @@ def _risk_counts(learner: Learner, points, f_values: Pattern, multisets):
     sequence is counted through the weight of its multiset when
     ``multisets`` (from ``_multisets``) is given, else run on its own."""
     n = len(points)
-    label = dict(zip(points, f_values))
-    graph = tuple(zip(points, f_values))
+    label = dict(zip(points, f_values)).__getitem__
     samples = multisets or zip(itertools.product(points, repeat=n // 2), itertools.repeat(1))
     total = tail = 0
     for seq, weight in samples:
-        h = learner(tuple((x, label[x]) for x in seq))
-        wrong = sum(1 for x, y in graph if h(x) != y)
+        h = learner(tuple(zip(seq, map(label, seq))))
+        wrong = sum(map(ne, map(h, points), f_values))
         total += weight * wrong
         if 8 * wrong >= n:
             tail += weight

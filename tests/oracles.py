@@ -193,6 +193,18 @@ def first_cover(patterns, coord_choices):
     return None
 
 
+def extend_reference(states, images, need):
+    """The coverage step done eagerly: each state (metas, cells) extended by
+    each image (zero, one, meta), states outer and images inner, with every
+    cell of the child built and counted before the child is kept or
+    dropped by its smallest cell."""
+    for metas, cells in states:
+        for zero, one, meta in images:
+            nxt = [zero & cell for cell in cells] + [one & cell for cell in cells]
+            if min(bin(cell).count("1") for cell in nxt) >= need:
+                yield metas + (meta,), nxt
+
+
 def distinct_tables(choices):
     """The (table, meta) pairs whose table takes both values, without any
     table equal to, or the complement of, an earlier one, the tables

@@ -386,6 +386,15 @@ def test_nfl_negative_label_exits_two(capsys, labels):
     assert capsys.readouterr().err == "error: labels must be naturals\n"
 
 
+@pytest.mark.parametrize("learner", ["memorize:5", "const:5"])
+def test_nfl_learner_label_outside_the_alphabet_exits_two(capsys, learner):
+    # the message named "[0]", an index the user never typed
+    argv = ["nfl", "--learner", learner, "--points", "0,1", "--g1", "0,1", "--g2", "1,0"]
+    assert_usage_error(capsys, *argv)
+    dispatch(argv)
+    assert capsys.readouterr().err == "error: learner label 5 outside 0..1\n"
+
+
 def test_nfl_at_m5_sweeps_multisets(capsys):
     # 2,002 multisets per mixture where the sequence sweep ran 100,000
     points = ",".join(str(x) for x in range(10))

@@ -436,6 +436,95 @@ def test_prefix_walk_builds_each_table_image_once(monkeypatch):
             assert built and max(built.values()) == 1, (kind, rows)
 
 
+def _random_states(rng, members, depth):
+    """A few coverage states over ``depth`` coordinates: each member is coded
+    by one of the 2^depth prefix codes, or left out as if it hit a star."""
+    states = []
+    for k in range(rng.randint(0, 4)):
+        cells = [0] * (1 << depth)
+        for member in range(members):
+            if rng.random() < 0.9:
+                cells[rng.randrange(len(cells))] |= 1 << member
+        states.append((tuple(range(k, k + depth)), cells))
+    return states
+
+
+def _random_images(rng, members):
+    """A few (zero, one, meta) images: disjoint halves of the members."""
+    images = []
+    for meta in range(rng.randint(0, 5)):
+        zero = one = 0
+        for member in range(members):
+            side = rng.randrange(3)
+            zero |= (side == 0) << member
+            one |= (side == 1) << member
+        images.append((zero, one, meta))
+    return images
+
+
+def test_extend_yields_the_eager_steps_states_in_order():
+    """Over random states and images, and every bound an n-point search
+    sets at a depth (1 up to 2^(n-1)), the fail-fast step yields the same
+    (metas, cells) sequence as the eager reference, which builds and counts
+    every cell of every child."""
+    rng = random.Random(35)
+    outcomes = Counter()
+    for _ in range(300):
+        members, n = rng.randint(1, 24), rng.randint(1, 5)
+        depth = rng.randrange(n)
+        states, images = _random_states(rng, members, depth), _random_images(rng, members)
+        for need in range(1, (1 << (n - 1)) + 1):
+            got = list(dimensions._extend(iter(states), images, need))
+            assert got == list(oracles.extend_reference(states, images, need)), (
+                states, images, need)
+            if states and images:
+                pairs = len(states) * len(images)
+                outcomes["none" if not got else "all" if len(got) == pairs else "some"] += 1
+    assert set(outcomes) == {"none", "some", "all"}, outcomes
+    # a hand-made step where every pair passes, then none at a bound one higher
+    states = [((), [0xFF])]
+    images = [(0x0F, 0xF0, "a"), (0x33, 0xCC, "b"), (0x55, 0xAA, "c")]
+    passing = list(dimensions._extend(iter(states), images, 4))
+    assert [metas for metas, _ in passing] == [("a",), ("b",), ("c",)]
+    assert passing == list(oracles.extend_reference(states, images, 4))
+    assert list(dimensions._extend(iter(states), images, 5)) == []
+
+
+class _CountingMask(int):
+    """An image half that counts the ANDs taken with it."""
+
+    def __new__(cls, value):
+        mask = super().__new__(cls, value)
+        mask.ands = 0
+        return mask
+
+    def __and__(self, other):
+        self.ands += 1
+        return int(self) & other
+
+
+def test_extend_stops_a_pair_at_its_first_thin_cell():
+    """A pair costs one AND per cell tested, up to its first thin cell, and
+    a failing pair builds no child, which would AND every cell again."""
+    cells = [0b0011, 0b1100, 0b0101, 0b1010]  # a state over 2 coordinates
+
+    def step(zero, one, need):
+        zero, one = _CountingMask(zero), _CountingMask(one)
+        got = list(dimensions._extend(iter([((), cells)]), [(zero, one, "m")], need))
+        return len(got), zero.ands, one.ands
+
+    # thin at the first cell of the zero half: one AND, the one half untouched
+    assert step(0b0000, 0b1111, 1) == (0, 1, 0)
+    # thin at the third cell: three ANDs
+    assert step(0b1010, 0b1111, 1) == (0, 3, 0)
+    # the zero half passes, the one half is thin at its second cell
+    assert step(0b1111, 0b0011, 1) == (0, 4, 2)
+    # a passing pair tests each half's four cells, then builds its eight
+    assert step(0b1001, 0b0110, 1) == (1, 8, 8)
+    # the same pair fails at the first cell when each cell needs two members
+    assert step(0b1001, 0b0110, 2) == (0, 1, 0)
+
+
 def _spy_on_leaves(monkeypatch):
     """The candidates ``exact_dimension``'s prefix walks test at their
     leaves, in order.  The one-candidate walks of the single-subset

@@ -294,6 +294,20 @@ def test_memorizing_learner_checks_its_labels_when_built(args):
     assert str(memo_err.value) == str(const_err.value)
 
 
+@pytest.mark.parametrize("label, num_labels, message", [
+    (5, 2, "learner label 5 outside 0..1"),
+    (-1, 3, "learner label -1 outside 0..2"),
+    (True, 2, "learner label True outside 0..1"),
+])
+def test_learners_name_their_own_label_when_it_is_outside_the_alphabet(
+        label, num_labels, message):
+    # the message named "[0]", an index into the learner's internal table
+    for make in (dk.constant_learner, dk.memorizing_learner):
+        with pytest.raises(dk.RepresentationError) as err:
+            make(label, num_labels, 3)
+        assert str(err.value) == message
+
+
 # ------------------------------------------- inputs of exact_expected_risk
 
 @pytest.mark.parametrize("points, f_values, m, message", [
